@@ -33,16 +33,16 @@ import numpy as np
 
 from .energy import (
     ProblemSpec,
-    discrete_divergence,
-    discrete_gradient,
     normal_trace,
-    _face_masks,
+    _cell_values,
+    _divergence,
+    _dual_values,
+    _gradient,
 )
 from .errors import ShapeMismatchError
-from .fields import DualField, Field
+from .fields import DualField
 from .geometry import Annulus, Ball, Rectangle
 from .integrands import Integrand
-from .solver import _zeta_backflow
 
 __all__ = [
     "ToleranceSet",
@@ -208,45 +208,36 @@ def _score(f: Integrand, s: _Samples, tols: ToleranceSet, jump: float,
 
 
 def _grid_samples(spec: ProblemSpec, u, z, zeta=None) -> _Samples:
+    """Inside-cell and boundary-face samples of grid fields.
+
+    Without ``zeta`` the normal trace is read from the boundary-face slots
+    of z, so z must then be a DualField or a padded array.
+    """
     domain = spec.domain
-    uv = u.values if isinstance(u, Field) else np.asarray(u, dtype=float)
-    zv = z.values if isinstance(z, DualField) else np.asarray(z, dtype=float)
-    n = spec.n_channels
-    if uv.shape[0] != n or zv.shape[0] != n:
-        raise ShapeMismatchError("field channel count does not match the spec")
-    inside = domain.inside_mask
-    vol = domain.cell_volume
+    op = domain.operator
     bf = domain.boundary_faces
+    vol = domain.cell_volume
+    u_c = _cell_values(domain, u)
+    z_c = _dual_values(domain, z)
+    n = spec.n_channels
+    if u_c.shape[1] != n or z_c.shape[1] != n:
+        raise ShapeMismatchError("field channel count does not match the spec")
 
-    grad = discrete_gradient(domain, uv)
     if zeta is None:
-        div = discrete_divergence(domain, zv)
+        zv = z.values if isinstance(z, DualField) else np.asarray(z, dtype=float)
         ztr = normal_trace(domain, zv).T  # (m, n)
+        flux = bf.face_measure / vol * ztr
     else:
-        zeta = np.asarray(zeta, dtype=float).reshape(len(bf), n)
-        interior, _, _ = _face_masks(domain)
-        zi = np.where(interior[None], zv, 0.0)
-        beta = (bf.weight / vol)[:, None]
-        div = discrete_divergence(domain, zi) + _zeta_backflow(
-            domain, beta * zeta, n)
-        ztr = zeta
-
-    pts = domain.cell_centers[inside]
-    m = pts.shape[0]
-    u_in = uv[:, inside].T
-    g_in = spec.g[:, inside].T
-    h_in = spec.h[:, inside].T
-    lam_in = spec.lam[inside]
-    grad_in = np.moveaxis(grad, (0, 1), (-2, -1))[inside]
-    z_in = np.moveaxis(zv, (0, 1), (-2, -1))[inside]
-    div_in = div[:, inside].T
-
-    u_adj = uv[(slice(None),) + tuple(bf.cell.T)].T
+        ztr = np.asarray(zeta, dtype=float).reshape(len(bf), n)
+        flux = (bf.weight / vol)[:, None] * ztr
+    m = len(op.points)
     return _Samples(
-        points=pts, vol_w=np.full(m, vol), u=u_in, grad_u=grad_in, z=z_in,
-        div_z=div_in, g=g_in, h=h_in, lam=lam_in,
+        points=op.points, vol_w=np.full(m, vol), u=u_c,
+        grad_u=_gradient(op, u_c), z=z_c,
+        div_z=_divergence(op, z_c) + op.Bt @ flux,
+        g=spec.g_cells, h=spec.h_cells, lam=spec.lam_cells,
         b_points=bf.point, b_w=bf.weight, b_normals=bf.normal,
-        b_u=u_adj, b_u0=spec.u0, b_ztrace=ztr,
+        b_u=op.B @ u_c, b_u0=spec.u0, b_ztrace=ztr,
     )
 
 

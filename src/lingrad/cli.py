@@ -71,7 +71,6 @@ def _cmd_solve(args):
         cfg.max_iters = args.max_iters
     if args.gap_tol is not None:
         cfg.gap_tol = args.gap_tol
-    cfg.threads = args.threads
     res = solve(bundle.spec, cfg)
     domain = bundle.spec.domain
     n = bundle.spec.n_channels
@@ -237,8 +236,6 @@ def build_parser():
     sp.add_argument("--dual-out", help="dual field (LGF1, n*d channels)")
     sp.add_argument("--zeta-out", help="boundary multiplier (LGF1)")
     sp.add_argument("--history", help="iteration history CSV")
-    sp.add_argument("--threads", type=int,
-                    default=int(os.environ.get("LINGRAD_THREADS", "1")))
     sp.set_defaults(fn=_cmd_solve)
 
     sp = sub.add_parser("certify", help="check the optimality certificate")

@@ -1,20 +1,31 @@
 """Discrete relaxed energy, exact-adjoint operators, and truncation.
 
-The discrete gradient takes forward differences on interior faces (faces
-between two inside cells) and is zero elsewhere; the discrete divergence
-additionally collects dual values sitting on boundary faces, so that
+Everything here works on compressed vectors over the N inside cells of a
+domain (see ``GridDomain.operator``): a primal field is an (N, n) array, a
+dual field an (N, n, d) array on the + face of each inside cell, and a
+boundary multiplier an (m, n) array over boundary faces.  Padded
+(n, *grid) and (n, d, *grid) arrays appear only at the I/O edge: Field and
+DualField, and the padded-signature ``discrete_gradient``,
+``discrete_divergence`` and ``normal_trace`` kept for callers that hold
+padded arrays.  Every public function here accepts either form.
+
+The operator is two sparse matrices.  ``G`` takes forward differences on
+interior faces (faces between two inside cells) and is zero elsewhere;
+``B`` selects the inside cell of each boundary face.  The discrete
+divergence of a padded dual field is -G^T z plus the boundary flux
+B^T (h^(d-1)/h^d [z, nu]), with [z, nu] the face-normal component of z
+(sign times the value stored at the face's slot), so that
 
     <u, div z> + <grad u, z> = sum over boundary faces of h^(d-1) * u * [z, nu]
 
-holds exactly, with [z, nu] the face-normal component of z (sign times the
-stored face value).  This discrete Gauss-Green identity is the backbone of
+holds exactly.  This discrete Gauss-Green identity is the backbone of
 certificate checking; no continuum pairing measure is needed at grid level.
 
 The relaxed energy combines the cell term sum h^d f(x, grad u) (jumps show
 up as large one-cell gradients), the boundary penalty
-sum w_b f^inf(x_b, (u0 - u) tensor nu) with the geometric face weights and
-the one-sided trace u taken from the adjacent inside cell, and the lower
-order terms sum h^d (g u + lambda/2 |u - h|^2).
+sum w_b f^inf(x_b, (u0 - u) tensor nu) with the geometric face weights w_b
+and the one-sided trace u = B u taken from the adjacent inside cell, and
+the lower order terms sum h^d (g u + lambda/2 |u - h|^2).
 """
 
 from __future__ import annotations
@@ -45,7 +56,12 @@ __all__ = [
 
 @dataclass
 class ProblemSpec:
-    """Integrand + domain + boundary datum + lower-order data (g, h, lambda)."""
+    """Integrand + domain + boundary datum + lower-order data (g, h, lambda).
+
+    ``g``, ``h`` and ``lam`` keep their padded shapes; their values on the
+    inside cells are gathered once into ``g_cells``/``h_cells`` (N, n) and
+    ``lam_cells`` (N,), which is what the energies and the solver read.
+    """
 
     integrand: Integrand
     domain: GridDomain
@@ -85,6 +101,14 @@ class ProblemSpec:
             self.lam = np.asarray(self.lam, dtype=float)
             if self.lam.shape != grid:
                 raise ShapeMismatchError("lambda must have shape (*grid)")
+        op = self.domain.operator
+        self.g_cells = op.cells(self.g)
+        self.h_cells = op.cells(self.h)
+        self.lam_cells = op.cells(self.lam)
+        for name, vals in (("u0", u0), ("g", self.g_cells), ("h", self.h_cells),
+                           ("lambda", self.lam_cells)):
+            if not np.all(np.isfinite(vals)):
+                raise InvalidFieldError(f"{name} has non-finite values")
         if np.any(self.lam < 0):
             raise InvalidFieldError("lambda must be nonnegative")
 
@@ -101,83 +125,63 @@ class ProblemSpec:
 # ---------------------------------------------------------------------------
 
 
+def _cell_values(domain: GridDomain, u) -> np.ndarray:
+    """(N, n) inside-cell values of a Field, a padded or a compressed array."""
+    u = u.values if isinstance(u, Field) else np.asarray(u, dtype=float)
+    return domain.operator.cells(u) if u.shape[1:] == domain.grid_shape else u
+
+
+def _dual_values(domain: GridDomain, z) -> np.ndarray:
+    """(N, n, d) face values of a DualField, a padded or a compressed array."""
+    z = z.values if isinstance(z, DualField) else np.asarray(z, dtype=float)
+    return domain.operator.cells(z) if z.shape[2:] == domain.grid_shape else z
+
+
+def _gradient(op, u: np.ndarray) -> np.ndarray:
+    """G u: (N, n) cell values to (N, n, d) face values."""
+    return (op.G @ u).reshape(len(u), op.dim, -1).transpose(0, 2, 1)
+
+
+def _divergence(op, z: np.ndarray) -> np.ndarray:
+    """-G^T z: (N, n, d) face values to (N, n); interior faces only."""
+    return op.div @ z.transpose(0, 2, 1).reshape(-1, z.shape[1])
+
+
 def _face_masks(domain: GridDomain):
-    # cached on the domain: interior faces and the slot mask of boundary faces
-    masks = getattr(domain, "_face_mask_cache", None)
-    if masks is not None:
-        return masks
+    """Padded (d, *grid) masks: interior faces, boundary-face slots, both."""
     interior = domain._interior_face_mask()
     slots = np.zeros_like(interior)
-    bf = domain.boundary_faces
-    slot_cells = bf.cell.copy()
-    neg = bf.sign < 0
-    slot_cells[np.arange(len(bf)), bf.axis] -= neg.astype(int)
-    slots[(bf.axis,) + tuple(slot_cells.T)] = True
-    domain._boundary_slot_cells = slot_cells
-    masks = (interior, slots, interior | slots)
-    domain._face_mask_cache = masks
-    return masks
-
-
-def boundary_slots(domain: GridDomain) -> np.ndarray:
-    """(m, dim) base-cell index of each boundary face's storage slot."""
-    _face_masks(domain)
-    return domain._boundary_slot_cells
+    slots[(domain.boundary_faces.axis,) + tuple(domain.operator.slot_cells.T)] = True
+    return interior, slots, interior | slots
 
 
 def discrete_gradient(domain: GridDomain, u: np.ndarray) -> np.ndarray:
     """Forward differences of (n, *grid) cell values on interior faces."""
-    u = np.asarray(u, dtype=float)
-    interior, _, _ = _face_masks(domain)
-    n = u.shape[0]
-    out = np.zeros((n, domain.dim) + domain.grid_shape)
-    inv_h = 1.0 / domain.h
-    for a in range(domain.dim):
-        sl_lo = [slice(None)] * domain.dim
-        sl_hi = [slice(None)] * domain.dim
-        sl_lo[a] = slice(0, -1)
-        sl_hi[a] = slice(1, None)
-        diff = np.zeros_like(u)
-        diff[(slice(None),) + tuple(sl_lo)] = (
-            u[(slice(None),) + tuple(sl_hi)] - u[(slice(None),) + tuple(sl_lo)]
-        ) * inv_h
-        out[:, a] = np.where(interior[a][None], diff, 0.0)
-    return out
+    op = domain.operator
+    return op.pad(_gradient(op, op.cells(np.asarray(u, dtype=float))))
 
 
 def discrete_divergence(domain: GridDomain, z: np.ndarray) -> np.ndarray:
     """Negative adjoint of the gradient, collecting boundary-face flux."""
     z = np.asarray(z, dtype=float)
-    _, _, active = _face_masks(domain)
-    n = z.shape[0]
-    out = np.zeros((n,) + domain.grid_shape)
-    inv_h = 1.0 / domain.h
-    for a in range(domain.dim):
-        za = np.where(active[a][None], z[:, a], 0.0)
-        shifted = np.zeros_like(za)
-        sl_hi = [slice(None)] * domain.dim
-        sl_lo = [slice(None)] * domain.dim
-        sl_hi[a] = slice(1, None)
-        sl_lo[a] = slice(0, -1)
-        shifted[(slice(None),) + tuple(sl_hi)] = za[(slice(None),) + tuple(sl_lo)]
-        out += (za - shifted) * inv_h
-    return np.where(domain.inside_mask[None], out, 0.0)
+    op = domain.operator
+    flux = (domain.boundary_faces.face_measure / domain.cell_volume
+            * normal_trace(domain, z).T)
+    return op.pad(_divergence(op, op.cells(z)) + op.Bt @ flux)
 
 
 def normal_trace(domain: GridDomain, z: np.ndarray) -> np.ndarray:
-    """[z, nu] at boundary faces: sign times the stored face value, (n, m)."""
+    """[z, nu] at boundary faces of a padded z: sign times the slot value, (n, m)."""
     bf = domain.boundary_faces
-    slots = boundary_slots(domain)
-    vals = z[(slice(None), bf.axis.astype(int)) + tuple(slots.T)]
+    vals = z[(slice(None), bf.axis) + tuple(domain.operator.slot_cells.T)]
     return vals * bf.sign[None]
 
 
 def boundary_flux(domain: GridDomain, u: np.ndarray, z: np.ndarray) -> float:
     """Exact discrete flux: sum over boundary faces of h^(d-1) u_adj . [z, nu]."""
-    bf = domain.boundary_faces
-    u_adj = u[(slice(None),) + tuple(bf.cell.T)]  # (n, m)
+    u_adj = domain.operator.B @ _cell_values(domain, u)  # (m, n)
     tr = normal_trace(domain, z)
-    return float(bf.face_measure * np.sum(u_adj * tr))
+    return float(domain.boundary_faces.face_measure * np.sum(u_adj.T * tr))
 
 
 def gauss_green_residual(domain: GridDomain, u, z) -> float:
@@ -196,20 +200,10 @@ def gauss_green_residual(domain: GridDomain, u, z) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _inside_points_and_grads(spec: ProblemSpec, u: np.ndarray):
-    domain = spec.domain
-    grad = discrete_gradient(domain, u)
-    mask = domain.inside_mask
-    pts = domain.cell_centers[mask]
-    gm = np.moveaxis(grad, (0, 1), (-2, -1))[mask]  # (m_in, n, d)
-    return pts, gm, grad
-
-
-def boundary_penalty(spec: ProblemSpec, u: np.ndarray) -> float:
+def boundary_penalty(spec: ProblemSpec, u) -> float:
     """sum w_b f^inf(x_b, (u0 - u_adj) tensor nu) with one-sided traces."""
     bf = spec.domain.boundary_faces
-    u_adj = u[(slice(None),) + tuple(bf.cell.T)].T  # (m, n)
-    jump = spec.u0 - u_adj
+    jump = spec.u0 - spec.domain.operator.B @ _cell_values(spec.domain, u)
     mat = jump[:, :, None] * bf.normal[:, None, :]  # (m, n, d)
     vals = spec.integrand.recession(bf.point, mat)
     return float(np.sum(bf.weight * vals))
@@ -217,10 +211,11 @@ def boundary_penalty(spec: ProblemSpec, u: np.ndarray) -> float:
 
 def lower_order_energy(spec: ProblemSpec, u) -> float:
     """sum h^d (g . u + lambda/2 |u - h|^2) over inside cells."""
-    u = u.values if isinstance(u, Field) else np.asarray(u, dtype=float)
-    dev = u - spec.h
-    dens = np.sum(spec.g * u, axis=0) + 0.5 * spec.lam * np.sum(dev * dev, axis=0)
-    return spec.domain.cell_volume * float(np.sum(dens[spec.domain.inside_mask]))
+    u = _cell_values(spec.domain, u)
+    dev = u - spec.h_cells
+    dens = (np.sum(spec.g_cells * u, axis=1)
+            + 0.5 * spec.lam_cells * np.sum(dev * dev, axis=1))
+    return spec.domain.cell_volume * float(np.sum(dens))
 
 
 def relaxed_energy(spec: ProblemSpec, u) -> float:
@@ -228,17 +223,18 @@ def relaxed_energy(spec: ProblemSpec, u) -> float:
     u = u.values if isinstance(u, Field) else np.asarray(u, dtype=float)
     if not np.all(np.isfinite(u)):
         raise InvalidFieldError("u has non-finite entries")
-    pts, gm, _ = _inside_points_and_grads(spec, u)
+    op = spec.domain.operator
+    u = _cell_values(spec.domain, u)
     cell_term = spec.domain.cell_volume * float(
-        np.sum(spec.integrand.value(pts, gm))
+        np.sum(spec.integrand.value(op.points, _gradient(op, u)))
     )
     return cell_term + boundary_penalty(spec, u) + lower_order_energy(spec, u)
 
 
 def total_variation(domain: GridDomain, u: np.ndarray) -> float:
     """Discrete TV: sum h^d |grad u| over cells (Frobenius per cell)."""
-    grad = discrete_gradient(domain, u)
-    mag = np.sqrt(np.sum(grad * grad, axis=(0, 1)))
+    grad = _gradient(domain.operator, _cell_values(domain, u))
+    mag = np.sqrt(np.sum(grad * grad, axis=(1, 2)))
     return domain.cell_volume * float(np.sum(mag))
 
 

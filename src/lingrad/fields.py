@@ -122,8 +122,10 @@ def read_lgf(path):
         magic = f.read(4)
         if magic != _MAGIC:
             raise InvalidFieldError(f"not an LGF1 file: bad magic {magic!r}")
-        n, nx, ny = struct.unpack("<III", f.read(12))
-        (h,) = struct.unpack("<d", f.read(8))
+        header = f.read(20)
+        if len(header) != 20:
+            raise InvalidFieldError("truncated LGF1 header")
+        n, nx, ny, h = struct.unpack("<IIId", header)
         raw = f.read(8 * n * nx * ny)
         if len(raw) != 8 * n * nx * ny:
             raise InvalidFieldError("truncated LGF1 payload")

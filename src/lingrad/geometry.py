@@ -22,7 +22,8 @@ circle it evaluates to d - 1 = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -37,6 +38,7 @@ __all__ = [
     "Rectangle",
     "Interval",
     "GridDomain",
+    "GridOperator",
     "BoundaryFaces",
     "build_domain",
     "boundary_normal",
@@ -201,6 +203,8 @@ class GridDomain:
     def __init__(self, shape: Shape, nx: int, pad_cells: int = 2):
         if nx < 16:
             raise ResolutionError("resolution must be at least 16")
+        if pad_cells < 1:
+            raise ResolutionError("the ghost ring needs at least one cell")
         self.shape = shape
         self.dim = shape.dim
         if self.dim not in (1, 2):
@@ -235,20 +239,16 @@ class GridDomain:
         if len(self.boundary_faces) == 0:
             raise ResolutionError("shape produced no boundary faces")
 
+    @cached_property
+    def operator(self) -> "GridOperator":
+        """The compressed discrete operator, built on first use."""
+        return GridOperator(self)
+
     # faces are indexed (axis, *cell): face a of cell c sits between c and
     # c + e_a.  A face is interior when both cells are inside the mask.
     def _interior_face_mask(self):
-        masks = []
-        for a in range(self.dim):
-            inside = self.inside_mask
-            nxt = np.zeros_like(inside)
-            sl_to = [slice(None)] * self.dim
-            sl_from = [slice(None)] * self.dim
-            sl_to[a] = slice(0, -1)
-            sl_from[a] = slice(1, None)
-            nxt[tuple(sl_to)] = inside[tuple(sl_from)]
-            masks.append(inside & nxt)
-        return np.stack(masks, axis=0)
+        op = self.operator
+        return op.pad(op.interior[:, 0, :])
 
     def _collect_boundary_faces(self):
         cells, axes_l, signs = [], [], []
@@ -314,6 +314,93 @@ class GridDomain:
             f"GridDomain({type(self.shape).__name__}, n_cells={self.n_cells}, "
             f"h={self.h:.4g}, faces={len(self.boundary_faces)})"
         )
+
+
+class GridOperator:
+    """The discretization of a GridDomain as two sparse matrices.
+
+    Inside cells are numbered 0..N-1 in the order of boolean indexing with
+    ``inside_mask``.  A primal field is an (N, n) array of cell values; a
+    dual field is an (N, n, d) array holding, at [c, :, a], the value on
+    the face between cell c and its +e_a neighbor (face slot c * d + a).
+
+    * ``G`` (N d x N, CSR): forward differences (u[c + e_a] - u[c]) / h on
+      interior faces, those between two inside cells.  Rows of the other
+      slots are empty, so G^T ignores whatever a dual field holds there.
+    * ``B`` (m x N, CSR): one row per boundary face selecting its inside
+      cell; ``face_cells`` lists those cells.
+
+    The interior divergence is ``div`` = -G^T and the Neumann Laplacian is
+    G^T G.  Padded (..., *grid) arrays are made only by ``pad``/``cells``.
+    """
+
+    def __init__(self, domain: GridDomain):
+        import scipy.sparse as sp
+
+        self.dim = d = domain.dim
+        self.grid_shape = domain.grid_shape
+        self.inside = domain.inside_mask
+        self._flat = np.flatnonzero(self.inside)  # row-major, like argwhere
+        cells = np.argwhere(self.inside)
+        n_in = len(cells)
+        index = np.full(self.grid_shape, -1)
+        index[self.inside] = np.arange(n_in)
+        self.points = domain.cell_centers[self.inside]  # (N, d)
+
+        # + neighbor of every inside cell per axis; the ghost ring keeps it
+        # within the array.  Neighbors come later in the numbering, so each
+        # row's column indices [c, c + e_a] are already sorted.
+        nbr = np.stack([index[tuple((cells + e).T)] for e in np.eye(d, dtype=int)],
+                       axis=1)
+        self.interior = (nbr >= 0)[:, None, :]  # (N, 1, d) interior slots
+        slots = np.flatnonzero(nbr >= 0)
+        inv_h = 1.0 / domain.h
+        self.G = sp.csr_array(
+            (np.tile([-inv_h, inv_h], len(slots)),
+             np.stack([slots // d, nbr.ravel()[slots]], axis=1).ravel(),
+             np.concatenate([[0], np.cumsum(2 * (nbr.ravel() >= 0))])),
+            shape=(n_in * d, n_in))
+        self.div = (-self.G.T).tocsr()
+
+        bf = domain.boundary_faces
+        m = len(bf)
+        self.face_cells = index[tuple(bf.cell.T)]
+        self.B = sp.csr_array((np.ones(m), self.face_cells, np.arange(m + 1)),
+                              shape=(m, n_in))
+        self.Bt = self.B.T  # CSC: products scatter over the m faces only
+        # a face with sign -1 stores its value on the + face of the outside
+        # cell below it; padded dual arrays keep that slot
+        self.slot_cells = bf.cell.copy()
+        self.slot_cells[np.arange(m), bf.axis] -= (bf.sign < 0)
+
+    @cached_property
+    def neumann_solver(self):
+        """LU factors of G^T G with the first cell pinned (no constant nullspace)."""
+        import scipy.sparse as sp
+        from scipy.sparse.linalg import splu
+
+        n_in = self.G.shape[1]
+        keep = np.ones(n_in)
+        keep[0] = 0.0
+        lap = sp.diags_array(keep) @ (self.G.T @ self.G)
+        lap = lap + sp.csr_array(([1.0], ([0], [0])), shape=(n_in, n_in))
+        return splu(lap.tocsc())
+
+    def cells(self, values: np.ndarray) -> np.ndarray:
+        """Compressed (N, ...) copy of padded (..., *grid) values."""
+        rows = values.reshape(-1, self.inside.size)  # one row per leading index
+        out = np.empty((len(self._flat), len(rows)), dtype=values.dtype)
+        for k, row in enumerate(rows):
+            out[:, k] = row[self._flat]
+        return out.reshape((-1,) + values.shape[:values.ndim - self.dim])
+
+    def pad(self, values: np.ndarray) -> np.ndarray:
+        """Padded (..., *grid) array of compressed (N, ...) values, zero outside."""
+        rows = values.reshape(len(values), -1).T  # one row per leading index
+        out = np.zeros((len(rows), self.inside.size), dtype=values.dtype)
+        for k, row in enumerate(rows):  # a 1-D scatter per row is the fast path
+            out[k, self._flat] = row
+        return out.reshape(values.shape[1:] + self.grid_shape)
 
 
 def build_domain(shape, resolution: int) -> GridDomain:

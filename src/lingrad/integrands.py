@@ -50,12 +50,12 @@ _RICHARDSON_RTOL = 1e-6
 
 def _fro(xi):
     """Frobenius norm over the trailing (n, d) axes."""
-    return np.sqrt(np.sum(xi * xi, axis=(-2, -1)))
+    return np.sqrt(_inner(xi, xi))
 
 
 def _inner(a, b):
     """Frobenius inner product over the trailing (n, d) axes."""
-    return np.sum(a * b, axis=(-2, -1))
+    return np.einsum("...ij,...ij->...", a, b)
 
 
 class Integrand:

@@ -5,16 +5,30 @@ f(x, grad u) = sup_z <z, grad u> - f*(x, z), and the boundary penalty, via
 its own multiplier zeta constrained to the nu-section of the dual range
 (for scalar TV the interval [-1, 1]).  One iteration alternates
 
-  (i)   z    <- prox of f* at z + sigma grad(u_bar), per cell,
-  (ii)  zeta <- project zeta + sigma (u0 - u_bar_adjacent) onto the section,
+  (i)   z    <- prox of f* at z + sigma G u_bar, per cell,
+  (ii)  zeta <- project zeta + sigma (u0 - B u_bar) onto the section,
   (iii) u    <- closed-form prox of the lower-order terms at
-                u + tau (div z + backflow(zeta) - g),
+                u + tau (-G^T z + B^T (w_b / h^d zeta) - g),
   (iv)  u_bar <- u + theta (u - u_prev),
 
-with the zeta backflow scattering w_b * zeta / h^d into each face's inside
-cell.  At a fixed point div z + backflow(zeta) = lambda (u - h) + g, the
-discrete Euler-Lagrange equation, and the pair (z, zeta) is the certificate
-the verification module consumes.
+with G and B the domain's operator (``GridDomain.operator``): forward
+differences on interior faces, and the selection of each boundary face's
+inside cell.  The zeta backflow B^T (w_b / h^d zeta) couples each face
+through its geometric weight w_b, the same weight as in the boundary
+penalty.  At a fixed point -G^T z + B^T (w_b / h^d zeta) = lambda (u - h)
++ g, the discrete Euler-Lagrange equation, and the pair (z, zeta) is the
+certificate the verification module consumes.
+
+The loop, the gap and the dual repair run on compressed vectors: u is
+(N, n) over the N inside cells, z is (N, n, d) on the + face of each
+inside cell (the layout the conjugate prox takes), zeta is (m, n) over
+boundary faces.  Padded arrays are made only at the I/O edge, for the
+Field and DualField of the SolveResult and from a padded warm start.
+
+The diagonal steps follow the alpha-exponent rule of Pock and Chambolle
+(ICCV 2011) for K = [h^d G; w_b B]: each dual step is the inverse of its
+row sum of |K|^(2 - alpha), each primal step h^d over its column sum of
+|K|^alpha.
 
 The reported duality gap is a true primal-dual gap for the problem
 restricted to a box |u| <= M: the dual objective uses the conjugate of the
@@ -32,9 +46,11 @@ import numpy as np
 
 from .energy import (
     ProblemSpec,
-    discrete_gradient,
     relaxed_energy,
-    _face_masks,
+    _cell_values,
+    _divergence,
+    _dual_values,
+    _gradient,
 )
 from .errors import InstabilityError, ShapeMismatchError
 from .fields import DualField, Field
@@ -73,10 +89,8 @@ class SolverConfig:
     theta: float = 1.0
     max_iters: int = 20000
     gap_tol: float = 1e-5
-    boundary_dualized: bool = True
     check_every: int = 100
     box_bound: Optional[float] = None
-    threads: int = 1  # cell updates are numpy-vectorized; kept for the CLI
     divergence_check: bool = True
     step_alpha: float = 0.5  # exponent of the diagonal step rule
 
@@ -141,10 +155,6 @@ def _nu_section_bounds(f: Integrand, points: np.ndarray, normals: np.ndarray,
     else:
         ang = np.linspace(0.0, 2 * np.pi, n_dirs, endpoint=False)
         dirs = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-        if d == 3:
-            rng = np.random.default_rng(3)
-            dirs = rng.standard_normal((n_dirs, 3))
-            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     lo = np.full(points.shape[0], np.inf)
     hi = np.full(points.shape[0], -np.inf)
     for v in dirs:
@@ -159,23 +169,9 @@ def nearest_boundary_extension(spec: ProblemSpec) -> np.ndarray:
     """u0 extended inward by nearest boundary face value; warm start."""
     from scipy.spatial import cKDTree
 
-    domain = spec.domain
-    bf = domain.boundary_faces
-    tree = cKDTree(bf.point)
-    pts = domain.cell_centers[domain.inside_mask]
-    _, nearest = tree.query(pts)
-    u = np.zeros((spec.n_channels,) + domain.grid_shape)
-    vals = spec.u0[nearest].T  # (n, m_in)
-    u[:, domain.inside_mask] = vals
-    return u
-
-
-def _zeta_backflow(domain, beta_zeta, n):
-    out = np.zeros((n,) + domain.grid_shape)
-    cells = domain.boundary_faces.cell
-    for ch in range(n):
-        np.add.at(out[ch], tuple(cells.T), beta_zeta[:, ch])
-    return out
+    op = spec.domain.operator
+    _, nearest = cKDTree(spec.domain.boundary_faces.point).query(op.points)
+    return op.pad(spec.u0[nearest])
 
 
 def _box_conjugate(v, g, lam, h, M):
@@ -192,139 +188,79 @@ def duality_gap(spec: ProblemSpec, u, z, zeta, box_bound: Optional[float] = None
                 repair: bool = True) -> DualityGap:
     """Primal energy minus the box-restricted dual objective; >= 0, 0 at optimum.
 
-    With ``repair`` (default), least-gradient-type duals are first projected
-    to feasibility (divergence cleaned by a Poisson solve, then rescaled
-    into the dual balls), which tightens the bound; the result is a valid
-    gap either way since every feasible dual point underestimates the
-    minimum.
+    ``u`` and ``z`` may be fields, padded or compressed arrays.  With
+    ``repair`` (default), least-gradient-type duals are also projected to
+    feasibility (divergence cleaned by a Poisson solve, then rescaled into
+    the dual balls), and the better of the two dual bounds is reported; the
+    result is a valid gap either way since every feasible dual point
+    underestimates the minimum.  Infeasibility of the *given* dual is
+    reported, never repaired away.
     """
     domain = spec.domain
-    u = u.values if isinstance(u, Field) else np.asarray(u, dtype=float)
-    z = z.values if isinstance(z, DualField) else np.asarray(z, dtype=float)
+    u = _cell_values(domain, u)
+    z = _dual_values(domain, z)
     zeta = np.asarray(zeta, dtype=float).reshape(len(domain.boundary_faces),
                                                  spec.n_channels)
-    if repair:
-        # infeasibility of the *given* dual is reported, never repaired away
-        pts0 = domain.cell_centers[domain.inside_mask]
-        z0 = np.moveaxis(z, (0, 1), (-2, -1))[domain.inside_mask]
-        if not np.all(np.isfinite(spec.integrand.conjugate(pts0, z0))):
-            return DualityGap(np.inf, np.inf, relaxed_energy(spec, u),
-                              -np.inf, False)
-        z_rep, zeta_rep = repair_dual(spec, z, zeta)
-        if z_rep is not z:
-            raw = duality_gap(spec, u, z, zeta, box_bound=box_bound,
-                              repair=False)
-            fixed = duality_gap(spec, u, z_rep, zeta_rep,
-                                box_bound=box_bound, repair=False)
-            return fixed if fixed.dual >= raw.dual else raw
-    n = spec.n_channels
-    bf = domain.boundary_faces
-    vol = domain.cell_volume
-    inside = domain.inside_mask
-
     primal = relaxed_energy(spec, u)
+    fstar = spec.integrand.conjugate(domain.operator.points, z)
+    if not np.all(np.isfinite(fstar)):
+        return DualityGap(np.inf, np.inf, primal, -np.inf, False)
 
     if box_bound is None:
-        m0 = float(np.max(np.abs(spec.u0))) if len(bf) else 0.0
-        m0 = max(m0, float(np.max(np.abs(spec.h))) if spec.h.size else 0.0)
+        m0 = max(float(np.max(np.abs(spec.u0))), float(np.max(np.abs(spec.h))))
         if np.max(np.abs(spec.g)) > 0:
             box_bound = 4.0 * (m0 + 1.0)
         else:
             box_bound = max(m0, 1e-12)
 
-    pts = domain.cell_centers[inside]
-    zmat = np.moveaxis(z, (0, 1), (-2, -1))[inside]  # (m_in, n, d)
-    fstar = spec.integrand.conjugate(pts, zmat)
-    feasible = bool(np.all(np.isfinite(fstar)))
-    if not feasible:
-        return DualityGap(np.inf, np.inf, primal, -np.inf, False)
-
-    div_int = _interior_divergence(domain, z)
-    zeta = np.asarray(zeta, dtype=float).reshape(len(bf), n)
-    beta = (bf.weight / vol)[:, None]
-    v = div_int + _zeta_backflow(domain, beta * zeta, n)
-
-    q = _box_conjugate(v, spec.g, spec.lam[None], spec.h, box_bound)
-    dual = (
-        float(np.sum(bf.weight[:, None] * zeta * spec.u0))
-        - vol * float(np.sum(fstar))
-        - vol * float(np.sum(np.sum(q, axis=0)[inside]))
-    )
+    dual = _dual_objective(spec, z, zeta, fstar, box_bound)
+    if repair:
+        z_rep, zeta_rep = repair_dual(spec, z, zeta)
+        if z_rep is not z:
+            fstar_rep = spec.integrand.conjugate(domain.operator.points, z_rep)
+            if np.all(np.isfinite(fstar_rep)):
+                dual = max(dual, _dual_objective(spec, z_rep, zeta_rep,
+                                                 fstar_rep, box_bound))
     gap = primal - dual
     rel = gap / max(abs(primal), abs(dual), 1e-12)
     return DualityGap(gap, rel, primal, dual, True)
 
 
-def _interior_divergence(domain, z):
-    interior, _, _ = _face_masks(domain)
-    zi = np.where(interior[None], z, 0.0)
-    # no boundary faces are active in zi, so the full divergence reduces to
-    # the interior-face part
-    from .energy import discrete_divergence
-
-    return discrete_divergence(domain, zi)
-
-
-def _neumann_laplacian_solver(domain):
-    """Cached factorized solver for div(grad phi) = rhs on inside cells."""
-    cached = getattr(domain, "_poisson_cache", None)
-    if cached is not None:
-        return cached
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
-    inside = domain.inside_mask
-    idx = -np.ones(domain.grid_shape, dtype=int)
-    cells = np.argwhere(inside)
-    idx[tuple(cells.T)] = np.arange(len(cells))
-    interior, _, _ = _face_masks(domain)
-    rows, cols, vals = [], [], []
-    inv_h2 = 1.0 / domain.h**2
-    diag = np.zeros(len(cells))
-    for a in range(domain.dim):
-        faces = np.argwhere(interior[a])
-        lo = idx[tuple(faces.T)]
-        hi_cells = faces.copy()
-        hi_cells[:, a] += 1
-        hi = idx[tuple(hi_cells.T)]
-        rows.extend(lo); cols.extend(hi); vals.extend([inv_h2] * len(lo))
-        rows.extend(hi); cols.extend(lo); vals.extend([inv_h2] * len(lo))
-        np.add.at(diag, lo, -inv_h2)
-        np.add.at(diag, hi, -inv_h2)
-    rows.extend(range(len(cells))); cols.extend(range(len(cells)))
-    vals.extend(diag)
-    L = sp.csc_matrix((vals, (rows, cols)), shape=(len(cells), len(cells)))
-    # pin the first cell to remove the constant nullspace
-    L = L.tolil()
-    L[0, :] = 0.0
-    L[0, 0] = 1.0
-    lu = spla.splu(L.tocsc())
-    cache = (lu, idx, cells)
-    domain._poisson_cache = cache
-    return cache
+def _dual_objective(spec, z, zeta, fstar, box_bound):
+    """sum w_b zeta u0 - h^d sum f*(z) - h^d sum q(-G^T z + backflow) on cells."""
+    domain = spec.domain
+    bf = domain.boundary_faces
+    vol = domain.cell_volume
+    v = _divergence(domain.operator, z) + domain.operator.Bt @ (
+        (bf.weight / vol)[:, None] * zeta)
+    q = _box_conjugate(v, spec.g_cells, spec.lam_cells[:, None], spec.h_cells,
+                       box_bound)
+    return (float(np.sum(bf.weight[:, None] * zeta * spec.u0))
+            - vol * float(np.sum(fstar)) - vol * float(np.sum(q)))
 
 
 def repair_dual(spec: ProblemSpec, z, zeta, rounds: int = 6):
     """Project (z, zeta) to a feasible dual point (least-gradient family).
 
-    Alternates a Poisson solve (removing the fluctuating part of
-    div z + backflow(zeta)) with pointwise clipping into the dual balls; a
-    final global rescale makes the pair exactly feasible, so it plugs into
-    ``duality_gap`` for a certified lower bound.  Requires a homogeneous
-    scalar integrand with a ball dual range and g = lambda = 0.
+    Alternates a Poisson solve with the Neumann Laplacian G^T G (removing
+    the fluctuating part of -G^T z + backflow(zeta)) with pointwise
+    clipping into the dual balls; a final global rescale makes the pair
+    exactly feasible, so it plugs into ``duality_gap`` for a certified
+    lower bound.  Requires a homogeneous scalar integrand with a ball dual
+    range and g = lambda = 0; otherwise (z, zeta) come back as given.  A
+    padded z gives a padded result, a compressed z a compressed one.
     """
     f = spec.integrand
     domain = spec.domain
     if (f.n_rows != 1 or not f.homogeneous or f.dual_radius is None
             or np.any(spec.lam != 0) or np.any(spec.g != 0)):
         return z, zeta
+    op = domain.operator
+    padded = np.shape(z)[2:] == domain.grid_shape
     bf = domain.boundary_faces
-    vol = domain.cell_volume
-    beta = (bf.weight / vol)[:, None]
-    inside = domain.inside_mask
-    lu, _, _ = _neumann_laplacian_solver(domain)
-    radius = np.asarray(f.dual_radius(domain.cell_centers), dtype=float)
-    radius = np.broadcast_to(radius, domain.grid_shape)
+    beta = (bf.weight / domain.cell_volume)[:, None]
+    radius = np.broadcast_to(
+        np.asarray(f.dual_radius(op.points), dtype=float), (len(op.points),))
 
     # nu-section bounds for the zeta polish
     r_b = np.asarray(f.dual_radius(bf.point), dtype=float)
@@ -332,27 +268,23 @@ def repair_dual(spec: ProblemSpec, z, zeta, rounds: int = 6):
     zeta = np.clip(np.asarray(zeta, dtype=float).reshape(len(bf), 1),
                    -r_b[:, None], r_b[:, None])
 
-    z_rep = z.copy()
+    z_rep = _dual_values(domain, z)
     for k in range(rounds):
-        v = _interior_divergence(domain, z_rep) + _zeta_backflow(
-            domain, beta * zeta, 1)
-        rhs = v[0][inside]
-        rhs = rhs - rhs.mean()
+        v = (_divergence(op, z_rep) + op.Bt @ (beta * zeta))[:, 0]
+        rhs = v - v.mean()
         rhs[0] = 0.0
-        phi = np.zeros((1,) + domain.grid_shape)
-        phi[0][inside] = lu.solve(rhs)
-        z_rep = z_rep - discrete_gradient(domain, phi)
+        z_rep = z_rep - _gradient(op, op.neumann_solver.solve(-rhs)[:, None])
         if k < rounds - 1:
-            znorm = np.sqrt(np.sum(z_rep**2, axis=(0, 1)))
+            znorm = np.sqrt(np.sum(z_rep**2, axis=(1, 2)))
             with np.errstate(divide="ignore", invalid="ignore"):
                 scale = np.minimum(1.0, radius / np.maximum(znorm, 1e-300))
-            z_rep = z_rep * scale[None, None]
+            z_rep = z_rep * scale[:, None, None]
             zeta = _polish_zeta(spec, z_rep, zeta, r_b)
-    znorm = np.sqrt(np.sum(z_rep**2, axis=(0, 1)))
+    znorm = np.sqrt(np.sum(z_rep**2, axis=(1, 2)))
     with np.errstate(divide="ignore", invalid="ignore"):
         over = np.where(radius > 0, znorm / radius, 0.0)
-    s = 1.0 / max(1.0, float(over[inside].max()) if inside.any() else 1.0)
-    return s * z_rep, s * zeta
+    s = 1.0 / max(1.0, float(over.max()))
+    return (op.pad(s * z_rep) if padded else s * z_rep), s * zeta
 
 
 def _polish_zeta(spec, z_rep, zeta, r_b, sweeps: int = 3, box_m: float = 1.0):
@@ -365,14 +297,13 @@ def _polish_zeta(spec, z_rep, zeta, r_b, sweeps: int = 3, box_m: float = 1.0):
     ascent that can only improve the bound.
     """
     domain = spec.domain
+    op = domain.operator
     bf = domain.boundary_faces
     vol = domain.cell_volume
-    beta = (bf.weight / vol)[:, None]
-    m0 = float(np.max(np.abs(spec.u0))) if len(bf) else 0.0
-    M = max(box_m, m0)
-    div_fixed = _interior_divergence(domain, z_rep)[0]
+    beta = bf.weight / vol
+    M = max(box_m, float(np.max(np.abs(spec.u0))))
+    div_fixed = _divergence(op, z_rep)[:, 0]
     zeta = zeta.copy()
-    cells_idx = tuple(bf.cell.T)
     w = bf.weight
     u0 = spec.u0[:, 0]
     # faces of one cell always differ in (axis, sign), so sweeping those
@@ -383,14 +314,12 @@ def _polish_zeta(spec, z_rep, zeta, r_b, sweeps: int = 3, box_m: float = 1.0):
         for sel in groups:
             if sel.size == 0:
                 continue
-            backflow = np.zeros(domain.grid_shape)
-            np.add.at(backflow, cells_idx, (beta * zeta)[:, 0])
-            res_cell = (div_fixed + backflow)[cells_idx][sel]
-            res_wo = res_cell - beta[sel, 0] * zeta[sel, 0]
+            res_cell = (div_fixed + op.Bt @ (beta * zeta[:, 0]))[op.face_cells[sel]]
+            res_wo = res_cell - beta[sel] * zeta[sel, 0]
             cands = np.stack([
                 -r_b[sel],
                 r_b[sel],
-                np.clip(-res_wo / beta[sel, 0], -r_b[sel], r_b[sel]),
+                np.clip(-res_wo / beta[sel], -r_b[sel], r_b[sel]),
             ], axis=0)
             best_val = None
             best = zeta[sel, 0]
@@ -400,7 +329,7 @@ def _polish_zeta(spec, z_rep, zeta, r_b, sweeps: int = 3, box_m: float = 1.0):
             m_eff = M * (1.0 + 1e-9)
             for c in cands:
                 val = (w[sel] * u0[sel] * c
-                       - m_eff * vol * np.abs(res_wo + beta[sel, 0] * c))
+                       - m_eff * vol * np.abs(res_wo + beta[sel] * c))
                 if best_val is None:
                     best_val, best = val, c
                 else:
@@ -413,11 +342,9 @@ def _polish_zeta(spec, z_rep, zeta, r_b, sweeps: int = 3, box_m: float = 1.0):
 
 def trace_error(spec: ProblemSpec, u) -> float:
     """Discrete L1 boundary distance sum w_b |u_adjacent - u0|."""
-    u = u.values if isinstance(u, Field) else np.asarray(u, dtype=float)
-    bf = spec.domain.boundary_faces
-    u_adj = u[(slice(None),) + tuple(bf.cell.T)].T
+    u_adj = spec.domain.operator.B @ _cell_values(spec.domain, u)
     diff = np.linalg.norm(u_adj - spec.u0, axis=-1)
-    return float(np.sum(bf.weight * diff))
+    return float(np.sum(spec.domain.boundary_faces.weight * diff))
 
 
 def boundary_l1_distance(spec: ProblemSpec, u, u0_fn,
@@ -432,7 +359,6 @@ def boundary_l1_distance(spec: ProblemSpec, u, u0_fn,
     """
     from scipy.spatial import cKDTree
 
-    u = u.values if isinstance(u, Field) else np.asarray(u, dtype=float)
     domain = spec.domain
     bf = domain.boundary_faces
     shape = domain.shape
@@ -443,7 +369,7 @@ def boundary_l1_distance(spec: ProblemSpec, u, u0_fn,
     else:
         # generic fallback: per-face midpoint quadrature = trace_error
         return trace_error(spec, u)
-    u_adj = u[(slice(None),) + tuple(bf.cell.T)].T  # (m, n)
+    u_adj = domain.operator.B @ _cell_values(domain, u)  # (m, n)
     tree = cKDTree(bf.point)
     total = 0.0
     for radius, _ in loops:
@@ -459,143 +385,113 @@ def boundary_l1_distance(spec: ProblemSpec, u, u0_fn,
     return total
 
 
-def _cell_degrees(domain):
-    """Number of active interior faces touching each cell."""
-    interior, _, _ = _face_masks(domain)
-    deg = np.zeros(domain.grid_shape)
-    for a in range(domain.dim):
-        deg += interior[a]
-        src = [slice(None)] * domain.dim
-        dst = [slice(None)] * domain.dim
-        src[a] = slice(0, -1)
-        dst[a] = slice(1, None)
-        tmp = np.zeros(domain.grid_shape)
-        tmp[tuple(dst)] = interior[a][tuple(src)]
-        deg += tmp
-    return deg
-
-
 def prolong_state(coarse_spec: ProblemSpec, coarse: SolveResult,
                   fine_spec: ProblemSpec):
-    """Nearest-neighbor transfer of (u, z, zeta) to a finer grid (warm start)."""
+    """Nearest-neighbor transfer of (u, z, zeta) to a finer grid (warm start).
+
+    Returns padded (u, z) and the (m, n) zeta of the fine grid.
+    """
     from scipy.spatial import cKDTree
 
     cd, fd = coarse_spec.domain, fine_spec.domain
-    n = coarse_spec.n_channels
+    op = fd.operator
 
-    def nearest_cell_index(points):
+    def coarse_values(values, points):
         idx = np.floor((points - cd.origin) / cd.h).astype(int)
         for a in range(cd.dim):
             idx[..., a] = np.clip(idx[..., a], 0, cd.n_cells[a] - 1)
-        return idx
+        return values[(slice(None),) + tuple(idx.T)].T  # (N, n)
 
-    u = np.zeros((n,) + fd.grid_shape)
-    fl = nearest_cell_index(fd.cell_centers[fd.inside_mask])
-    u[:, fd.inside_mask] = coarse.u.values[(slice(None),) + tuple(fl.T)]
-
-    z = np.zeros((n, fd.dim) + fd.grid_shape)
-    interior, _, _ = _face_masks(fd)
+    u = coarse_values(coarse.u.values, op.points)
+    z = np.zeros((len(op.points), coarse_spec.n_channels, fd.dim))
     for a in range(fd.dim):
-        face_pos = fd.cell_centers.copy()
-        face_pos[..., a] += 0.5 * fd.h
-        idx = nearest_cell_index(face_pos[interior[a]])
-        z[:, a, interior[a]] = coarse.z.values[(slice(None), a) + tuple(idx.T)]
+        face_pos = op.points.copy()
+        face_pos[:, a] += 0.5 * fd.h
+        z[:, :, a] = coarse_values(coarse.z.values[:, a], face_pos)
+    z = np.where(op.interior, z, 0.0)
 
     tree = cKDTree(cd.boundary_faces.point)
     _, nearest = tree.query(fd.boundary_faces.point)
     zeta = coarse.zeta[nearest]
-    return u, z, zeta
+    return op.pad(u), op.pad(z), zeta
 
 
 def solve(spec: ProblemSpec, config: Optional[SolverConfig] = None,
           warm_start=None) -> SolveResult:
     """Minimize the discrete relaxed functional; the dual iterate is the certificate.
 
-    ``warm_start`` may carry an (u, z, zeta) triple, e.g. from
-    ``prolong_state`` after a coarser solve.
+    ``warm_start`` may carry an (u, z, zeta) triple, padded or compressed,
+    e.g. from ``prolong_state`` after a coarser solve.
     """
     if config is None:
         config = SolverConfig()
     domain = spec.domain
+    op = domain.operator
     f = spec.integrand
     n = spec.n_channels
     d = domain.dim
     h = domain.h
     vol = domain.cell_volume
-    inside = domain.inside_mask
     bf = domain.boundary_faces
-    interior, _, _ = _face_masks(domain)
+    G, B, Bt = op.G, op.B, op.Bt
+    pts = op.points
 
-    beta = bf.weight / vol  # per-face backflow density
-    scatter_norm = np.zeros(domain.grid_shape)
-    np.add.at(scatter_norm, tuple(bf.cell.T), bf.weight)
+    beta = (bf.weight / vol)[:, None]  # per-face backflow density
     L_grad = float(np.sqrt(4.0 * d)) / h
     config.validate(L_grad)
     diagonal = config.tau is None or config.sigma is None
     if diagonal:
-        # diagonal step rule with exponent alpha: dual steps
-        # 1/(row |K| sums to the power 2 - alpha), primal steps
+        # diagonal step rule with exponent alpha for K = [h^d G; w_b B]:
+        # dual steps 1/(row |K| sums to the power 2 - alpha), primal steps
         # 1/(column |K| sums to the power alpha), in plain coordinates; any
         # alpha in [0, 2] is admissible, and alpha < 1 rebalances toward
         # stronger dual progress, which suits boundary-dominated problems
         al = float(config.step_alpha)
         if not (0.0 <= al <= 2.0):
             raise ValueError("step_alpha must lie in [0, 2]")
-        hd1 = h ** (d - 1)
-        # prox parameter for the z block: sigma_row * h^d
-        sigma_z = vol / (2.0 * hd1 ** (2.0 - al))
-        w_alpha = np.zeros(domain.grid_shape)
-        if len(bf):
-            np.add.at(w_alpha, tuple(bf.cell.T), bf.weight**al)
-        col = _cell_degrees(domain) * hd1**al
-        if config.boundary_dualized:
-            col = col + w_alpha
-        tau_cell = np.where(inside, vol / np.maximum(col, 1e-300), 0.0)[None]
-        # net zeta step on (u0 - u_adj): sigma_row * w = w^(alpha - 1)
-        sigma_zeta = bf.weight ** (al - 1.0) if len(bf) else np.zeros(0)
-        sigma_zeta = sigma_zeta[:, None]
+        K_grad = vol * abs(G)
+        # prox parameter for the z block: sigma_row * h^d; every interior
+        # row has the same sum
+        sigma_z = vol / float(K_grad.power(2.0 - al).sum(axis=1).max())
+        col = K_grad.power(al).sum(axis=0) + Bt @ bf.weight**al
+        tau = (vol / np.maximum(col, 1e-300))[:, None]
+        # net zeta step on (u0 - B u): sigma_row * w = w^(alpha - 1)
+        sigma_zeta = (bf.weight ** (al - 1.0))[:, None]
     else:
-        L_bdry_sq = float(scatter_norm.max()) / vol if config.boundary_dualized else 0.0
-        L = float(np.sqrt(L_grad**2 + L_bdry_sq))
+        L = float(np.sqrt(L_grad**2 + float((Bt @ bf.weight).max()) / vol))
         tau = config.tau if config.tau is not None else 0.99 / L
         sigma = config.sigma if config.sigma is not None else 0.99 / L
         if tau * sigma * L_grad * L_grad > 1.0 + 1e-9:
             raise ValueError("unstable steps: tau * sigma * L^2 must be <= 1")
-        sigma_z = sigma
-        tau_cell = np.where(inside, tau, 0.0)[None]
-        sigma_zeta = sigma
-
-    cells = domain.cell_centers  # (*grid, dim)
-    pin_cells = tuple(bf.cell.T)
+        sigma_z = sigma_zeta = sigma
 
     if warm_start is not None:
         u0_w, z0_w, zeta0_w = warm_start
-        u = np.where(inside[None], np.asarray(u0_w, dtype=float), 0.0)
-        z = np.where(interior[None], np.asarray(z0_w, dtype=float), 0.0)
+        u = _cell_values(domain, u0_w)
+        z = np.where(op.interior, _dual_values(domain, z0_w), 0.0)
         zeta = np.asarray(zeta0_w, dtype=float).reshape(len(bf), n).copy()
     else:
-        u = nearest_boundary_extension(spec)
-        z = np.zeros((n, d) + domain.grid_shape)
+        u = op.cells(nearest_boundary_extension(spec))
+        z = np.zeros((len(pts), n, d))
         zeta = np.zeros((len(bf), n))
     u_bar = u.copy()
-    u_prev = np.empty_like(u)
     radius = sec_lo = sec_hi = None
-    if config.boundary_dualized:
-        if f.dual_radius is not None:
-            radius = np.broadcast_to(
-                np.asarray(f.dual_radius(bf.point), dtype=float), (len(bf),)
-            )
-        elif n == 1:
-            sec_lo, sec_hi = _nu_section_bounds(f, bf.point, bf.normal)
-        else:
-            raise ShapeMismatchError(
-                "vector integrands without ball-shaped dual range are not "
-                "supported by the boundary dualization"
-            )
+    if f.dual_radius is not None:
+        radius = np.broadcast_to(
+            np.asarray(f.dual_radius(bf.point), dtype=float), (len(bf),)
+        )
+    elif n == 1:
+        sec_lo, sec_hi = _nu_section_bounds(f, bf.point, bf.normal)
+    else:
+        raise ShapeMismatchError(
+            "vector integrands without ball-shaped dual range are not "
+            "supported by the boundary dualization"
+        )
 
-    lam = spec.lam[None]
-    g_arr = spec.g
-    h_arr = spec.h
+    lam = spec.lam_cells[:, None]
+    g_arr = spec.g_cells
+    lam_h = lam * spec.h_cells
+    denom = 1.0 + tau * lam
 
     energies, energies_raw, gaps, iters_log = [], [], [], []
     best_energy = np.inf
@@ -605,40 +501,23 @@ def solve(spec: ProblemSpec, config: Optional[SolverConfig] = None,
     it = 0
 
     for it in range(1, config.max_iters + 1):
-        # (i) dual ascent in z
-        grad_bar = discrete_gradient(domain, u_bar)
-        zmat = np.moveaxis(z + sigma_z * grad_bar, (0, 1), (-2, -1))
-        znew = f.prox_conjugate(cells, zmat, sigma_z)
-        z = np.moveaxis(znew, (-2, -1), (0, 1))
-        z = np.where(interior[None], z, 0.0)
+        # (i) dual ascent in z, kept on interior faces
+        z = f.prox_conjugate(pts, z + sigma_z * _gradient(op, u_bar), sigma_z)
+        z = np.where(op.interior, z, 0.0)
 
         # (ii) boundary dual ascent in zeta
-        if config.boundary_dualized and len(bf):
-            u_adj = u_bar[(slice(None),) + pin_cells].T
-            zeta = zeta + sigma_zeta * (spec.u0 - u_adj)
-            if radius is not None:
-                nrm = np.linalg.norm(zeta, axis=-1)
-                scale = np.minimum(1.0, radius / np.maximum(nrm, 1e-300))
-                zeta = zeta * scale[:, None]
-            else:
-                zeta = np.clip(zeta[:, 0], sec_lo, sec_hi)[:, None]
+        zeta = zeta + sigma_zeta * (spec.u0 - B @ u_bar)
+        if radius is not None:
+            nrm = np.linalg.norm(zeta, axis=-1)
+            scale = np.minimum(1.0, radius / np.maximum(nrm, 1e-300))
+            zeta = zeta * scale[:, None]
+        else:
+            zeta = np.clip(zeta[:, 0], sec_lo, sec_hi)[:, None]
 
         # (iii) primal descent with closed-form lower-order prox
-        u_prev[:] = u
-        drift = _interior_divergence(domain, z)
-        if config.boundary_dualized and len(bf):
-            drift = drift + _zeta_backflow(domain, beta[:, None] * zeta, n)
-        u = (u + tau_cell * (drift - g_arr + lam * h_arr)) / (1.0 + tau_cell * lam)
-        u = np.where(inside[None], u, 0.0)
-        if not config.boundary_dualized and len(bf):
-            # hard Dirichlet variant: pin boundary-adjacent cells to u0
-            acc = np.zeros_like(u)
-            cnt = np.zeros(domain.grid_shape)
-            for ch in range(n):
-                np.add.at(acc[ch], pin_cells, spec.u0[:, ch])
-            np.add.at(cnt, pin_cells, 1.0)
-            pinned = cnt > 0
-            u = np.where(pinned[None], acc / np.maximum(cnt, 1.0)[None], u)
+        u_prev = u
+        drift = _divergence(op, z) + Bt @ (beta * zeta)
+        u = (u + tau * (drift - g_arr + lam_h)) / denom
 
         # (iv) over-relaxation
         u_bar = u + config.theta * (u - u_prev)
@@ -649,9 +528,8 @@ def solve(spec: ProblemSpec, config: Optional[SolverConfig] = None,
             best_energy = min(best_energy, e_now)
             energies.append(best_energy)
             iters_log.append(it)
-            if config.boundary_dualized:
-                dg = duality_gap(spec, u, z, zeta, box_bound=config.box_bound)
-                gap_now, rel_gap = dg.value, dg.relative
+            dg = duality_gap(spec, u, z, zeta, box_bound=config.box_bound)
+            gap_now, rel_gap = dg.value, dg.relative
             gaps.append(rel_gap)
             # divergence guard: a primal-dual iterate may oscillate, but even
             # the best energy of the recent window should not sit 10% above
@@ -669,9 +547,9 @@ def solve(spec: ProblemSpec, config: Optional[SolverConfig] = None,
                 converged = True
                 break
 
-    result = SolveResult(
-        u=Field(domain, u),
-        z=DualField(domain, z),
+    return SolveResult(
+        u=Field(domain, op.pad(u)),
+        z=DualField(domain, op.pad(z)),
         zeta=zeta,
         energy_history=np.asarray(energies),
         energy_history_raw=np.asarray(energies_raw),
@@ -682,4 +560,3 @@ def solve(spec: ProblemSpec, config: Optional[SolverConfig] = None,
         gap=gap_now,
         gap_relative=rel_gap,
     )
-    return result

@@ -54,7 +54,7 @@ _ALLOWED = {
     "integrand": {"name"},
     "data": {"u0", "g", "h", "lambda"},
     "solver": {"tau", "sigma", "theta", "max_iters", "gap_tol",
-               "boundary_dualized", "check_every", "box_bound", "threads"},
+               "check_every", "box_bound"},
 }
 
 
@@ -226,12 +226,8 @@ def parse_spec(path: str, nx: Optional[int] = None) -> SpecBundle:
             config.max_iters = sec.getint("max_iters")
         if "gap_tol" in sec:
             config.gap_tol = sec.getfloat("gap_tol")
-        if "boundary_dualized" in sec:
-            config.boundary_dualized = sec.getboolean("boundary_dualized")
         if "check_every" in sec:
             config.check_every = sec.getint("check_every")
         if "box_bound" in sec:
             config.box_bound = sec.getfloat("box_bound")
-        if "threads" in sec:
-            config.threads = sec.getint("threads")
     return SpecBundle(spec, config, shape_text, nx_val)

@@ -1,6 +1,7 @@
 """Spec files, expression language, CLI round trips, exit codes."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -331,3 +332,27 @@ def test_cli_parse_error_exit_1(tmp_path):
 
 def test_cli_missing_file_exit_1(tmp_path):
     assert main(["solve", "--spec", str(tmp_path / "nope.cfg")]) == 1
+
+
+def test_cli_rejects_non_finite_datum(tmp_path, capsys):
+    spec = tmp_path / "nan.cfg"
+    spec.write_text(MINIMAL.replace("u0 = 0", "u0 = 1/(x-x)"))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        code = main(["solve", "--spec", str(spec), "--max-iters", "10"])
+    assert code == 1
+    assert "u0 has non-finite values" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header", [
+    b"LGF1" + struct.pack("<II", 1, 36),
+    b"LGF1" + struct.pack("<III", 1, 36, 36) + b"\0" * 5,
+], ids=["ny_and_h_missing", "h_cut_short"])
+def test_cli_convert_truncated_header_exit_1(tmp_path, capsys, header):
+    spec = tmp_path / "m.cfg"
+    spec.write_text(MINIMAL)
+    bad = tmp_path / "u.lgf"
+    bad.write_bytes(header)
+    code = main(["convert", "--spec", str(spec), "--in", str(bad),
+                 "--out", str(tmp_path / "u.csv")])
+    assert code == 1
+    assert "truncated LGF1 header" in capsys.readouterr().err

@@ -183,6 +183,21 @@ def test_energy_rejects_nan():
         relaxed_energy(spec, u)
 
 
+@pytest.mark.parametrize("name", ["u0", "g", "h", "lambda"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_problem_spec_rejects_non_finite_data(name, value):
+    domain = GridDomain(Ball(1.0), 32)
+    data = {"u0": np.zeros(len(domain.boundary_faces))}
+    if name == "u0":
+        data["u0"][3] = value
+    else:
+        arr = np.zeros(domain.grid_shape)
+        arr[tuple(np.argwhere(domain.inside_mask)[7])] = value
+        data["lam" if name == "lambda" else name] = arr
+    with pytest.raises(InvalidFieldError, match=rf"^{name} has non-finite"):
+        ProblemSpec(make_tv(1, 2), domain, **data)
+
+
 def test_energy_coercivity_bound():
     # relaxed energy dominates (TV + boundary L1)/C - C (|Omega| + |u0| mass)
     spec = annulus_lg_spec(48)

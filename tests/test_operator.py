@@ -1,0 +1,144 @@
+"""Property tests of the compressed operator (G, B) of a masked grid.
+
+Random balls and annuli in 1-D and 2-D at random resolutions.  The padded
+operators are checked against the per-axis slice-loop formulas they
+replaced, kept below as a reference oracle.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lingrad.energy import (
+    _face_masks,
+    discrete_divergence,
+    discrete_gradient,
+    gauss_green_residual,
+)
+from lingrad.geometry import Annulus, Ball, GridDomain
+
+
+@st.composite
+def domains(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    nx = draw(st.integers(16, 64))
+    if draw(st.booleans()):
+        shape = Ball(draw(st.floats(0.3, 3.0)), dim=dim)
+    else:
+        r_in = draw(st.floats(0.2, 1.5))
+        shape = Annulus(r_in, r_in * draw(st.floats(1.5, 4.0)), dim=dim)
+    return GridDomain(shape, nx)
+
+
+def random_fields(domain, seed, n):
+    rng = np.random.default_rng(seed)
+    u = np.where(domain.inside_mask[None],
+                 rng.standard_normal((n,) + domain.grid_shape), 0.0)
+    z = rng.standard_normal((n, domain.dim) + domain.grid_shape)
+    return u, z
+
+
+def shifted_slices(domain, a):
+    lo = [slice(None)] * domain.dim
+    hi = [slice(None)] * domain.dim
+    lo[a] = slice(0, -1)
+    hi[a] = slice(1, None)
+    return tuple(lo), tuple(hi)
+
+
+def reference_masks(domain):
+    """(d, *grid) masks of interior faces and of interior or boundary slots."""
+    inside = domain.inside_mask
+    interior = np.zeros((domain.dim,) + domain.grid_shape, dtype=bool)
+    for a in range(domain.dim):
+        lo, hi = shifted_slices(domain, a)
+        interior[(a,) + lo] = inside[lo] & inside[hi]
+    active = interior.copy()
+    bf = domain.boundary_faces
+    for cell, a, sign in zip(bf.cell, bf.axis, bf.sign):
+        slot = cell.copy()
+        slot[a] -= sign < 0
+        active[(a,) + tuple(slot)] = True
+    return interior, active
+
+
+def slice_loop_gradient(domain, u):
+    """Forward differences per axis, masked to interior faces."""
+    interior, _ = reference_masks(domain)
+    out = np.zeros((u.shape[0], domain.dim) + domain.grid_shape)
+    for a in range(domain.dim):
+        lo, hi = shifted_slices(domain, a)
+        diff = np.zeros_like(u)
+        diff[(slice(None),) + lo] = (
+            u[(slice(None),) + hi] - u[(slice(None),) + lo]) / domain.h
+        out[:, a] = np.where(interior[a][None], diff, 0.0)
+    return out
+
+
+def slice_loop_divergence(domain, z):
+    """Backward differences per axis of z on interior and boundary slots."""
+    _, active = reference_masks(domain)
+    out = np.zeros((z.shape[0],) + domain.grid_shape)
+    for a in range(domain.dim):
+        za = np.where(active[a][None], z[:, a], 0.0)
+        shifted = np.zeros_like(za)
+        lo, hi = shifted_slices(domain, a)
+        shifted[(slice(None),) + hi] = za[(slice(None),) + lo]
+        out += (za - shifted) / domain.h
+    return np.where(domain.inside_mask[None], out, 0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(domains(), st.integers(0, 2**32 - 1), st.integers(1, 2))
+def test_adjointness_and_gauss_green(domain, seed, n):
+    op = domain.operator
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((len(op.points), n))
+    w = rng.standard_normal((op.G.shape[0], n))
+    lhs = float(np.sum((op.G @ u) * w))
+    rhs = float(np.sum(u * (op.G.T @ w)))
+    # relative to the sum of the magnitudes of all the products
+    scale = float(np.sum((abs(op.G) @ np.abs(u)) * np.abs(w)))
+    assert abs(lhs - rhs) <= 1e-12 * scale
+
+    u_pad, z_pad = random_fields(domain, seed, n)
+    scale = max(1.0, np.abs(u_pad).max() * np.abs(z_pad).max())
+    assert gauss_green_residual(domain, u_pad, z_pad) <= 1e-12 * scale
+
+
+@settings(max_examples=30, deadline=None)
+@given(domains(), st.integers(0, 2**32 - 1), st.integers(1, 2))
+def test_padded_operators_match_slice_loops(domain, seed, n):
+    u, z = random_fields(domain, seed, n)
+    grad = discrete_gradient(domain, u)
+    div = discrete_divergence(domain, z)
+    ref_grad = slice_loop_gradient(domain, u)
+    ref_div = slice_loop_divergence(domain, z)
+    assert grad.shape == ref_grad.shape and div.shape == ref_div.shape
+    tol = 1e-12 / domain.h
+    assert np.max(np.abs(grad - ref_grad)) <= tol * max(1.0, np.abs(u).max())
+    assert np.max(np.abs(div - ref_div)) <= tol * max(1.0, np.abs(z).max())
+
+
+@settings(max_examples=20, deadline=None)
+@given(domains())
+def test_boundary_selection_and_step_sums(domain):
+    op = domain.operator
+    bf = domain.boundary_faces
+    # B picks each boundary face's inside cell
+    cells = np.argwhere(domain.inside_mask)
+    assert np.array_equal(cells[op.face_cells], bf.cell)
+    assert np.all(op.B.sum(axis=1) == 1.0)
+    # |G| column sums count the interior faces of each cell (divided by h)
+    interior, active = reference_masks(domain)
+    degree = np.zeros(domain.grid_shape)
+    for a in range(domain.dim):
+        lo, hi = shifted_slices(domain, a)
+        degree += interior[a]
+        degree[hi] += interior[a][lo]
+    col = abs(op.G).sum(axis=0) * domain.h
+    assert np.allclose(col, degree[domain.inside_mask], rtol=0, atol=1e-12)
+    # the padded masks kept for callers holding padded arrays
+    got_interior, _, got_active = _face_masks(domain)
+    assert np.array_equal(got_interior, interior)
+    assert np.array_equal(got_active, active)
