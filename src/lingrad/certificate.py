@@ -396,26 +396,30 @@ def analytic_samples(case: AnalyticCase, n_interior: int = 9600,
 
 
 def _resolve_samples(spec_or_case, u=None, z=None, zeta=None,
-                     n_samples=10000):
+                     n_samples=10000, jump_threshold=None):
+    """(integrand, samples, jump threshold); the threshold defaults to 10/h
+    on grids, where a jump shows up as a one-cell gradient of order 1/h, and
+    to inf for analytic cases."""
     if isinstance(spec_or_case, AnalyticCase):
         s = analytic_samples(spec_or_case, n_interior=int(n_samples * 0.95),
                              n_boundary=max(64, int(n_samples * 0.05)))
-        return spec_or_case.integrand, s, None
-    spec = spec_or_case
-    s = _grid_samples(spec, u, z, zeta)
-    return spec.integrand, s, spec.domain
+        default_jump = np.inf
+    else:
+        s = _grid_samples(spec_or_case, u, z, zeta)
+        default_jump = 10.0 / spec_or_case.domain.h
+    if jump_threshold is None:
+        jump_threshold = default_jump
+    return spec_or_case.integrand, s, jump_threshold
 
 
 def verify_scalar(spec_or_case, u=None, z=None, tols: Optional[ToleranceSet] = None,
                   zeta=None, n_samples: int = 10000) -> CertificateReport:
     """Scalar certificate check; accepts a grid spec with fields or an AnalyticCase."""
     tols = tols or ToleranceSet()
-    f, s, domain = _resolve_samples(spec_or_case, u, z, zeta, n_samples)
+    f, s, jump = _resolve_samples(spec_or_case, u, z, zeta, n_samples,
+                                  tols.jump_threshold)
     if f.n_rows != 1:
         raise ShapeMismatchError("verify_scalar requires a scalar problem")
-    jump = tols.jump_threshold
-    if jump is None:
-        jump = 10.0 / domain.h if domain is not None else np.inf
     return _score(f, s, tols, jump)
 
 
@@ -423,14 +427,12 @@ def verify_vector(spec_or_case, u=None, z=None, tols: Optional[ToleranceSet] = N
                   zeta=None, n_samples: int = 10000) -> CertificateReport:
     """Vectorial certificate check (autonomous integrands only for n > 1)."""
     tols = tols or ToleranceSet()
-    f, s, domain = _resolve_samples(spec_or_case, u, z, zeta, n_samples)
+    f, s, jump = _resolve_samples(spec_or_case, u, z, zeta, n_samples,
+                                  tols.jump_threshold)
     if f.n_rows > 1 and f.x_dependent:
         raise ShapeMismatchError(
             "the vectorial characterization requires an autonomous integrand"
         )
-    jump = tols.jump_threshold
-    if jump is None:
-        jump = 10.0 / domain.h if domain is not None else np.inf
     return _score(f, s, tols, jump)
 
 
@@ -446,7 +448,7 @@ def verify_least_gradient(spec_or_case, u=None, z=None,
     active-set classification of near-matching faces is needed.
     """
     tols = tols or ToleranceSet()
-    f, s, domain = _resolve_samples(spec_or_case, u, z, zeta, n_samples)
+    f, s, _ = _resolve_samples(spec_or_case, u, z, zeta, n_samples)
     if f.n_rows != 1 or abs(f.growth_constant - 1.0) > 0 or not f.homogeneous:
         raise ShapeMismatchError("least-gradient check requires the TV integrand")
     if np.any(s.lam != 0) or np.any(s.g != 0):

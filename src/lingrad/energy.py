@@ -109,7 +109,7 @@ class ProblemSpec:
                            ("lambda", self.lam_cells)):
             if not np.all(np.isfinite(vals)):
                 raise InvalidFieldError(f"{name} has non-finite values")
-        if np.any(self.lam < 0):
+        if np.any(self.lam_cells < 0):
             raise InvalidFieldError("lambda must be nonnegative")
 
     @property

@@ -63,9 +63,12 @@ class Integrand:
 
     Evaluator slots left as None fall back to generic numerics: Richardson
     extrapolation for the recession function, finite differences for its
-    gradient, multi-start projected ascent for the conjugate, and a
-    Moreau-decomposition inner solve for the conjugate prox.  Built-in
-    constructors fill every slot with closed forms.
+    gradient, and multi-start projected ascent for the conjugate, so
+    energies, certificates and curvature work for any user integrand.  The
+    solver needs two slots that have no generic fallback: ``prox_conjugate``
+    (the closed-form prox of f*) and ``dual_radius`` (the radius of a
+    ball-shaped dual range).  Built-in constructors fill every slot with
+    closed forms.
     """
 
     def __init__(
@@ -253,35 +256,12 @@ class Integrand:
         """argmin_w  |w - zeta|^2/2 + tau * f*(x, w); lands in the dual range."""
         if tau <= 0:
             raise ValueError("tau must be positive")
-        zeta = self.as_matrix(zeta)
-        if self._prox_conjugate is not None:
-            return self._prox_conjugate(x, zeta, tau)
-        return self._prox_conjugate_moreau(x, zeta, tau)
-
-    def _prox_conjugate_moreau(self, x, zeta, tau):
-        # Moreau: prox_{tau f*}(zeta) = zeta - tau * argmin_w |w - zeta/tau|^2/2 + f(w)/tau
-        from scipy import optimize
-
-        flat = zeta.reshape(-1, self.n_rows, self.n_cols)
-        out = np.empty_like(flat)
-        shape = (self.n_rows, self.n_cols)
-        for b, zb in enumerate(flat):
-            y = zb / tau
-
-            def obj(wv):
-                w = wv.reshape(shape)
-                return 0.5 * float(np.sum((w - y) ** 2)) + float(self.value(x, w)) / tau
-
-            res = optimize.minimize(obj, y.ravel(), method="Nelder-Mead",
-                                    options={"maxiter": 100 * y.size, "xatol": 1e-12,
-                                             "fatol": 1e-14})
-            if not res.success and res.fun > obj(y.ravel()):
-                raise ProxFailureError("inner prox solve did not converge")
-            out[b] = zb - tau * res.x.reshape(shape)
-        out = out.reshape(zeta.shape)
-        if np.any(_fro(out) > self.growth_constant * (1 + 1e-9)):
-            raise ProxFailureError("prox output violates the dual range bound")
-        return out
+        if self._prox_conjugate is None:
+            raise ProxFailureError(
+                f"integrand {self.name!r} has no closed-form prox of its "
+                "conjugate; pass prox_conjugate= to Integrand"
+            )
+        return self._prox_conjugate(x, self.as_matrix(zeta), tau)
 
     # -- duality checks -----------------------------------------------------
 
@@ -435,8 +415,10 @@ def make_area(d: int = 2) -> Integrand:
             lo = np.where(took, mid, lo)
             hi = np.where(took, hi, mid)
         r = 0.5 * (lo + hi)
-        safe = np.maximum(s, 1e-300)
-        return zeta * (r / safe)[..., None, None]
+        # below |zeta| ~ 1e-154 the norm squares to 0; there
+        # r = |zeta| / (1 + tau) to double precision
+        ratio = np.where(s > 0, r / np.maximum(s, 1e-300), 1.0 / (1.0 + tau))
+        return zeta * ratio[..., None, None]
 
     return Integrand(
         1, d,

@@ -11,6 +11,7 @@ from lingrad.errors import SpecFileError
 from lingrad.expr import evaluate_on_points
 from lingrad.fields import read_lgf, write_lgf
 from lingrad.gallery import get_case
+from lingrad.solver import SolverConfig, duality_gap, solve
 from lingrad.specfile import parse_shape, parse_spec
 
 
@@ -110,6 +111,20 @@ def test_rof_spec_matches_gallery(tmp_path):
     ref_h = case.analytic.h(bundle.spec.domain.cell_centers)
     inside = bundle.spec.domain.inside_mask
     assert np.allclose(bundle.spec.h[0][inside], ref_h[inside], atol=1e-12)
+
+
+def test_rof_spec_gap_uses_inside_cell_box_bound(tmp_path):
+    # h = 4/(3r) - 4/3 is evaluated at every cell center and reaches 43.9
+    # near the origin, outside the annulus; the default box bound of the
+    # gap reads the inside cells only
+    p = tmp_path / "rof.cfg"
+    p.write_text(ROF)
+    spec = parse_spec(str(p)).spec
+    res = solve(spec, SolverConfig(max_iters=20, gap_tol=0.0))
+    box = max(np.abs(spec.u0).max(), np.abs(spec.h_cells).max())
+    assert box < 1.34 < np.abs(spec.h).max()
+    assert (duality_gap(spec, res.u, res.z, res.zeta).value
+            == duality_gap(spec, res.u, res.z, res.zeta, box_bound=box).value)
 
 
 def test_misspelled_key_is_named(tmp_path):
@@ -322,6 +337,14 @@ name = bad_f0:0.01
     bundle2 = parse_spec(str(p2))
     assert bundle2.spec.integrand.n_rows == 2
     assert bundle2.spec.integrand.homogeneous
+
+
+def test_cli_solve_rejects_integrand_without_dual_radius(tmp_path, capsys):
+    spec = tmp_path / "b.cfg"
+    spec.write_text(MINIMAL.replace("nx = 32", "nx = 16")
+                    .replace("name = tv", "name = bad_f0:0.01"))
+    assert main(["solve", "--spec", str(spec), "--max-iters", "10"]) == 1
+    assert "dual_radius" in capsys.readouterr().err
 
 
 def test_cli_parse_error_exit_1(tmp_path):

@@ -198,6 +198,19 @@ def test_problem_spec_rejects_non_finite_data(name, value):
         ProblemSpec(make_tv(1, 2), domain, **data)
 
 
+def test_problem_spec_checks_lambda_on_inside_cells_only():
+    # spec files evaluate lambda at every cell center; values outside the
+    # domain never enter the problem
+    domain = GridDomain(Ball(1.0), 32)
+    u0 = np.zeros(len(domain.boundary_faces))
+    spec = ProblemSpec(make_tv(1, 2), domain, u0,
+                       lam=np.where(domain.inside_mask, 0.0, -1.0))
+    assert np.all(spec.lam_cells == 0)
+    with pytest.raises(InvalidFieldError, match="nonnegative"):
+        ProblemSpec(make_tv(1, 2), domain, u0,
+                    lam=np.where(domain.inside_mask, -1.0, 0.0))
+
+
 def test_energy_coercivity_bound():
     # relaxed energy dominates (TV + boundary L1)/C - C (|Omega| + |u0| mass)
     spec = annulus_lg_spec(48)

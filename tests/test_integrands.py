@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lingrad.errors import (
     DualRangeError,
+    ProxFailureError,
     RecessionConvergenceError,
     ShapeMismatchError,
     SingularPointError,
@@ -167,6 +171,39 @@ def test_prox_requires_positive_tau():
         make_tv(1, 2).prox_conjugate(None, [1.0, 0.0], 0.0)
 
 
+def prox_args(f):
+    """Strategy for (x, v, w, tau): two prox inputs with |v|, |w| <= 20."""
+    entry = 20.0 / np.sqrt(f.n_rows * f.n_cols)
+    mat = hnp.arrays(float, (1, f.n_rows, f.n_cols),
+                     elements=st.floats(-entry, entry))
+    x = (hnp.arrays(float, (1, f.n_cols), elements=st.floats(0.05, 0.95))
+         if f.x_dependent else st.none())
+    return st.tuples(x, mat, mat, st.floats(0.05, 20.0))
+
+
+@pytest.mark.parametrize("f", builtin_integrands(), ids=lambda f: f.name)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_prox_firmly_nonexpansive(f, data):
+    # |p - q|^2 <= <p - q, v - w> for p, q the proxes of v, w
+    x, v, w, tau = data.draw(prox_args(f))
+    p = f.prox_conjugate(x, v, tau)
+    q = f.prox_conjugate(x, w, tau)
+    assert np.sum((p - q) ** 2) <= np.sum((p - q) * (v - w)) + 1e-12
+
+
+@pytest.mark.parametrize("f", builtin_integrands(), ids=lambda f: f.name)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_prox_optimality_is_fenchel_young_equality(f, data):
+    # p = prox_{tau f*}(v) iff (v - p)/tau is a subgradient of f* at p, iff
+    # the Fenchel-Young inequality is tight at ((v - p)/tau, p)
+    x, v, _, tau = data.draw(prox_args(f))
+    p = f.prox_conjugate(x, v, tau)
+    res = f.subdiff_residual(x, (v - p) / tau, p)
+    assert np.all(np.abs(res) <= 1e-12)
+
+
 def test_shape_mismatch():
     with pytest.raises(ShapeMismatchError):
         make_tv(1, 2).value(None, [1.0, 2.0, 3.0])
@@ -228,6 +265,11 @@ def test_richardson_rejects_non_convergent():
     )
     with pytest.raises(RecessionConvergenceError):
         f.recession(None, [1.0])
+
+
+def test_prox_without_closed_form_raises():
+    with pytest.raises(ProxFailureError, match="'userf'.*prox_conjugate"):
+        user_area_like().prox_conjugate(None, [1.0, 0.0], 1.0)
 
 
 def test_generic_conjugate_by_ascent():

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from lingrad.energy import ProblemSpec, truncate
-from lingrad.errors import InstabilityError
+from lingrad.errors import InstabilityError, ShapeMismatchError
+from lingrad.gallery import build_bad_f0
 from lingrad.geometry import Annulus, Ball, GridDomain
-from lingrad.integrands import make_tv
+from lingrad.integrands import Integrand, make_tv
 from lingrad.solver import (
     SolverConfig,
     duality_gap,
     nearest_boundary_extension,
+    repair_dual,
     solve,
     trace_error,
 )
@@ -129,6 +131,19 @@ def test_duality_gap_rof_zero_dual_is_primal_energy():
     assert dg.value == pytest.approx(relaxed_energy(spec, u), rel=1e-12)
 
 
+def test_gap_ignores_g_outside_the_domain():
+    # a g that is nonzero on outside cells only does not enter the problem:
+    # the dual is still repaired and the gap is that of g = None
+    spec = annulus_spec(32)
+    g_out = np.where(spec.domain.inside_mask, 0.0, 1.0)
+    spec_g = ProblemSpec(spec.integrand, spec.domain, spec.u0, g=g_out)
+    res = solve(spec, SolverConfig(max_iters=300, gap_tol=0.0))
+    z = res.z.values
+    assert repair_dual(spec_g, z, res.zeta)[0] is not z
+    assert (duality_gap(spec_g, res.u, z, res.zeta).value
+            == duality_gap(spec, res.u, z, res.zeta).value)
+
+
 def test_boundary_l1_distance_matches_analytic_jump():
     from lingrad.solver import boundary_l1_distance
 
@@ -238,6 +253,24 @@ def test_explicit_steps_respect_stability_validation():
                       gap_tol=1e-12, divergence_check=False)
     res = solve(spec, ok)
     assert res.iterations == 50
+
+
+def no_prox(x, zeta, tau):
+    raise AssertionError("solve iterated on an integrand it must reject")
+
+
+@pytest.mark.parametrize("make_integrand", [
+    lambda: build_bad_f0(1e-2).integrand(),
+    lambda: Integrand(1, 2, name="no_radius", growth_constant=1.0,
+                      value=make_tv(1, 2).value, prox_conjugate=no_prox),
+], ids=["bad_f0", "scalar_no_radius"])
+def test_solve_rejects_integrand_without_dual_radius(make_integrand):
+    integrand = make_integrand()
+    domain = GridDomain(Ball(1.0), 16)
+    u0 = np.zeros((len(domain.boundary_faces), integrand.n_rows))
+    spec = ProblemSpec(integrand, domain, u0)
+    with pytest.raises(ShapeMismatchError, match="dual_radius"):
+        solve(spec, SolverConfig(max_iters=10))
 
 
 def test_warm_start_extension_values():
