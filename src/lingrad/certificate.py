@@ -145,8 +145,14 @@ def _agg(name, per_sample, weights, locations, tol, note=""):
     return ConditionResidual(name, l1, sup, loc, tol, bool(l1 <= tol), note)
 
 
-def _score(f: Integrand, s: _Samples, tols: ToleranceSet, jump: float,
-           range_tol: float = 1e-8) -> CertificateReport:
+# relative shrink of z before r_range tests the conjugate for finiteness
+_RANGE_TOL = 1e-8
+# |u0 - u| above which a boundary face counts in the gradient condition
+_ACTIVE_TOL = 1e-9
+
+
+def _score(f: Integrand, s: _Samples, tols: ToleranceSet,
+           jump: float) -> CertificateReport:
     conds = {}
 
     # r_div
@@ -184,7 +190,7 @@ def _score(f: Integrand, s: _Samples, tols: ToleranceSet, jump: float,
 
     # r_range via conjugate finiteness after a relative shrink
     fmax = 10.0 * f.growth_constant**2
-    conj = f.conjugate(s.points, s.z / (1.0 + range_tol))
+    conj = f.conjugate(s.points, s.z / (1.0 + _RANGE_TOL))
     bad = (~np.isfinite(conj)) | (conj > fmax)
     conds["r_range"] = _agg("r_range", bad.astype(float), s.vol_w,
                             s.points, tols.range)
@@ -479,7 +485,6 @@ def verify_least_gradient(spec_or_case, u=None, z=None,
 
 
 def boundary_gradient_condition(spec_or_case, u=None, z=None, zeta=None,
-                                active_tol: float = 1e-9,
                                 n_samples: int = 10000):
     """Per-face residual of the normal-trace gradient condition.
 
@@ -489,7 +494,7 @@ def boundary_gradient_condition(spec_or_case, u=None, z=None, zeta=None,
     """
     f, s, _ = _resolve_samples(spec_or_case, u, z, zeta, n_samples)
     jumps = s.b_u0 - s.b_u
-    active = np.linalg.norm(jumps, axis=-1) > active_tol
+    active = np.linalg.norm(jumps, axis=-1) > _ACTIVE_TOL
     res = np.zeros(len(s.b_points))
     if np.any(active):
         mats = jumps[active][:, :, None] * s.b_normals[active][:, None, :]

@@ -13,6 +13,7 @@ fields store ny = 1.  Dual fields are written with n * d channels.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -126,9 +127,13 @@ def read_lgf(path):
         if len(header) != 20:
             raise InvalidFieldError("truncated LGF1 header")
         n, nx, ny, h = struct.unpack("<IIId", header)
-        raw = f.read(8 * n * nx * ny)
-        if len(raw) != 8 * n * nx * ny:
-            raise InvalidFieldError("truncated LGF1 payload")
+        size = 8 * n * nx * ny
+        left = os.fstat(f.fileno()).st_size - f.tell()
+        if size != left:
+            raise InvalidFieldError(
+                f"LGF1 header promises {n}x{nx}x{ny} values ({size} bytes) "
+                f"but the payload holds {left} bytes")
+        raw = f.read(size)
         values = np.frombuffer(raw, dtype="<f8").reshape(n, nx, ny).copy()
     return values, h
 

@@ -345,6 +345,9 @@ _A4 = np.array(
     ]
 )
 _E11 = np.array([1.0, 0.0, 0.0, 0.0])
+# damped Newton inversion of grad(f0*^2 / 2): iteration cap, relative residual
+_NEWTON_ITERS = 50
+_NEWTON_TOL = 1e-12
 
 
 def _vec4(mats):
@@ -381,8 +384,7 @@ class BadF0:
     vectorial counterexample work.
     """
 
-    def __init__(self, eps: float = 1e-2, newton_iters: int = 50,
-                 newton_tol: float = 1e-12, validate: bool = True):
+    def __init__(self, eps: float = 1e-2):
         if eps <= 0:
             raise ValueError("eps must be positive")
         if eps > 0.03:
@@ -393,14 +395,11 @@ class BadF0:
         self.r_one = 10.0 * self.eps   # bump == 1 within this sphere radius
         self.r_sup = 20.0 * self.eps   # bump support radius
         self.A = _A4.copy()
-        self.newton_iters = int(newton_iters)
-        self.newton_tol = float(newton_tol)
-        if validate:
-            margin = self.convexity_margin(n_samples=512, seed=11)
-            if margin <= 0:
-                raise ValueError(
-                    f"dual square not sampled-convex at eps={eps:g} "
-                    f"(margin {margin:.2e}); reduce eps")
+        margin = self.convexity_margin(n_samples=512, seed=11)
+        if margin <= 0:
+            raise ValueError(
+                f"dual square not sampled-convex at eps={eps:g} "
+                f"(margin {margin:.2e}); reduce eps")
 
     # -- the auxiliary 2-homogeneous cutoff function -----------------------
 
@@ -487,9 +486,9 @@ class BadF0:
         xi = t / np.maximum(fstar, 1e-300)
         xi = np.where(norm_t > 0, xi, 0.0)
         res = self._grad_half_conj_sq(xi) - t
-        for _ in range(self.newton_iters):
+        for _ in range(_NEWTON_ITERS):
             rmax = np.max(np.abs(res) / np.maximum(norm_t, 1e-300))
-            if rmax < self.newton_tol:
+            if rmax < _NEWTON_TOL:
                 break
             # FD Jacobian: J[..., i, j] = dF_i / dxi_j
             step = 1e-7 * np.maximum(np.linalg.norm(xi, axis=-1, keepdims=True), 1.0)
@@ -566,7 +565,12 @@ class BadF0:
         return float(second.min())
 
     def integrand(self) -> Integrand:
-        """Wrap as an Integrand (n = 2, d = 2); conjugate is the dual-ball test."""
+        """Wrap as an Integrand (n = 2, d = 2); conjugate is the dual-ball test.
+
+        The dual range {f0* <= 1} is not a ball, so there is no closed-form
+        prox and no ``dual_radius``: the integrand serves energies and
+        certificates, and ``solve`` rejects it.
+        """
         bad = self
 
         def value(x, xi):
@@ -583,31 +587,6 @@ class BadF0:
             # f0 land exactly on the dual sphere in exact arithmetic
             val = bad.conj_value(flat).reshape(z.shape[:-2])
             return np.where(val <= 1.0 + 1e-9, 0.0, np.inf)
-
-        def prox(x, zeta, tau):
-            # Euclidean projection onto {f0* <= 1}; Dykstra-free small solve
-            from scipy import optimize
-
-            flat = zeta.reshape(-1, 2, 2)
-            out = np.empty_like(flat)
-            for i, m in enumerate(flat):
-                if bad.conj_value(m[None])[0] <= 1.0:
-                    out[i] = m
-                    continue
-                res = optimize.minimize(
-                    lambda w: 0.5 * np.sum((w.reshape(2, 2) - m) ** 2),
-                    m.ravel() / bad.conj_value(m[None])[0],
-                    constraints=[{
-                        "type": "ineq",
-                        "fun": lambda w: 1.0 - bad.conj_value(w.reshape(2, 2)[None])[0],
-                    }],
-                    method="SLSQP",
-                    options={"maxiter": 100, "ftol": 1e-14},
-                )
-                if not res.success:
-                    raise ProxFailureError("dual-ball projection failed")
-                out[i] = res.x.reshape(2, 2)
-            return out.reshape(zeta.shape)
 
         # growth constant sampled on the sphere with a safety factor
         rng = np.random.default_rng(5)
@@ -626,7 +605,6 @@ class BadF0:
             recession_value=value,
             recession_gradient=gradient,
             conjugate=conjugate,
-            prox_conjugate=prox,
         )
 
     @staticmethod
@@ -640,8 +618,6 @@ class BadF0:
             trial.r_one = 10.0 * mid
             trial.r_sup = 20.0 * mid
             trial.A = _A4.copy()
-            trial.newton_iters = 50
-            trial.newton_tol = 1e-12
             if trial.convexity_margin(256, seed=2) > 0:
                 lo = mid
             else:

@@ -192,6 +192,10 @@ class BoundaryFaces:
         return self.cell.shape[0]
 
 
+# ghost cells on each side of the shape's bounding box
+_PAD_CELLS = 2
+
+
 class GridDomain:
     """Masked uniform grid over an analytic shape.
 
@@ -200,28 +204,26 @@ class GridDomain:
     live on the + faces of each cell (index [axis, cell]).
     """
 
-    def __init__(self, shape: Shape, nx: int, pad_cells: int = 2):
+    def __init__(self, shape: Shape, nx: int):
         if nx < 16:
             raise ResolutionError("resolution must be at least 16")
-        if pad_cells < 1:
-            raise ResolutionError("the ghost ring needs at least one cell")
         self.shape = shape
         self.dim = shape.dim
         if self.dim not in (1, 2):
             raise ResolutionError("grids support dim 1 and 2 only")
 
-        # h = (shape extent)/nx exactly; a ghost ring of pad_cells keeps
+        # h = (shape extent)/nx exactly; a ghost ring of _PAD_CELLS keeps
         # every boundary face's storage slot inside the array
         box = shape.bbox()
         self.h = float((box[0][1] - box[0][0]) / nx)
-        lo = np.array([b[0] - pad_cells * self.h for b in box])
+        lo = np.array([b[0] - _PAD_CELLS * self.h for b in box])
         n_cells = []
         for a in range(self.dim):
             span = box[a][1] - box[a][0]
             n = int(round(span / self.h))
             if abs(n * self.h - span) > 1e-9 * self.h:
                 raise ResolutionError("box does not tile with square cells")
-            n_cells.append(n + 2 * pad_cells)
+            n_cells.append(n + 2 * _PAD_CELLS)
         self.n_cells = tuple(n_cells)
         self.origin = lo
 

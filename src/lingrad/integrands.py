@@ -67,8 +67,12 @@ class Integrand:
     energies, certificates and curvature work for any user integrand.  The
     solver needs two slots that have no generic fallback: ``prox_conjugate``
     (the closed-form prox of f*) and ``dual_radius`` (the radius of a
-    ball-shaped dual range).  Built-in constructors fill every slot with
-    closed forms.
+    ball-shaped dual range).  So ``solve`` serves the isotropic family
+    a(x) phi(|xi|), phi convex with slope 1 at infinity, whose dual range
+    is the ball of radius a(x); the built-in constructors are all of this
+    kind and fill every slot with closed forms.  The anisotropic
+    ``gallery.BadF0`` integrand has neither slot and serves certificates
+    only.
     """
 
     def __init__(
@@ -330,48 +334,83 @@ def calibrate_fenchel_constant(f: Integrand, n_samples: int = 4096,
 
 
 # ---------------------------------------------------------------------------
-# Built-in integrands.  Each carries closed-form conjugate and prox.
+# Built-in integrands: the isotropic family a(x) phi(|xi|), each with a
+# closed-form conjugate and prox.
 # ---------------------------------------------------------------------------
+
+
+def _isotropic(name: str, n: int, d: int, *,
+               weight: Optional[Callable] = None, a_bounds=(1.0, 1.0),
+               value: Optional[Callable] = None,
+               gradient: Optional[Callable] = None,
+               conjugate: Optional[Callable] = None,
+               prox_scale: Optional[Callable] = None) -> Integrand:
+    """An isotropic integrand f(x, xi) = a(x) phi(|xi|).
+
+    phi is convex with slope 1 at infinity, so the recession function is
+    a(x)|xi| and the dual range is the ball of radius a(x).  ``weight`` maps
+    points to a(x); None means a = 1, and x may then be None.  ``a_bounds``
+    = (a_min, a_max) give the growth constant max(a_max, 1/a_min) and the
+    Fenchel constant 1/(2 a_max): for |v| = 1 and |v*| <= a,
+    <a v - v*, v> >= |a v - v*|^2 / (2 a).
+
+    A family passes its value, gradient and conjugate, and the scalar factor
+    of its prox: prox_{tau f*}(x, zeta) = zeta * prox_scale(x, |zeta|, tau).
+    Left out, they give phi(t) = t: f is its own recession function, f* the
+    indicator of the dual ball, and the prox the projection onto it.
+    """
+    a_min, a_max = a_bounds
+
+    def radius(x):
+        return 1.0 if weight is None else weight(x)
+
+    def norm_value(x, xi):
+        return radius(x) * _fro(xi)
+
+    def norm_gradient(x, xi):
+        nrm = _fro(xi)
+        if np.any(nrm == 0.0):
+            raise SingularPointError(
+                "norm not differentiable at xi = 0; "
+                "use subdiff_residual for set-valued checks"
+            )
+        if weight is None:
+            return xi / nrm[..., None, None]
+        return xi * (weight(x) / nrm)[..., None, None]
+
+    def ball_indicator(x, z):
+        return np.where(_fro(z) <= radius(x) * (1.0 + 1e-12), 0.0, np.inf)
+
+    def ball_projection(x, s, tau):
+        # the floor keeps 0/0 out where a weight vanishes at zeta = 0
+        r = radius(x)
+        return r / np.maximum(np.maximum(r, 1e-300), s)
+
+    scale = prox_scale or ball_projection
+
+    def prox(x, zeta, tau):
+        return zeta * scale(x, _fro(zeta), tau)[..., None, None]
+
+    return Integrand(
+        n, d,
+        name=name,
+        x_dependent=weight is not None,
+        growth_constant=max(a_max, 1.0 / a_min),
+        homogeneous=value is None,
+        value=value or norm_value,
+        gradient=gradient or norm_gradient,
+        recession_value=norm_value,
+        recession_gradient=norm_gradient,
+        conjugate=conjugate or ball_indicator,
+        prox_conjugate=prox,
+        dual_radius=radius,
+        fenchel_constant=0.5 / a_max,
+    )
 
 
 def make_tv(n: int = 1, d: int = 2) -> Integrand:
     """Total-variation integrand f(xi) = |xi| (Frobenius norm)."""
-
-    def value(x, xi):
-        return _fro(xi)
-
-    def gradient(x, xi):
-        nrm = _fro(xi)
-        if np.any(nrm == 0.0):
-            raise SingularPointError(
-                "norm integrand not differentiable at xi = 0; "
-                "use subdiff_residual for set-valued checks"
-            )
-        return xi / nrm[..., None, None]
-
-    def conjugate(x, z):
-        nrm = _fro(z)
-        return np.where(nrm <= 1.0 + 1e-12, 0.0, np.inf)
-
-    def prox(x, zeta, tau):
-        nrm = _fro(zeta)
-        scale = 1.0 / np.maximum(1.0, nrm)
-        return zeta * scale[..., None, None]
-
-    return Integrand(
-        n, d,
-        name="tv" if n == 1 else f"vector_tv:{n}",
-        growth_constant=1.0,
-        homogeneous=True,
-        value=value,
-        gradient=gradient,
-        recession_value=value,
-        recession_gradient=gradient,
-        conjugate=conjugate,
-        prox_conjugate=prox,
-        dual_radius=lambda x: 1.0,
-        fenchel_constant=0.5,
-    )
+    return _isotropic("tv" if n == 1 else f"vector_tv:{n}", n, d)
 
 
 def make_vector_tv(n: int, d: int = 2) -> Integrand:
@@ -388,26 +427,17 @@ def make_area(d: int = 2) -> Integrand:
     def gradient(x, xi):
         return xi / value(x, xi)[..., None, None]
 
-    def recession_value(x, xi):
-        return _fro(xi)
-
-    def recession_gradient(x, xi):
-        nrm = _fro(xi)
-        if np.any(nrm == 0.0):
-            raise SingularPointError("recession gradient undefined at xi = 0")
-        return xi / nrm[..., None, None]
-
     def conjugate(x, z):
         nrm2 = np.sum(z * z, axis=(-2, -1))
         inside = nrm2 <= 1.0 + 1e-12
         return np.where(inside, -np.sqrt(np.maximum(0.0, 1.0 - nrm2)), np.inf)
 
-    def prox(x, zeta, tau):
-        # radial optimality: r + tau * r / sqrt(1 - r^2) = |zeta|; bisection
-        # on [0, 1) is branch-free and hits double precision in < 100 steps
-        s = _fro(zeta)
+    def prox_scale(x, s, tau):
+        # radial optimality: r + tau * r / sqrt(1 - r^2) = s, which forces
+        # r <= s; bisection on [0, min(s, 1)) is branch-free and hits double
+        # precision in < 100 steps, relative to s however small it is
         lo = np.zeros_like(s)
-        hi = np.full_like(s, 1.0 - 1e-16)
+        hi = np.minimum(s, 1.0 - 1e-16)
         for _ in range(100):
             mid = 0.5 * (lo + hi)
             g = mid + tau * mid / np.sqrt(np.maximum(1e-300, 1.0 - mid * mid))
@@ -417,23 +447,10 @@ def make_area(d: int = 2) -> Integrand:
         r = 0.5 * (lo + hi)
         # below |zeta| ~ 1e-154 the norm squares to 0; there
         # r = |zeta| / (1 + tau) to double precision
-        ratio = np.where(s > 0, r / np.maximum(s, 1e-300), 1.0 / (1.0 + tau))
-        return zeta * ratio[..., None, None]
+        return np.where(s > 0, r / np.maximum(s, 1e-300), 1.0 / (1.0 + tau))
 
-    return Integrand(
-        1, d,
-        name="area",
-        growth_constant=1.0,
-        homogeneous=False,
-        value=value,
-        gradient=gradient,
-        recession_value=recession_value,
-        recession_gradient=recession_gradient,
-        conjugate=conjugate,
-        prox_conjugate=prox,
-        dual_radius=lambda x: 1.0,
-        fenchel_constant=0.5,
-    )
+    return _isotropic("area", 1, d, value=value, gradient=gradient,
+                      conjugate=conjugate, prox_scale=prox_scale)
 
 
 def make_hencky(d: int = 2) -> Integrand:
@@ -453,40 +470,17 @@ def make_hencky(d: int = 2) -> Integrand:
         scale = np.where(nrm <= 0.5, 2.0, 1.0 / safe)
         return xi * scale[..., None, None]
 
-    def recession_value(x, xi):
-        return _fro(xi)
-
-    def recession_gradient(x, xi):
-        nrm = _fro(xi)
-        if np.any(nrm == 0.0):
-            raise SingularPointError("recession gradient undefined at xi = 0")
-        return xi / nrm[..., None, None]
-
     def conjugate(x, z):
         nrm2 = np.sum(z * z, axis=(-2, -1))
         return np.where(nrm2 <= 1.0 + 1e-12, 0.25 * nrm2, np.inf)
 
-    def prox(x, zeta, tau):
+    def prox_scale(x, s, tau):
         # quadratic-inside-a-ball: shrink, then radial clamp
-        s = _fro(zeta)
         r = np.minimum(s / (1.0 + 0.5 * tau), 1.0)
-        safe = np.maximum(s, 1e-300)
-        return zeta * (r / safe)[..., None, None]
+        return r / np.maximum(s, 1e-300)
 
-    return Integrand(
-        1, d,
-        name="hencky",
-        growth_constant=1.0,
-        homogeneous=False,
-        value=value,
-        gradient=gradient,
-        recession_value=recession_value,
-        recession_gradient=recession_gradient,
-        conjugate=conjugate,
-        prox_conjugate=prox,
-        dual_radius=lambda x: 1.0,
-        fenchel_constant=0.5,
-    )
+    return _isotropic("hencky", 1, d, value=value, gradient=gradient,
+                      conjugate=conjugate, prox_scale=prox_scale)
 
 
 def make_weighted_tv(a: Callable, d: int = 1, *, a_bounds=None,
@@ -516,41 +510,5 @@ def make_weighted_tv(a: Callable, d: int = 1, *, a_bounds=None,
             raise ValueError("weighted integrand needs the spatial point x")
         return np.asarray(a(np.asarray(x, dtype=float)), dtype=float)
 
-    def value(x, xi):
-        return weight(x) * _fro(xi)
-
-    def gradient(x, xi):
-        nrm = _fro(xi)
-        if np.any(nrm == 0.0):
-            raise SingularPointError(
-                "norm integrand not differentiable at xi = 0; "
-                "use subdiff_residual for set-valued checks"
-            )
-        return xi * (weight(x) / nrm)[..., None, None]
-
-    def conjugate(x, z):
-        nrm = _fro(z)
-        w = weight(x)
-        return np.where(nrm <= w * (1.0 + 1e-12), 0.0, np.inf)
-
-    def prox(x, zeta, tau):
-        nrm = _fro(zeta)
-        w = np.broadcast_to(weight(x), nrm.shape)
-        scale = np.where(nrm > w, w / np.maximum(nrm, 1e-300), 1.0)
-        return zeta * scale[..., None, None]
-
-    return Integrand(
-        1, d,
-        name="weighted_tv",
-        x_dependent=True,
-        growth_constant=max(a_max, 1.0 / a_min),
-        homogeneous=True,
-        value=value,
-        gradient=gradient,
-        recession_value=value,
-        recession_gradient=gradient,
-        conjugate=conjugate,
-        prox_conjugate=prox,
-        dual_radius=weight,
-        fenchel_constant=0.5 / a_max,
-    )
+    return _isotropic("weighted_tv", 1, d, weight=weight,
+                      a_bounds=(a_min, a_max))

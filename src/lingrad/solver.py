@@ -214,7 +214,11 @@ def _dual_objective(spec, z, zeta, fstar, box_bound):
             - vol * float(np.sum(fstar)) - vol * float(np.sum(q)))
 
 
-def repair_dual(spec: ProblemSpec, z, zeta, rounds: int = 6):
+# Poisson-solve-and-clip rounds of repair_dual
+_REPAIR_ROUNDS = 6
+
+
+def repair_dual(spec: ProblemSpec, z, zeta):
     """Project (z, zeta) to a feasible dual point (least-gradient family).
 
     Alternates a Poisson solve with the Neumann Laplacian G^T G (removing
@@ -244,12 +248,12 @@ def repair_dual(spec: ProblemSpec, z, zeta, rounds: int = 6):
                    -r_b[:, None], r_b[:, None])
 
     z_rep = _dual_values(domain, z)
-    for k in range(rounds):
+    for k in range(_REPAIR_ROUNDS):
         v = (_divergence(op, z_rep) + op.Bt @ (beta * zeta))[:, 0]
         rhs = v - v.mean()
         rhs[0] = 0.0
         z_rep = z_rep - _gradient(op, op.neumann_solver.solve(-rhs)[:, None])
-        if k < rounds - 1:
+        if k < _REPAIR_ROUNDS - 1:
             znorm = np.sqrt(np.sum(z_rep**2, axis=(1, 2)))
             with np.errstate(divide="ignore", invalid="ignore"):
                 scale = np.minimum(1.0, radius / np.maximum(znorm, 1e-300))

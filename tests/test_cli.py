@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lingrad.cli import main
-from lingrad.errors import SpecFileError
+from lingrad.errors import InvalidFieldError, SpecFileError
 from lingrad.expr import evaluate_on_points
 from lingrad.fields import read_lgf, write_lgf
 from lingrad.gallery import get_case
@@ -379,3 +379,28 @@ def test_cli_convert_truncated_header_exit_1(tmp_path, capsys, header):
                  "--out", str(tmp_path / "u.csv")])
     assert code == 1
     assert "truncated LGF1 header" in capsys.readouterr().err
+
+
+def test_cli_convert_oversized_header_exit_1(tmp_path, capsys):
+    # a header promising 8 (2^32 - 1)^3 payload bytes must not reach f.read
+    spec = tmp_path / "m.cfg"
+    spec.write_text(MINIMAL)
+    bad = tmp_path / "u.lgf"
+    top = 2**32 - 1
+    bad.write_bytes(b"LGF1" + struct.pack("<IIId", top, top, top, 0.1)
+                    + b"\0" * 64)
+    code = main(["convert", "--spec", str(spec), "--in", str(bad),
+                 "--out", str(tmp_path / "u.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "LGF1 header promises" in err
+
+
+def test_read_lgf_rejects_payload_size_mismatch(tmp_path):
+    path = tmp_path / "f.lgf"
+    write_lgf(path, np.ones((1, 4, 3)), h=0.5)
+    raw = path.read_bytes()
+    for cut in (raw[:-8], raw + b"\0" * 8):
+        path.write_bytes(cut)
+        with pytest.raises(InvalidFieldError, match="LGF1 header promises"):
+            read_lgf(path)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from lingrad.errors import DomainError
+from lingrad.errors import DomainError, ProxFailureError
 from lingrad.gallery import (
     BadF0,
     build_bad_f0,
@@ -129,6 +129,14 @@ def test_weighted_rejects_inadmissible(a, ap, msg):
 @pytest.fixture(scope="module")
 def f0():
     return build_bad_f0(1e-2)
+
+
+def test_bad_f0_integrand_has_no_prox(f0):
+    # the dual range is not a ball: the integrand serves certificates only
+    f = f0.integrand()
+    assert f.dual_radius is None
+    with pytest.raises(ProxFailureError, match=r"'bad_f0:0.01'.*prox_conjugate"):
+        f.prox_conjugate(None, 2.0 * np.eye(2), 1.0)
 
 
 def test_q_vanishes_at_e11(f0):

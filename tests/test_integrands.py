@@ -166,6 +166,15 @@ def test_prox_hencky_shrink_then_clamp():
     assert np.allclose(got, [[1.0, 0.0]])
 
 
+def test_prox_weighted_tv_where_weight_vanishes():
+    # the dual ball of radius a(x) = 0 is {0}, also for zeta = 0
+    w = make_weighted_tv(lambda p: np.abs(p[..., 0] - 0.5), d=1,
+                         a_bounds=(0.1, 1.0))
+    x = np.array([[0.5], [0.5], [0.2]])
+    got = w.prox_conjugate(x, np.array([[0.0], [2.0], [2.0]]), 1.0)
+    assert np.array_equal(got[:, 0, 0], [0.0, 0.0, 0.3])
+
+
 def test_prox_requires_positive_tau():
     with pytest.raises(ValueError):
         make_tv(1, 2).prox_conjugate(None, [1.0, 0.0], 0.0)
@@ -202,6 +211,23 @@ def test_prox_optimality_is_fenchel_young_equality(f, data):
     p = f.prox_conjugate(x, v, tau)
     res = f.subdiff_residual(x, (v - p) / tau, p)
     assert np.all(np.abs(res) <= 1e-12)
+
+
+def test_area_prox_shrinks_tiny_zeta():
+    # r + tau r / sqrt(1 - r^2) = |zeta| gives r -> |zeta| / (1 + tau) as
+    # |zeta| -> 0, and r <= |zeta| everywhere
+    area = make_area(2)
+    t = np.logspace(-300, 3, 20001)
+    zeta = np.stack([t, np.zeros_like(t)], axis=-1)
+    tiny = t < 1e-12
+    for tau in (0.05, 1.0, 20.0):
+        p = area.prox_conjugate(None, zeta, tau)
+        assert np.all(p[:, 0, 1] == 0.0)
+        assert np.all(np.abs(p[:, 0, 0]) <= t)
+        assert np.allclose(p[tiny, 0, 0], t[tiny] / (1.0 + tau),
+                           rtol=1e-12, atol=0.0)
+    got = area.prox_conjugate(None, [1e-40, 0.0], 1.0)
+    assert got[0, 0] == pytest.approx(5e-41, rel=1e-12)
 
 
 def test_shape_mismatch():
@@ -401,3 +427,186 @@ def test_biconjugacy_roundtrip():
 def test_calibrate_fenchel_constant_positive():
     c = calibrate_fenchel_constant(make_tv(1, 2), n_samples=512)
     assert 0.3 < c <= 0.5 + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: the hand-written closed forms of each built-in family,
+# kept as they were before the family was built on one isotropic
+# constructor; the built-ins must reproduce them bit for bit
+# ---------------------------------------------------------------------------
+
+
+def ref_fro(xi):
+    return np.sqrt(np.einsum("...ij,...ij->...", xi, xi))
+
+
+def ref_unit(xi):
+    nrm = ref_fro(xi)
+    if np.any(nrm == 0.0):
+        raise SingularPointError("xi = 0")
+    return xi / nrm[..., None, None]
+
+
+def ref_tv():
+    def conjugate(x, z):
+        nrm = ref_fro(z)
+        return np.where(nrm <= 1.0 + 1e-12, 0.0, np.inf)
+
+    def prox(x, zeta, tau):
+        nrm = ref_fro(zeta)
+        scale = 1.0 / np.maximum(1.0, nrm)
+        return zeta * scale[..., None, None]
+
+    return dict(value=lambda x, xi: ref_fro(xi), gradient=lambda x, xi: ref_unit(xi),
+                conjugate=conjugate, prox=prox, radius=1.0,
+                growth_constant=1.0, fenchel_constant=0.5)
+
+
+def ref_area():
+    def value(x, xi):
+        return np.sqrt(1.0 + np.sum(xi * xi, axis=(-2, -1)))
+
+    def gradient(x, xi):
+        return xi / value(x, xi)[..., None, None]
+
+    def conjugate(x, z):
+        nrm2 = np.sum(z * z, axis=(-2, -1))
+        inside = nrm2 <= 1.0 + 1e-12
+        return np.where(inside, -np.sqrt(np.maximum(0.0, 1.0 - nrm2)), np.inf)
+
+    def prox(x, zeta, tau):
+        s = ref_fro(zeta)
+        lo = np.zeros_like(s)
+        hi = np.full_like(s, 1.0 - 1e-16)
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            g = mid + tau * mid / np.sqrt(np.maximum(1e-300, 1.0 - mid * mid))
+            took = g < s
+            lo = np.where(took, mid, lo)
+            hi = np.where(took, hi, mid)
+        r = 0.5 * (lo + hi)
+        ratio = np.where(s > 0, r / np.maximum(s, 1e-300), 1.0 / (1.0 + tau))
+        return zeta * ratio[..., None, None]
+
+    return dict(value=value, gradient=gradient, conjugate=conjugate, prox=prox,
+                radius=1.0, growth_constant=1.0, fenchel_constant=0.5)
+
+
+def ref_hencky():
+    def value(x, xi):
+        nrm = ref_fro(xi)
+        return np.where(nrm <= 0.5, nrm * nrm, nrm - 0.25)
+
+    def gradient(x, xi):
+        nrm = ref_fro(xi)
+        safe = np.maximum(nrm, 1e-300)
+        scale = np.where(nrm <= 0.5, 2.0, 1.0 / safe)
+        return xi * scale[..., None, None]
+
+    def conjugate(x, z):
+        nrm2 = np.sum(z * z, axis=(-2, -1))
+        return np.where(nrm2 <= 1.0 + 1e-12, 0.25 * nrm2, np.inf)
+
+    def prox(x, zeta, tau):
+        s = ref_fro(zeta)
+        r = np.minimum(s / (1.0 + 0.5 * tau), 1.0)
+        safe = np.maximum(s, 1e-300)
+        return zeta * (r / safe)[..., None, None]
+
+    return dict(value=value, gradient=gradient, conjugate=conjugate, prox=prox,
+                radius=1.0, growth_constant=1.0, fenchel_constant=0.5)
+
+
+def ref_weight(x):
+    return 2.0 - np.sin(np.pi * x[..., 0])
+
+
+def ref_weighted_tv(a_min, a_max):
+    def value(x, xi):
+        return ref_weight(x) * ref_fro(xi)
+
+    def gradient(x, xi):
+        nrm = ref_fro(xi)
+        if np.any(nrm == 0.0):
+            raise SingularPointError("xi = 0")
+        return xi * (ref_weight(x) / nrm)[..., None, None]
+
+    def conjugate(x, z):
+        nrm = ref_fro(z)
+        return np.where(nrm <= ref_weight(x) * (1.0 + 1e-12), 0.0, np.inf)
+
+    def prox(x, zeta, tau):
+        nrm = ref_fro(zeta)
+        w = np.broadcast_to(ref_weight(x), nrm.shape)
+        scale = np.where(nrm > w, w / np.maximum(nrm, 1e-300), 1.0)
+        return zeta * scale[..., None, None]
+
+    return dict(value=value, gradient=gradient, conjugate=conjugate, prox=prox,
+                radius=None, growth_constant=max(a_max, 1.0 / a_min),
+                fenchel_constant=0.5 / a_max)
+
+
+# (built-in, its reference, the reference of its recession function a(x)|xi|)
+ORACLE_CASES = [
+    (make_tv(1, 2), ref_tv(), ref_tv()),
+    (make_vector_tv(2, 3), ref_tv(), ref_tv()),
+    (make_area(2), ref_area(), ref_tv()),
+    (make_hencky(2), ref_hencky(), ref_tv()),
+    (make_weighted_tv(ref_weight, d=1, a_bounds=(1.0, 2.0)),
+     ref_weighted_tv(1.0, 2.0), ref_weighted_tv(1.0, 2.0)),
+    (make_weighted_tv(ref_weight, d=2, a_bounds=(0.5, 3.0)),
+     ref_weighted_tv(0.5, 3.0), ref_weighted_tv(0.5, 3.0)),
+]
+
+
+def assert_same(got, want, *args):
+    """Bit-identical results, or SingularPointError from both."""
+    try:
+        expected = want(*args)
+    except SingularPointError:
+        with pytest.raises(SingularPointError):
+            got(*args)
+        return
+    assert np.array_equal(got(*args), expected)
+
+
+@st.composite
+def oracle_args(draw, f, rows=6):
+    """(x, xi, zeta, tau) batches over six decades of scale; row 0 is zero."""
+    shape = (rows, f.n_rows, f.n_cols)
+
+    def batch():
+        unit = draw(hnp.arrays(float, shape, elements=st.floats(-1.0, 1.0)))
+        exp = draw(hnp.arrays(float, (rows,), elements=st.floats(-14.0, 3.0)))
+        out = unit * (10.0 ** exp)[:, None, None]
+        out[0] = 0.0
+        return out
+
+    x = (draw(hnp.arrays(float, (rows, f.n_cols),
+                         elements=st.floats(0.05, 0.95)))
+         if f.x_dependent else None)
+    return x, batch(), batch(), draw(st.floats(0.05, 20.0))
+
+
+@pytest.mark.parametrize("f, ref, rec", ORACLE_CASES, ids=[
+    "tv", "vector_tv", "area", "hencky", "weighted_tv_1d", "weighted_tv_2d"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_builtin_matches_reference_formulas(f, ref, rec, data):
+    x, xi, zeta, tau = data.draw(oracle_args(f))
+    assert f.growth_constant == ref["growth_constant"]
+    assert f.fenchel_constant == ref["fenchel_constant"]
+    radius = ref["radius"] if x is None else ref_weight(x)
+    assert np.array_equal(f.dual_radius(x), radius)
+    x1 = None if x is None else x[1:]
+    for got, want in ((f.value, ref["value"]),
+                      (f.gradient, ref["gradient"]),
+                      (f.recession, rec["value"]),
+                      (f.recession_gradient, rec["gradient"])):
+        assert_same(got, want, x, xi)
+        assert_same(got, want, x1, xi[1:])
+    assert_same(f.conjugate, ref["conjugate"], x, zeta)
+    p = f.prox_conjugate(x, zeta, tau)
+    want = ref["prox"](x, zeta, tau)
+    keep = ref_fro(zeta) >= 1e-12 if f.name == "area" else slice(None)
+    assert np.array_equal(p[keep], want[keep])
