@@ -18,7 +18,7 @@ from . import certificate as cert
 from . import gallery as gal
 from .energy import relaxed_energy, lower_order_energy, boundary_penalty
 from .errors import LingradError
-from .fields import DualField, Field, field_to_csv, read_lgf, write_lgf
+from .fields import DualField, Field, field_to_csv, read_grid_field, write_lgf
 from .geometry import generalized_mean_curvature
 from .solver import SolverConfig, solve, trace_error
 from .specfile import parse_spec
@@ -49,19 +49,6 @@ def _write_report(path, payload: dict):
 
 def _write_field(path, values, h):
     _atomic_write(path, lambda tmp: write_lgf(tmp, values, h))
-
-
-def _load_grid_field(path, domain, channels):
-    values, h = read_lgf(path)
-    if abs(h - domain.h) > 1e-9 * max(domain.h, 1.0):
-        raise LingradError(f"{path}: grid spacing {h} does not match domain {domain.h}")
-    flat = values.reshape(values.shape[0], -1)
-    want = int(np.prod(domain.grid_shape))
-    if flat.shape != (channels, want):
-        raise LingradError(
-            f"{path}: payload {values.shape} does not match {channels} channels "
-            f"on grid {domain.grid_shape}")
-    return flat.reshape((channels,) + domain.grid_shape)
 
 
 def _cmd_solve(args):
@@ -107,13 +94,12 @@ def _cmd_certify(args):
     spec = bundle.spec
     domain = spec.domain
     n = spec.n_channels
-    u = Field(domain, _load_grid_field(args.u, domain, n))
-    zraw = _load_grid_field(args.z, domain, n * domain.dim)
+    u = Field(domain, read_grid_field(args.u, domain, n))
+    zraw = read_grid_field(args.z, domain, n * domain.dim)
     z = DualField(domain, zraw.reshape(n, domain.dim, *domain.grid_shape))
     zeta = None
     if args.zeta:
-        zv, _ = read_lgf(args.zeta)
-        zeta = zv.reshape(n, -1).T
+        zeta = read_grid_field(args.zeta, domain, n, faces=True).T
     tols = cert.ToleranceSet.uniform(args.tol)
     if n == 1:
         report = cert.verify_scalar(spec, u, z, tols=tols, zeta=zeta)
@@ -130,7 +116,7 @@ def _cmd_certify(args):
 def _cmd_energy(args):
     bundle = parse_spec(args.spec, nx=args.nx)
     spec = bundle.spec
-    u = Field(spec.domain, _load_grid_field(args.u, spec.domain, spec.n_channels))
+    u = Field(spec.domain, read_grid_field(args.u, spec.domain, spec.n_channels))
     total = relaxed_energy(spec, u)
     payload = {
         "energy": total,
@@ -203,14 +189,8 @@ def _cmd_gallery(args):
 def _cmd_convert(args):
     bundle = parse_spec(args.spec, nx=args.nx)
     domain = bundle.spec.domain
-    values, h = read_lgf(args.infile)
-    flat = values.reshape(values.shape[0], -1)
-    want = int(np.prod(domain.grid_shape))
-    if flat.shape[1] != want:
-        raise LingradError(
-            f"{args.infile}: {values.shape} does not fit grid {domain.grid_shape}")
-    _atomic_write(args.out, lambda tmp: field_to_csv(
-        tmp, domain, flat.reshape((values.shape[0],) + domain.grid_shape)))
+    values = read_grid_field(args.infile, domain)
+    _atomic_write(args.out, lambda tmp: field_to_csv(tmp, domain, values))
     print(f"wrote {args.out}")
     return 0
 

@@ -13,10 +13,6 @@ class SingularPointError(LingradError, ValueError):
     """Gradient requested at a point where the integrand is not differentiable."""
 
 
-class RecessionConvergenceError(LingradError, RuntimeError):
-    """Richardson extrapolation of f(x, t*xi)/t did not stabilize."""
-
-
 class ProxFailureError(LingradError, RuntimeError):
     """Inner solve of a proximal subproblem did not converge."""
 

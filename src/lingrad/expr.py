@@ -5,6 +5,10 @@ pi) with +, -, *, /, ^, the functions sin, cos, sqrt, abs, sign,
 indicator (1 where the argument is positive, else 0), and min/max of two
 arguments.  Parsing is a tiny recursive-descent pass producing a closure
 that evaluates vectorized over numpy arrays; no Python eval is involved.
+Literals are float64 and evaluation ignores floating-point errors, so a
+division by zero, an overflow or a negative base to a fractional power
+gives inf or nan (which ``ProblemSpec`` rejects by field name); an
+expression nested past Python's recursion limit raises SpecFileError.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ _FUNCS1 = {
     "indicator": lambda v: (np.asarray(v) > 0).astype(float),
 }
 _FUNCS2 = {"min": np.minimum, "max": np.maximum}
-_CONSTS = {"pi": np.pi}
+_CONSTS = {"pi": np.float64(np.pi)}
 _VARS = ("x", "y", "r", "theta")
 
 
@@ -47,7 +51,7 @@ def _tokenize(src: str):
                     f"bad character {src[pos:].strip()[0]!r} at column {pos + 1}")
             break
         if m.lastgroup == "num":
-            out.append(("num", float(m.group("num")), pos))
+            out.append(("num", np.float64(m.group("num")), pos))
         elif m.lastgroup == "name":
             out.append(("name", m.group("name"), pos))
         else:
@@ -162,9 +166,26 @@ class _Parser:
             f"unexpected token at column {tok[2] + 1} in {self.src!r}")
 
 
+def _too_deep(src: str) -> SpecFileError:
+    return SpecFileError(
+        f"expression nested too deeply ({len(src)} characters): {src[:40]!r}...")
+
+
 def compile_expression(src: str):
     """Compile an expression string to a vectorized callable env -> array."""
-    return _Parser(src).parse()
+    try:
+        node = _Parser(src).parse()
+    except RecursionError:
+        raise _too_deep(src) from None
+
+    def evaluate(env):
+        try:
+            with np.errstate(all="ignore"):
+                return node(env)
+        except RecursionError:
+            raise _too_deep(src) from None
+
+    return evaluate
 
 
 def evaluate_on_points(src: str, points: np.ndarray) -> np.ndarray:

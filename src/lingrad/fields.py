@@ -22,7 +22,8 @@ import numpy as np
 from .errors import InvalidFieldError, ShapeMismatchError
 from .geometry import GridDomain
 
-__all__ = ["Field", "DualField", "write_lgf", "read_lgf", "field_to_csv"]
+__all__ = ["Field", "DualField", "write_lgf", "read_lgf", "read_grid_field",
+           "field_to_csv"]
 
 _MAGIC = b"LGF1"
 
@@ -136,6 +137,33 @@ def read_lgf(path):
         raw = f.read(size)
         values = np.frombuffer(raw, dtype="<f8").reshape(n, nx, ny).copy()
     return values, h
+
+
+def read_grid_field(path, domain: GridDomain, channels=None, *,
+                    faces: bool = False) -> np.ndarray:
+    """Read an LGF1 field written on ``domain``'s grid.
+
+    Returns (channels, *grid_shape) cell values or, with ``faces``, the
+    (channels, m) samples on the m boundary faces, which must be finite.
+    The spacing must equal ``domain.h`` and the payload hold ``channels``
+    channels (any number when None) of one value per cell or face;
+    otherwise InvalidFieldError names the file.
+    """
+    values, h = read_lgf(path)
+    if not abs(h - domain.h) <= 1e-9 * max(domain.h, 1.0):
+        raise InvalidFieldError(
+            f"{path}: grid spacing {h} does not match the domain's {domain.h}")
+    shape = (len(domain.boundary_faces),) if faces else domain.grid_shape
+    n = values.shape[0] if channels is None else channels
+    if values.shape[0] != n or values.shape[1] * values.shape[2] != np.prod(shape):
+        where = "boundary faces" if faces else "grid"
+        raise InvalidFieldError(
+            f"{path}: payload {values.shape} does not hold {n} channels on "
+            f"the {where} {shape}")
+    values = values.reshape((n,) + shape)
+    if faces and not np.all(np.isfinite(values)):
+        raise InvalidFieldError(f"{path}: non-finite boundary-face values")
+    return values
 
 
 def field_to_csv(path, domain: GridDomain, values: np.ndarray) -> None:

@@ -9,9 +9,11 @@ with a single constant C (``growth_constant``).  Alongside the value we
 track the objects convex duality attaches to such an f: the recession
 function (the 1-homogeneous limit of f(x, t*xi)/t), its gradient, the
 Legendre conjugate f*, and the resolvent (prox) of f*, which is what a
-primal-dual solver actually calls.  All evaluators broadcast over leading
-batch axes; xi always occupies the trailing (n, d) axes, and for scalar
-problems (n == 1) a plain d-vector is accepted and promoted.
+primal-dual solver actually calls.  Every one of them is a closed form
+that the integrand is built with; nothing here approximates a missing one.
+All evaluators broadcast over leading batch axes; xi always occupies the
+trailing (n, d) axes, and for scalar problems (n == 1) a plain d-vector is
+accepted and promoted.
 
 The conjugate of every integrand in this family is +inf outside the closed
 dual range (the closure of the xi-gradient range), which is contained in
@@ -28,7 +30,6 @@ import numpy as np
 from .errors import (
     DualRangeError,
     ProxFailureError,
-    RecessionConvergenceError,
     ShapeMismatchError,
     SingularPointError,
 )
@@ -43,11 +44,6 @@ __all__ = [
     "calibrate_fenchel_constant",
 ]
 
-# t-ladder for the Richardson limit of f(x, t*xi)/t (user integrands only)
-_RICHARDSON_T = (2.0**8, 2.0**10, 2.0**12)
-_RICHARDSON_RTOL = 1e-6
-
-
 def _fro(xi):
     """Frobenius norm over the trailing (n, d) axes."""
     return np.sqrt(_inner(xi, xi))
@@ -61,18 +57,20 @@ def _inner(a, b):
 class Integrand:
     """A convex integrand bundle: value, gradient, recession, conjugate, prox.
 
-    Evaluator slots left as None fall back to generic numerics: Richardson
-    extrapolation for the recession function, finite differences for its
-    gradient, and multi-start projected ascent for the conjugate, so
-    energies, certificates and curvature work for any user integrand.  The
-    solver needs two slots that have no generic fallback: ``prox_conjugate``
-    (the closed-form prox of f*) and ``dual_radius`` (the radius of a
-    ball-shaped dual range).  So ``solve`` serves the isotropic family
-    a(x) phi(|xi|), phi convex with slope 1 at infinity, whose dual range
-    is the ball of radius a(x); the built-in constructors are all of this
-    kind and fill every slot with closed forms.  The anisotropic
-    ``gallery.BadF0`` integrand has neither slot and serves certificates
-    only.
+    An integrand is its closed forms.  ``value``, ``gradient``,
+    ``recession_value``, ``recession_gradient`` and ``conjugate`` are
+    required keyword arguments, each a callable (x, xi) -> array on
+    (..., n, d) batches, and each evaluator calls its own with no
+    approximation behind it; energies, certificates and curvature need
+    only these five.  ``homogeneous`` declares f = f^inf, which
+    ``repair_dual`` and the least-gradient certificate read.  The solver
+    also needs ``prox_conjugate`` (the prox of f*) and ``dual_radius``
+    (the radius of a ball-shaped dual range), which stay optional.  So
+    ``solve`` serves the isotropic family a(x) phi(|xi|), phi convex with
+    slope 1 at infinity, whose dual range is the ball of radius a(x); the
+    built-in constructors are all of this kind and fill every slot.  The
+    anisotropic ``gallery.BadF0`` integrand has neither of the solver's
+    slots and serves certificates only.
     """
 
     def __init__(
@@ -85,10 +83,10 @@ class Integrand:
         growth_constant: float,
         homogeneous: bool = False,
         value: Callable,
-        gradient: Optional[Callable] = None,
-        recession_value: Optional[Callable] = None,
-        recession_gradient: Optional[Callable] = None,
-        conjugate: Optional[Callable] = None,
+        gradient: Callable,
+        recession_value: Callable,
+        recession_gradient: Callable,
+        conjugate: Callable,
         prox_conjugate: Optional[Callable] = None,
         dual_radius: Optional[Callable] = None,
         fenchel_constant: Optional[float] = None,
@@ -145,116 +143,24 @@ class Integrand:
 
     def gradient(self, x, xi):
         """D_xi f(x, xi).  Raises SingularPointError where undefined."""
-        xi = self.as_matrix(xi)
-        if self._gradient is None:
-            return self._fd_gradient(self._value, x, xi)
-        return self._gradient(x, xi)
+        return self._gradient(x, self.as_matrix(xi))
 
     def recession(self, x, xi):
         """The 1-homogeneous recession value f^inf(x, xi)."""
-        xi = self.as_matrix(xi)
-        if self.homogeneous:
-            return self._value(x, xi)
-        if self._recession_value is not None:
-            return self._recession_value(x, xi)
-        return self._recession_extrapolated(x, xi)
+        return self._recession_value(x, self.as_matrix(xi))
 
     def recession_gradient(self, x, xi):
         """D_xi f^inf(x, xi) for xi != 0; satisfies <D f^inf, xi> = f^inf."""
         xi = self.as_matrix(xi)
         if np.any(_fro(xi) == 0.0):
             raise SingularPointError("recession gradient undefined at xi = 0")
-        if self._recession_gradient is not None:
-            return self._recession_gradient(x, xi)
-        return self._fd_gradient(lambda xx, m: self.recession(xx, m), x, xi)
-
-    def _recession_extrapolated(self, x, xi):
-        # r(t) = f(x, t*xi)/t = A + c t^(-p) with p estimated from the three
-        # stated t's (ratio 4 apart); the fitted limit is then validated
-        # against a held-out sample at the next t, which is what catches
-        # drifts (like log t / t) that a three-point fit alone cannot
-        t1, t2, t3 = _RICHARDSON_T
-        r1 = np.asarray(self._value(x, t1 * xi) / t1, dtype=float)
-        r2 = np.asarray(self._value(x, t2 * xi) / t2, dtype=float)
-        r3 = np.asarray(self._value(x, t3 * xi) / t3, dtype=float)
-        scale = np.maximum(1.0, np.abs(r3))
-        d1 = r1 - r2
-        d2 = r2 - r3
-        flat = (np.abs(d1) <= 1e-9 * scale) & (np.abs(d2) <= 1e-9 * scale)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(flat, np.inf, d1 / np.where(d2 == 0.0, 1.0, d2))
-        decaying = flat | (ratio > 1.01)
-        if not np.all(decaying):
-            raise RecessionConvergenceError(
-                "recession samples do not decay geometrically in t"
-            )
-        limit = np.where(flat, r3, r3 - d2 / np.where(flat, 1.0, ratio - 1.0))
-        r4 = self._value(x, 4.0 * t3 * xi) / (4.0 * t3)
-        predicted = np.where(flat, r3, limit + (r3 - limit) / ratio)
-        if np.any(np.abs(r4 - predicted) > _RICHARDSON_RTOL * scale):
-            raise RecessionConvergenceError(
-                "recession extrapolation disagreement exceeds "
-                f"{_RICHARDSON_RTOL:g} relative"
-            )
-        return limit
-
-    @staticmethod
-    def _fd_gradient(fun, x, xi, step=None):
-        # central differences entry by entry; adequate for smooth evaluators
-        if step is None:
-            step = 1e-6 * max(1.0, float(np.max(np.abs(xi))))
-        flat_batch = xi.reshape(-1, xi.shape[-2], xi.shape[-1])
-        grad_flat = np.zeros_like(flat_batch)
-        for b in range(flat_batch.shape[0]):
-            m = flat_batch[b]
-            for i in range(m.shape[0]):
-                for j in range(m.shape[1]):
-                    mp = m.copy()
-                    mm = m.copy()
-                    mp[i, j] += step
-                    mm[i, j] -= step
-                    grad_flat[b, i, j] = (
-                        float(fun(x, mp)) - float(fun(x, mm))
-                    ) / (2 * step)
-        return grad_flat.reshape(xi.shape)
+        return self._recession_gradient(x, xi)
 
     # -- dual side ---------------------------------------------------------
 
     def conjugate(self, x, xistar):
         """Legendre transform f*(x, xi*); +inf outside the closed dual range."""
-        xistar = self.as_matrix(xistar)
-        if self._conjugate is not None:
-            return self._conjugate(x, xistar)
-        return self._conjugate_by_ascent(x, xistar)
-
-    def _conjugate_by_ascent(self, x, zs):
-        # f*(z) is +inf exactly when sup_{|v|=1} <z,v> - f^inf(x,v) > 0;
-        # otherwise the sup in the transform is attained and projected
-        # gradient ascent from a few directions finds it.
-        flat = zs.reshape(-1, self.n_rows, self.n_cols)
-        out = np.empty(flat.shape[0])
-        rng = np.random.default_rng(12345)
-        dirs = rng.standard_normal((8, self.n_rows, self.n_cols))
-        dirs /= _fro(dirs)[:, None, None]
-        for b, z in enumerate(flat):
-            probe = max(
-                float(np.sum(z * d)) - float(self.recession(x, d))
-                for d in dirs
-            )
-            if probe > 1e-7:
-                out[b] = np.inf
-                continue
-            best = -np.inf
-            for d in dirs:
-                xi = d.copy()
-                step = 1.0
-                for _ in range(200):
-                    g = z - self.gradient(x, xi)
-                    xi = xi + step * g
-                    step *= 0.98
-                best = max(best, float(np.sum(z * xi)) - float(self.value(x, xi)))
-            out[b] = best
-        return out.reshape(zs.shape[:-2])
+        return self._conjugate(x, self.as_matrix(xistar))
 
     def prox_conjugate(self, x, zeta, tau):
         """argmin_w  |w - zeta|^2/2 + tau * f*(x, w); lands in the dual range."""

@@ -11,7 +11,7 @@ so the section is the ball of that radius (for scalar TV the interval
   (ii)  zeta <- project zeta + sigma (u0 - B u_bar) onto the ball,
   (iii) u    <- closed-form prox of the lower-order terms at
                 u + tau (-G^T z + B^T (w_b / h^d zeta) - g),
-  (iv)  u_bar <- u + theta (u - u_prev),
+  (iv)  u_bar <- 2 u - u_prev (over-relaxation),
 
 with G and B the domain's operator (``GridDomain.operator``): forward
 differences on interior faces, and the selection of each boundary face's
@@ -90,17 +90,13 @@ class SolverConfig:
 
     tau: Optional[float] = None
     sigma: Optional[float] = None
-    theta: float = 1.0
     max_iters: int = 20000
     gap_tol: float = 1e-5
     check_every: int = 100
     box_bound: Optional[float] = None
-    divergence_check: bool = True
     step_alpha: float = 0.5  # exponent of the diagonal step rule
 
     def validate(self, L: float):
-        if not (0.0 <= self.theta <= 1.0):
-            raise ValueError("theta must lie in [0, 1]")
         if self.tau is not None and self.sigma is not None:
             if self.tau * self.sigma * L * L > 1.0 + 1e-9:
                 raise ValueError(
@@ -484,7 +480,7 @@ def solve(spec: ProblemSpec, config: Optional[SolverConfig] = None,
         u = (u + tau * (drift - g_arr + lam_h)) / denom
 
         # (iv) over-relaxation
-        u_bar = u + config.theta * (u - u_prev)
+        u_bar = u + (u - u_prev)
 
         if it % config.check_every == 0 or it == config.max_iters:
             dg = duality_gap(spec, u, z, zeta, box_bound=config.box_bound)
@@ -498,7 +494,7 @@ def solve(spec: ProblemSpec, config: Optional[SolverConfig] = None,
             # the best energy of the recent window should not sit 10% above
             # the best seen before it; real step-size blowups trip this fast
             k = max(4, 500 // config.check_every + 1)
-            if config.divergence_check and len(energies_raw) >= 2 * k:
+            if len(energies_raw) >= 2 * k:
                 recent = min(energies_raw[-k:])
                 older = min(energies_raw[:-k])
                 if recent > older + 0.1 * max(abs(older), 1e-9):

@@ -35,7 +35,7 @@ import numpy as np
 from .energy import ProblemSpec
 from .errors import SpecFileError
 from .expr import evaluate_on_points
-from .fields import read_lgf
+from .fields import read_grid_field
 from .gallery import build_bad_f0
 from .geometry import Annulus, Ball, GridDomain, Interval, Rectangle
 from .integrands import (
@@ -53,8 +53,8 @@ _ALLOWED = {
     "domain": {"shape", "nx"},
     "integrand": {"name"},
     "data": {"u0", "g", "h", "lambda"},
-    "solver": {"tau", "sigma", "theta", "max_iters", "gap_tol",
-               "check_every", "box_bound"},
+    "solver": {"tau", "sigma", "max_iters", "gap_tol", "check_every",
+               "box_bound"},
 }
 
 
@@ -117,36 +117,23 @@ def make_integrand_from_name(name: str, shape, n_hint: int = 1):
 
 def _sample_data(entry: str, points: np.ndarray, n: int, base_dir: str,
                  domain: GridDomain, on_cells: bool):
-    """Evaluate an expression (';'-separated per channel) or load file:...'"""
+    """Evaluate an expression (';'-separated per channel) or load file:...
+
+    Returns (n, *grid) on cells, or (m, n) on the m boundary faces.
+    """
     entry = entry.strip()
     if entry.startswith("file:"):
         path = os.path.join(base_dir, entry[5:].strip())
-        values, h = read_lgf(path)
-        if on_cells:
-            expect = (n,) + domain.grid_shape + ((1,) if domain.dim == 1 else ())
-            flat = values.reshape(values.shape[0], -1)
-            want = int(np.prod(domain.grid_shape))
-            if values.shape[0] != n or flat.shape[1] != want:
-                raise SpecFileError(
-                    f"field file {path} has shape {values.shape}, grid wants "
-                    f"{expect}")
-            return flat.reshape((n,) + domain.grid_shape)
-        m = len(domain.boundary_faces)
-        flat = values.reshape(values.shape[0], -1)
-        if values.shape[0] != n or flat.shape[1] != m:
-            raise SpecFileError(
-                f"boundary file {path} must hold ({n}, {m}) samples, got "
-                f"{values.shape}")
-        return flat.reshape(n, m).T
+        values = read_grid_field(path, domain, n, faces=not on_cells)
+        return values if on_cells else values.T
     exprs = [e for e in entry.split(";") if e.strip()]
     if len(exprs) == 1 and n > 1:
         exprs = exprs * n
     if len(exprs) != n:
         raise SpecFileError(
             f"need {n} ';'-separated expressions, got {len(exprs)}")
-    cols = [evaluate_on_points(e, points) for e in exprs]
-    out = np.stack(cols, axis=0)
-    return np.moveaxis(out, 0, -1) if not on_cells else out
+    out = np.stack([evaluate_on_points(e, points) for e in exprs], axis=0)
+    return out if on_cells else out.T
 
 
 def parse_spec(path: str, nx: Optional[int] = None) -> SpecBundle:
@@ -184,32 +171,23 @@ def parse_spec(path: str, nx: Optional[int] = None) -> SpecBundle:
     bf_points = domain.boundary_faces.point
     cells = domain.cell_centers
 
-    if "u0" in data:
-        u0 = _sample_data(data["u0"], bf_points, n, base_dir, domain, on_cells=False)
-    else:
-        u0 = np.zeros((len(domain.boundary_faces), n))
-
-    def cell_field(key):
+    def sample(key, channels, on_cells):
         if key not in data:
             return None
-        raw = data[key]
-        if raw.strip().startswith("file:"):
-            return _sample_data(raw, cells, n, base_dir, domain, on_cells=True)
-        exprs = [e for e in raw.split(";") if e.strip()]
-        if len(exprs) == 1 and n > 1:
-            exprs = exprs * n
-        vals = np.stack([evaluate_on_points(e, cells) for e in exprs], axis=0)
-        return vals
+        try:
+            return _sample_data(data[key], cells if on_cells else bf_points,
+                                channels, base_dir, domain, on_cells)
+        except SpecFileError as exc:
+            raise SpecFileError(f"[data] {key}: {exc}") from exc
 
-    g = cell_field("g")
-    h = cell_field("h")
-    lam_arr = None
-    if "lambda" in data:
-        raw = data["lambda"]
-        if raw.strip().startswith("file:"):
-            lam_arr = _sample_data(raw, cells, 1, base_dir, domain, on_cells=True)[0]
-        else:
-            lam_arr = evaluate_on_points(raw, cells)
+    u0 = sample("u0", n, on_cells=False)
+    if u0 is None:
+        u0 = np.zeros((len(domain.boundary_faces), n))
+    g = sample("g", n, on_cells=True)
+    h = sample("h", n, on_cells=True)
+    lam_arr = sample("lambda", 1, on_cells=True)
+    if lam_arr is not None:
+        lam_arr = lam_arr[0]
 
     spec = ProblemSpec(integrand, domain, u0, g=g, h=h, lam=lam_arr)
 
@@ -220,8 +198,6 @@ def parse_spec(path: str, nx: Optional[int] = None) -> SpecBundle:
             config.tau = sec.getfloat("tau")
         if "sigma" in sec:
             config.sigma = sec.getfloat("sigma")
-        if "theta" in sec:
-            config.theta = sec.getfloat("theta")
         if "max_iters" in sec:
             config.max_iters = sec.getint("max_iters")
         if "gap_tol" in sec:

@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lingrad.cli import main
 from lingrad.errors import InvalidFieldError, SpecFileError
@@ -47,6 +49,22 @@ def test_expression_errors_name_position():
         evaluate_on_points("min(x)", np.zeros((1, 2)))
     with pytest.raises(SpecFileError):
         evaluate_on_points("x $ y", np.zeros((1, 2)))
+
+
+_TOKENS = ["0", "1", "2.5", ".5", "1e308", "9e-324", "x", "y", "r", "theta",
+           "pi", "sin", "cos", "sqrt", "abs", "sign", "indicator", "min",
+           "max", "bogus", "+", "-", "*", "/", "^", "(", ")", ",", " ", "$"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_TOKENS), max_size=30).map("".join))
+def test_expression_fuzz_returns_floats_or_spec_error(src):
+    pts = np.array([[0.0, 0.0], [3.0, -4.0], [-1.0, 0.0]])
+    try:
+        out = evaluate_on_points(src, pts)
+    except SpecFileError:
+        return
+    assert out.dtype == np.float64 and out.shape == (3,)
 
 
 def test_shape_grammar():
@@ -141,6 +159,13 @@ def test_unknown_section_rejected(tmp_path):
     with pytest.raises(SpecFileError) as err:
         parse_spec(str(p))
     assert "extras" in str(err.value)
+
+
+def test_solver_theta_key_rejected(tmp_path):
+    p = tmp_path / "s.cfg"
+    p.write_text(MINIMAL + "\n[solver]\ntheta = 0.5\n")
+    with pytest.raises(SpecFileError, match="'theta'"):
+        parse_spec(str(p))
 
 
 def test_solver_overrides(tmp_path):
@@ -404,3 +429,91 @@ def test_read_lgf_rejects_payload_size_mismatch(tmp_path):
         path.write_bytes(cut)
         with pytest.raises(InvalidFieldError, match="LGF1 header promises"):
             read_lgf(path)
+
+
+@pytest.mark.parametrize("src", [
+    "1/0", "0^-1", "2^9999", "(-8)^(1/3)",
+    "(" * 3000 + "1" + ")" * 3000, "-" * 5000 + "1", "+".join(["1"] * 5000),
+], ids=["div_zero", "zero_neg_power", "overflow", "neg_base_fraction",
+        "parens", "unary_minus", "long_sum"])
+def test_cli_bad_expression_exits_1_naming_field(tmp_path, capsys, src):
+    # float errors give inf or nan, which ProblemSpec rejects by name;
+    # recursion in the parser or the evaluator is a SpecFileError
+    spec = tmp_path / "m.cfg"
+    spec.write_text(MINIMAL.replace("nx = 32", "nx = 16")
+                    .replace("u0 = 0", f"u0 = {src}"))
+    assert main(["solve", "--spec", str(spec), "--max-iters", "10"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "u0" in err
+
+
+# ---------------------------------------------------------------------------
+# LGF1 fields read back against the grid of the spec
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def solved_minimal(tmp_path_factory):
+    """A short solve on the MINIMAL spec at nx=16, written as LGF1 files."""
+    d = tmp_path_factory.mktemp("solved")
+    spec = d / "m.cfg"
+    spec.write_text(MINIMAL.replace("nx = 32", "nx = 16"))
+    paths = {k: d / f"{k}.lgf" for k in ("u", "z", "zeta")}
+    assert main(["solve", "--spec", str(spec), "--max-iters", "50",
+                 "--out", str(paths["u"]), "--dual-out", str(paths["z"]),
+                 "--zeta-out", str(paths["zeta"])]) == 0
+    return spec, paths
+
+
+def _rewrite(src, dst, edit=lambda v: v, scale_h=1.0):
+    values, h = read_lgf(src)
+    write_lgf(dst, edit(values), h * scale_h)
+    return dst
+
+
+def test_cli_energy_rejects_nan_spacing(tmp_path, capsys, solved_minimal):
+    spec, paths = solved_minimal
+    u = _rewrite(paths["u"], tmp_path / "u.lgf", scale_h=np.nan)
+    assert main(["energy", "--spec", str(spec), "--u", str(u)]) == 1
+    assert str(u) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("factor", [2.0, 3.0])
+def test_cli_convert_rejects_other_spacing(tmp_path, capsys, solved_minimal,
+                                           factor):
+    spec, paths = solved_minimal
+    u = _rewrite(paths["u"], tmp_path / "u.lgf", scale_h=factor)
+    assert main(["convert", "--spec", str(spec), "--in", str(u),
+                 "--out", str(tmp_path / "u.csv")]) == 1
+    assert "grid spacing" in capsys.readouterr().err
+
+
+def _first_nan(v):
+    v = v.copy()
+    v.flat[0] = np.nan
+    return v
+
+
+@pytest.mark.parametrize("edit, scale_h, msg", [
+    (lambda v: v[:, :-3], 1.0, "boundary faces"),
+    (_first_nan, 1.0, "non-finite"),
+    (lambda v: v, 2.0, "grid spacing"),
+], ids=["three_short", "nan", "twice_the_spacing"])
+def test_cli_certify_rejects_bad_zeta(tmp_path, capsys, solved_minimal,
+                                      edit, scale_h, msg):
+    spec, paths = solved_minimal
+    zeta = _rewrite(paths["zeta"], tmp_path / "zeta.lgf", edit, scale_h)
+    assert main(["certify", "--spec", str(spec), "--u", str(paths["u"]),
+                 "--z", str(paths["z"]), "--zeta", str(zeta)]) == 1
+    err = capsys.readouterr().err
+    assert str(zeta) in err and msg in err
+
+
+def test_cli_file_datum_at_other_spacing_exits_1(tmp_path, capsys,
+                                                 solved_minimal):
+    spec, paths = solved_minimal
+    _rewrite(paths["u"], tmp_path / "g.lgf", scale_h=3.0)
+    bad = tmp_path / "g.cfg"
+    bad.write_text(spec.read_text() + "g = file:g.lgf\n")
+    assert main(["solve", "--spec", str(bad), "--max-iters", "10"]) == 1
+    assert "g.lgf" in capsys.readouterr().err

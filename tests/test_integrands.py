@@ -9,7 +9,6 @@ from hypothesis.extra import numpy as hnp
 from lingrad.errors import (
     DualRangeError,
     ProxFailureError,
-    RecessionConvergenceError,
     ShapeMismatchError,
     SingularPointError,
 )
@@ -262,35 +261,22 @@ def test_quant_fenchel_rejects_outside_dual_range():
 
 
 # ---------------------------------------------------------------------------
-# generic (user-integrand) fallbacks
+# user integrands: the closed-form contract
 # ---------------------------------------------------------------------------
 
 
+def _user_area_slots():
+    area = make_area(2)
+    return dict(value=area.value, gradient=area.gradient,
+                recession_value=area.recession,
+                recession_gradient=area.recession_gradient,
+                conjugate=area.conjugate)
+
+
 def user_area_like():
-    # area integrand with no closed forms: exercises extrapolated recession
-    return Integrand(
-        1, 2, name="userf", growth_constant=1.0,
-        value=lambda x, xi: np.sqrt(1.0 + np.sum(xi * xi, axis=(-2, -1))),
-        gradient=lambda x, xi: xi / np.sqrt(
-            1.0 + np.sum(xi * xi, axis=(-2, -1)))[..., None, None],
-    )
-
-
-def test_richardson_recession():
-    f = user_area_like()
-    assert f.recession(None, [3.0, 4.0]) == pytest.approx(5.0, rel=1e-8)
-
-
-def test_richardson_rejects_non_convergent():
-    # log growth has recession 0 but drifts like log(t)/t; the two Richardson
-    # estimates of the limit then disagree beyond the tolerance
-    f = Integrand(
-        1, 1, name="bad", growth_constant=1.0,
-        value=lambda x, xi: np.sqrt(np.sum(xi * xi, axis=(-2, -1)))
-        * np.log(2.0 + np.sum(xi * xi, axis=(-2, -1))),
-    )
-    with pytest.raises(RecessionConvergenceError):
-        f.recession(None, [1.0])
+    # area integrand with every closed form but the prox of its conjugate
+    return Integrand(1, 2, name="userf", growth_constant=1.0,
+                     **_user_area_slots())
 
 
 def test_prox_without_closed_form_raises():
@@ -298,12 +284,13 @@ def test_prox_without_closed_form_raises():
         user_area_like().prox_conjugate(None, [1.0, 0.0], 1.0)
 
 
-def test_generic_conjugate_by_ascent():
-    f = user_area_like()
-    # inside the dual range the ascent recovers -sqrt(1 - |z|^2)
-    got = f.conjugate(None, np.array([0.5, 0.0]))
-    assert float(got) == pytest.approx(-np.sqrt(0.75), abs=1e-4)
-    assert np.isinf(float(f.conjugate(None, np.array([2.0, 0.0]))))
+@pytest.mark.parametrize("slot", ["value", "gradient", "recession_value",
+                                  "recession_gradient", "conjugate"])
+def test_integrand_requires_every_closed_form(slot):
+    slots = _user_area_slots()
+    del slots[slot]
+    with pytest.raises(TypeError, match=f"'{slot}'"):
+        Integrand(1, 2, name="userf", growth_constant=1.0, **slots)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lingrad.energy import ProblemSpec, truncate
 from lingrad.errors import InstabilityError, ShapeMismatchError
-from lingrad.gallery import build_bad_f0
+from lingrad.gallery import build_bad_f0, get_case
 from lingrad.geometry import Annulus, Ball, GridDomain
 from lingrad.integrands import Integrand, make_tv
 from lingrad.solver import (
@@ -250,7 +252,7 @@ def test_explicit_steps_respect_stability_validation():
     with pytest.raises(ValueError):
         solve(spec, bad)
     ok = SolverConfig(tau=0.9 / L, sigma=0.9 / L, max_iters=50,
-                      gap_tol=1e-12, divergence_check=False)
+                      gap_tol=1e-12)
     res = solve(spec, ok)
     assert res.iterations == 50
 
@@ -259,10 +261,18 @@ def no_prox(x, zeta, tau):
     raise AssertionError("solve iterated on an integrand it must reject")
 
 
+def scalar_no_radius():
+    tv = make_tv(1, 2)
+    return Integrand(1, 2, name="no_radius", growth_constant=1.0,
+                     value=tv.value, gradient=tv.gradient,
+                     recession_value=tv.recession,
+                     recession_gradient=tv.recession_gradient,
+                     conjugate=tv.conjugate, prox_conjugate=no_prox)
+
+
 @pytest.mark.parametrize("make_integrand", [
     lambda: build_bad_f0(1e-2).integrand(),
-    lambda: Integrand(1, 2, name="no_radius", growth_constant=1.0,
-                      value=make_tv(1, 2).value, prox_conjugate=no_prox),
+    scalar_no_radius,
 ], ids=["bad_f0", "scalar_no_radius"])
 def test_solve_rejects_integrand_without_dual_radius(make_integrand):
     integrand = make_integrand()
@@ -283,3 +293,52 @@ def test_warm_start_extension_values():
     r = np.linalg.norm(spec.domain.cell_centers, axis=-1)
     near_inner = inside & (r < 1.0 + 2 * spec.domain.h)
     assert np.all(u[0, near_inner] == 1.0)
+
+
+# the four grid gallery cases at small resolutions
+GRID_CASES = {"annulus_least_gradient": 24, "rof_annulus": 32,
+              "disk_bv_attainment": 24, "weighted_tv_1d": 64}
+
+
+@pytest.fixture(scope="module")
+def solved_grid_cases():
+    out = {}
+    for name, nx in GRID_CASES.items():
+        spec = get_case(name).build_spec(nx)
+        out[name] = (spec, solve(spec, SolverConfig(max_iters=2000,
+                                                    gap_tol=1e-3)))
+    return out
+
+
+def _into_ball(v, radius):
+    """Scale each trailing (n, d) or (n,) block of v into its radius ball."""
+    axes = tuple(range(1, v.ndim))
+    nrm = np.sqrt(np.sum(v * v, axis=axes))
+    scale = np.minimum(1.0, radius / np.maximum(nrm, 1e-300))
+    return v * scale.reshape(scale.shape + (1,) * len(axes))
+
+
+@pytest.mark.parametrize("name", GRID_CASES)
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.floats(0.0, 1e-2))
+def test_gap_nonnegative_for_every_feasible_pair(solved_grid_cases, name,
+                                                 seed, size):
+    # weak duality: any u against any feasible (z, zeta) has gap >= 0
+    spec, res = solved_grid_cases[name]
+    op = spec.domain.operator
+    bf = spec.domain.boundary_faces
+    f = spec.integrand
+    rng = np.random.default_rng(seed)
+
+    def shake(a):
+        return a + size * rng.uniform(-1.0, 1.0, a.shape)
+
+    u = shake(op.cells(res.u.values))
+    radius = np.broadcast_to(f.dual_radius(op.points), (len(op.points),))
+    z = _into_ball(np.where(op.interior, shake(op.cells(res.z.values)), 0.0),
+                   radius)
+    r_b = np.broadcast_to(f.dual_radius(bf.point), (len(bf),))
+    zeta = _into_ball(shake(res.zeta), r_b)
+    dg = duality_gap(spec, u, z, zeta)
+    assert dg.dual_feasible
+    assert dg.value >= -1e-12 * abs(dg.primal)
