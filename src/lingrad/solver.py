@@ -32,6 +32,20 @@ The diagonal steps follow the alpha-exponent rule of Pock and Chambolle
 row sum of |K|^(2 - alpha), each primal step h^d over its column sum of
 |K|^alpha.
 
+The loop restarts from an averaged iterate, the "sufficient decay" rule of
+Applegate, Hinder, Lu and Lubin, "Faster first-order primal-dual methods
+for linear programming using restarts and sharpness" (arXiv:2105.12715),
+also used by PDLP (arXiv:2106.04756), with the certified duality gap below
+as the restart metric.  The solver keeps the running average of (u, z,
+zeta) since the last restart.  Every gap check evaluates the gap of both
+the current iterate and the average; the state with the lower relative
+gap is the one reported.  Once that gap is
+at most ``_RESTART_DECAY`` = 0.2 times the relative gap at the last
+restart, the iterate restarts from that state, with u_bar = u and the
+average emptied.  The first check always restarts.  The restarts pay on
+the piecewise-linear (LP-like) least-gradient and BV problems, where plain
+steps crawl; see ``SolverConfig`` for the counts.
+
 The reported duality gap is a true primal-dual gap for the problem
 restricted to a box |u| <= M: the dual objective uses the conjugate of the
 lower-order terms over [-M, M], which stays finite even where lambda = 0.
@@ -81,11 +95,13 @@ class SolverConfig:
     without a global norm estimate.  Explicit scalar steps are honored
     when both are given and then must satisfy the classical stability
     condition tau * sigma * L^2 <= 1 with L the operator norm estimate
-    sqrt(4 d)/h of the discrete gradient.  Neither choice dominates: to a
-    relative gap of 1e-3, explicit steps at 0.99/L need 2,600 iterations on
-    the ROF annulus at nx=192 against 5,100 with diagonal steps, while on
-    the least-gradient annulus and the BV-attainment disk at nx=96 they
-    stall at relative gaps of 0.037 and 0.022 after 30,000 iterations.
+    sqrt(4 d)/h of the discrete gradient.  Both run the same restarted
+    loop, and neither dominates: to a relative gap of 1e-3, explicit steps
+    at 0.99/L need 3,400 iterations on the ROF annulus at nx=192 against
+    4,300 with diagonal steps, 1,500 against 1,800 on the least-gradient
+    annulus at nx=96, and 4,500 against 4,100 on the BV-attainment disk at
+    nx=96.  Without restarts the explicit steps stalled on the last two, at
+    relative gaps of 0.037 and 0.022 after 30,000 iterations.
     """
 
     tau: Optional[float] = None
@@ -109,9 +125,13 @@ class SolverConfig:
 class SolveResult:
     """Converged (or truncated) primal-dual state.
 
-    ``energy_history`` is the best-so-far primal energy at each check, so it
-    is non-increasing by construction; the raw per-check energies are kept
-    in ``energy_history_raw``.  ``u``/``z``/``zeta`` are the final iterates.
+    ``u``/``z``/``zeta`` are the state whose gap the last check reported:
+    the current iterate or the average since the last restart, whichever
+    had the lower relative gap.  ``gap``, ``gap_relative`` and
+    ``energy_history_raw[-1]`` describe that same state.  At each check,
+    ``energy_history_raw`` holds the primal energy of the reported state
+    and ``energy_history`` the best of them so far, so it is non-increasing
+    by construction.
     """
 
     u: Field
@@ -387,6 +407,11 @@ def prolong_state(coarse_spec: ProblemSpec, coarse: SolveResult,
     return op.pad(u), op.pad(z), zeta
 
 
+# a check restarts once the reported rel-gap is at most this factor times
+# the rel-gap at the last restart
+_RESTART_DECAY = 0.2
+
+
 def solve(spec: ProblemSpec, config: Optional[SolverConfig] = None,
           warm_start=None) -> SolveResult:
     """Minimize the discrete relaxed functional; the dual iterate is the certificate.
@@ -462,6 +487,13 @@ def solve(spec: ProblemSpec, config: Optional[SolverConfig] = None,
     rel_gap = np.inf
     converged = False
     it = 0
+    # running sums of (u, z, zeta) since the last restart, and the state
+    # whose gap the last check reported
+    sum_u, sum_z = np.zeros_like(u), np.zeros_like(z)
+    sum_zeta = np.zeros_like(zeta)
+    n_avg = 0
+    restart_rel = np.inf
+    kept = (u, z, zeta)
 
     for it in range(1, config.max_iters + 1):
         # (i) dual ascent in z, kept on interior faces
@@ -482,30 +514,45 @@ def solve(spec: ProblemSpec, config: Optional[SolverConfig] = None,
         # (iv) over-relaxation
         u_bar = u + (u - u_prev)
 
+        sum_u += u
+        sum_z += z
+        sum_zeta += zeta
+        n_avg += 1
+
         if it % config.check_every == 0 or it == config.max_iters:
+            if not all(np.all(np.isfinite(a)) for a in (u, z, zeta)):
+                raise InstabilityError(
+                    f"non-finite iterate at iteration {it}; reduce tau/sigma")
+            kept = (u, z, zeta)
             dg = duality_gap(spec, u, z, zeta, box_bound=config.box_bound)
+            if n_avg > 1:
+                avg = (sum_u / n_avg, sum_z / n_avg, sum_zeta / n_avg)
+                dg_avg = duality_gap(spec, *avg, box_bound=config.box_bound)
+                if dg_avg.relative < dg.relative:
+                    kept, dg = avg, dg_avg
+            if not np.isfinite(dg.value):
+                raise InstabilityError(
+                    f"non-finite duality gap at iteration {it}; "
+                    "reduce tau/sigma")
             energies_raw.append(dg.primal)
             best_energy = min(best_energy, dg.primal)
             energies.append(best_energy)
             iters_log.append(it)
             gap_now, rel_gap = dg.value, dg.relative
             gaps.append(rel_gap)
-            # divergence guard: a primal-dual iterate may oscillate, but even
-            # the best energy of the recent window should not sit 10% above
-            # the best seen before it; real step-size blowups trip this fast
-            k = max(4, 500 // config.check_every + 1)
-            if len(energies_raw) >= 2 * k:
-                recent = min(energies_raw[-k:])
-                older = min(energies_raw[:-k])
-                if recent > older + 0.1 * max(abs(older), 1e-9):
-                    raise InstabilityError(
-                        "energy increased by more than 10% across checks; "
-                        "reduce tau/sigma"
-                    )
             if rel_gap <= config.gap_tol:
                 converged = True
                 break
+            if rel_gap <= _RESTART_DECAY * restart_rel:
+                u, z, zeta = kept
+                u_bar = u
+                restart_rel = rel_gap
+                sum_u[...] = 0.0
+                sum_z[...] = 0.0
+                sum_zeta[...] = 0.0
+                n_avg = 0
 
+    u, z, zeta = kept
     return SolveResult(
         u=Field(domain, op.pad(u)),
         z=DualField(domain, op.pad(z)),

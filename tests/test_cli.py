@@ -281,6 +281,34 @@ def test_cli_energy_and_convert(tmp_path):
     assert out.read_text().startswith("x,y,channel,value")
 
 
+ANNULUS_LG = """
+[domain]
+shape = annulus 1.0 2.0
+nx = 64
+
+[integrand]
+name = tv
+
+[data]
+u0 = indicator(1.5-r)
+"""
+
+
+def test_cli_solve_prints_the_energy_of_the_written_u(tmp_path, capsys):
+    spec = tmp_path / "lg.cfg"
+    spec.write_text(ANNULUS_LG)
+    u = tmp_path / "u.lgf"
+    assert main(["solve", "--spec", str(spec), "--max-iters", "3000",
+                 "--gap-tol", "1e-4", "--out", str(u)]) == 0
+    printed = dict(line.split(": ", 1)
+                   for line in capsys.readouterr().out.splitlines())
+    report = tmp_path / "energy.json"
+    assert main(["energy", "--spec", str(spec), "--u", str(u),
+                 "--report", str(report)]) == 0
+    energy = json.loads(report.read_text())["energy"]
+    assert float(printed["energy"]) == pytest.approx(energy, rel=1e-12)
+
+
 def test_cli_curvature(tmp_path):
     spec = tmp_path / "m.cfg"
     spec.write_text(MINIMAL)
