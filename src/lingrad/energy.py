@@ -3,7 +3,10 @@
 Everything here works on compressed vectors over the N inside cells of a
 domain (see ``GridDomain.operator``): a primal field is an (N, n) array, a
 dual field an (N, n, d) array on the + face of each inside cell, and a
-boundary multiplier an (m, n) array over boundary faces.  Padded
+boundary multiplier an (m, n) array over boundary faces.  A compressed dual
+field is stored planar, as the (N, n, d) view of a C-contiguous (d, N, n)
+array, so that ``G u`` and ``G^T z`` reshape it without a copy; a dual
+field given in another layout is copied to it once on entry.  Padded
 (n, *grid) and (n, d, *grid) arrays appear only at the I/O edge: Field and
 DualField, and the padded-signature ``discrete_gradient``,
 ``discrete_divergence`` and ``normal_trace`` kept for callers that hold
@@ -132,19 +135,25 @@ def _cell_values(domain: GridDomain, u) -> np.ndarray:
 
 
 def _dual_values(domain: GridDomain, z) -> np.ndarray:
-    """(N, n, d) face values of a DualField, a padded or a compressed array."""
+    """Planar (N, n, d) face values of a DualField, a padded or a compressed array."""
     z = z.values if isinstance(z, DualField) else np.asarray(z, dtype=float)
-    return domain.operator.cells(z) if z.shape[2:] == domain.grid_shape else z
+    if z.shape[2:] == domain.grid_shape:
+        z = domain.operator.cells(z)
+    # no copy when z is already stored planar
+    return np.ascontiguousarray(z.transpose(2, 0, 1)).transpose(1, 2, 0)
 
 
 def _gradient(op, u: np.ndarray) -> np.ndarray:
-    """G u: (N, n) cell values to (N, n, d) face values."""
-    return (op.G @ u).reshape(len(u), op.dim, -1).transpose(0, 2, 1)
+    """G u: (N, n) cell values to planar (N, n, d) face values."""
+    return (op.G @ u).reshape(op.dim, len(u), -1).transpose(1, 2, 0)
 
 
 def _divergence(op, z: np.ndarray) -> np.ndarray:
-    """-G^T z: (N, n, d) face values to (N, n); interior faces only."""
-    return op.div @ z.transpose(0, 2, 1).reshape(-1, z.shape[1])
+    """-G^T z: (N, n, d) face values to (N, n); interior faces only.
+
+    A planar z is reshaped without a copy.
+    """
+    return op.div @ z.transpose(2, 0, 1).reshape(-1, z.shape[1])
 
 
 def _face_masks(domain: GridDomain):

@@ -322,18 +322,23 @@ class GridOperator:
     """The discretization of a GridDomain as two sparse matrices.
 
     Inside cells are numbered 0..N-1 in the order of boolean indexing with
-    ``inside_mask``.  A primal field is an (N, n) array of cell values; a
+    ``inside_mask``.  A primal field is an (N, n) array of cell values.  A
     dual field is an (N, n, d) array holding, at [c, :, a], the value on
-    the face between cell c and its +e_a neighbor (face slot c * d + a).
+    the face between cell c and its +e_a neighbor (face slot a * N + c).
+    It is stored planar: its memory is a C-contiguous (d, N, n) array and
+    the (N, n, d) array is the view ``.transpose(1, 2, 0)`` of it, so the
+    slots of one axis are contiguous and ``G @ u`` reshapes to a dual
+    field without a copy.
 
-    * ``G`` (N d x N, CSR): forward differences (u[c + e_a] - u[c]) / h on
+    * ``G`` (d N x N, CSR): forward differences (u[c + e_a] - u[c]) / h on
       interior faces, those between two inside cells.  Rows of the other
       slots are empty, so G^T ignores whatever a dual field holds there.
     * ``B`` (m x N, CSR): one row per boundary face selecting its inside
       cell; ``face_cells`` lists those cells.
 
     The interior divergence is ``div`` = -G^T and the Neumann Laplacian is
-    G^T G.  Padded (..., *grid) arrays are made only by ``pad``/``cells``.
+    G^T G.  ``interior`` is the (N, 1, d) planar mask of interior slots.
+    Padded (..., *grid) arrays are made only by ``pad``/``cells``.
     """
 
     def __init__(self, domain: GridDomain):
@@ -349,19 +354,19 @@ class GridOperator:
         index[self.inside] = np.arange(n_in)
         self.points = domain.cell_centers[self.inside]  # (N, d)
 
-        # + neighbor of every inside cell per axis; the ghost ring keeps it
-        # within the array.  Neighbors come later in the numbering, so each
-        # row's column indices [c, c + e_a] are already sorted.
-        nbr = np.stack([index[tuple((cells + e).T)] for e in np.eye(d, dtype=int)],
-                       axis=1)
-        self.interior = (nbr >= 0)[:, None, :]  # (N, 1, d) interior slots
-        slots = np.flatnonzero(nbr >= 0)
+        # + neighbor of every inside cell per axis, (d, N); the ghost ring
+        # keeps it within the array.  Neighbors come later in the numbering,
+        # so each row's column indices [c, c + e_a] are already sorted.
+        nbr = np.stack([index[tuple((cells + e).T)] for e in np.eye(d, dtype=int)])
+        interior = nbr >= 0
+        self.interior = interior[:, :, None].transpose(1, 2, 0)
+        slots = np.flatnonzero(interior)  # in row order a * N + c
         inv_h = 1.0 / domain.h
         self.G = sp.csr_array(
             (np.tile([-inv_h, inv_h], len(slots)),
-             np.stack([slots // d, nbr.ravel()[slots]], axis=1).ravel(),
-             np.concatenate([[0], np.cumsum(2 * (nbr.ravel() >= 0))])),
-            shape=(n_in * d, n_in))
+             np.stack([slots % n_in, nbr.ravel()[slots]], axis=1).ravel(),
+             np.concatenate([[0], np.cumsum(2 * interior.ravel())])),
+            shape=(d * n_in, n_in))
         self.div = (-self.G.T).tocsr()
 
         bf = domain.boundary_faces
@@ -386,7 +391,7 @@ class GridOperator:
         keep[0] = 0.0
         lap = sp.diags_array(keep) @ (self.G.T @ self.G)
         lap = lap + sp.csr_array(([1.0], ([0], [0])), shape=(n_in, n_in))
-        return splu(lap.tocsc())
+        return splu(lap.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
     def cells(self, values: np.ndarray) -> np.ndarray:
         """Compressed (N, ...) copy of padded (..., *grid) values."""

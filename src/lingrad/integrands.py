@@ -163,7 +163,14 @@ class Integrand:
         return self._conjugate(x, self.as_matrix(xistar))
 
     def prox_conjugate(self, x, zeta, tau):
-        """argmin_w  |w - zeta|^2/2 + tau * f*(x, w); lands in the dual range."""
+        """argmin_w  |w - zeta|^2/2 + tau * f*(x, w); lands in the dual range.
+
+        ``solve`` passes zeta as an (N, n, d) view of planar (d, N, n)
+        storage, which is not contiguous.  A user prox must not write into
+        it, and must return a new writable array, which ``solve`` masks in
+        place.  A result computed elementwise from zeta keeps the planar
+        layout.
+        """
         if tau <= 0:
             raise ValueError("tau must be positive")
         if self._prox_conjugate is None:

@@ -24,8 +24,15 @@ certificate the verification module consumes.
 The loop, the gap and the dual repair run on compressed vectors: u is
 (N, n) over the N inside cells, z is (N, n, d) on the + face of each
 inside cell (the layout the conjugate prox takes), zeta is (m, n) over
-boundary faces.  Padded arrays are made only at the I/O edge, for the
-Field and DualField of the SolveResult and from a padded warm start.
+boundary faces.  z, its running sum and the interior mask are stored
+planar, as (N, n, d) views of C-contiguous (d, N, n) arrays: ``G u_bar``
+reshapes to that layout without a copy, ``G^T z`` reads it without one,
+and the prox reduces over the n and d axes of contiguous planes.  Each
+update is written in place into an array the iteration already owns: the
+prox input into the gradient product, the interior mask into the prox
+output, and u into the divergence product.  Padded arrays are made only
+at the I/O edge, for the Field and DualField of the SolveResult and from a
+padded warm start.
 
 The diagonal steps follow the alpha-exponent rule of Pock and Chambolle
 (ICCV 2011) for K = [h^d G; w_b B]: each dual step is the inverse of its
@@ -469,9 +476,10 @@ def solve(spec: ProblemSpec, config: Optional[SolverConfig] = None,
         zeta = np.asarray(zeta0_w, dtype=float).reshape(len(bf), n).copy()
     else:
         u = op.cells(nearest_boundary_extension(spec))
-        z = np.zeros((len(pts), n, d))
+        z = _dual_values(domain, np.zeros((len(pts), n, d)))
         zeta = np.zeros((len(bf), n))
-    u_bar = u.copy()
+    u_bar = u
+    exterior = ~op.interior
     radius = np.broadcast_to(
         np.asarray(f.dual_radius(bf.point), dtype=float), (len(bf),)
     )
@@ -496,9 +504,22 @@ def solve(spec: ProblemSpec, config: Optional[SolverConfig] = None,
     kept = (u, z, zeta)
 
     for it in range(1, config.max_iters + 1):
-        # (i) dual ascent in z, kept on interior faces
-        z = f.prox_conjugate(pts, z + sigma_z * _gradient(op, u_bar), sigma_z)
-        z = np.where(op.interior, z, 0.0)
+        # (i) dual ascent in z, kept on interior faces; the prox input is
+        # formed in the gradient product's output, the mask applied in the
+        # prox's output
+        z_in = _gradient(op, u_bar)
+        z_in *= sigma_z
+        z_in += z
+        try:
+            z = f.prox_conjugate(pts, z_in, sigma_z)
+        except ShapeMismatchError:
+            # the prox rejects a non-finite input: name the blowup instead
+            if np.all(np.isfinite(z_in)):
+                raise
+            raise InstabilityError(
+                f"non-finite iterate at iteration {it}; reduce tau/sigma"
+            ) from None
+        np.copyto(z, 0.0, where=exterior)
 
         # (ii) boundary dual ascent in zeta
         zeta = zeta + sigma_zeta * (spec.u0 - B @ u_bar)
@@ -506,13 +527,21 @@ def solve(spec: ProblemSpec, config: Optional[SolverConfig] = None,
         scale = np.minimum(1.0, radius / np.maximum(nrm, 1e-300))
         zeta = zeta * scale[:, None]
 
-        # (iii) primal descent with closed-form lower-order prox
+        # (iii) primal descent with closed-form lower-order prox,
+        # (u + tau (drift - g + lambda h)) / (1 + tau lambda), built in the
+        # divergence product's output
         u_prev = u
-        drift = _divergence(op, z) + Bt @ (beta * zeta)
-        u = (u + tau * (drift - g_arr + lam_h)) / denom
+        u = _divergence(op, z)
+        u += Bt @ (beta * zeta)
+        u -= g_arr
+        u += lam_h
+        u *= tau
+        u += u_prev
+        u /= denom
 
         # (iv) over-relaxation
-        u_bar = u + (u - u_prev)
+        u_bar = u - u_prev
+        u_bar += u
 
         sum_u += u
         sum_z += z

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lingrad.energy import ProblemSpec, relaxed_energy, truncate
+from lingrad.energy import (
+    ProblemSpec,
+    _divergence,
+    _dual_values,
+    relaxed_energy,
+    truncate,
+)
 from lingrad.errors import InstabilityError, ShapeMismatchError
 from lingrad.gallery import build_bad_f0, get_case
 from lingrad.geometry import Annulus, Ball, GridDomain
@@ -91,7 +97,7 @@ def test_fixed_point_euler_lagrange():
     op = domain.operator
     beta = (domain.boundary_faces.weight / domain.cell_volume)[:, None]
     z = op.cells(res.z.values)  # (N, 1, d)
-    v = -(op.G.T @ z.reshape(-1, 1)) + op.B.T @ (beta * res.zeta)
+    v = _divergence(op, z) + op.B.T @ (beta * res.zeta)
     resid = domain.cell_volume * np.sum(np.abs(v))
     assert resid <= 200 * max(res.gap, 1e-12)
 
@@ -168,19 +174,22 @@ def test_duality_gap_flags_infeasible_dual():
 
 
 def test_gap_rises_quadratically_under_dual_perturbation():
-    spec = annulus_spec(48)
+    # with lambda = 1 the dual bound is smooth in z (repair_dual is
+    # bypassed), so near the optimum a shift of z by delta at one face
+    # strictly inside the dual ball raises the gap by ~delta^2
+    spec = get_case("rof_annulus").build_spec(48)
     res = solve(spec, SolverConfig(max_iters=20000, gap_tol=1e-6))
     base = duality_gap(spec, res.u.values, res.z.values, res.zeta).value
-    rises = []
     interior = spec.domain._interior_face_mask()
-    idx = np.argwhere(interior[0])[len(np.argwhere(interior[0])) // 2]
+    faces = np.argwhere(interior[0] & (np.abs(res.z.values[0, 0]) < 0.5))
+    idx = (0, 0) + tuple(faces[len(faces) // 2])
+    rises = []
     for delta in (1e-3, 2e-3):
         z = res.z.values.copy()
-        z[(0, 0) + tuple(idx)] = np.clip(z[(0, 0) + tuple(idx)] + delta, -1, 1)
+        z[idx] += delta
         rises.append(duality_gap(spec, res.u.values, z, res.zeta).value - base)
-    # O(delta^2)-ish growth: doubling delta must not grow the rise ~8x
-    assert rises[0] >= -1e-12
-    assert rises[1] <= 8 * max(rises[0], 1e-10)
+    assert rises[0] > 0
+    assert abs(rises[1] / rises[0] - 4.0) <= 0.01
 
 
 def test_trace_error_examples():
@@ -243,6 +252,62 @@ def test_non_finite_iterate_raises_naming_the_iteration(monkeypatch):
     monkeypatch.setattr(spec.integrand, "prox_conjugate", nan_after_25)
     with pytest.raises(InstabilityError, match="iteration 30"):
         solve(spec, SolverConfig(max_iters=5000, gap_tol=0.0, check_every=10))
+
+
+def test_non_finite_prox_output_raises_naming_the_iteration(monkeypatch):
+    # one NaN from the prox reaches the next prox input through u_bar; the
+    # solve names that iteration instead of the prox's input check
+    spec = get_case("annulus_least_gradient").build_spec(32)
+    prox = spec.integrand.prox_conjugate
+    calls = {"n": 0}
+
+    def nan_at_25(x, zeta, tau):
+        calls["n"] += 1
+        if calls["n"] == 25:
+            return np.full(np.shape(zeta), np.nan)
+        return prox(x, zeta, tau)
+
+    monkeypatch.setattr(spec.integrand, "prox_conjugate", nan_at_25)
+    with pytest.raises(InstabilityError, match="iteration 26"):
+        solve(spec, SolverConfig(max_iters=5000, gap_tol=0.0))
+
+
+class _RecordingMatrix:
+    """Wraps a sparse matrix; records whether each operand shares memory."""
+
+    def __init__(self, mat, base):
+        self.mat, self.base, self.shared = mat, base, []
+
+    def __matmul__(self, x):
+        self.shared.append(np.shares_memory(x, self.base))
+        return self.mat @ x
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_dual_is_planar_in_the_prox_and_the_divergence(monkeypatch, n):
+    # the conjugate prox receives (N, n, d) views of planar (d, N, n)
+    # storage, cold and warm started, and -G^T reads a planar z in place
+    domain = GridDomain(Ball(1.0), 24)
+    spec = ProblemSpec(make_tv(n, 2), domain, domain.boundary_faces.point[:, :n])
+    op = domain.operator
+    prox = spec.integrand.prox_conjugate
+    layouts = []
+
+    def recording(x, zeta, tau):
+        layouts.append((zeta.shape, zeta.transpose(2, 0, 1).flags.c_contiguous))
+        return prox(x, zeta, tau)
+
+    monkeypatch.setattr(spec.integrand, "prox_conjugate", recording)
+    cfg = SolverConfig(max_iters=30, gap_tol=0.0, check_every=10)
+    res = solve(spec, cfg)
+    solve(spec, cfg, warm_start=(res.u, res.z, res.zeta))
+    assert layouts == [((len(op.points), n, 2), True)] * 60
+
+    z = _dual_values(domain, res.z)
+    div = _RecordingMatrix(op.div, z)
+    monkeypatch.setattr(op, "div", div)
+    _divergence(op, z)
+    assert div.shared == [True]
 
 
 def test_restarts_reach_the_gap_in_few_iterations():
