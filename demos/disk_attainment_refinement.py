@@ -26,8 +26,8 @@ print("nx    energy      rel.gap    trace error")
 for nx, tol, iters in ((64, 5e-4, 10000), (128, 2e-4, 30000)):
     spec = spec_at(nx)
     warm = prolong_state(*prev, spec) if prev else None
-    res = solve(spec, SolverConfig(max_iters=iters, gap_tol=tol,
-                                   step_alpha=0.25), warm_start=warm)
+    res = solve(spec, SolverConfig(max_iters=iters, gap_tol=tol),
+                warm_start=warm)
     print(f"{nx:<5} {res.energy_history_raw[-1]:<11.6f} {res.gap_relative:<10.2e} "
           f"{trace_error(spec, res.u):.3e}")
     prev = (spec, res)

@@ -34,7 +34,7 @@ class InvalidFieldError(LingradError, ValueError):
 
 
 class InstabilityError(LingradError, RuntimeError):
-    """Primal-dual iteration diverged; suggests smaller step sizes."""
+    """Primal-dual iteration diverged; names the iteration and what blew up."""
 
 
 class SpecFileError(LingradError, ValueError):

@@ -34,10 +34,33 @@ output, and u into the divergence product.  Padded arrays are made only
 at the I/O edge, for the Field and DualField of the SolveResult and from a
 padded warm start.
 
-The diagonal steps follow the alpha-exponent rule of Pock and Chambolle
-(ICCV 2011) for K = [h^d G; w_b B]: each dual step is the inverse of its
-row sum of |K|^(2 - alpha), each primal step h^d over its column sum of
-|K|^alpha.
+The steps follow the diagonal alpha-exponent rule of Pock and Chambolle
+(ICCV 2011) for K = [h^d G; w_b B], with alpha = ``_STEP_ALPHA`` = 0.5:
+each dual step is the inverse of its row sum of |K|^(2 - alpha), each
+primal step h^d over its column sum of |K|^alpha.  The rule needs no
+operator norm estimate and is stable for any alpha in [0, 2], the zeta
+block included.  It is the only rule.  Scalar steps 0.99/L, with
+L = sqrt(4 d)/h the norm bound of G alone, were measured against it in
+the same restarted loop, as iterations to the target relative gap:
+
+  =======================================  ===========  ===============
+  case                                     diagonal     scalar 0.99/L
+  =======================================  ===========  ===============
+  half-disk indicator, nx=48, 1e-6         28,800       > 40,000 (1e-5)
+  BV-attainment disk, nx=96, 1e-3          4,100        4,500
+  weighted 1-D TV, nx=256, 1e-2            68,100       76,700
+  least-gradient annulus, nx=96, 1e-3      1,800        1,500
+  ROF annulus, nx=192, 1e-3                4,300        3,400
+  least-gradient annulus, nx=128, 1e-4 *   4,400        2,400
+  =======================================  ===========  ===============
+
+  * checked every 200 iterations
+
+Neither rule wins everywhere, and only the diagonal one reaches the
+half-disk's 1e-6.  A smaller alpha = 0.25 gained nothing either: the
+warm-started half-disk ladder nx 64/128/256 took 5.5 s against 5.8 s in
+single runs, and the nx=128 attainment demo 7,000 iterations against
+4,400.
 
 The loop restarts from an averaged iterate, the "sufficient decay" rule of
 Applegate, Hinder, Lu and Lubin, "Faster first-order primal-dual methods
@@ -51,7 +74,8 @@ at most ``_RESTART_DECAY`` = 0.2 times the relative gap at the last
 restart, the iterate restarts from that state, with u_bar = u and the
 average emptied.  The first check always restarts.  The restarts pay on
 the piecewise-linear (LP-like) least-gradient and BV problems, where plain
-steps crawl; see ``SolverConfig`` for the counts.
+steps crawl: the least-gradient annulus at nx=96 reaches a relative gap of
+1e-3 in 1,800 iterations, against 12,800 without restarts.
 
 The reported duality gap is a true primal-dual gap for the problem
 restricted to a box |u| <= M: the dual objective uses the conjugate of the
@@ -77,6 +101,7 @@ from .energy import (
 )
 from .errors import InstabilityError, ShapeMismatchError
 from .fields import DualField, Field
+from .geometry import Annulus, Ball
 
 __all__ = [
     "SolverConfig",
@@ -94,38 +119,19 @@ __all__ = [
 
 @dataclass
 class SolverConfig:
-    """Step sizes and stopping rules.
+    """Stopping rules and the dual box bound.
 
-    With ``tau``/``sigma`` left at None the solver uses per-variable
-    diagonal steps (the alpha-exponent preconditioning rule,
-    ``step_alpha`` defaulting to 0.5), which converge for this operator
-    without a global norm estimate.  Explicit scalar steps are honored
-    when both are given and then must satisfy the classical stability
-    condition tau * sigma * L^2 <= 1 with L the operator norm estimate
-    sqrt(4 d)/h of the discrete gradient.  Both run the same restarted
-    loop, and neither dominates: to a relative gap of 1e-3, explicit steps
-    at 0.99/L need 3,400 iterations on the ROF annulus at nx=192 against
-    4,300 with diagonal steps, 1,500 against 1,800 on the least-gradient
-    annulus at nx=96, and 4,500 against 4,100 on the BV-attainment disk at
-    nx=96.  Without restarts the explicit steps stalled on the last two, at
-    relative gaps of 0.037 and 0.022 after 30,000 iterations.
+    The step sizes are not configurable: every solve takes per-variable
+    diagonal steps by the alpha-exponent rule of Pock and Chambolle with
+    alpha = 0.5, computed from the domain's operator (see the module
+    docstring for the rule and why it is the only one).  ``check_every``
+    sets how often the gap is checked, and with it the restart cadence.
     """
 
-    tau: Optional[float] = None
-    sigma: Optional[float] = None
     max_iters: int = 20000
     gap_tol: float = 1e-5
     check_every: int = 100
     box_bound: Optional[float] = None
-    step_alpha: float = 0.5  # exponent of the diagonal step rule
-
-    def validate(self, L: float):
-        if self.tau is not None and self.sigma is not None:
-            if self.tau * self.sigma * L * L > 1.0 + 1e-9:
-                raise ValueError(
-                    "unstable steps: tau * sigma * L^2 must be <= 1 "
-                    f"(L ~ {L:.3g})"
-                )
 
 
 @dataclass
@@ -354,23 +360,26 @@ def boundary_l1_distance(spec: ProblemSpec, u, u0_fn,
     |trace - u0| dH^(d-1).  Unlike the per-face ``trace_error``, this sees
     the O(h) error of representing a datum jump inside a single face, so it
     is the right quantity for refinement studies of trace attainment.
+    The boundary is sampled on its circles, so the domain must be a 2-D
+    ``Ball`` or ``Annulus``; other shapes raise ``ShapeMismatchError``.
     """
     from scipy.spatial import cKDTree
 
     domain = spec.domain
     bf = domain.boundary_faces
     shape = domain.shape
-    if domain.dim == 2 and hasattr(shape, "radius"):
-        loops = [(shape.radius, 1.0)]
-    elif domain.dim == 2 and hasattr(shape, "r_in"):
-        loops = [(shape.r_in, 1.0), (shape.r_out, 1.0)]
+    if domain.dim == 2 and isinstance(shape, Ball):
+        loops = [shape.radius]
+    elif domain.dim == 2 and isinstance(shape, Annulus):
+        loops = [shape.r_in, shape.r_out]
     else:
-        # generic fallback: per-face midpoint quadrature = trace_error
-        return trace_error(spec, u)
+        raise ShapeMismatchError(
+            f"boundary_l1_distance samples the circles of a 2-D Ball or "
+            f"Annulus, not a {domain.dim}-D {type(shape).__name__}")
     u_adj = domain.operator.B @ _cell_values(domain, u)  # (m, n)
     tree = cKDTree(bf.point)
     total = 0.0
-    for radius, _ in loops:
+    for radius in loops:
         m = n_samples // len(loops)
         ang = np.linspace(0.0, 2 * np.pi, m, endpoint=False)
         pts = radius * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
@@ -417,6 +426,8 @@ def prolong_state(coarse_spec: ProblemSpec, coarse: SolveResult,
 # a check restarts once the reported rel-gap is at most this factor times
 # the rel-gap at the last restart
 _RESTART_DECAY = 0.2
+# exponent alpha of the diagonal step rule
+_STEP_ALPHA = 0.5
 
 
 def solve(spec: ProblemSpec, config: Optional[SolverConfig] = None,
@@ -438,36 +449,22 @@ def solve(spec: ProblemSpec, config: Optional[SolverConfig] = None,
     op = domain.operator
     n = spec.n_channels
     d = domain.dim
-    h = domain.h
     vol = domain.cell_volume
     bf = domain.boundary_faces
     G, B, Bt = op.G, op.B, op.Bt
     pts = op.points
 
     beta = (bf.weight / vol)[:, None]  # per-face backflow density
-    L_grad = float(np.sqrt(4.0 * d)) / h
-    config.validate(L_grad)
-    diagonal = config.tau is None or config.sigma is None
-    if diagonal:
-        # diagonal step rule with exponent alpha for K = [h^d G; w_b B]:
-        # dual steps 1/(row |K| sums to the power 2 - alpha), primal steps
-        # 1/(column |K| sums to the power alpha), in plain coordinates; any
-        # alpha in [0, 2] is admissible, and alpha < 1 rebalances toward
-        # stronger dual progress, which suits boundary-dominated problems
-        al = float(config.step_alpha)
-        if not (0.0 <= al <= 2.0):
-            raise ValueError("step_alpha must lie in [0, 2]")
-        K_grad = vol * abs(G)
-        # prox parameter for the z block: sigma_row * h^d; every interior
-        # row has the same sum
-        sigma_z = vol / float(K_grad.power(2.0 - al).sum(axis=1).max())
-        col = K_grad.power(al).sum(axis=0) + Bt @ bf.weight**al
-        tau = (vol / np.maximum(col, 1e-300))[:, None]
-        # net zeta step on (u0 - B u): sigma_row * w = w^(alpha - 1)
-        sigma_zeta = (bf.weight ** (al - 1.0))[:, None]
-    else:
-        tau = config.tau
-        sigma_z = sigma_zeta = config.sigma
+    # diagonal steps for K = [h^d G; w_b B], in plain coordinates
+    al = _STEP_ALPHA
+    K_grad = vol * abs(G)
+    # prox parameter for the z block: sigma_row * h^d; every interior row
+    # has the same sum
+    sigma_z = vol / float(K_grad.power(2.0 - al).sum(axis=1).max())
+    col = K_grad.power(al).sum(axis=0) + Bt @ bf.weight**al
+    tau = (vol / np.maximum(col, 1e-300))[:, None]
+    # net zeta step on (u0 - B u): sigma_row * w = w^(alpha - 1)
+    sigma_zeta = (bf.weight ** (al - 1.0))[:, None]
 
     if warm_start is not None:
         u0_w, z0_w, zeta0_w = warm_start
@@ -513,12 +510,13 @@ def solve(spec: ProblemSpec, config: Optional[SolverConfig] = None,
         try:
             z = f.prox_conjugate(pts, z_in, sigma_z)
         except ShapeMismatchError:
-            # the prox rejects a non-finite input: name the blowup instead
+            # the prox rejects a non-finite input z + sigma G u_bar: name
+            # the iterate that blew up instead
             if np.all(np.isfinite(z_in)):
                 raise
+            bad = "u" if np.all(np.isfinite(z)) else "z"
             raise InstabilityError(
-                f"non-finite iterate at iteration {it}; reduce tau/sigma"
-            ) from None
+                f"non-finite {bad} at iteration {it}") from None
         np.copyto(z, 0.0, where=exterior)
 
         # (ii) boundary dual ascent in zeta
@@ -549,9 +547,10 @@ def solve(spec: ProblemSpec, config: Optional[SolverConfig] = None,
         n_avg += 1
 
         if it % config.check_every == 0 or it == config.max_iters:
-            if not all(np.all(np.isfinite(a)) for a in (u, z, zeta)):
-                raise InstabilityError(
-                    f"non-finite iterate at iteration {it}; reduce tau/sigma")
+            for name, a in (("z", z), ("zeta", zeta), ("u", u)):
+                if not np.all(np.isfinite(a)):
+                    raise InstabilityError(
+                        f"non-finite {name} at iteration {it}")
             kept = (u, z, zeta)
             dg = duality_gap(spec, u, z, zeta, box_bound=config.box_bound)
             if n_avg > 1:
@@ -561,8 +560,7 @@ def solve(spec: ProblemSpec, config: Optional[SolverConfig] = None,
                     kept, dg = avg, dg_avg
             if not np.isfinite(dg.value):
                 raise InstabilityError(
-                    f"non-finite duality gap at iteration {it}; "
-                    "reduce tau/sigma")
+                    f"non-finite duality gap at iteration {it}")
             energies_raw.append(dg.primal)
             best_energy = min(best_energy, dg.primal)
             energies.append(best_energy)

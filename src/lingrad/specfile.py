@@ -53,8 +53,7 @@ _ALLOWED = {
     "domain": {"shape", "nx"},
     "integrand": {"name"},
     "data": {"u0", "g", "h", "lambda"},
-    "solver": {"tau", "sigma", "max_iters", "gap_tol", "check_every",
-               "box_bound"},
+    "solver": {"max_iters", "gap_tol", "check_every", "box_bound"},
 }
 
 
@@ -194,10 +193,6 @@ def parse_spec(path: str, nx: Optional[int] = None) -> SpecBundle:
     config = SolverConfig()
     if "solver" in cp:
         sec = cp["solver"]
-        if "tau" in sec:
-            config.tau = sec.getfloat("tau")
-        if "sigma" in sec:
-            config.sigma = sec.getfloat("sigma")
         if "max_iters" in sec:
             config.max_iters = sec.getint("max_iters")
         if "gap_tol" in sec:

@@ -167,7 +167,7 @@ def test_criterion_05_attainment_refinement(halfdisk_specs, annulus_specs,
         spec = halfdisk_specs(nx)
         warm = prolong_state(*prev, spec) if prev else None
         cfg = SolverConfig(max_iters=120000, gap_tol=4e-2 * 64 / nx,
-                           check_every=500, step_alpha=0.25)
+                           check_every=500)
         res = solve(spec, cfg, warm_start=warm)
         errs[nx] = trace_error(spec, res.u)
         energy_256 = res.energy_history[-1]

@@ -161,10 +161,12 @@ def test_unknown_section_rejected(tmp_path):
     assert "extras" in str(err.value)
 
 
-def test_solver_theta_key_rejected(tmp_path):
+@pytest.mark.parametrize("key", ["theta", "tau", "sigma", "step_alpha"])
+def test_solver_step_keys_rejected(tmp_path, key):
+    # the step rule is fixed: spec files cannot set steps or their exponent
     p = tmp_path / "s.cfg"
-    p.write_text(MINIMAL + "\n[solver]\ntheta = 0.5\n")
-    with pytest.raises(SpecFileError, match="'theta'"):
+    p.write_text(MINIMAL + f"\n[solver]\n{key} = 0.5\n")
+    with pytest.raises(SpecFileError, match=f"'{key}'"):
         parse_spec(str(p))
 
 
