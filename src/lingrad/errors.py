@@ -38,4 +38,4 @@ class InstabilityError(LingradError, RuntimeError):
 
 
 class SpecFileError(LingradError, ValueError):
-    """Problem-spec file could not be parsed or validated."""
+    """Problem-spec file or solver settings could not be parsed or validated."""

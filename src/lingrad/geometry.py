@@ -379,6 +379,7 @@ class GridOperator:
         # cell below it; padded dual arrays keep that slot
         self.slot_cells = bf.cell.copy()
         self.slot_cells[np.arange(m), bf.axis] -= (bf.sign < 0)
+        self._face_group = 2 * bf.axis + (bf.sign > 0)
 
     @cached_property
     def neumann_solver(self):
@@ -392,6 +393,34 @@ class GridOperator:
         lap = sp.diags_array(keep) @ (self.G.T @ self.G)
         lap = lap + sp.csr_array(([1.0], ([0], [0])), shape=(n_in, n_in))
         return splu(lap.tocsc(), permc_spec="MMD_AT_PLUS_A")
+
+    @cached_property
+    def boundary_face_groups(self):
+        """Boundary faces by (axis, sign), each with the faces of its cell.
+
+        A list with one ``(faces, cell_faces)`` pair per nonempty (axis,
+        sign) group: the group's face indices in ascending order, and a
+        (len(faces), k) table whose row i lists the faces of the inside
+        cell of ``faces[i]`` in ascending order, padded with m.  Summing a
+        per-face vector padded with a trailing 0 over the table columns in
+        order, from 0, gives ``Bt @`` of it at those cells bit for bit.
+        The faces of one cell lie in distinct groups.
+        """
+        m = len(self.face_cells)
+        order = np.argsort(self.face_cells, kind="stable")
+        _, first, count = np.unique(self.face_cells[order],
+                                    return_index=True, return_counts=True)
+        owner = np.repeat(np.arange(len(first)), count)  # table row, sorted
+        table = np.full((len(first), int(count.max())), m)
+        table[owner, np.arange(m) - first[owner]] = order
+        row = np.empty(m, dtype=int)
+        row[order] = owner
+        groups = []
+        for gid in range(2 * self.dim):
+            faces = np.flatnonzero(self._face_group == gid)
+            if faces.size:
+                groups.append((faces, table[row[faces]]))
+        return groups
 
     def cells(self, values: np.ndarray) -> np.ndarray:
         """Compressed (N, ...) copy of padded (..., *grid) values."""

@@ -402,6 +402,24 @@ def test_cli_solve_rejects_integrand_without_dual_radius(tmp_path, capsys):
     assert "dual_radius" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, solver, field", [
+    (["--max-iters", "0"], "", "max_iters"),
+    (["--max-iters", "-5"], "", "max_iters"),
+    (["--gap-tol", "nan"], "", "gap_tol"),
+    (["--gap-tol", "-1"], "", "gap_tol"),
+    ([], "check_every = 0", "check_every"),
+    ([], "box_bound = inf", "box_bound"),
+], ids=["max_iters_0", "max_iters_neg", "gap_tol_nan", "gap_tol_neg",
+        "check_every_0", "box_bound_inf"])
+def test_cli_solve_rejects_bad_solver_settings(tmp_path, capsys, flags,
+                                               solver, field):
+    spec = tmp_path / "s.cfg"
+    spec.write_text(MINIMAL.replace("nx = 32", "nx = 16")
+                    + f"\n[solver]\nmax_iters = 10\n{solver}\n")
+    assert main(["solve", "--spec", str(spec)] + flags) == 1
+    assert field in capsys.readouterr().err
+
+
 def test_cli_parse_error_exit_1(tmp_path):
     spec = tmp_path / "bad.cfg"
     spec.write_text(MINIMAL.replace("u0 = 0", "lamda = 1"))

@@ -142,3 +142,26 @@ def test_boundary_selection_and_step_sums(domain):
     got_interior, _, got_active = _face_masks(domain)
     assert np.array_equal(got_interior, interior)
     assert np.array_equal(got_active, active)
+
+
+@settings(max_examples=30, deadline=None)
+@given(domains(), st.integers(0, 2**32 - 1))
+def test_boundary_face_groups_sum_like_bt(domain, seed):
+    # the groups partition the faces by (axis, sign), and the cell tables
+    # reproduce Bt @ x at each group's cells bit for bit
+    op = domain.operator
+    bf = domain.boundary_faces
+    m = len(bf)
+    groups = op.boundary_face_groups
+    faces = np.concatenate([sel for sel, _ in groups])
+    assert np.array_equal(np.sort(faces), np.arange(m))
+    x = np.random.default_rng(seed).standard_normal(m)
+    x[::7] = -0.0
+    padded = np.append(x, 0.0)
+    bt_x = op.Bt @ x
+    for sel, cell_faces in groups:
+        assert len(set(zip(bf.axis[sel], bf.sign[sel]))) == 1
+        sums = np.zeros(sel.size)
+        for k in range(cell_faces.shape[1]):
+            sums += padded[cell_faces[:, k]]
+        assert np.array_equal(sums, bt_x[op.face_cells[sel]])
