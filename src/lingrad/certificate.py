@@ -1,27 +1,29 @@
-"""Quantitative verification of the subdifferential optimality conditions.
+"""Verification of the optimality conditions of the relaxed functional.
 
 A field u minimizes the relaxed functional exactly when a dual certificate
-field z exists satisfying five conditions; this module turns each into a
-nonnegative residual and aggregates it in L1 together with a sup norm and
-the worst-offending location:
+field z and its boundary multiplier satisfy four conditions.  Each becomes
+a nonnegative residual with an aggregate ``l1``, a largest value ``sup``
+and the ``worst_location`` of that value:
 
-  r_div       divergence balance   div z = lambda (u - h) + g
-  r_subdiff   z in the xi-subdifferential of f at grad u (Fenchel-Young gap),
-              on cells below the jump threshold
-  r_singular  surrogate for the singular-part condition: the positive part
-              of f^inf(x, grad u) - <z, grad u> on jump cells.  The exact
-              continuum statement has no grid analog; the report labels
-              this residual as a surrogate.
-  r_range     z inside the closed dual range, tested through conjugate
-              finiteness (f*(x, z) <= 10 C^2 after a relative shrink)
+  r_div       the Euler-Lagrange balance  div z = lambda (u - h) + g
+  r_subdiff   z in the xi-subdifferential of f at grad u (Fenchel-Young gap)
+  r_range     z inside the closed dual range
   r_boundary  [z, nu] (u0 - u) = f^inf(x, (u0 - u) tensor nu) on the boundary
 
-Verification runs in two modes.  Grid mode consumes solver output: cell
-residuals use the staggered operators, and the normal trace is the solver's
-boundary multiplier zeta when provided, otherwise the face-normal component
-of z.  Analytic mode samples closed-form reference fields on quadrature
-points of the shape (no grid), which is how the gallery's explicit
-counterexample certificates are checked to 1e-8 and better.
+On a grid (a ProblemSpec with solver fields) the report is the duality gap
+of ``solver.duality_gap`` split into its local Fenchel-Young terms
+(``solver._gap_terms``) at the dual point and ``box_bound`` the gap used:
+the given (z, zeta), zeta = 0 when none is given, or ``repair_dual``'s.
+r_subdiff and r_div have one term per inside cell, r_boundary one per
+boundary face; each ``l1`` is that share of the gap, and r_range, the
+feasibility of the dual, must be exact.  A pass at
+``ToleranceSet.uniform(tol)`` thus proves gap <= 3 tol.  The r_div terms
+are >= 0 only where |u| <= M, the gap's box bound; its note counts the
+cells outside the box.
+
+Analytic mode samples closed-form reference fields on quadrature points of
+the shape (no grid), which is how the gallery's explicit counterexample
+certificates are checked to 1e-8 and better.
 """
 
 from __future__ import annotations
@@ -31,18 +33,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .energy import (
-    ProblemSpec,
-    normal_trace,
-    _cell_values,
-    _divergence,
-    _dual_values,
-    _gradient,
-)
+from .energy import ProblemSpec, _cell_values, _dual_values
 from .errors import ShapeMismatchError
-from .fields import DualField
 from .geometry import Annulus, Ball, Rectangle
 from .integrands import Integrand
+from .solver import _gap_terms, duality_gap
 
 __all__ = [
     "ToleranceSet",
@@ -59,18 +54,17 @@ __all__ = [
 
 @dataclass
 class ToleranceSet:
-    """Per-condition pass thresholds on the L1-aggregated residuals."""
+    """Per-condition pass thresholds on the aggregated residuals; on grids
+    the dual must be feasible whatever ``range`` is (analytic mode only)."""
 
     div: float = 1e-6
     subdiff: float = 1e-6
-    singular: float = 1e-6
     range: float = 1e-6
     boundary: float = 1e-6
-    jump_threshold: Optional[float] = None  # default 10 / h on grids
 
     @classmethod
     def uniform(cls, tol: float) -> "ToleranceSet":
-        return cls(div=tol, subdiff=tol, singular=tol, range=tol, boundary=tol)
+        return cls(div=tol, subdiff=tol, range=tol, boundary=tol)
 
 
 @dataclass
@@ -110,7 +104,7 @@ class CertificateReport:
 
 
 # ---------------------------------------------------------------------------
-# Sample containers: one code path scores both grid and analytic data
+# Analytic samples and their residuals
 # ---------------------------------------------------------------------------
 
 
@@ -136,12 +130,9 @@ class _Samples:
 def _agg(name, per_sample, weights, locations, tol, note=""):
     per_sample = np.asarray(per_sample, dtype=float)
     l1 = float(np.sum(weights * per_sample))
-    if per_sample.size:
-        k = int(np.argmax(per_sample))
-        sup = float(per_sample[k])
-        loc = tuple(np.atleast_1d(locations[k]).tolist())
-    else:
-        sup, loc = 0.0, ()
+    k = int(np.argmax(per_sample))
+    sup = float(per_sample[k])
+    loc = tuple(np.atleast_1d(locations[k]).tolist())
     return ConditionResidual(name, l1, sup, loc, tol, bool(l1 <= tol), note)
 
 
@@ -151,8 +142,7 @@ _RANGE_TOL = 1e-8
 _ACTIVE_TOL = 1e-9
 
 
-def _score(f: Integrand, s: _Samples, tols: ToleranceSet,
-           jump: float) -> CertificateReport:
+def _score(f: Integrand, s: _Samples, tols: ToleranceSet) -> CertificateReport:
     conds = {}
 
     # r_div
@@ -160,33 +150,10 @@ def _score(f: Integrand, s: _Samples, tols: ToleranceSet,
     per = np.sum(np.abs(el), axis=-1)
     conds["r_div"] = _agg("r_div", per, s.vol_w, s.points, tols.div)
 
-    # split cells at the jump threshold
-    gnorm = np.sqrt(np.sum(s.grad_u**2, axis=(-2, -1)))
-    ac = gnorm <= jump
-
-    # r_subdiff on absolutely continuous cells
-    if np.any(ac):
-        res = f.subdiff_residual(s.points[ac], s.grad_u[ac], s.z[ac])
-        res = np.maximum(res, 0.0)
-        conds["r_subdiff"] = _agg("r_subdiff", res, s.vol_w[ac],
-                                  s.points[ac], tols.subdiff)
-    else:
-        conds["r_subdiff"] = ConditionResidual(
-            "r_subdiff", 0.0, 0.0, (), tols.subdiff, True)
-
-    # r_singular surrogate on jump cells
-    if np.any(~ac):
-        pts, gu, zz = s.points[~ac], s.grad_u[~ac], s.z[~ac]
-        fin = f.recession(pts, gu)
-        pair = np.sum(zz * gu, axis=(-2, -1))
-        res = np.maximum(fin - pair, 0.0)
-        conds["r_singular_surrogate"] = _agg(
-            "r_singular_surrogate", res, s.vol_w[~ac], pts, tols.singular,
-            note="surrogate for the singular-part density condition")
-    else:
-        conds["r_singular_surrogate"] = ConditionResidual(
-            "r_singular_surrogate", 0.0, 0.0, (), tols.singular, True,
-            note="surrogate for the singular-part density condition")
+    # r_subdiff
+    res = np.maximum(f.subdiff_residual(s.points, s.grad_u, s.z), 0.0)
+    conds["r_subdiff"] = _agg("r_subdiff", res, s.vol_w, s.points,
+                              tols.subdiff)
 
     # r_range via conjugate finiteness after a relative shrink
     fmax = 10.0 * f.growth_constant**2
@@ -213,38 +180,36 @@ def _score(f: Integrand, s: _Samples, tols: ToleranceSet,
 # ---------------------------------------------------------------------------
 
 
-def _grid_samples(spec: ProblemSpec, u, z, zeta=None) -> _Samples:
-    """Inside-cell and boundary-face samples of grid fields.
-
-    Without ``zeta`` the normal trace is read from the boundary-face slots
-    of z, so z must then be a DualField or a padded array.
-    """
+def _grid_report(spec: ProblemSpec, u, z, zeta, tols: ToleranceSet,
+                 box_bound: Optional[float]) -> CertificateReport:
+    """The duality gap of (u; z, zeta) split by location (module docstring)."""
     domain = spec.domain
-    op = domain.operator
-    bf = domain.boundary_faces
-    vol = domain.cell_volume
-    u_c = _cell_values(domain, u)
-    z_c = _dual_values(domain, z)
-    n = spec.n_channels
-    if u_c.shape[1] != n or z_c.shape[1] != n:
+    op, bf, n = domain.operator, domain.boundary_faces, spec.n_channels
+    u, z = _cell_values(domain, u), _dual_values(domain, z)
+    if u.shape[1] != n or z.shape[1] != n:
         raise ShapeMismatchError("field channel count does not match the spec")
-
     if zeta is None:
-        zv = z.values if isinstance(z, DualField) else np.asarray(z, dtype=float)
-        ztr = normal_trace(domain, zv).T  # (m, n)
-        flux = bf.face_measure / vol * ztr
-    else:
-        ztr = np.asarray(zeta, dtype=float).reshape(len(bf), n)
-        flux = (bf.weight / vol)[:, None] * ztr
-    m = len(op.points)
-    return _Samples(
-        points=op.points, vol_w=np.full(m, vol), u=u_c,
-        grad_u=_gradient(op, u_c), z=z_c,
-        div_z=_divergence(op, z_c) + op.Bt @ flux,
-        g=spec.g_cells, h=spec.h_cells, lam=spec.lam_cells,
-        b_points=bf.point, b_w=bf.weight, b_normals=bf.normal,
-        b_u=op.B @ u_c, b_u0=spec.u0, b_ztrace=ztr,
-    )
+        zeta = np.zeros((len(bf), n))
+    dg = duality_gap(spec, u, z, zeta, box_bound=box_bound)
+    cell, face, lower = _gap_terms(spec, u, dg.z, dg.zeta, dg.box_bound)
+    dual = "repaired dual" if dg.repaired else "given dual"
+    outside = int(np.sum(np.any(np.abs(u) > dg.box_bound, axis=1)))
+    # an infeasible z or zeta makes its cell or face term infinite
+    bad = np.concatenate([~np.isfinite(cell), ~np.isfinite(face)])
+    conds = {
+        "r_div": _agg("r_div", lower, 1.0, op.points, tols.div,
+                      f"{dual}, {outside} cells outside |u| <= M = "
+                      f"{dg.box_bound:.6g}"),
+        "r_subdiff": _agg("r_subdiff", cell, 1.0, op.points, tols.subdiff,
+                          dual),
+        "r_range": _agg("r_range", bad.astype(float), np.concatenate(
+            [np.full(len(cell), domain.cell_volume), bf.weight]),
+            np.concatenate([op.points, bf.point]), 0.0,
+            "measure where z or zeta is infeasible"),
+        "r_boundary": _agg("r_boundary", face, 1.0, bf.point, tols.boundary,
+                           dual),
+    }
+    return CertificateReport(conds, all(c.passed for c in conds.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -401,64 +366,68 @@ def analytic_samples(case: AnalyticCase, n_interior: int = 9600,
 # ---------------------------------------------------------------------------
 
 
-def _resolve_samples(spec_or_case, u=None, z=None, zeta=None,
-                     n_samples=10000, jump_threshold=None):
-    """(integrand, samples, jump threshold); the threshold defaults to 10/h
-    on grids, where a jump shows up as a one-cell gradient of order 1/h, and
-    to inf for analytic cases."""
+def _case_samples(case: AnalyticCase, n_samples: int) -> _Samples:
+    return analytic_samples(case, n_interior=int(n_samples * 0.95),
+                            n_boundary=max(64, int(n_samples * 0.05)))
+
+
+def _report(spec_or_case, u, z, zeta, tols, n_samples, box_bound):
     if isinstance(spec_or_case, AnalyticCase):
-        s = analytic_samples(spec_or_case, n_interior=int(n_samples * 0.95),
-                             n_boundary=max(64, int(n_samples * 0.05)))
-        default_jump = np.inf
-    else:
-        s = _grid_samples(spec_or_case, u, z, zeta)
-        default_jump = 10.0 / spec_or_case.domain.h
-    if jump_threshold is None:
-        jump_threshold = default_jump
-    return spec_or_case.integrand, s, jump_threshold
+        return _score(spec_or_case.integrand,
+                      _case_samples(spec_or_case, n_samples), tols)
+    return _grid_report(spec_or_case, u, z, zeta, tols, box_bound)
 
 
 def verify_scalar(spec_or_case, u=None, z=None, tols: Optional[ToleranceSet] = None,
-                  zeta=None, n_samples: int = 10000) -> CertificateReport:
+                  zeta=None, n_samples: int = 10000,
+                  box_bound: Optional[float] = None) -> CertificateReport:
     """Scalar certificate check; accepts a grid spec with fields or an AnalyticCase."""
-    tols = tols or ToleranceSet()
-    f, s, jump = _resolve_samples(spec_or_case, u, z, zeta, n_samples,
-                                  tols.jump_threshold)
-    if f.n_rows != 1:
+    if spec_or_case.integrand.n_rows != 1:
         raise ShapeMismatchError("verify_scalar requires a scalar problem")
-    return _score(f, s, tols, jump)
+    return _report(spec_or_case, u, z, zeta, tols or ToleranceSet(),
+                   n_samples, box_bound)
 
 
 def verify_vector(spec_or_case, u=None, z=None, tols: Optional[ToleranceSet] = None,
-                  zeta=None, n_samples: int = 10000) -> CertificateReport:
+                  zeta=None, n_samples: int = 10000,
+                  box_bound: Optional[float] = None) -> CertificateReport:
     """Vectorial certificate check (autonomous integrands only for n > 1)."""
-    tols = tols or ToleranceSet()
-    f, s, jump = _resolve_samples(spec_or_case, u, z, zeta, n_samples,
-                                  tols.jump_threshold)
+    f = spec_or_case.integrand
     if f.n_rows > 1 and f.x_dependent:
         raise ShapeMismatchError(
             "the vectorial characterization requires an autonomous integrand"
         )
-    return _score(f, s, tols, jump)
+    return _report(spec_or_case, u, z, zeta, tols or ToleranceSet(),
+                   n_samples, box_bound)
 
 
 def verify_least_gradient(spec_or_case, u=None, z=None,
                           tols: Optional[ToleranceSet] = None,
-                          zeta=None, n_samples: int = 10000) -> CertificateReport:
+                          zeta=None, n_samples: int = 10000,
+                          box_bound: Optional[float] = None) -> CertificateReport:
     """Least-gradient certificate: unit dual bound, divergence-free z,
     pairing saturation, and the boundary sign condition.
 
     The sign condition [z, nu] in sgn(u0 - u) is scored through its
     Fenchel gap (|j| - t j)_+ plus the feasibility excess (|t| - 1)_+,
     which vanishes exactly on the sgn graph and degrades smoothly, so no
-    active-set classification of near-matching faces is needed.
+    active-set classification of near-matching faces is needed.  On a grid
+    the report is that of ``verify_scalar``.
     """
     tols = tols or ToleranceSet()
-    f, s, _ = _resolve_samples(spec_or_case, u, z, zeta, n_samples)
+    f = spec_or_case.integrand
     if f.n_rows != 1 or abs(f.growth_constant - 1.0) > 0 or not f.homogeneous:
         raise ShapeMismatchError("least-gradient check requires the TV integrand")
-    if np.any(s.lam != 0) or np.any(s.g != 0):
+    analytic = isinstance(spec_or_case, AnalyticCase)
+    if analytic:
+        s = _case_samples(spec_or_case, n_samples)
+        lam, g = s.lam, s.g
+    else:
+        lam, g = spec_or_case.lam_cells, spec_or_case.g_cells
+    if np.any(lam != 0) or np.any(g != 0):
         raise ShapeMismatchError("least-gradient check requires g = h = lambda = 0")
+    if not analytic:
+        return _grid_report(spec_or_case, u, z, zeta, tols, box_bound)
 
     conds = {}
     znorm = np.sqrt(np.sum(s.z**2, axis=(-2, -1)))
@@ -484,15 +453,17 @@ def verify_least_gradient(spec_or_case, u=None, z=None,
     return CertificateReport(conds, overall)
 
 
-def boundary_gradient_condition(spec_or_case, u=None, z=None, zeta=None,
-                                n_samples: int = 10000):
-    """Per-face residual of the normal-trace gradient condition.
+def boundary_gradient_condition(case: AnalyticCase, n_samples: int = 10000):
+    """Per-sample residual of the normal-trace gradient condition.
 
     Where the trace misses the datum, [z, nu] must equal
-    D_xi f^inf(x, (u0 - u) tensor nu) nu; faces with u = u0 contribute 0.
-    Returns (points, residuals).
+    D_xi f^inf(x, (u0 - u) tensor nu) nu; samples with u = u0 contribute 0.
+    Returns (points, residuals).  Analytic cases only; on a grid the
+    boundary condition is r_boundary of ``verify_scalar``.
     """
-    f, s, _ = _resolve_samples(spec_or_case, u, z, zeta, n_samples)
+    if not isinstance(case, AnalyticCase):
+        raise ShapeMismatchError("boundary_gradient_condition needs an AnalyticCase")
+    f, s = case.integrand, _case_samples(case, n_samples)
     jumps = s.b_u0 - s.b_u
     active = np.linalg.norm(jumps, axis=-1) > _ACTIVE_TOL
     res = np.zeros(len(s.b_points))

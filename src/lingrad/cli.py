@@ -101,10 +101,9 @@ def _cmd_certify(args):
     if args.zeta:
         zeta = read_grid_field(args.zeta, domain, n, faces=True).T
     tols = cert.ToleranceSet.uniform(args.tol)
-    if n == 1:
-        report = cert.verify_scalar(spec, u, z, tols=tols, zeta=zeta)
-    else:
-        report = cert.verify_vector(spec, u, z, tols=tols, zeta=zeta)
+    verify = cert.verify_scalar if n == 1 else cert.verify_vector
+    report = verify(spec, u, z, tols=tols, zeta=zeta,
+                    box_bound=bundle.solver_config.box_bound)
     payload = report.as_flat_dict()
     if args.report:
         _write_report(args.report, payload)
@@ -223,7 +222,8 @@ def build_parser():
     add_common(sp)
     sp.add_argument("--u", required=True)
     sp.add_argument("--z", required=True)
-    sp.add_argument("--zeta", default=None)
+    sp.add_argument("--zeta", default=None,
+                    help="boundary multiplier (LGF1); default: zero")
     sp.add_argument("--tol", type=float, default=1e-6)
     sp.add_argument("--report", default=None)
     sp.set_defaults(fn=_cmd_certify)

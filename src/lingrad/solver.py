@@ -201,11 +201,14 @@ def _check_config(config: SolverConfig) -> None:
     if not isinstance(tol, numbers.Real) or not tol >= 0:
         raise SpecFileError(
             f"SolverConfig.gap_tol must be a number >= 0, got {tol!r}")
-    bound = config.box_bound
+    _check_box_bound(config.box_bound, "SolverConfig.box_bound")
+
+
+def _check_box_bound(bound, name: str) -> None:
+    """A NaN or non-positive M would make the gap NaN or negative."""
     if bound is not None and not (isinstance(bound, numbers.Real)
                                   and 0 < bound < np.inf):
-        raise SpecFileError(
-            f"SolverConfig.box_bound must be finite and > 0, got {bound!r}")
+        raise SpecFileError(f"{name} must be finite and > 0, got {bound!r}")
 
 
 @dataclass
@@ -236,11 +239,18 @@ class SolveResult:
 
 @dataclass
 class DualityGap:
+    """A gap, with the dual point (given, or ``repaired``) and the box bound
+    M it was taken at; their ``_gap_terms`` sum to ``value``."""
+
     value: float
     relative: float
     primal: float
     dual: float
     dual_feasible: bool
+    z: np.ndarray
+    zeta: np.ndarray
+    box_bound: float
+    repaired: bool = False
 
 
 def nearest_boundary_extension(spec: ProblemSpec) -> np.ndarray:
@@ -272,18 +282,16 @@ def duality_gap(spec: ProblemSpec, u, z, zeta,
     into the dual balls), and the better of the two dual bounds is
     reported; the result is a valid gap either way since every feasible
     dual point underestimates the minimum.  Infeasibility of the *given*
-    dual is reported, never repaired away.
+    dual is reported, never repaired away: z is feasible where f*(x, z) is
+    finite, zeta where f*(x_b, zeta tensor nu_b) is.  A ``box_bound`` that
+    is not finite and > 0 raises ``SpecFileError``.
     """
+    _check_box_bound(box_bound, "box_bound")
     domain = spec.domain
     u = _cell_values(domain, u)
     z = _dual_values(domain, z)
     zeta = np.asarray(zeta, dtype=float).reshape(len(domain.boundary_faces),
                                                  spec.n_channels)
-    primal = relaxed_energy(spec, u)
-    fstar = spec.integrand.conjugate(domain.operator.points, z)
-    if not np.all(np.isfinite(fstar)):
-        return DualityGap(np.inf, np.inf, primal, -np.inf, False)
-
     if box_bound is None:
         m0 = max(float(np.max(np.abs(spec.u0))),
                  float(np.max(np.abs(spec.h_cells))))
@@ -292,16 +300,43 @@ def duality_gap(spec: ProblemSpec, u, z, zeta,
         else:
             box_bound = max(m0, 1e-12)
 
+    primal = relaxed_energy(spec, u)
+    fstar = spec.integrand.conjugate(domain.operator.points, z)
+    if not (np.all(np.isfinite(fstar))
+            and np.all(_zeta_indicator(spec, zeta) == 0.0)):
+        return DualityGap(np.inf, np.inf, primal, -np.inf, False, z, zeta,
+                          box_bound)
+
     dual = _dual_objective(spec, z, zeta, fstar, box_bound)
+    scored, repaired = (z, zeta), False
     z_rep, zeta_rep = repair_dual(spec, z, zeta)
     if z_rep is not z:
         fstar_rep = spec.integrand.conjugate(domain.operator.points, z_rep)
         if np.all(np.isfinite(fstar_rep)):
-            dual = max(dual, _dual_objective(spec, z_rep, zeta_rep,
-                                             fstar_rep, box_bound))
+            dual_rep = _dual_objective(spec, z_rep, zeta_rep, fstar_rep,
+                                       box_bound)
+            if dual_rep > dual:
+                dual, scored, repaired = dual_rep, (z_rep, zeta_rep), True
     gap = primal - dual
     rel = gap / max(abs(primal), abs(dual), 1e-12)
-    return DualityGap(gap, rel, primal, dual, True)
+    return DualityGap(gap, rel, primal, dual, True, *scored, box_bound,
+                      repaired)
+
+
+def _zeta_indicator(spec, zeta):
+    """(m,) 0 where zeta tensor nu lies in the dual range (f* finite), else inf."""
+    bf = spec.domain.boundary_faces
+    conj = spec.integrand.conjugate(
+        bf.point, zeta[:, :, None] * bf.normal[:, None, :])
+    return np.where(np.isfinite(conj), 0.0, np.inf)
+
+
+def _drift(spec, z, zeta):
+    """v = -G^T z + B^T (w_b / h^d zeta), the dual field the u update sees."""
+    domain = spec.domain
+    beta = domain.boundary_faces.weight / domain.cell_volume
+    return (_divergence(domain.operator, z)
+            + domain.operator.Bt @ (beta[:, None] * zeta))
 
 
 def _dual_objective(spec, z, zeta, fstar, box_bound):
@@ -309,12 +344,38 @@ def _dual_objective(spec, z, zeta, fstar, box_bound):
     domain = spec.domain
     bf = domain.boundary_faces
     vol = domain.cell_volume
-    v = _divergence(domain.operator, z) + domain.operator.Bt @ (
-        (bf.weight / vol)[:, None] * zeta)
-    q = _box_conjugate(v, spec.g_cells, spec.lam_cells[:, None], spec.h_cells,
-                       box_bound)
+    q = _box_conjugate(_drift(spec, z, zeta), spec.g_cells,
+                       spec.lam_cells[:, None], spec.h_cells, box_bound)
     return (float(np.sum(bf.weight[:, None] * zeta * spec.u0))
             - vol * float(np.sum(fstar)) - vol * float(np.sum(q)))
+
+
+def _gap_terms(spec, u, z, zeta, box_bound):
+    """The gap of compressed (u; z, zeta) as its local Fenchel-Young terms.
+
+    Per cell h^d [f(Gu) + f*(z) - <z, Gu>], per boundary face
+    w_b [f^inf(j tensor nu) + i(zeta) - <zeta, j>] with j = u0 - Bu and i
+    the indicator of ``_zeta_indicator``, and per cell
+    h^d [l(u) + q_M(v) - <v, u>] with l(u) = g u + lambda/2 |u - h|^2 and
+    v = ``_drift``.  The pairings cancel (<v, u> h^d = -<z, Gu> h^d +
+    sum w_b <zeta, Bu>), so the three sum to the gap.  Each term is >= 0
+    (the last only where |u| <= M), 0 exactly where its optimality
+    condition holds, and inf where its dual variable is infeasible.
+    """
+    domain, f = spec.domain, spec.integrand
+    op, bf, vol = domain.operator, domain.boundary_faces, domain.cell_volume
+    cell = vol * f.subdiff_residual(op.points, _gradient(op, u), z)
+    jump = spec.u0 - op.B @ u
+    face = bf.weight * (
+        f.recession(bf.point, jump[:, :, None] * bf.normal[:, None, :])
+        + _zeta_indicator(spec, zeta) - np.sum(zeta * jump, axis=1))
+    v = _drift(spec, z, zeta)
+    lam = spec.lam_cells[:, None]
+    dev = u - spec.h_cells
+    q = _box_conjugate(v, spec.g_cells, lam, spec.h_cells, box_bound)
+    lower = vol * np.sum(spec.g_cells * u + 0.5 * lam * dev * dev + q - v * u,
+                         axis=1)
+    return cell, face, lower
 
 
 # Poisson-solve-and-clip rounds of repair_dual
@@ -340,7 +401,6 @@ def repair_dual(spec: ProblemSpec, z, zeta):
     op = domain.operator
     padded = np.shape(z)[2:] == domain.grid_shape
     bf = domain.boundary_faces
-    beta = (bf.weight / domain.cell_volume)[:, None]
     radius = np.broadcast_to(
         np.asarray(f.dual_radius(op.points), dtype=float), (len(op.points),))
 
@@ -352,7 +412,7 @@ def repair_dual(spec: ProblemSpec, z, zeta):
 
     z_rep = _dual_values(domain, z)
     for k in range(_REPAIR_ROUNDS):
-        v = (_divergence(op, z_rep) + op.Bt @ (beta * zeta))[:, 0]
+        v = _drift(spec, z_rep, zeta)[:, 0]
         rhs = v - v.mean()
         rhs[0] = 0.0
         z_rep = z_rep - _gradient(op, op.neumann_solver.solve(-rhs)[:, None])

@@ -71,7 +71,7 @@ def test_reports_expose_locations_and_norms():
     assert len(c.worst_location) == 2
     flat = rep.as_flat_dict()
     assert flat["overall_pass"]
-    assert "r_div.l1" in flat and "r_singular_surrogate.note" in flat
+    assert "r_div.l1" in flat
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +214,8 @@ def test_verify_least_gradient_requires_pure_tv():
 
 
 def test_jump_threshold_routes_cells():
-    # a sharp discontinuity lands in the singular surrogate, not subdiff
+    # a sharp discontinuity: the cells across the jump carry one-cell
+    # gradients of order 1/h, and the certificate still passes
     domain = GridDomain(Ball(1.0), 48)
     u0 = (domain.boundary_faces.point[:, 1] > 0).astype(float)
     spec = ProblemSpec(make_tv(1, 2), domain, u0)
@@ -223,4 +224,54 @@ def test_jump_threshold_routes_cells():
     rep = verify_scalar(spec, res.u, res.z, zeta=res.zeta,
                         tols=ToleranceSet.uniform(tol))
     assert rep.overall_pass
-    assert "surrogate" in rep["r_singular_surrogate"].note
+
+
+# ---------------------------------------------------------------------------
+# the grid report is the duality gap split by location
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def rof_annulus_48():
+    spec = get_case("rof_annulus").build_spec(48)
+    return spec, solve(spec, SolverConfig(max_iters=20000, gap_tol=1e-6))
+
+
+def test_grid_report_names_the_worst_location(rof_annulus_48):
+    spec, res = rof_annulus_48
+    op = spec.domain.operator
+    bf = spec.domain.boundary_faces
+    tols = ToleranceSet.uniform(np.inf)
+    u = op.cells(res.u.values)
+
+    c = len(u) // 2
+    u_bad = u.copy()
+    u_bad[c] += 0.5
+    rep = verify_scalar(spec, u_bad, res.z, zeta=res.zeta, tols=tols)
+    centre = tuple(op.points[c].tolist())
+    assert centre in (rep["r_subdiff"].worst_location,
+                      rep["r_div"].worst_location)
+
+    jump = np.abs(spec.u0 - op.B @ u)[:, 0]
+    k = int(np.argmax(jump))
+    assert jump[k] > 0.1
+    zeta_bad = res.zeta.copy()
+    zeta_bad[k] = 0.0
+    rep = verify_scalar(spec, res.u, res.z, zeta=zeta_bad, tols=tols)
+    assert rep["r_boundary"].worst_location == tuple(bf.point[k].tolist())
+
+
+def test_grid_report_flags_an_infeasible_multiplier(rof_annulus_48):
+    spec, res = rof_annulus_48
+    rep = verify_scalar(spec, res.u, res.z, zeta=1.01 * res.zeta,
+                        tols=ToleranceSet.uniform(np.inf))
+    assert not rep.overall_pass
+    assert not rep["r_range"].passed and rep["r_range"].l1 > 0
+    assert rep["r_range"].worst_location in {
+        tuple(p) for p in spec.domain.boundary_faces.point.tolist()}
+
+
+def test_boundary_gradient_condition_is_analytic_only(rof_annulus_48):
+    spec, res = rof_annulus_48
+    with pytest.raises(ShapeMismatchError, match="AnalyticCase"):
+        boundary_gradient_condition(spec)

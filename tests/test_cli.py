@@ -557,6 +557,23 @@ def test_cli_certify_rejects_bad_zeta(tmp_path, capsys, solved_minimal,
     assert str(zeta) in err and msg in err
 
 
+def test_cli_certify_scores_the_spec_box_bound(tmp_path, capsys,
+                                              solved_minimal):
+    # certify takes the gap's box bound from [solver], as solve does
+    spec, paths = solved_minimal
+    args = ["certify", "--u", str(paths["u"]), "--z", str(paths["z"]),
+            "--zeta", str(paths["zeta"]), "--tol", "1"]
+    boxed = tmp_path / "boxed.cfg"
+    boxed.write_text(spec.read_text() + "\n[solver]\nbox_bound = 2.5\n")
+    report = tmp_path / "report.json"
+    assert main(args + ["--spec", str(boxed), "--report", str(report)]) == 0
+    assert json.loads(report.read_text())["r_div.note"].endswith("M = 2.5")
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(spec.read_text() + "\n[solver]\nbox_bound = -1\n")
+    assert main(args + ["--spec", str(bad)]) == 1
+    assert "box_bound" in capsys.readouterr().err
+
+
 def test_cli_file_datum_at_other_spacing_exits_1(tmp_path, capsys,
                                                  solved_minimal):
     spec, paths = solved_minimal

@@ -5,6 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lingrad.certificate import (
+    ToleranceSet,
+    verify_least_gradient,
+    verify_scalar,
+)
 from lingrad.energy import (
     ProblemSpec,
     _divergence,
@@ -18,6 +23,7 @@ from lingrad.geometry import Annulus, Ball, GridDomain, Rectangle
 from lingrad.integrands import Integrand, make_tv
 from lingrad.solver import (
     SolverConfig,
+    _gap_terms,
     duality_gap,
     nearest_boundary_extension,
     repair_dual,
@@ -179,6 +185,25 @@ def test_duality_gap_flags_infeasible_dual():
     dg = duality_gap(spec, u, z_bad, zeta0)
     assert not dg.dual_feasible
     assert np.isinf(dg.value)
+
+
+def test_duality_gap_flags_infeasible_zeta():
+    # zeta scaled just past its dual ball used to give a negative "gap"
+    # reported as feasible, against weak duality
+    spec = get_case("rof_annulus").build_spec(48)
+    res = solve(spec, SolverConfig(max_iters=20000, gap_tol=1e-6))
+    assert duality_gap(spec, res.u, res.z, res.zeta).dual_feasible
+    for factor in (1.001, 1.01):
+        dg = duality_gap(spec, res.u, res.z, factor * res.zeta)
+        assert not dg.dual_feasible
+        assert dg.value == np.inf and dg.dual == -np.inf
+
+
+@pytest.mark.parametrize("box_bound", [float("nan"), -1.0, 0.0, float("inf")])
+def test_duality_gap_checks_the_box_bound(solved_grid_cases, box_bound):
+    spec, res = solved_grid_cases["rof_annulus"]
+    with pytest.raises(SpecFileError, match="box_bound"):
+        duality_gap(spec, res.u, res.z, res.zeta, box_bound=box_bound)
 
 
 def test_gap_rises_quadratically_under_dual_perturbation():
@@ -456,6 +481,37 @@ def test_gap_nonnegative_for_every_feasible_pair(solved_grid_cases, name,
     dg = duality_gap(spec, u, z, zeta)
     assert dg.dual_feasible
     assert dg.value >= -1e-12 * abs(dg.primal)
+    # the local Fenchel-Young terms of the scored dual sum to the gap ...
+    terms = _gap_terms(spec, u, dg.z, dg.zeta, dg.box_bound)
+    total = sum(float(np.sum(t)) for t in terms)
+    assert abs(total - dg.value) <= 1e-12 * max(abs(dg.primal), abs(dg.dual))
+    # ... and none is negative once u lies in the box |u| <= M
+    u_box = np.clip(u, -dg.box_bound, dg.box_bound)
+    dg_box = duality_gap(spec, u_box, z, zeta)
+    terms = _gap_terms(spec, u_box, dg_box.z, dg_box.zeta, dg_box.box_bound)
+    scale = max(abs(dg_box.primal), abs(dg_box.dual))
+    assert min(float(t.min()) for t in terms) >= -1e-14 * scale
+
+
+@pytest.mark.parametrize("name", GRID_CASES)
+def test_grid_report_is_the_gap_split_by_location(solved_grid_cases, name):
+    # the three shares sum to the gap, so every share is within 1.01 gap
+    # (all terms >= 0) and some share exceeds 0.3 gap
+    spec, res = solved_grid_cases[name]
+    verify = (verify_least_gradient
+              if get_case(name).expected.certificate == "least_gradient"
+              else verify_scalar)
+
+    def report(tol):
+        return verify(spec, res.u, res.z, zeta=res.zeta,
+                      tols=ToleranceSet.uniform(tol))
+
+    rep = report(1.01 * res.gap)
+    dg = duality_gap(spec, res.u, res.z, res.zeta)
+    shares = sum(rep[k].l1 for k in ("r_subdiff", "r_boundary", "r_div"))
+    assert abs(shares - res.gap) <= 1e-12 * max(abs(dg.primal), abs(dg.dual))
+    assert rep.overall_pass
+    assert not report(0.3 * res.gap).overall_pass
 
 
 @pytest.mark.parametrize("name", GRID_CASES)
