@@ -77,7 +77,7 @@ def _cmd_solve(args):
         def w(tmp):
             with open(tmp, "w") as fh:
                 fh.write("iter,energy,gap\n")
-                for i, e, g in zip(res.check_iters, res.energy_history,
+                for i, e, g in zip(res.check_iters, res.energy_history_raw,
                                    res.gap_history):
                     fh.write(f"{i},{e:.17g},{g:.17g}\n")
         _atomic_write(args.history, w)
@@ -265,10 +265,7 @@ def main(argv=None):
         parser.error("gallery run needs a case name")
     try:
         return args.fn(args)
-    except LingradError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, KeyError, ValueError) as exc:
+    except (LingradError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

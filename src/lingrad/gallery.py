@@ -82,7 +82,6 @@ class GalleryCase:
     analytic: Optional[AnalyticCase] = None
     spec_builder: Optional[Callable] = None   # nx -> ProblemSpec
     default_nx: int = 96
-    u0_expression: str = ""
 
     def build_spec(self, nx: Optional[int] = None) -> ProblemSpec:
         if self.spec_builder is None:
@@ -152,7 +151,6 @@ def annulus_least_gradient() -> GalleryCase:
             note="minimizer 0; infimum = perimeter of the inner circle",
         ),
         analytic=analytic, spec_builder=build, default_nx=96,
-        u0_expression="indicator(1.5-r)",
     )
 
 
@@ -190,7 +188,6 @@ def rof_annulus_counterexample() -> GalleryCase:
             note="reference pair u = 0, z = (2/3)x - (4/3)x/|x|",
         ),
         analytic=analytic, spec_builder=build, default_nx=96,
-        u0_expression="4/(3*r)-4/3",
     )
 
 
@@ -327,7 +324,6 @@ def disk_bv_attainment() -> GalleryCase:
                  "refinement",
         ),
         analytic=None, spec_builder=build, default_nx=96,
-        u0_expression="indicator(y)",
     )
 
 
@@ -392,8 +388,7 @@ class BadF0:
                 "eps too large: the dual square loses sampled convexity "
                 "(calibrated bound ~3e-2); start from 1e-2")
         self.eps = float(eps)
-        self.r_one = 10.0 * self.eps   # bump == 1 within this sphere radius
-        self.r_sup = 20.0 * self.eps   # bump support radius
+        self.r_one = 10.0 * self.eps   # bump == 1 within r_one, 0 beyond 2 r_one
         self.A = _A4.copy()
         margin = self.convexity_margin(n_samples=512, seed=11)
         if margin <= 0:
@@ -616,7 +611,6 @@ class BadF0:
             trial = BadF0.__new__(BadF0)
             trial.eps = mid
             trial.r_one = 10.0 * mid
-            trial.r_sup = 20.0 * mid
             trial.A = _A4.copy()
             if trial.convexity_margin(256, seed=2) > 0:
                 lo = mid

@@ -202,6 +202,11 @@ class GridDomain:
     Cells are squares of side ``h``; a cell belongs to the domain when its
     center is strictly inside.  Fields live on inside cells; dual fields
     live on the + faces of each cell (index [axis, cell]).
+
+    ``cell_index`` numbers the inside cells 0..N-1 row-major (-1 outside).
+    ``neighbors`` (d, 2, N) holds at [a, 0] and [a, 1] the numbers of each
+    inside cell's +e_a and -e_a neighbors, -1 where that cell is outside;
+    each -1 is a boundary face.
     """
 
     def __init__(self, shape: Shape, nx: int):
@@ -237,9 +242,15 @@ class GridDomain:
         if not np.any(self.inside_mask):
             raise ResolutionError("no cell center falls inside the shape")
 
-        self.boundary_faces = self._collect_boundary_faces()
-        if len(self.boundary_faces) == 0:
-            raise ResolutionError("shape produced no boundary faces")
+        # the ghost ring keeps every neighbor of an inside cell in the grid
+        cells = np.argwhere(self.inside_mask)
+        self.cell_index = np.full(self.n_cells, -1)
+        self.cell_index[self.inside_mask] = np.arange(len(cells))
+        self.neighbors = np.stack([
+            np.stack([self.cell_index[tuple((cells + sgn * e).T)]
+                      for sgn in (1, -1)])
+            for e in np.eye(self.dim, dtype=int)])
+        self.boundary_faces = self._collect_boundary_faces(cells)
 
     @cached_property
     def operator(self) -> "GridOperator":
@@ -252,34 +263,14 @@ class GridDomain:
         op = self.operator
         return op.pad(op.interior[:, 0, :])
 
-    def _collect_boundary_faces(self):
-        cells, axes_l, signs = [], [], []
-        inside = self.inside_mask
-        for a in range(self.dim):
-            pad_shape = list(inside.shape)
-            pad_shape[a] += 2
-            padded = np.zeros(pad_shape, dtype=bool)
-            sl = [slice(None)] * self.dim
-            sl[a] = slice(1, -1)
-            padded[tuple(sl)] = inside
-            for sgn in (+1, -1):
-                sl_nb = [slice(None)] * self.dim
-                sl_nb[a] = slice(2, None) if sgn > 0 else slice(0, -2)
-                neighbor_in = padded[tuple(sl_nb)]
-                hit = inside & ~neighbor_in
-                idx = np.argwhere(hit)
-                if idx.size:
-                    cells.append(idx)
-                    axes_l.append(np.full(len(idx), a))
-                    signs.append(np.full(len(idx), sgn))
-        if not cells:
-            return BoundaryFaces(
-                np.zeros((0, self.dim), int), np.zeros(0, int),
-                np.zeros(0, int), np.zeros((0, self.dim)),
-                np.zeros((0, self.dim)), np.zeros(0), self.h ** (self.dim - 1))
-        cell = np.concatenate(cells)
-        axis = np.concatenate(axes_l)
-        sign = np.concatenate(signs)
+    def _collect_boundary_faces(self, cells):
+        """One face per inside cell and (axis, sign) whose neighbor is
+        outside; axis-major, + before -, cells row-major."""
+        face_of = [(a, sgn, np.flatnonzero(self.neighbors[a, k] < 0))
+                   for a in range(self.dim) for k, sgn in enumerate((1, -1))]
+        cell = cells[np.concatenate([idx for _, _, idx in face_of])]
+        axis = np.concatenate([np.full(len(idx), a) for a, _, idx in face_of])
+        sign = np.concatenate([np.full(len(idx), s) for _, s, idx in face_of])
 
         centers = self.cell_centers[tuple(cell.T)]
         face_pts = centers.copy()
@@ -348,16 +339,13 @@ class GridOperator:
         self.grid_shape = domain.grid_shape
         self.inside = domain.inside_mask
         self._flat = np.flatnonzero(self.inside)  # row-major, like argwhere
-        cells = np.argwhere(self.inside)
-        n_in = len(cells)
-        index = np.full(self.grid_shape, -1)
-        index[self.inside] = np.arange(n_in)
+        n_in = len(self._flat)
         self.points = domain.cell_centers[self.inside]  # (N, d)
 
-        # + neighbor of every inside cell per axis, (d, N); the ghost ring
-        # keeps it within the array.  Neighbors come later in the numbering,
-        # so each row's column indices [c, c + e_a] are already sorted.
-        nbr = np.stack([index[tuple((cells + e).T)] for e in np.eye(d, dtype=int)])
+        # + neighbor of every inside cell per axis, (d, N).  Neighbors come
+        # later in the numbering, so each row's column indices [c, c + e_a]
+        # are already sorted.
+        nbr = domain.neighbors[:, 0]
         interior = nbr >= 0
         self.interior = interior[:, :, None].transpose(1, 2, 0)
         slots = np.flatnonzero(interior)  # in row order a * N + c
@@ -371,7 +359,7 @@ class GridOperator:
 
         bf = domain.boundary_faces
         m = len(bf)
-        self.face_cells = index[tuple(bf.cell.T)]
+        self.face_cells = domain.cell_index[tuple(bf.cell.T)]
         self.B = sp.csr_array((np.ones(m), self.face_cells, np.arange(m + 1)),
                               shape=(m, n_in))
         self.Bt = self.B.T  # CSC: products scatter over the m faces only

@@ -12,8 +12,10 @@ Legendre conjugate f*, and the resolvent (prox) of f*, which is what a
 primal-dual solver actually calls.  Every one of them is a closed form
 that the integrand is built with; nothing here approximates a missing one.
 All evaluators broadcast over leading batch axes; xi always occupies the
-trailing (n, d) axes, and for scalar problems (n == 1) a plain d-vector is
-accepted and promoted.
+trailing (n, d) axes.  For scalar problems (n == 1) a plain d-vector or an
+(m, d) batch of them is accepted and promoted; an input with three or more
+axes must end in (1, d), so an (m, n, d) field of n channels is rejected
+rather than read as m * n scalar gradients.
 
 The conjugate of every integrand in this family is +inf outside the closed
 dual range (the closure of the xi-gradient range), which is contained in
@@ -119,11 +121,12 @@ class Integrand:
         n, d = self.n_rows, self.n_cols
         if xi.ndim >= 2 and xi.shape[-2:] == (n, d):
             out = xi
-        elif n == 1 and xi.ndim >= 1 and xi.shape[-1] == d:
+        elif n == 1 and xi.ndim in (1, 2) and xi.shape[-1] == d:
             out = xi[..., None, :]
         else:
+            promoted = f", ({d},) or (m, {d})" if n == 1 else ""
             raise ShapeMismatchError(
-                f"expected trailing shape ({n}, {d}) or ({d},), got {xi.shape}"
+                f"expected trailing shape ({n}, {d}){promoted}, got {xi.shape}"
             )
         if not np.all(np.isfinite(out)):
             raise ShapeMismatchError("xi must be finite")

@@ -219,15 +219,12 @@ class SolveResult:
     the current iterate or the average since the last restart, whichever
     had the lower relative gap.  ``gap``, ``gap_relative`` and
     ``energy_history_raw[-1]`` describe that same state.  At each check,
-    ``energy_history_raw`` holds the primal energy of the reported state
-    and ``energy_history`` the best of them so far, so it is non-increasing
-    by construction.
+    ``energy_history_raw`` holds the primal energy of the reported state.
     """
 
     u: Field
     z: DualField
     zeta: np.ndarray
-    energy_history: np.ndarray
     energy_history_raw: np.ndarray
     gap_history: np.ndarray
     check_iters: np.ndarray
@@ -639,8 +636,7 @@ def solve(spec: ProblemSpec, config: Optional[SolverConfig] = None,
 
     sigma_t = rescale(t)
 
-    energies, energies_raw, gaps, iters_log = [], [], [], []
-    best_energy = np.inf
+    energies_raw, gaps, iters_log = [], [], []
     gap_now = np.inf
     rel_gap = np.inf
     converged = False
@@ -721,8 +717,6 @@ def solve(spec: ProblemSpec, config: Optional[SolverConfig] = None,
                 raise InstabilityError(
                     f"non-finite duality gap at iteration {it}")
             energies_raw.append(dg.primal)
-            best_energy = min(best_energy, dg.primal)
-            energies.append(best_energy)
             iters_log.append(it)
             gap_now, rel_gap = dg.value, dg.relative
             gaps.append(rel_gap)
@@ -743,7 +737,6 @@ def solve(spec: ProblemSpec, config: Optional[SolverConfig] = None,
         u=Field(domain, op.pad(u)),
         z=DualField(domain, op.pad(z)),
         zeta=zeta,
-        energy_history=np.asarray(energies),
         energy_history_raw=np.asarray(energies_raw),
         gap_history=np.asarray(gaps),
         check_iters=np.asarray(iters_log, dtype=int),

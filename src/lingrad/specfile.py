@@ -61,8 +61,6 @@ _ALLOWED = {
 class SpecBundle:
     spec: ProblemSpec
     solver_config: SolverConfig
-    shape_text: str
-    nx: int
 
 
 def parse_shape(text: str):
@@ -87,7 +85,7 @@ def parse_shape(text: str):
         "rect | interval A B)")
 
 
-def make_integrand_from_name(name: str, shape, n_hint: int = 1):
+def make_integrand_from_name(name: str, shape):
     """Resolve an integrand selection string."""
     name = name.strip()
     d = shape.dim
@@ -156,8 +154,7 @@ def parse_spec(path: str, nx: Optional[int] = None) -> SpecBundle:
 
     if "domain" not in cp or "shape" not in cp["domain"]:
         raise SpecFileError(f"{path}: missing [domain] shape")
-    shape_text = cp["domain"]["shape"]
-    shape = parse_shape(shape_text)
+    shape = parse_shape(cp["domain"]["shape"])
     nx_val = nx if nx is not None else cp["domain"].getint("nx", fallback=64)
     domain = GridDomain(shape, nx_val)
 
@@ -201,4 +198,4 @@ def parse_spec(path: str, nx: Optional[int] = None) -> SpecBundle:
             config.check_every = sec.getint("check_every")
         if "box_bound" in sec:
             config.box_bound = sec.getfloat("box_bound")
-    return SpecBundle(spec, config, shape_text, nx_val)
+    return SpecBundle(spec, config)

@@ -17,7 +17,7 @@ from lingrad.errors import ShapeMismatchError
 from lingrad.fields import DualField, Field
 from lingrad.gallery import get_case
 from lingrad.geometry import Annulus, Ball, GridDomain
-from lingrad.integrands import make_tv, make_vector_tv
+from lingrad.integrands import make_area, make_tv, make_vector_tv
 from lingrad.solver import SolverConfig, solve
 
 
@@ -57,6 +57,12 @@ def test_least_gradient_annulus_reference():
     # the scalar characterization agrees on the same fields
     rep2 = verify_scalar(annulus_lg_case(), tols=ToleranceSet.uniform(1e-8))
     assert rep2.overall_pass
+    # one scorer: the same four residuals with the same values
+    assert list(rep.conditions) == list(rep2.conditions) == [
+        "r_div", "r_subdiff", "r_range", "r_boundary"]
+    for key, cond in rep.conditions.items():
+        assert cond.l1 == rep2[key].l1
+        assert cond.sup == rep2[key].sup
 
 
 def test_anisotropic_vector_reference():
@@ -209,11 +215,23 @@ def test_verify_scalar_rejects_vector_problem():
 
 def test_verify_least_gradient_requires_pure_tv():
     case = get_case("rof_annulus")  # has lambda = 1
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ShapeMismatchError, match="lambda"):
         verify_least_gradient(case.analytic)
+    spec = case.build_spec(32)
+    u, z = Field.zeros(spec.domain, 1), DualField.zeros(spec.domain, 1)
+    with pytest.raises(ShapeMismatchError, match="lambda"):
+        verify_least_gradient(spec, u, z)
+    # only the TV integrand: a vectorial analytic case, a scalar area grid
+    with pytest.raises(ShapeMismatchError, match="TV integrand"):
+        verify_least_gradient(get_case("anisotropic_counterexample").analytic)
+    domain = GridDomain(Ball(1.0), 32)
+    spec = ProblemSpec(make_area(2), domain, np.zeros(len(domain.boundary_faces)))
+    with pytest.raises(ShapeMismatchError, match="TV integrand"):
+        verify_least_gradient(spec, Field.zeros(domain, 1),
+                              DualField.zeros(domain, 1))
 
 
-def test_jump_threshold_routes_cells():
+def test_grid_certificate_passes_across_a_jump():
     # a sharp discontinuity: the cells across the jump carry one-cell
     # gradients of order 1/h, and the certificate still passes
     domain = GridDomain(Ball(1.0), 48)

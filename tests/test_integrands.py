@@ -234,6 +234,13 @@ def test_shape_mismatch():
         make_tv(1, 2).value(None, [1.0, 2.0, 3.0])
     with pytest.raises(ShapeMismatchError):
         make_vector_tv(2, 2).value(None, [1.0, 2.0])
+    # a scalar integrand promotes (d,) and (m, d) only: (3, 2, 2) is three
+    # 2x2 gradients, not 3 x 2 scalar gradients
+    tv = make_tv(1, 2)
+    with pytest.raises(ShapeMismatchError, match=r"\(3, 2, 2\)"):
+        tv.value(np.zeros((3, 2)), np.ones((3, 2, 2)))
+    assert np.array_equal(tv.value(None, np.ones((3, 2))),
+                          tv.value(None, np.ones((3, 1, 2))))
 
 
 def test_subdiff_residual_examples():
