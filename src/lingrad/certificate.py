@@ -12,14 +12,14 @@ and the ``worst_location`` of that value:
 
 On a grid (a ProblemSpec with solver fields) the report is the duality gap
 of ``solver.duality_gap`` split into its local Fenchel-Young terms
-(``solver._gap_terms``) at the dual point and ``box_bound`` the gap used:
-the given (z, zeta), zeta = 0 when none is given, or ``repair_dual``'s.
+(``solver._gap_terms``) at the dual point the gap used: the given
+(z, zeta), zeta = 0 when none is given, or ``repair_dual``'s.
 r_subdiff and r_div have one term per inside cell, r_boundary one per
 boundary face; each ``l1`` is that share of the gap, and r_range, the
 feasibility of the dual, must be exact.  A pass at
 ``ToleranceSet.uniform(tol)`` thus proves gap <= 3 tol.  The r_div terms
-are >= 0 only where |u| <= M, the gap's box bound; its note counts the
-cells outside the box.
+are >= 0 only where |u| <= M, the spec's ``box_bound``; its note counts
+the cells outside the box.
 
 Analytic mode samples closed-form reference fields on quadrature points of
 the shape (no grid), which is how the gallery's explicit counterexample
@@ -39,7 +39,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .energy import ProblemSpec, _cell_values, _dual_values
+from .energy import ProblemSpec, _cell_values
 from .errors import ShapeMismatchError
 from .geometry import Annulus, Ball, Rectangle
 from .integrands import Integrand
@@ -183,26 +183,23 @@ def _score(f: Integrand, s: _Samples, tols: ToleranceSet) -> CertificateReport:
 # ---------------------------------------------------------------------------
 
 
-def _grid_report(spec: ProblemSpec, u, z, zeta, tols: ToleranceSet,
-                 box_bound: Optional[float]) -> CertificateReport:
+def _grid_report(spec: ProblemSpec, u, z, zeta,
+                 tols: ToleranceSet) -> CertificateReport:
     """The duality gap of (u; z, zeta) split by location (module docstring)."""
     domain = spec.domain
-    op, bf, n = domain.operator, domain.boundary_faces, spec.n_channels
-    u, z = _cell_values(domain, u), _dual_values(domain, z)
-    if u.shape[1] != n or z.shape[1] != n:
-        raise ShapeMismatchError("field channel count does not match the spec")
+    op, bf, M = domain.operator, domain.boundary_faces, spec.box_bound
+    u = _cell_values(domain, u, spec.n_channels)
     if zeta is None:
-        zeta = np.zeros((len(bf), n))
-    dg = duality_gap(spec, u, z, zeta, box_bound=box_bound)
-    cell, face, lower = _gap_terms(spec, u, dg.z, dg.zeta, dg.box_bound)
+        zeta = np.zeros((len(bf), spec.n_channels))
+    dg = duality_gap(spec, u, z, zeta)
+    cell, face, lower = _gap_terms(spec, u, dg.z, dg.zeta)
     dual = "repaired dual" if dg.repaired else "given dual"
-    outside = int(np.sum(np.any(np.abs(u) > dg.box_bound, axis=1)))
+    outside = int(np.sum(np.any(np.abs(u) > M, axis=1)))
     # an infeasible z or zeta makes its cell or face term infinite
     bad = np.concatenate([~np.isfinite(cell), ~np.isfinite(face)])
     conds = {
         "r_div": _agg("r_div", lower, 1.0, op.points, tols.div,
-                      f"{dual}, {outside} cells outside |u| <= M = "
-                      f"{dg.box_bound:.6g}"),
+                      f"{dual}, {outside} cells outside |u| <= M = {M:.6g}"),
         "r_subdiff": _agg("r_subdiff", cell, 1.0, op.points, tols.subdiff,
                           dual),
         "r_range": _agg("r_range", bad.astype(float), np.concatenate(
@@ -373,40 +370,35 @@ def _case_samples(case: AnalyticCase, n_samples: int) -> _Samples:
                             n_boundary=max(64, int(n_samples * 0.05)))
 
 
-def _report(spec_or_case, u, z, zeta, tols, n_samples, box_bound):
+def _report(spec_or_case, u, z, zeta, tols, n_samples):
     if isinstance(spec_or_case, AnalyticCase):
         return _score(spec_or_case.integrand,
                       _case_samples(spec_or_case, n_samples), tols)
-    return _grid_report(spec_or_case, u, z, zeta, tols, box_bound)
+    return _grid_report(spec_or_case, u, z, zeta, tols)
 
 
 def verify_scalar(spec_or_case, u=None, z=None, tols: Optional[ToleranceSet] = None,
-                  zeta=None, n_samples: int = 10000,
-                  box_bound: Optional[float] = None) -> CertificateReport:
+                  zeta=None, n_samples: int = 10000) -> CertificateReport:
     """Scalar certificate check; accepts a grid spec with fields or an AnalyticCase."""
     if spec_or_case.integrand.n_rows != 1:
         raise ShapeMismatchError("verify_scalar requires a scalar problem")
-    return _report(spec_or_case, u, z, zeta, tols or ToleranceSet(),
-                   n_samples, box_bound)
+    return _report(spec_or_case, u, z, zeta, tols or ToleranceSet(), n_samples)
 
 
 def verify_vector(spec_or_case, u=None, z=None, tols: Optional[ToleranceSet] = None,
-                  zeta=None, n_samples: int = 10000,
-                  box_bound: Optional[float] = None) -> CertificateReport:
+                  zeta=None, n_samples: int = 10000) -> CertificateReport:
     """Vectorial certificate check (autonomous integrands only for n > 1)."""
     f = spec_or_case.integrand
     if f.n_rows > 1 and f.x_dependent:
         raise ShapeMismatchError(
             "the vectorial characterization requires an autonomous integrand"
         )
-    return _report(spec_or_case, u, z, zeta, tols or ToleranceSet(),
-                   n_samples, box_bound)
+    return _report(spec_or_case, u, z, zeta, tols or ToleranceSet(), n_samples)
 
 
 def verify_least_gradient(spec_or_case, u=None, z=None,
                           tols: Optional[ToleranceSet] = None,
-                          zeta=None, n_samples: int = 10000,
-                          box_bound: Optional[float] = None) -> CertificateReport:
+                          zeta=None, n_samples: int = 10000) -> CertificateReport:
     """Least-gradient certificate: the report of ``verify_scalar`` for the
     TV integrand with g = lambda = 0, where the four conditions read
 
@@ -435,7 +427,7 @@ def verify_least_gradient(spec_or_case, u=None, z=None,
     tols = tols or ToleranceSet()
     if analytic:
         return _score(f, s, tols)
-    return _grid_report(spec_or_case, u, z, zeta, tols, box_bound)
+    return _grid_report(spec_or_case, u, z, zeta, tols)
 
 
 def boundary_gradient_condition(case: AnalyticCase, n_samples: int = 10000):

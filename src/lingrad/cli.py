@@ -102,8 +102,7 @@ def _cmd_certify(args):
         zeta = read_grid_field(args.zeta, domain, n, faces=True).T
     tols = cert.ToleranceSet.uniform(args.tol)
     verify = cert.verify_scalar if n == 1 else cert.verify_vector
-    report = verify(spec, u, z, tols=tols, zeta=zeta,
-                    box_bound=bundle.solver_config.box_bound)
+    report = verify(spec, u, z, tols=tols, zeta=zeta)
     payload = report.as_flat_dict()
     if args.report:
         _write_report(args.report, payload)

@@ -33,12 +33,13 @@ the lower order terms sum h^d (g u + lambda/2 |u - h|^2).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidFieldError, ShapeMismatchError
+from .errors import InvalidFieldError, ShapeMismatchError, SpecFileError
 from .fields import DualField, Field
 from .geometry import GridDomain
 from .integrands import Integrand
@@ -64,6 +65,9 @@ class ProblemSpec:
     ``g``, ``h`` and ``lam`` keep their padded shapes; their values on the
     inside cells are gathered once into ``g_cells``/``h_cells`` (N, n) and
     ``lam_cells`` (N,), which is what the energies and the solver read.
+    ``box_bound`` is the M of every duality gap (see ``solver``): by
+    default m0 = max(|u0|, |h_cells|) when g = 0, else 4 (m0 + 1); one
+    that is not finite and > 0 raises SpecFileError.
     """
 
     integrand: Integrand
@@ -72,6 +76,7 @@ class ProblemSpec:
     g: Optional[np.ndarray] = None     # (n, *grid)
     h: Optional[np.ndarray] = None     # (n, *grid)
     lam: Optional[np.ndarray] = None   # (*grid), nonnegative
+    box_bound: Optional[float] = None  # M; resolved in __post_init__
 
     def __post_init__(self):
         n = self.integrand.n_rows
@@ -84,36 +89,35 @@ class ProblemSpec:
         u0 = np.asarray(self.u0, dtype=float)
         if u0.shape == (m,) and n == 1:
             u0 = u0[:, None]
-        if u0.shape != (m, n):
-            raise ShapeMismatchError(f"u0 must have shape ({m}, {n})")
-        self.u0 = u0
-        for name in ("g", "h"):
+        self.u0 = u0 = _checked(u0, "u0", (m, n))
+        for name, shape in (("g", (n,) + grid), ("h", (n,) + grid),
+                            ("lam", grid)):
             arr = getattr(self, name)
-            if arr is None:
-                arr = np.zeros((n,) + grid)
-            else:
-                arr = np.asarray(arr, dtype=float)
-                if arr.shape == grid and n == 1:
-                    arr = arr[None]
-                if arr.shape != (n,) + grid:
-                    raise ShapeMismatchError(f"{name} must have shape (n, *grid)")
+            arr = np.zeros(shape) if arr is None else np.asarray(arr, float)
+            if arr.shape == grid and shape == (1,) + grid:
+                arr = arr[None]
+            if arr.shape != shape:
+                raise ShapeMismatchError(f"{name} must have shape {shape}")
             setattr(self, name, arr)
-        if self.lam is None:
-            self.lam = np.zeros(grid)
-        else:
-            self.lam = np.asarray(self.lam, dtype=float)
-            if self.lam.shape != grid:
-                raise ShapeMismatchError("lambda must have shape (*grid)")
         op = self.domain.operator
         self.g_cells = op.cells(self.g)
         self.h_cells = op.cells(self.h)
         self.lam_cells = op.cells(self.lam)
-        for name, vals in (("u0", u0), ("g", self.g_cells), ("h", self.h_cells),
+        for name, vals in (("g", self.g_cells), ("h", self.h_cells),
                            ("lambda", self.lam_cells)):
             if not np.all(np.isfinite(vals)):
                 raise InvalidFieldError(f"{name} has non-finite values")
         if np.any(self.lam_cells < 0):
             raise InvalidFieldError("lambda must be nonnegative")
+        if self.box_bound is None:
+            m0 = max(np.max(np.abs(u0)), np.max(np.abs(self.h_cells)))
+            self.box_bound = float(4.0 * (m0 + 1.0) if np.any(self.g_cells)
+                                   else max(m0, 1e-12))
+        elif not (isinstance(self.box_bound, numbers.Real)
+                  and 0 < self.box_bound < np.inf):
+            # a NaN or non-positive M would make the gap NaN or negative
+            raise SpecFileError(
+                f"box_bound must be finite and > 0, got {self.box_bound!r}")
 
     @property
     def n_channels(self) -> int:
@@ -128,19 +132,42 @@ class ProblemSpec:
 # ---------------------------------------------------------------------------
 
 
-def _cell_values(domain: GridDomain, u) -> np.ndarray:
-    """(N, n) inside-cell values of a Field, a padded or a compressed array."""
+def _checked(values, name, expected, domain=None) -> np.ndarray:
+    """A field as it enters, finite and of the expected shape (None: any
+    size) once padded values on the domain's grid are compressed; else
+    InvalidFieldError or ShapeMismatchError naming it."""
+    if not np.all(np.isfinite(values)):
+        raise InvalidFieldError(f"{name} has non-finite values")
+    if domain is not None and (values.shape[len(expected) - 1:]
+                               == domain.grid_shape):
+        values = domain.operator.cells(values)
+    if (values.ndim != len(expected)
+            or any(e not in (None, s) for s, e in zip(values.shape, expected))):
+        raise ShapeMismatchError(f"{name} has shape {values.shape}, expected "
+                                 + str(expected).replace("None", "n"))
+    return values
+
+
+def _cell_values(domain: GridDomain, u, n: Optional[int] = None) -> np.ndarray:
+    """(N, n) inside-cell values of a Field, a padded or a compressed array,
+    checked; n = None accepts any channel count."""
     u = u.values if isinstance(u, Field) else np.asarray(u, dtype=float)
-    return domain.operator.cells(u) if u.shape[1:] == domain.grid_shape else u
+    return _checked(u, "u", (len(domain.operator.points), n), domain)
 
 
-def _dual_values(domain: GridDomain, z) -> np.ndarray:
-    """Planar (N, n, d) face values of a DualField, a padded or a compressed array."""
+def _dual_values(domain: GridDomain, z, n: Optional[int] = None) -> np.ndarray:
+    """Planar (N, n, d) face values of a DualField, a padded or a compressed
+    array, checked; n = None accepts any channel count."""
     z = z.values if isinstance(z, DualField) else np.asarray(z, dtype=float)
-    if z.shape[2:] == domain.grid_shape:
-        z = domain.operator.cells(z)
+    z = _checked(z, "z", (len(domain.operator.points), n, domain.dim), domain)
     # no copy when z is already stored planar
     return np.ascontiguousarray(z.transpose(2, 0, 1)).transpose(1, 2, 0)
+
+
+def _zeta_values(spec: "ProblemSpec", zeta) -> np.ndarray:
+    """The (m, n) boundary multiplier, checked."""
+    return _checked(np.asarray(zeta, dtype=float), "zeta",
+                    (len(spec.domain.boundary_faces), spec.n_channels))
 
 
 def _gradient(op, u: np.ndarray) -> np.ndarray:
@@ -229,11 +256,8 @@ def lower_order_energy(spec: ProblemSpec, u) -> float:
 
 def relaxed_energy(spec: ProblemSpec, u) -> float:
     """Cell term + boundary penalty + lower-order terms of the relaxed functional."""
-    u = u.values if isinstance(u, Field) else np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(u)):
-        raise InvalidFieldError("u has non-finite entries")
     op = spec.domain.operator
-    u = _cell_values(spec.domain, u)
+    u = _cell_values(spec.domain, u, spec.n_channels)
     cell_term = spec.domain.cell_volume * float(
         np.sum(spec.integrand.value(op.points, _gradient(op, u)))
     )

@@ -133,7 +133,9 @@ The reported duality gap is a true primal-dual gap for the problem
 restricted to a box |u| <= M: the dual objective uses the conjugate of the
 lower-order terms over [-M, M], which stays finite even where lambda = 0.
 Any M at least as large as the sup-norm of a minimizer gives gap -> 0; for
-g = 0 the data bound max(|u0|, |h|) is such an M by truncation.
+g = 0 the data bound max(|u0|, |h|) is such an M by truncation.  M lives in
+one place, ``ProblemSpec.box_bound``, which the gap checks of a solve,
+``duality_gap``, the zeta polish and the grid certificate all read.
 """
 
 from __future__ import annotations
@@ -151,6 +153,7 @@ from .energy import (
     _divergence,
     _dual_values,
     _gradient,
+    _zeta_values,
 )
 from .errors import InstabilityError, ShapeMismatchError, SpecFileError
 from .fields import DualField, Field
@@ -172,7 +175,7 @@ __all__ = [
 
 @dataclass
 class SolverConfig:
-    """Stopping rules and the dual box bound.
+    """Stopping rules.
 
     The step sizes are not configurable: every solve takes per-variable
     diagonal steps by the alpha-exponent rule of Pock and Chambolle with
@@ -180,14 +183,13 @@ class SolverConfig:
     docstring for the rule and why it is the only one).  ``check_every``
     sets how often the gap is checked, and with it the restart cadence.
     ``solve`` rejects, with a ``SpecFileError`` naming the field, a
-    ``max_iters`` or ``check_every`` below 1, a ``gap_tol`` that is NaN or
-    negative, and a ``box_bound`` that is not finite and positive.
+    ``max_iters`` or ``check_every`` below 1 and a ``gap_tol`` that is NaN
+    or negative.  The gap's box bound M is ``ProblemSpec.box_bound``.
     """
 
     max_iters: int = 20000
     gap_tol: float = 1e-5
     check_every: int = 100
-    box_bound: Optional[float] = None
 
 
 def _check_config(config: SolverConfig) -> None:
@@ -201,14 +203,6 @@ def _check_config(config: SolverConfig) -> None:
     if not isinstance(tol, numbers.Real) or not tol >= 0:
         raise SpecFileError(
             f"SolverConfig.gap_tol must be a number >= 0, got {tol!r}")
-    _check_box_bound(config.box_bound, "SolverConfig.box_bound")
-
-
-def _check_box_bound(bound, name: str) -> None:
-    """A NaN or non-positive M would make the gap NaN or negative."""
-    if bound is not None and not (isinstance(bound, numbers.Real)
-                                  and 0 < bound < np.inf):
-        raise SpecFileError(f"{name} must be finite and > 0, got {bound!r}")
 
 
 @dataclass
@@ -236,8 +230,8 @@ class SolveResult:
 
 @dataclass
 class DualityGap:
-    """A gap, with the dual point (given, or ``repaired``) and the box bound
-    M it was taken at; their ``_gap_terms`` sum to ``value``."""
+    """A gap, with the dual point it was taken at (given, or ``repaired``);
+    their ``_gap_terms`` sum to ``value``."""
 
     value: float
     relative: float
@@ -246,7 +240,6 @@ class DualityGap:
     dual_feasible: bool
     z: np.ndarray
     zeta: np.ndarray
-    box_bound: float
     repaired: bool = False
 
 
@@ -269,55 +262,43 @@ def _box_conjugate(v, g, lam, h, M):
     return s * u_free - 0.5 * lam * (u_free - h) ** 2
 
 
-def duality_gap(spec: ProblemSpec, u, z, zeta,
-                box_bound: Optional[float] = None) -> DualityGap:
-    """Primal energy minus the box-restricted dual objective; >= 0, 0 at optimum.
+def duality_gap(spec: ProblemSpec, u, z, zeta) -> DualityGap:
+    """Primal energy minus the dual objective over |u| <= M =
+    ``spec.box_bound``; >= 0, 0 at optimum.
 
-    ``u`` and ``z`` may be fields, padded or compressed arrays.
+    ``u`` and ``z`` may be fields, padded or compressed arrays, zeta is
+    (m, n); a wrong shape or a non-finite entry raises an error naming it.
     Least-gradient-type duals are also projected to feasibility by
     ``repair_dual`` (divergence cleaned by a Poisson solve, then rescaled
     into the dual balls), and the better of the two dual bounds is
     reported; the result is a valid gap either way since every feasible
     dual point underestimates the minimum.  Infeasibility of the *given*
     dual is reported, never repaired away: z is feasible where f*(x, z) is
-    finite, zeta where f*(x_b, zeta tensor nu_b) is.  A ``box_bound`` that
-    is not finite and > 0 raises ``SpecFileError``.
+    finite, zeta where f*(x_b, zeta tensor nu_b) is.
     """
-    _check_box_bound(box_bound, "box_bound")
     domain = spec.domain
-    u = _cell_values(domain, u)
-    z = _dual_values(domain, z)
-    zeta = np.asarray(zeta, dtype=float).reshape(len(domain.boundary_faces),
-                                                 spec.n_channels)
-    if box_bound is None:
-        m0 = max(float(np.max(np.abs(spec.u0))),
-                 float(np.max(np.abs(spec.h_cells))))
-        if np.max(np.abs(spec.g_cells)) > 0:
-            box_bound = 4.0 * (m0 + 1.0)
-        else:
-            box_bound = max(m0, 1e-12)
+    u = _cell_values(domain, u, spec.n_channels)
+    z = _dual_values(domain, z, spec.n_channels)
+    zeta = _zeta_values(spec, zeta)
 
     primal = relaxed_energy(spec, u)
     fstar = spec.integrand.conjugate(domain.operator.points, z)
     if not (np.all(np.isfinite(fstar))
             and np.all(_zeta_indicator(spec, zeta) == 0.0)):
-        return DualityGap(np.inf, np.inf, primal, -np.inf, False, z, zeta,
-                          box_bound)
+        return DualityGap(np.inf, np.inf, primal, -np.inf, False, z, zeta)
 
-    dual = _dual_objective(spec, z, zeta, fstar, box_bound)
+    dual = _dual_objective(spec, z, zeta, fstar)
     scored, repaired = (z, zeta), False
     z_rep, zeta_rep = repair_dual(spec, z, zeta)
     if z_rep is not z:
         fstar_rep = spec.integrand.conjugate(domain.operator.points, z_rep)
         if np.all(np.isfinite(fstar_rep)):
-            dual_rep = _dual_objective(spec, z_rep, zeta_rep, fstar_rep,
-                                       box_bound)
+            dual_rep = _dual_objective(spec, z_rep, zeta_rep, fstar_rep)
             if dual_rep > dual:
                 dual, scored, repaired = dual_rep, (z_rep, zeta_rep), True
     gap = primal - dual
     rel = gap / max(abs(primal), abs(dual), 1e-12)
-    return DualityGap(gap, rel, primal, dual, True, *scored, box_bound,
-                      repaired)
+    return DualityGap(gap, rel, primal, dual, True, *scored, repaired)
 
 
 def _zeta_indicator(spec, zeta):
@@ -336,18 +317,18 @@ def _drift(spec, z, zeta):
             + domain.operator.Bt @ (beta[:, None] * zeta))
 
 
-def _dual_objective(spec, z, zeta, fstar, box_bound):
+def _dual_objective(spec, z, zeta, fstar):
     """sum w_b zeta u0 - h^d sum f*(z) - h^d sum q(-G^T z + backflow) on cells."""
     domain = spec.domain
     bf = domain.boundary_faces
     vol = domain.cell_volume
     q = _box_conjugate(_drift(spec, z, zeta), spec.g_cells,
-                       spec.lam_cells[:, None], spec.h_cells, box_bound)
+                       spec.lam_cells[:, None], spec.h_cells, spec.box_bound)
     return (float(np.sum(bf.weight[:, None] * zeta * spec.u0))
             - vol * float(np.sum(fstar)) - vol * float(np.sum(q)))
 
 
-def _gap_terms(spec, u, z, zeta, box_bound):
+def _gap_terms(spec, u, z, zeta):
     """The gap of compressed (u; z, zeta) as its local Fenchel-Young terms.
 
     Per cell h^d [f(Gu) + f*(z) - <z, Gu>], per boundary face
@@ -356,8 +337,9 @@ def _gap_terms(spec, u, z, zeta, box_bound):
     h^d [l(u) + q_M(v) - <v, u>] with l(u) = g u + lambda/2 |u - h|^2 and
     v = ``_drift``.  The pairings cancel (<v, u> h^d = -<z, Gu> h^d +
     sum w_b <zeta, Bu>), so the three sum to the gap.  Each term is >= 0
-    (the last only where |u| <= M), 0 exactly where its optimality
-    condition holds, and inf where its dual variable is infeasible.
+    (the last only where |u| <= M = ``spec.box_bound``), 0 exactly where
+    its optimality condition holds, and inf where its dual variable is
+    infeasible.
     """
     domain, f = spec.domain, spec.integrand
     op, bf, vol = domain.operator, domain.boundary_faces, domain.cell_volume
@@ -369,7 +351,7 @@ def _gap_terms(spec, u, z, zeta, box_bound):
     v = _drift(spec, z, zeta)
     lam = spec.lam_cells[:, None]
     dev = u - spec.h_cells
-    q = _box_conjugate(v, spec.g_cells, lam, spec.h_cells, box_bound)
+    q = _box_conjugate(v, spec.g_cells, lam, spec.h_cells, spec.box_bound)
     lower = vol * np.sum(spec.g_cells * u + 0.5 * lam * dev * dev + q - v * u,
                          axis=1)
     return cell, face, lower
@@ -433,20 +415,19 @@ def _polish_zeta(spec, z_rep, zeta, r_b):
     """Coordinate-exact ascent of the dual objective in the zeta block.
 
     For fixed z the dual objective is w zeta u0 - M h^d |divergence balance|
-    per boundary cell, piecewise linear in each zeta; the 1-D maximum sits
-    at -1, +1, or the balance kink, so evaluating three candidates per face
-    is exact.  Cells sharing no faces make the sweep a plain coordinate
+    per boundary cell, with M = ``spec.box_bound``, piecewise linear in
+    each zeta; the 1-D maximum sits at -1, +1, or the balance kink, so
+    evaluating three candidates per face is exact.  Cells sharing no faces make the sweep a plain coordinate
     ascent that can only improve the bound.
     """
     domain = spec.domain
     op = domain.operator
     bf = domain.boundary_faces
     beta = bf.weight / domain.cell_volume
-    M = max(1.0, float(np.max(np.abs(spec.u0))))
     # the balance penalty gets an epsilon preference so that ties break
     # toward divergence feasibility, which the later Poisson projection
     # would otherwise pay for; argmax takes the first of tied candidates
-    m_vol = M * (1.0 + 1e-9) * domain.cell_volume
+    m_vol = spec.box_bound * (1.0 + 1e-9) * domain.cell_volume
     div_fixed = _divergence(op, z_rep)[:, 0]
     wu0 = bf.weight * spec.u0[:, 0]
     zeta = zeta.copy()
@@ -564,7 +545,8 @@ def solve(spec: ProblemSpec, config: Optional[SolverConfig] = None,
     """Minimize the discrete relaxed functional; the dual iterate is the certificate.
 
     ``warm_start`` may carry an (u, z, zeta) triple, padded or compressed,
-    e.g. from ``prolong_state`` after a coarser solve.
+    e.g. from ``prolong_state`` after a coarser solve; it is checked like
+    the arguments of ``duality_gap``.
     """
     if config is None:
         config = SolverConfig()
@@ -598,9 +580,9 @@ def solve(spec: ProblemSpec, config: Optional[SolverConfig] = None,
 
     if warm_start is not None:
         u0_w, z0_w, zeta0_w = warm_start
-        u = _cell_values(domain, u0_w)
-        z = np.where(op.interior, _dual_values(domain, z0_w), 0.0)
-        zeta = np.asarray(zeta0_w, dtype=float).reshape(len(bf), n).copy()
+        u = _cell_values(domain, u0_w, n)
+        z = np.where(op.interior, _dual_values(domain, z0_w, n), 0.0)
+        zeta = _zeta_values(spec, zeta0_w).copy()
     else:
         u = op.cells(nearest_boundary_extension(spec))
         z = _dual_values(domain, np.zeros((len(pts), n, d)))
@@ -707,10 +689,10 @@ def solve(spec: ProblemSpec, config: Optional[SolverConfig] = None,
                     raise InstabilityError(
                         f"non-finite {name} at iteration {it}")
             kept = (u, z, zeta)
-            dg = duality_gap(spec, u, z, zeta, box_bound=config.box_bound)
+            dg = duality_gap(spec, u, z, zeta)
             if n_avg > 1:
                 avg = (sum_u / n_avg, sum_z / n_avg, sum_zeta / n_avg)
-                dg_avg = duality_gap(spec, *avg, box_bound=config.box_bound)
+                dg_avg = duality_gap(spec, *avg)
                 if dg_avg.relative < dg.relative:
                     kept, dg = avg, dg_avg
             if not np.isfinite(dg.value):

@@ -85,6 +85,17 @@ def parse_shape(text: str):
         "rect | interval A B)")
 
 
+def _entry(path: str, cp, section: str, key: str, parse, default=None):
+    """``parse(text)`` of an entry, or of ``default`` when it is absent (None
+    when that is None); a ValueError becomes a SpecFileError naming the
+    file, the section and the key."""
+    text = cp.get(section, key, fallback=default)
+    try:
+        return None if text is None else parse(text)
+    except ValueError as exc:
+        raise SpecFileError(f"{path}: [{section}] {key}: {exc}") from exc
+
+
 def make_integrand_from_name(name: str, shape):
     """Resolve an integrand selection string."""
     name = name.strip()
@@ -154,27 +165,22 @@ def parse_spec(path: str, nx: Optional[int] = None) -> SpecBundle:
 
     if "domain" not in cp or "shape" not in cp["domain"]:
         raise SpecFileError(f"{path}: missing [domain] shape")
-    shape = parse_shape(cp["domain"]["shape"])
-    nx_val = nx if nx is not None else cp["domain"].getint("nx", fallback=64)
-    domain = GridDomain(shape, nx_val)
-
-    name = cp["integrand"]["name"] if "integrand" in cp and "name" in cp["integrand"] else "tv"
-    integrand = make_integrand_from_name(name, shape)
+    shape = _entry(path, cp, "domain", "shape", parse_shape)
+    if nx is None:
+        domain = _entry(path, cp, "domain", "nx",
+                        lambda text: GridDomain(shape, int(text)), "64")
+    else:
+        domain = GridDomain(shape, nx)
+    integrand = _entry(path, cp, "integrand", "name",
+                       lambda text: make_integrand_from_name(text, shape), "tv")
     n = integrand.n_rows
 
     base_dir = os.path.dirname(os.path.abspath(path))
-    data = cp["data"] if "data" in cp else {}
-    bf_points = domain.boundary_faces.point
-    cells = domain.cell_centers
 
     def sample(key, channels, on_cells):
-        if key not in data:
-            return None
-        try:
-            return _sample_data(data[key], cells if on_cells else bf_points,
-                                channels, base_dir, domain, on_cells)
-        except SpecFileError as exc:
-            raise SpecFileError(f"[data] {key}: {exc}") from exc
+        points = domain.cell_centers if on_cells else domain.boundary_faces.point
+        return _entry(path, cp, "data", key, lambda text: _sample_data(
+            text, points, channels, base_dir, domain, on_cells))
 
     u0 = sample("u0", n, on_cells=False)
     if u0 is None:
@@ -185,17 +191,13 @@ def parse_spec(path: str, nx: Optional[int] = None) -> SpecBundle:
     if lam_arr is not None:
         lam_arr = lam_arr[0]
 
-    spec = ProblemSpec(integrand, domain, u0, g=g, h=h, lam=lam_arr)
-
-    config = SolverConfig()
-    if "solver" in cp:
-        sec = cp["solver"]
-        if "max_iters" in sec:
-            config.max_iters = sec.getint("max_iters")
-        if "gap_tol" in sec:
-            config.gap_tol = sec.getfloat("gap_tol")
-        if "check_every" in sec:
-            config.check_every = sec.getint("check_every")
-        if "box_bound" in sec:
-            config.box_bound = sec.getfloat("box_bound")
-    return SpecBundle(spec, config)
+    box_bound = _entry(path, cp, "solver", "box_bound", float)
+    try:
+        spec = ProblemSpec(integrand, domain, u0, g=g, h=h, lam=lam_arr,
+                           box_bound=box_bound)
+    except SpecFileError as exc:  # the box bound is the one it checks
+        raise SpecFileError(f"{path}: [solver] {exc}") from exc
+    kinds = {"max_iters": int, "gap_tol": float, "check_every": int}
+    return SpecBundle(spec, SolverConfig(**{
+        key: _entry(path, cp, "solver", key, kind)
+        for key, kind in kinds.items() if cp.has_option("solver", key)}))

@@ -134,15 +134,14 @@ def test_rof_spec_matches_gallery(tmp_path):
 def test_rof_spec_gap_uses_inside_cell_box_bound(tmp_path):
     # h = 4/(3r) - 4/3 is evaluated at every cell center and reaches 43.9
     # near the origin, outside the annulus; the default box bound of the
-    # gap reads the inside cells only
+    # spec reads the inside cells only, and the solve's gap reads the spec's
     p = tmp_path / "rof.cfg"
     p.write_text(ROF)
     spec = parse_spec(str(p)).spec
-    res = solve(spec, SolverConfig(max_iters=20, gap_tol=0.0))
     box = max(np.abs(spec.u0).max(), np.abs(spec.h_cells).max())
-    assert box < 1.34 < np.abs(spec.h).max()
-    assert (duality_gap(spec, res.u, res.z, res.zeta).value
-            == duality_gap(spec, res.u, res.z, res.zeta, box_bound=box).value)
+    assert spec.box_bound == box < 1.34 < np.abs(spec.h).max()
+    res = solve(spec, SolverConfig(max_iters=20, gap_tol=0.0))
+    assert res.gap == duality_gap(spec, res.u, res.z, res.zeta).value
 
 
 def test_misspelled_key_is_named(tmp_path):
@@ -176,6 +175,43 @@ def test_solver_overrides(tmp_path):
     bundle = parse_spec(str(p))
     assert bundle.solver_config.max_iters == 7
     assert bundle.solver_config.gap_tol == 0.5
+
+
+@pytest.mark.parametrize("section, entry", [
+    ("domain", "nx = abc"),
+    ("domain", "nx = 0"),
+    ("solver", "max_iters = abc"),
+    ("solver", "check_every = 1.5"),
+    ("solver", "gap_tol = 1e-3x"),
+    ("solver", "box_bound = abc"),
+    ("solver", "box_bound = -1"),
+    ("integrand", "name = vector_tv:abc"),
+    ("integrand", "name = bad_f0:abc"),
+    ("integrand", "name = weighted_tv:x-5"),
+    ("domain", "shape = disk abc"),
+], ids=["nx", "nx_0", "max_iters", "check_every", "gap_tol", "box_bound_abc",
+        "box_bound_neg", "vector_tv", "bad_f0", "weighted_tv_negative",
+        "shape"])
+def test_malformed_entry_names_file_section_and_key(tmp_path, section, entry):
+    # a bad value fails in parse_spec, not as a bare ValueError further in
+    key = entry.split(" = ")[0]
+    text = "\n".join(line for line in MINIMAL.splitlines()
+                     if not line.startswith(f"{key} = "))
+    text = text.replace(f"[{section}]\n", f"[{section}]\n{entry}\n")
+    if f"[{section}]" not in text:
+        text += f"\n[{section}]\n{entry}\n"
+    p = tmp_path / "bad.cfg"
+    p.write_text(text)
+    with pytest.raises(SpecFileError) as err:
+        parse_spec(str(p))
+    assert f"{p}: [{section}] {key}" in str(err.value)
+
+
+def test_cli_malformed_entry_exits_1_naming_the_key(tmp_path, capsys):
+    p = tmp_path / "bad.cfg"
+    p.write_text(MINIMAL.replace("nx = 32", "nx = abc"))
+    assert main(["solve", "--spec", str(p), "--max-iters", "10"]) == 1
+    assert f"{p}: [domain] nx: " in capsys.readouterr().err
 
 
 def test_weighted_integrand_string(tmp_path):

@@ -1,5 +1,8 @@
 """Primal-dual solver: fixed points, gap, dual feasibility, truncation echo."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +20,12 @@ from lingrad.energy import (
     relaxed_energy,
     truncate,
 )
-from lingrad.errors import InstabilityError, ShapeMismatchError, SpecFileError
+from lingrad.errors import (
+    InstabilityError,
+    InvalidFieldError,
+    ShapeMismatchError,
+    SpecFileError,
+)
 from lingrad.gallery import build_bad_f0, get_case
 from lingrad.geometry import Annulus, Ball, GridDomain, Rectangle
 from lingrad.integrands import Integrand, make_tv
@@ -30,6 +38,7 @@ from lingrad.solver import (
     solve,
     trace_error,
 )
+from lingrad.specfile import parse_spec
 
 
 def disk_spec(nx=48, value=3.0):
@@ -198,11 +207,13 @@ def test_duality_gap_flags_infeasible_zeta():
         assert dg.value == np.inf and dg.dual == -np.inf
 
 
-@pytest.mark.parametrize("box_bound", [float("nan"), -1.0, 0.0, float("inf")])
+@pytest.mark.parametrize("box_bound", [float("nan"), -1.0, 0.0, float("inf"),
+                                       -float("inf")])
 def test_duality_gap_checks_the_box_bound(solved_grid_cases, box_bound):
-    spec, res = solved_grid_cases["rof_annulus"]
-    with pytest.raises(SpecFileError, match="box_bound"):
-        duality_gap(spec, res.u, res.z, res.zeta, box_bound=box_bound)
+    # the gap reads spec.box_bound, and no spec holds a bad one
+    spec, _ = solved_grid_cases["rof_annulus"]
+    with pytest.raises(SpecFileError, match="^box_bound must be finite"):
+        dataclasses.replace(spec, box_bound=box_bound)
 
 
 def test_gap_rises_quadratically_under_dual_perturbation():
@@ -388,7 +399,16 @@ def test_accelerated_solve_converges_for_every_fit_weight(rof_annulus_32,
     ("box_bound", float("nan")), ("box_bound", float("inf")),
     ("box_bound", 0.0), ("box_bound", -1.0),
 ])
-def test_solver_config_is_checked_at_the_boundary(field, value):
+def test_solver_config_is_checked_at_the_boundary(tmp_path, field, value):
+    if field == "box_bound":
+        # the box bound of a spec file's [solver] section is the spec's
+        p = tmp_path / "s.cfg"
+        p.write_text("[domain]\nshape = disk 1.0\nnx = 16\n"
+                     f"[solver]\nbox_bound = {value}\n")
+        with pytest.raises(SpecFileError, match="^" + re.escape(
+                f"{p}: [solver] box_bound must be finite and > 0")):
+            parse_spec(str(p))
+        return
     cfg = SolverConfig(max_iters=10)
     setattr(cfg, field, value)
     with pytest.raises(SpecFileError, match=f"SolverConfig.{field}"):
@@ -481,15 +501,82 @@ def test_gap_nonnegative_for_every_feasible_pair(solved_grid_cases, name,
     assert dg.dual_feasible
     assert dg.value >= -1e-12 * abs(dg.primal)
     # the local Fenchel-Young terms of the scored dual sum to the gap ...
-    terms = _gap_terms(spec, u, dg.z, dg.zeta, dg.box_bound)
+    terms = _gap_terms(spec, u, dg.z, dg.zeta)
     total = sum(float(np.sum(t)) for t in terms)
     assert abs(total - dg.value) <= 1e-12 * max(abs(dg.primal), abs(dg.dual))
     # ... and none is negative once u lies in the box |u| <= M
-    u_box = np.clip(u, -dg.box_bound, dg.box_bound)
+    u_box = np.clip(u, -spec.box_bound, spec.box_bound)
     dg_box = duality_gap(spec, u_box, z, zeta)
-    terms = _gap_terms(spec, u_box, dg_box.z, dg_box.zeta, dg_box.box_bound)
+    terms = _gap_terms(spec, u_box, dg_box.z, dg_box.zeta)
     scale = max(abs(dg_box.primal), abs(dg_box.dual))
     assert min(float(t.min()) for t in terms) >= -1e-14 * scale
+
+
+def test_default_box_bound_of_the_grid_gallery_cases(solved_grid_cases):
+    # max(|u0|, |h|) when g = 0, 4 (max(|u0|, |h|) + 1) otherwise; the ROF
+    # annulus's h = 4/(3r) - 4/3 reaches 43.9 at cell centers outside the
+    # annulus, and M reads the inside cells only
+    got = {name: spec.box_bound
+           for name, (spec, _) in solved_grid_cases.items()}
+    assert got == {"annulus_least_gradient": 1.0, "disk_bv_attainment": 1.0,
+                   "rof_annulus": pytest.approx(4.0 / 3.0),
+                   "weighted_tv_1d": 8.0}
+
+
+def test_one_box_bound_for_solve_gap_and_certificate():
+    # a given M is the M of the solve's gap checks, of duality_gap and of
+    # the grid certificate
+    base = get_case("annulus_least_gradient").build_spec(24)
+    spec = ProblemSpec(base.integrand, base.domain, base.u0, box_bound=2.5)
+    assert spec.box_bound == 2.5 and base.box_bound == 1.0
+    res = solve(spec, SolverConfig(max_iters=300, gap_tol=0.0))
+    dg = duality_gap(spec, res.u, res.z, res.zeta)
+    assert dg.value == res.gap
+    # the default M scores the same triple differently
+    assert duality_gap(base, res.u, res.z, res.zeta).value != res.gap
+    rep = verify_least_gradient(spec, res.u, res.z, zeta=res.zeta)
+    assert rep["r_div"].note.endswith("M = 2.5")
+    shares = sum(rep[k].l1 for k in ("r_subdiff", "r_boundary", "r_div"))
+    assert abs(shares - res.gap) <= 1e-12 * max(abs(dg.primal), abs(dg.dual))
+
+
+def _first_nan(a):
+    a = a.copy()
+    a.flat[0] = np.nan
+    return a
+
+
+@pytest.mark.parametrize("field, edit, error, msg", [
+    ("u", lambda a: a[:-1], ShapeMismatchError,
+     r"^u has shape \(\d+, 1\), expected \(\d+, 1\)$"),
+    ("z", lambda a: a[:-1], ShapeMismatchError,
+     r"^z has shape \(\d+, 1, 2\), expected \(\d+, 1, 2\)$"),
+    ("z", lambda a: np.concatenate([a, a], axis=1), ShapeMismatchError,
+     r"^z has shape \(\d+, 2, 2\), expected \(\d+, 1, 2\)$"),
+    ("zeta", lambda a: a[:-1], ShapeMismatchError,
+     r"^zeta has shape \(\d+, 1\), expected \(\d+, 1\)$"),
+    ("u", _first_nan, InvalidFieldError, "^u has non-finite values$"),
+    ("z", _first_nan, InvalidFieldError, "^z has non-finite values$"),
+    ("zeta", _first_nan, InvalidFieldError, "^zeta has non-finite values$"),
+], ids=["u_short", "z_short", "z_two_channels", "zeta_short", "u_nan",
+        "z_nan", "zeta_nan"])
+@pytest.mark.parametrize("entry", ["duality_gap", "verify", "warm_start"])
+def test_fields_are_checked_where_they_enter(solved_grid_cases, field, edit,
+                                             error, msg, entry):
+    spec, res = solved_grid_cases["annulus_least_gradient"]
+    op = spec.domain.operator
+    state = {"u": op.cells(res.u.values), "z": op.cells(res.z.values),
+             "zeta": res.zeta}
+    state[field] = edit(state[field])
+    u, z, zeta = state.values()
+    call = {
+        "duality_gap": lambda: duality_gap(spec, u, z, zeta),
+        "verify": lambda: verify_least_gradient(spec, u, z, zeta=zeta),
+        "warm_start": lambda: solve(spec, SolverConfig(max_iters=10),
+                                    warm_start=(u, z, zeta)),
+    }[entry]
+    with pytest.raises(error, match=msg):
+        call()
 
 
 @pytest.mark.parametrize("name", GRID_CASES)
