@@ -11,9 +11,9 @@ and the ``worst_location`` of that value:
   r_boundary  [z, nu] (u0 - u) = f^inf(x, (u0 - u) tensor nu) on the boundary
 
 On a grid (a ProblemSpec with solver fields) the report is the duality gap
-of ``solver.duality_gap`` split into its local Fenchel-Young terms
-(``solver._gap_terms``) at the dual point the gap used: the given
-(z, zeta), zeta = 0 when none is given, or ``repair_dual``'s.
+of ``solver.duality_gap`` split into its local Fenchel-Young terms, the
+``DualityGap.terms`` that sum to it, at the dual point the gap used: the
+given (z, zeta), zeta = 0 when none is given, or ``repair_dual``'s.
 r_subdiff and r_div have one term per inside cell, r_boundary one per
 boundary face; each ``l1`` is that share of the gap, and r_range, the
 feasibility of the dual, must be exact.  A pass at
@@ -43,7 +43,7 @@ from .energy import ProblemSpec, _cell_values
 from .errors import ShapeMismatchError
 from .geometry import Annulus, Ball, Rectangle
 from .integrands import Integrand
-from .solver import _gap_terms, duality_gap
+from .solver import duality_gap
 
 __all__ = [
     "ToleranceSet",
@@ -192,7 +192,7 @@ def _grid_report(spec: ProblemSpec, u, z, zeta,
     if zeta is None:
         zeta = np.zeros((len(bf), spec.n_channels))
     dg = duality_gap(spec, u, z, zeta)
-    cell, face, lower = _gap_terms(spec, u, dg.z, dg.zeta)
+    cell, face, lower = dg.terms
     dual = "repaired dual" if dg.repaired else "given dual"
     outside = int(np.sum(np.any(np.abs(u) > M, axis=1)))
     # an infeasible z or zeta makes its cell or face term infinite

@@ -28,14 +28,15 @@ The relaxed energy combines the cell term sum h^d f(x, grad u) (jumps show
 up as large one-cell gradients), the boundary penalty
 sum w_b f^inf(x_b, (u0 - u) tensor nu) with the geometric face weights w_b
 and the one-sided trace u = B u taken from the adjacent inside cell, and
-the lower order terms sum h^d (g u + lambda/2 |u - h|^2).
+the lower order terms sum h^d (g u + lambda/2 |u - h|^2), each the sum of
+a per-location density (``_densities``) that every duality gap starts from.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -236,32 +237,49 @@ def gauss_green_residual(domain: GridDomain, u, z) -> float:
 # ---------------------------------------------------------------------------
 
 
+class _Densities(NamedTuple):
+    """Per-location primal densities of u, and what a dual pairs against."""
+
+    u: np.ndarray      # (N, n) inside-cell values
+    grad: np.ndarray   # (N, n, d) G u, planar
+    jump: np.ndarray   # (m, n) u0 - B u
+    cell: np.ndarray   # (N,) h^d f(x, G u)
+    face: np.ndarray   # (m,) w_b f^inf(x_b, jump tensor nu)
+    lower: np.ndarray  # (N,) h^d (g . u + lambda/2 |u - h|^2)
+
+
+def _densities(spec: ProblemSpec, u) -> _Densities:
+    """The densities of a field, a padded or a compressed array u, checked."""
+    domain, f = spec.domain, spec.integrand
+    op, bf, vol = domain.operator, domain.boundary_faces, domain.cell_volume
+    u = _cell_values(domain, u, spec.n_channels)
+    grad, jump, dev = _gradient(op, u), spec.u0 - op.B @ u, u - spec.h_cells
+    face = f.recession(bf.point, jump[:, :, None] * bf.normal[:, None, :])
+    lower = (np.sum(spec.g_cells * u, axis=1)
+             + 0.5 * spec.lam_cells * np.sum(dev * dev, axis=1))
+    return _Densities(u, grad, jump, vol * f.value(op.points, grad),
+                      bf.weight * face, vol * lower)
+
+
+def _total(*terms) -> float:
+    """The sum of per-location terms, each array summed in turn."""
+    return sum(float(np.sum(t)) for t in terms)
+
+
 def boundary_penalty(spec: ProblemSpec, u) -> float:
     """sum w_b f^inf(x_b, (u0 - u_adj) tensor nu) with one-sided traces."""
-    bf = spec.domain.boundary_faces
-    jump = spec.u0 - spec.domain.operator.B @ _cell_values(spec.domain, u)
-    mat = jump[:, :, None] * bf.normal[:, None, :]  # (m, n, d)
-    vals = spec.integrand.recession(bf.point, mat)
-    return float(np.sum(bf.weight * vals))
+    return _total(_densities(spec, u).face)
 
 
 def lower_order_energy(spec: ProblemSpec, u) -> float:
     """sum h^d (g . u + lambda/2 |u - h|^2) over inside cells."""
-    u = _cell_values(spec.domain, u)
-    dev = u - spec.h_cells
-    dens = (np.sum(spec.g_cells * u, axis=1)
-            + 0.5 * spec.lam_cells * np.sum(dev * dev, axis=1))
-    return spec.domain.cell_volume * float(np.sum(dens))
+    return _total(_densities(spec, u).lower)
 
 
 def relaxed_energy(spec: ProblemSpec, u) -> float:
     """Cell term + boundary penalty + lower-order terms of the relaxed functional."""
-    op = spec.domain.operator
-    u = _cell_values(spec.domain, u, spec.n_channels)
-    cell_term = spec.domain.cell_volume * float(
-        np.sum(spec.integrand.value(op.points, _gradient(op, u)))
-    )
-    return cell_term + boundary_penalty(spec, u) + lower_order_energy(spec, u)
+    dens = _densities(spec, u)
+    return _total(dens.cell, dens.face, dens.lower)
 
 
 def total_variation(domain: GridDomain, u: np.ndarray) -> float:

@@ -133,9 +133,10 @@ The reported duality gap is a true primal-dual gap for the problem
 restricted to a box |u| <= M: the dual objective uses the conjugate of the
 lower-order terms over [-M, M], which stays finite even where lambda = 0.
 Any M at least as large as the sup-norm of a minimizer gives gap -> 0; for
-g = 0 the data bound max(|u0|, |h|) is such an M by truncation.  M lives in
-one place, ``ProblemSpec.box_bound``, which the gap checks of a solve,
-``duality_gap``, the zeta polish and the grid certificate all read.
+g = 0 the data bound max(|u0|, |h|) is such an M by truncation.  M is
+``ProblemSpec.box_bound``, which every gap and the zeta polish read.  The gap
+is the sum of the local Fenchel-Young terms of ``_gap_terms`` (Chambolle
+and Pock, JMIV 2011), the one evaluation of the dual.
 """
 
 from __future__ import annotations
@@ -148,11 +149,12 @@ import numpy as np
 
 from .energy import (
     ProblemSpec,
-    relaxed_energy,
     _cell_values,
+    _densities,
     _divergence,
     _dual_values,
     _gradient,
+    _total,
     _zeta_values,
 )
 from .errors import InstabilityError, ShapeMismatchError, SpecFileError
@@ -182,9 +184,9 @@ class SolverConfig:
     alpha = 0.5, computed from the domain's operator (see the module
     docstring for the rule and why it is the only one).  ``check_every``
     sets how often the gap is checked, and with it the restart cadence.
-    ``solve`` rejects, with a ``SpecFileError`` naming the field, a
-    ``max_iters`` or ``check_every`` below 1 and a ``gap_tol`` that is NaN
-    or negative.  The gap's box bound M is ``ProblemSpec.box_bound``.
+    ``solve`` and ``parse_spec`` reject a ``max_iters`` or ``check_every``
+    below 1 and a NaN or negative ``gap_tol`` with a ``SpecFileError``
+    naming the field.  The gap's box bound M is ``ProblemSpec.box_bound``.
     """
 
     max_iters: int = 20000
@@ -192,17 +194,17 @@ class SolverConfig:
     check_every: int = 100
 
 
-def _check_config(config: SolverConfig) -> None:
+def _check_config(config: SolverConfig, where="SolverConfig.") -> None:
     """Raise SpecFileError naming the first field the loop cannot honor."""
     for name in ("max_iters", "check_every"):
         value = getattr(config, name)
         if not isinstance(value, numbers.Integral) or value < 1:
             raise SpecFileError(
-                f"SolverConfig.{name} must be an integer >= 1, got {value!r}")
+                f"{where}{name} must be an integer >= 1, got {value!r}")
     tol = config.gap_tol
     if not isinstance(tol, numbers.Real) or not tol >= 0:
         raise SpecFileError(
-            f"SolverConfig.gap_tol must be a number >= 0, got {tol!r}")
+            f"{where}gap_tol must be a number >= 0, got {tol!r}")
 
 
 @dataclass
@@ -230,8 +232,8 @@ class SolveResult:
 
 @dataclass
 class DualityGap:
-    """A gap, with the dual point it was taken at (given, or ``repaired``);
-    their ``_gap_terms`` sum to ``value``."""
+    """A gap at a dual point (given, or ``repaired``): ``value`` sums its
+    ``_gap_terms`` (cell, face, lower) and ``dual`` is ``primal - value``."""
 
     value: float
     relative: float
@@ -240,6 +242,7 @@ class DualityGap:
     dual_feasible: bool
     z: np.ndarray
     zeta: np.ndarray
+    terms: tuple
     repaired: bool = False
 
 
@@ -268,45 +271,33 @@ def duality_gap(spec: ProblemSpec, u, z, zeta) -> DualityGap:
 
     ``u`` and ``z`` may be fields, padded or compressed arrays, zeta is
     (m, n); a wrong shape or a non-finite entry raises an error naming it.
-    Least-gradient-type duals are also projected to feasibility by
+    The gap is the sum of ``_gap_terms`` on the densities of u, computed
+    once.  Least-gradient-type duals are also projected to feasibility by
     ``repair_dual`` (divergence cleaned by a Poisson solve, then rescaled
-    into the dual balls), and the better of the two dual bounds is
-    reported; the result is a valid gap either way since every feasible
-    dual point underestimates the minimum.  Infeasibility of the *given*
-    dual is reported, never repaired away: z is feasible where f*(x, z) is
-    finite, zeta where f*(x_b, zeta tensor nu_b) is.
+    into the dual balls), and the smaller gap is reported; it is valid
+    either way since every feasible dual point underestimates the minimum.
+    An infeasible *given* dual (an infinite term) is reported, never
+    repaired away.
     """
-    domain = spec.domain
-    u = _cell_values(domain, u, spec.n_channels)
-    z = _dual_values(domain, z, spec.n_channels)
+    dens = _densities(spec, u)
+    z = _dual_values(spec.domain, z, spec.n_channels)
     zeta = _zeta_values(spec, zeta)
-
-    primal = relaxed_energy(spec, u)
-    fstar = spec.integrand.conjugate(domain.operator.points, z)
-    if not (np.all(np.isfinite(fstar))
-            and np.all(_zeta_indicator(spec, zeta) == 0.0)):
-        return DualityGap(np.inf, np.inf, primal, -np.inf, False, z, zeta)
-
-    dual = _dual_objective(spec, z, zeta, fstar)
+    primal = _total(dens.cell, dens.face, dens.lower)
+    terms = _gap_terms(spec, dens, z, zeta)
+    gap = _total(*terms)
+    if not np.isfinite(gap):  # an infeasible given dual
+        return DualityGap(np.inf, np.inf, primal, -np.inf, False, z, zeta, terms)
     scored, repaired = (z, zeta), False
     z_rep, zeta_rep = repair_dual(spec, z, zeta)
     if z_rep is not z:
-        fstar_rep = spec.integrand.conjugate(domain.operator.points, z_rep)
-        if np.all(np.isfinite(fstar_rep)):
-            dual_rep = _dual_objective(spec, z_rep, zeta_rep, fstar_rep)
-            if dual_rep > dual:
-                dual, scored, repaired = dual_rep, (z_rep, zeta_rep), True
-    gap = primal - dual
+        terms_rep = _gap_terms(spec, dens, z_rep, zeta_rep)
+        gap_rep = _total(*terms_rep)
+        if gap_rep < gap:
+            gap, terms, scored, repaired = (gap_rep, terms_rep,
+                                            (z_rep, zeta_rep), True)
+    dual = primal - gap
     rel = gap / max(abs(primal), abs(dual), 1e-12)
-    return DualityGap(gap, rel, primal, dual, True, *scored, repaired)
-
-
-def _zeta_indicator(spec, zeta):
-    """(m,) 0 where zeta tensor nu lies in the dual range (f* finite), else inf."""
-    bf = spec.domain.boundary_faces
-    conj = spec.integrand.conjugate(
-        bf.point, zeta[:, :, None] * bf.normal[:, None, :])
-    return np.where(np.isfinite(conj), 0.0, np.inf)
+    return DualityGap(gap, rel, primal, dual, True, *scored, terms, repaired)
 
 
 def _drift(spec, z, zeta):
@@ -317,43 +308,31 @@ def _drift(spec, z, zeta):
             + domain.operator.Bt @ (beta[:, None] * zeta))
 
 
-def _dual_objective(spec, z, zeta, fstar):
-    """sum w_b zeta u0 - h^d sum f*(z) - h^d sum q(-G^T z + backflow) on cells."""
-    domain = spec.domain
-    bf = domain.boundary_faces
-    vol = domain.cell_volume
-    q = _box_conjugate(_drift(spec, z, zeta), spec.g_cells,
-                       spec.lam_cells[:, None], spec.h_cells, spec.box_bound)
-    return (float(np.sum(bf.weight[:, None] * zeta * spec.u0))
-            - vol * float(np.sum(fstar)) - vol * float(np.sum(q)))
-
-
-def _gap_terms(spec, u, z, zeta):
-    """The gap of compressed (u; z, zeta) as its local Fenchel-Young terms.
+def _gap_terms(spec, dens, z, zeta):
+    """The local Fenchel-Young terms of (u; z, zeta), given the
+    ``energy._densities`` of u: the one evaluation of the dual.
 
     Per cell h^d [f(Gu) + f*(z) - <z, Gu>], per boundary face
     w_b [f^inf(j tensor nu) + i(zeta) - <zeta, j>] with j = u0 - Bu and i
-    the indicator of ``_zeta_indicator``, and per cell
-    h^d [l(u) + q_M(v) - <v, u>] with l(u) = g u + lambda/2 |u - h|^2 and
-    v = ``_drift``.  The pairings cancel (<v, u> h^d = -<z, Gu> h^d +
-    sum w_b <zeta, Bu>), so the three sum to the gap.  Each term is >= 0
-    (the last only where |u| <= M = ``spec.box_bound``), 0 exactly where
-    its optimality condition holds, and inf where its dual variable is
-    infeasible.
+    the indicator of f*(x_b, zeta tensor nu) < inf, and per cell
+    h^d [l(u) + q_M(v) - <v, u>] with l(u) = g u + lambda/2 |u - h|^2,
+    v = ``_drift`` and q_M = ``_box_conjugate``.  The pairings cancel, so
+    the three sum to the primal minus the dual
+    sum w_b <zeta, u0> - h^d sum f*(z) - h^d sum q_M(v).  Each is >= 0 (the
+    last only where |u| <= M = ``spec.box_bound``), 0 exactly where its
+    optimality condition holds, inf where its dual variable is infeasible.
     """
     domain, f = spec.domain, spec.integrand
     op, bf, vol = domain.operator, domain.boundary_faces, domain.cell_volume
-    cell = vol * f.subdiff_residual(op.points, _gradient(op, u), z)
-    jump = spec.u0 - op.B @ u
-    face = bf.weight * (
-        f.recession(bf.point, jump[:, :, None] * bf.normal[:, None, :])
-        + _zeta_indicator(spec, zeta) - np.sum(zeta * jump, axis=1))
+    cell = dens.cell + vol * (f.conjugate(op.points, z)
+                              - np.sum(z * dens.grad, axis=(1, 2)))
+    conj_b = f.conjugate(bf.point, zeta[:, :, None] * bf.normal[:, None, :])
+    face = dens.face + bf.weight * (np.where(np.isfinite(conj_b), 0.0, np.inf)
+                                    - np.sum(zeta * dens.jump, axis=1))
     v = _drift(spec, z, zeta)
-    lam = spec.lam_cells[:, None]
-    dev = u - spec.h_cells
-    q = _box_conjugate(v, spec.g_cells, lam, spec.h_cells, spec.box_bound)
-    lower = vol * np.sum(spec.g_cells * u + 0.5 * lam * dev * dev + q - v * u,
-                         axis=1)
+    q = _box_conjugate(v, spec.g_cells, spec.lam_cells[:, None],
+                       spec.h_cells, spec.box_bound)
+    lower = dens.lower + vol * np.sum(q - v * dens.u, axis=1)
     return cell, face, lower
 
 
@@ -369,8 +348,9 @@ def repair_dual(spec: ProblemSpec, z, zeta):
     clipping into the dual balls; a final global rescale makes the pair
     exactly feasible, so it plugs into ``duality_gap`` for a certified
     lower bound.  Requires a homogeneous scalar integrand with a ball dual
-    range and g = lambda = 0; otherwise (z, zeta) come back as given.  A
-    padded z gives a padded result, a compressed z a compressed one.
+    range and g = lambda = 0; otherwise (z, zeta) come back as given.  z
+    may be padded or compressed; the repaired pair is always compressed:
+    a planar (N, n, d) z and an (m, n) zeta.
     """
     f = spec.integrand
     domain = spec.domain
@@ -378,7 +358,6 @@ def repair_dual(spec: ProblemSpec, z, zeta):
             or np.any(spec.lam_cells != 0) or np.any(spec.g_cells != 0)):
         return z, zeta
     op = domain.operator
-    padded = np.shape(z)[2:] == domain.grid_shape
     bf = domain.boundary_faces
     radius = np.broadcast_to(
         np.asarray(f.dual_radius(op.points), dtype=float), (len(op.points),))
@@ -405,7 +384,7 @@ def repair_dual(spec: ProblemSpec, z, zeta):
     with np.errstate(divide="ignore", invalid="ignore"):
         over = np.where(radius > 0, znorm / radius, 0.0)
     s = 1.0 / max(1.0, float(over.max()))
-    return (op.pad(s * z_rep) if padded else s * z_rep), s * zeta
+    return s * z_rep, s * zeta
 
 
 _POLISH_SWEEPS = 3

@@ -20,7 +20,7 @@ Example::
 Data entries are expressions over (x, y, r, theta) or ``file:<path>``
 references to LGF1 fields on the same grid; vector problems separate
 per-channel expressions with ``;``.  Unknown sections or keys are
-rejected by name.
+rejected by name, as is any [solver] value ``solve`` would reject.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .integrands import (
     make_vector_tv,
     make_weighted_tv,
 )
-from .solver import SolverConfig
+from .solver import SolverConfig, _check_config
 
 __all__ = ["parse_spec", "parse_shape", "make_integrand_from_name", "SpecBundle"]
 
@@ -198,6 +198,8 @@ def parse_spec(path: str, nx: Optional[int] = None) -> SpecBundle:
     except SpecFileError as exc:  # the box bound is the one it checks
         raise SpecFileError(f"{path}: [solver] {exc}") from exc
     kinds = {"max_iters": int, "gap_tol": float, "check_every": int}
-    return SpecBundle(spec, SolverConfig(**{
+    config = SolverConfig(**{
         key: _entry(path, cp, "solver", key, kind)
-        for key, kind in kinds.items() if cp.has_option("solver", key)}))
+        for key, kind in kinds.items() if cp.has_option("solver", key)})
+    _check_config(config, f"{path}: [solver] ")
+    return SpecBundle(spec, config)

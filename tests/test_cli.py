@@ -1,6 +1,7 @@
 """Spec files, expression language, CLI round trips, exit codes."""
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -454,6 +455,31 @@ def test_cli_solve_rejects_bad_solver_settings(tmp_path, capsys, flags,
                     + f"\n[solver]\nmax_iters = 10\n{solver}\n")
     assert main(["solve", "--spec", str(spec)] + flags) == 1
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("max_iters = 0", "max_iters must be an integer >= 1, got 0"),
+    ("max_iters = -5", "max_iters must be an integer >= 1, got -5"),
+    ("check_every = 0", "check_every must be an integer >= 1, got 0"),
+    ("gap_tol = -1", "gap_tol must be a number >= 0, got -1.0"),
+    ("gap_tol = nan", "gap_tol must be a number >= 0, got nan"),
+], ids=["max_iters_0", "max_iters_neg", "check_every_0", "gap_tol_neg",
+        "gap_tol_nan"])
+def test_bad_solver_setting_fails_at_the_file(tmp_path, entry, message):
+    p = tmp_path / "s.cfg"
+    p.write_text(MINIMAL + f"\n[solver]\n{entry}\n")
+    with pytest.raises(SpecFileError, match="^" + re.escape(
+            f"{p}: [solver] {message}") + "$"):
+        parse_spec(str(p))
+
+
+def test_cli_flag_does_not_rescue_a_bad_file_setting(tmp_path, capsys):
+    # the file's value is rejected even though --max-iters would replace it
+    p = tmp_path / "s.cfg"
+    p.write_text(MINIMAL.replace("nx = 32", "nx = 16")
+                 + "\n[solver]\nmax_iters = 0\n")
+    assert main(["solve", "--spec", str(p), "--max-iters", "5"]) == 1
+    assert f"{p}: [solver] max_iters" in capsys.readouterr().err
 
 
 def test_cli_parse_error_exit_1(tmp_path):

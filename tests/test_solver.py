@@ -31,7 +31,6 @@ from lingrad.geometry import Annulus, Ball, GridDomain, Rectangle
 from lingrad.integrands import Integrand, make_tv
 from lingrad.solver import (
     SolverConfig,
-    _gap_terms,
     duality_gap,
     nearest_boundary_extension,
     repair_dual,
@@ -501,15 +500,42 @@ def test_gap_nonnegative_for_every_feasible_pair(solved_grid_cases, name,
     assert dg.dual_feasible
     assert dg.value >= -1e-12 * abs(dg.primal)
     # the local Fenchel-Young terms of the scored dual sum to the gap ...
-    terms = _gap_terms(spec, u, dg.z, dg.zeta)
-    total = sum(float(np.sum(t)) for t in terms)
-    assert abs(total - dg.value) <= 1e-12 * max(abs(dg.primal), abs(dg.dual))
+    assert sum(float(np.sum(t)) for t in dg.terms) == dg.value
     # ... and none is negative once u lies in the box |u| <= M
     u_box = np.clip(u, -spec.box_bound, spec.box_bound)
     dg_box = duality_gap(spec, u_box, z, zeta)
-    terms = _gap_terms(spec, u_box, dg_box.z, dg_box.zeta)
     scale = max(abs(dg_box.primal), abs(dg_box.dual))
-    assert min(float(t.min()) for t in terms) >= -1e-14 * scale
+    assert min(float(t.min()) for t in dg_box.terms) >= -1e-14 * scale
+
+
+def _box_conjugate_oracle(v, spec):
+    # sup over |u| <= M of (v - g) u - lambda/2 (u - h)^2, per cell and
+    # channel: the unconstrained maximizer h + (v - g)/lambda clipped to the
+    # box, or the box corner sign(v - g) M where lambda = 0
+    s, h, M = v - spec.g_cells, spec.h_cells, spec.box_bound
+    lam = np.broadcast_to(spec.lam_cells[:, None], s.shape)
+    safe = np.where(lam > 0, lam, 1.0)
+    best = np.where(lam > 0, np.clip(h + s / safe, -M, M), np.sign(s) * M)
+    return s * best - 0.5 * lam * (best - h) ** 2
+
+
+@pytest.mark.parametrize("name", GRID_CASES)
+def test_one_evaluation_of_the_gap(solved_grid_cases, name):
+    # the gap is the sum of its terms and the primal is relaxed_energy, to
+    # the last bit; the dual objective summed in one piece, an oracle
+    # independent of the terms' pairings, is primal - gap
+    spec, res = solved_grid_cases[name]
+    domain = spec.domain
+    op, bf, vol = domain.operator, domain.boundary_faces, domain.cell_volume
+    dg = duality_gap(spec, res.u, res.z, res.zeta)
+    assert sum(float(np.sum(t)) for t in dg.terms) == dg.value
+    assert relaxed_energy(spec, res.u) == dg.primal
+    v = (_divergence(op, dg.z)
+         + op.Bt @ (bf.weight[:, None] / vol * dg.zeta))
+    dual = (float(np.sum(bf.weight[:, None] * dg.zeta * spec.u0))
+            - vol * float(np.sum(spec.integrand.conjugate(op.points, dg.z)))
+            - vol * float(np.sum(_box_conjugate_oracle(v, spec))))
+    assert abs(dual - dg.dual) <= 1e-12 * max(abs(dg.primal), abs(dg.dual))
 
 
 def test_default_box_bound_of_the_grid_gallery_cases(solved_grid_cases):
