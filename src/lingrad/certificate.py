@@ -41,7 +41,7 @@ import numpy as np
 
 from .energy import ProblemSpec, _cell_values
 from .errors import ShapeMismatchError
-from .geometry import Annulus, Ball, Rectangle
+from .geometry import Annulus, Ball, Rectangle, _central_divergence
 from .integrands import Integrand
 from .solver import duality_gap
 
@@ -320,17 +320,8 @@ class AnalyticCase:
         if self.div_z is not None:
             out = np.asarray(self.div_z(pts), dtype=float)
             return out[:, None] if out.ndim == 1 else out
-        step = 1e-5 * self.shape.diameter
-        n = self.integrand.n_rows
-        div = np.zeros((pts.shape[0], n))
-        for a in range(self.shape.dim):
-            xp = pts.copy()
-            xm = pts.copy()
-            xp[:, a] += step
-            xm[:, a] -= step
-            div += (np.asarray(self.z(xp))[:, :, a]
-                    - np.asarray(self.z(xm))[:, :, a]) / (2 * step)
-        return div
+        return _central_divergence(lambda p: np.asarray(self.z(p)), pts,
+                                   1e-5 * self.shape.diameter)
 
 
 def analytic_samples(case: AnalyticCase, n_interior: int = 9600,
@@ -421,7 +412,7 @@ def verify_least_gradient(spec_or_case, u=None, z=None,
         s = _case_samples(spec_or_case, n_samples)
         lam, g = s.lam, s.g
     else:
-        lam, g = spec_or_case.lam_cells, spec_or_case.g_cells
+        lam, g = spec_or_case.lam, spec_or_case.g
     if np.any(lam != 0) or np.any(g != 0):
         raise ShapeMismatchError("least-gradient check requires g = h = lambda = 0")
     tols = tols or ToleranceSet()

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import certificate as cert
 from . import gallery as gal
-from .energy import relaxed_energy, lower_order_energy, boundary_penalty
+from . import energy
 from .errors import LingradError
 from .fields import DualField, Field, field_to_csv, read_grid_field, write_lgf
 from .geometry import generalized_mean_curvature
@@ -115,11 +115,11 @@ def _cmd_energy(args):
     bundle = parse_spec(args.spec, nx=args.nx)
     spec = bundle.spec
     u = Field(spec.domain, read_grid_field(args.u, spec.domain, spec.n_channels))
-    total = relaxed_energy(spec, u)
+    dens = energy._densities(spec, u)
     payload = {
-        "energy": total,
-        "boundary_penalty": boundary_penalty(spec, u.values),
-        "lower_order": lower_order_energy(spec, u),
+        "energy": energy._total(dens.cell, dens.face, dens.lower),
+        "boundary_penalty": energy._total(dens.face),
+        "lower_order": energy._total(dens.lower),
         "trace_error": trace_error(spec, u),
     }
     if args.report:

@@ -6,11 +6,13 @@ dual field an (N, n, d) array on the + face of each inside cell, and a
 boundary multiplier an (m, n) array over boundary faces.  A compressed dual
 field is stored planar, as the (N, n, d) view of a C-contiguous (d, N, n)
 array, so that ``G u`` and ``G^T z`` reshape it without a copy; a dual
-field given in another layout is copied to it once on entry.  Padded
-(n, *grid) and (n, d, *grid) arrays appear only at the I/O edge: Field and
-DualField, and the padded-signature ``discrete_gradient``,
-``discrete_divergence`` and ``normal_trace`` kept for callers that hold
-padded arrays.  Every public function here accepts either form.
+field given in another layout is copied to it once on entry.  A
+``ProblemSpec`` stores g, h and lambda the same way, on the inside cells.
+Padded (n, *grid) and (n, d, *grid) arrays appear only at the I/O edge:
+Field, DualField and LGF1 files, and the padded-signature
+``discrete_gradient``, ``discrete_divergence`` and ``normal_trace`` kept
+for callers that hold padded arrays.  Every public function here accepts
+either form; every field enters through the one check of ``_checked``.
 
 The operator is two sparse matrices.  ``G`` takes forward differences on
 interior faces (faces between two inside cells) and is zero elsewhere;
@@ -63,56 +65,42 @@ __all__ = [
 class ProblemSpec:
     """Integrand + domain + boundary datum + lower-order data (g, h, lambda).
 
-    ``g``, ``h`` and ``lam`` keep their padded shapes; their values on the
-    inside cells are gathered once into ``g_cells``/``h_cells`` (N, n) and
-    ``lam_cells`` (N,), which is what the energies and the solver read.
-    ``box_bound`` is the M of every duality gap (see ``solver``): by
-    default m0 = max(|u0|, |h_cells|) when g = 0, else 4 (m0 + 1); one
-    that is not finite and > 0 raises SpecFileError.
+    g, h and lambda are read only on the inside cells and stored there:
+    ``g`` and ``h`` as (N, n), ``lam`` as (N,), zero when not given.  Padded
+    (n, *grid) or (*grid) input is compressed once every entry of it is
+    checked finite.  ``box_bound`` is the M of every duality gap (see
+    ``solver``): by default m0 = max(|u0|, |h|) when g = 0, else
+    4 (m0 + 1); one that is not finite and > 0 raises SpecFileError.
     """
 
     integrand: Integrand
     domain: GridDomain
     u0: np.ndarray                 # (m_faces, n) boundary samples
-    g: Optional[np.ndarray] = None     # (n, *grid)
-    h: Optional[np.ndarray] = None     # (n, *grid)
-    lam: Optional[np.ndarray] = None   # (*grid), nonnegative
+    g: Optional[np.ndarray] = None     # (N, n) inside cells
+    h: Optional[np.ndarray] = None     # (N, n) inside cells
+    lam: Optional[np.ndarray] = None   # (N,) inside cells, nonnegative
     box_bound: Optional[float] = None  # M; resolved in __post_init__
 
     def __post_init__(self):
-        n = self.integrand.n_rows
-        grid = self.domain.grid_shape
-        m = len(self.domain.boundary_faces)
         if self.integrand.n_cols != self.domain.dim:
             raise ShapeMismatchError(
                 "integrand column dimension must match the spatial dimension"
             )
-        u0 = np.asarray(self.u0, dtype=float)
-        if u0.shape == (m,) and n == 1:
-            u0 = u0[:, None]
-        self.u0 = u0 = _checked(u0, "u0", (m, n))
-        for name, shape in (("g", (n,) + grid), ("h", (n,) + grid),
-                            ("lam", grid)):
-            arr = getattr(self, name)
-            arr = np.zeros(shape) if arr is None else np.asarray(arr, float)
-            if arr.shape == grid and shape == (1,) + grid:
-                arr = arr[None]
-            if arr.shape != shape:
-                raise ShapeMismatchError(f"{name} must have shape {shape}")
-            setattr(self, name, arr)
-        op = self.domain.operator
-        self.g_cells = op.cells(self.g)
-        self.h_cells = op.cells(self.h)
-        self.lam_cells = op.cells(self.lam)
-        for name, vals in (("g", self.g_cells), ("h", self.h_cells),
-                           ("lambda", self.lam_cells)):
-            if not np.all(np.isfinite(vals)):
-                raise InvalidFieldError(f"{name} has non-finite values")
-        if np.any(self.lam_cells < 0):
+        n = self.integrand.n_rows
+        cells = len(self.domain.operator.points)
+        self.u0 = u0 = _checked(self.u0, "u0",
+                                (len(self.domain.boundary_faces), n))
+        for name, attr, shape in (("g", "g", (cells, n)),
+                                  ("h", "h", (cells, n)),
+                                  ("lambda", "lam", (cells,))):
+            arr = getattr(self, attr)
+            setattr(self, attr, np.zeros(shape) if arr is None
+                    else _checked(arr, name, shape, self.domain))
+        if np.any(self.lam < 0):
             raise InvalidFieldError("lambda must be nonnegative")
         if self.box_bound is None:
-            m0 = max(np.max(np.abs(u0)), np.max(np.abs(self.h_cells)))
-            self.box_bound = float(4.0 * (m0 + 1.0) if np.any(self.g_cells)
+            m0 = max(np.max(np.abs(u0)), np.max(np.abs(self.h)))
+            self.box_bound = float(4.0 * (m0 + 1.0) if np.any(self.g)
                                    else max(m0, 1e-12))
         elif not (isinstance(self.box_bound, numbers.Real)
                   and 0 < self.box_bound < np.inf):
@@ -134,14 +122,19 @@ class ProblemSpec:
 
 
 def _checked(values, name, expected, domain=None) -> np.ndarray:
-    """A field as it enters, finite and of the expected shape (None: any
-    size) once padded values on the domain's grid are compressed; else
-    InvalidFieldError or ShapeMismatchError naming it."""
+    """A field as it enters: the whole given array must be finite; then a
+    padded array on the domain's grid is compressed, a scalar field that
+    omits its channel axis gets one, and the shape must be ``expected``
+    (None: any size); else InvalidFieldError or ShapeMismatchError naming
+    it."""
+    values = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(values)):
         raise InvalidFieldError(f"{name} has non-finite values")
-    if domain is not None and (values.shape[len(expected) - 1:]
-                               == domain.grid_shape):
+    grid = () if domain is None else domain.grid_shape
+    if grid and values.shape[values.ndim - len(grid):] == grid:
         values = domain.operator.cells(values)
+    if values.ndim == len(expected) - 1 >= 1 and expected[1] == 1:
+        values = values[:, None]
     if (values.ndim != len(expected)
             or any(e not in (None, s) for s, e in zip(values.shape, expected))):
         raise ShapeMismatchError(f"{name} has shape {values.shape}, expected "
@@ -152,14 +145,14 @@ def _checked(values, name, expected, domain=None) -> np.ndarray:
 def _cell_values(domain: GridDomain, u, n: Optional[int] = None) -> np.ndarray:
     """(N, n) inside-cell values of a Field, a padded or a compressed array,
     checked; n = None accepts any channel count."""
-    u = u.values if isinstance(u, Field) else np.asarray(u, dtype=float)
+    u = u.values if isinstance(u, Field) else u
     return _checked(u, "u", (len(domain.operator.points), n), domain)
 
 
 def _dual_values(domain: GridDomain, z, n: Optional[int] = None) -> np.ndarray:
     """Planar (N, n, d) face values of a DualField, a padded or a compressed
     array, checked; n = None accepts any channel count."""
-    z = z.values if isinstance(z, DualField) else np.asarray(z, dtype=float)
+    z = z.values if isinstance(z, DualField) else z
     z = _checked(z, "z", (len(domain.operator.points), n, domain.dim), domain)
     # no copy when z is already stored planar
     return np.ascontiguousarray(z.transpose(2, 0, 1)).transpose(1, 2, 0)
@@ -167,7 +160,7 @@ def _dual_values(domain: GridDomain, z, n: Optional[int] = None) -> np.ndarray:
 
 def _zeta_values(spec: "ProblemSpec", zeta) -> np.ndarray:
     """The (m, n) boundary multiplier, checked."""
-    return _checked(np.asarray(zeta, dtype=float), "zeta",
+    return _checked(zeta, "zeta",
                     (len(spec.domain.boundary_faces), spec.n_channels))
 
 
@@ -253,10 +246,10 @@ def _densities(spec: ProblemSpec, u) -> _Densities:
     domain, f = spec.domain, spec.integrand
     op, bf, vol = domain.operator, domain.boundary_faces, domain.cell_volume
     u = _cell_values(domain, u, spec.n_channels)
-    grad, jump, dev = _gradient(op, u), spec.u0 - op.B @ u, u - spec.h_cells
+    grad, jump, dev = _gradient(op, u), spec.u0 - op.B @ u, u - spec.h
     face = f.recession(bf.point, jump[:, :, None] * bf.normal[:, None, :])
-    lower = (np.sum(spec.g_cells * u, axis=1)
-             + 0.5 * spec.lam_cells * np.sum(dev * dev, axis=1))
+    lower = (np.sum(spec.g * u, axis=1)
+             + 0.5 * spec.lam * np.sum(dev * dev, axis=1))
     return _Densities(u, grad, jump, vol * f.value(op.points, grad),
                       bf.weight * face, vol * lower)
 

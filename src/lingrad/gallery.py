@@ -42,7 +42,6 @@ import numpy as np
 from .certificate import AnalyticCase
 from .energy import ProblemSpec
 from .errors import DomainError, ProxFailureError
-from .fields import Field
 from .geometry import Annulus, Ball, GridDomain, Interval
 from .integrands import Integrand, make_tv, make_weighted_tv
 
@@ -176,10 +175,10 @@ def rof_annulus_counterexample() -> GalleryCase:
 
     def build(nx):
         domain = GridDomain(shape, nx)
-        u0_vals = hbar(domain.boundary_faces.point)
-        h_field = Field.from_function(domain, hbar).values
-        return ProblemSpec(make_tv(1, 2), domain, u0_vals, h=h_field,
-                           lam=np.ones(domain.grid_shape))
+        points = domain.operator.points
+        return ProblemSpec(make_tv(1, 2), domain,
+                           hbar(domain.boundary_faces.point),
+                           h=hbar(points), lam=np.ones(len(points)))
 
     return GalleryCase(
         name="rof_annulus",
@@ -285,9 +284,8 @@ def weighted_tv_1d(a: Optional[Callable] = None,
 
     def build(nx):
         domain = GridDomain(shape, nx)
-        u0_vals = u0(domain.boundary_faces.point)
-        g_field = Field.from_function(domain, lambda pts: g_fn(pts)).values
-        return ProblemSpec(integrand, domain, u0_vals, g=g_field)
+        return ProblemSpec(integrand, domain, u0(domain.boundary_faces.point),
+                           g=g_fn(domain.operator.points))
 
     return GalleryCase(
         name="weighted_tv_1d",

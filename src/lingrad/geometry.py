@@ -456,6 +456,19 @@ def boundary_normal(domain_or_shape, point):
     return g / np.linalg.norm(g, axis=-1, keepdims=True)
 
 
+def _central_divergence(field, x, step):
+    """Sum over axes a of (field(x + step e_a) - field(x - step e_a))[..., a]
+    / (2 step): the central-difference divergence at points x (P, d)."""
+    div = 0.0
+    for a in range(x.shape[-1]):
+        xp = x.copy()
+        xm = x.copy()
+        xp[:, a] += step
+        xm[:, a] -= step
+        div += (field(xp)[..., a] - field(xm)[..., a]) / (2 * step)
+    return div
+
+
 def generalized_mean_curvature(f: Integrand, domain_or_shape, x,
                                h_fd: Optional[float] = None):
     """Generalized mean curvature of the boundary with respect to f.
@@ -492,14 +505,7 @@ def generalized_mean_curvature(f: Integrand, domain_or_shape, x,
         return f.recession_gradient(pts, xi)[..., 0, :]
 
     def divergence(orientation):
-        div = np.zeros(x.shape[0])
-        for a in range(shape.dim):
-            xp = x.copy()
-            xm = x.copy()
-            xp[:, a] += h_fd
-            xm[:, a] -= h_fd
-            div += (field(xp, orientation)[:, a] - field(xm, orientation)[:, a]) / (2 * h_fd)
-        return div
+        return _central_divergence(lambda p: field(p, orientation), x, h_fd)
 
     h_val = np.minimum(-divergence(+1.0), divergence(-1.0))
     return h_val if h_val.size > 1 else float(h_val[0])
@@ -511,15 +517,17 @@ def curvature_condition_margin(f: Integrand, g_values, domain: GridDomain,
 
     Returns H(x_b) - sup{|g| over inside cells within 3h of x_b} - c; all
     entries positive means the discrete smallness condition on g holds.
+    ``g_values`` is (N,) on the inside cells, or padded (*grid).
     """
     faces = domain.boundary_faces
     H = generalized_mean_curvature(f, domain, faces.point)
     H = np.atleast_1d(H)
-    g_arr = np.asarray(g_values, dtype=float)
-    if g_arr.shape != domain.grid_shape:
-        raise ShapeMismatchError("g must live on the domain grid")
-    centers = domain.cell_centers[domain.inside_mask]
-    g_inside = np.abs(g_arr[domain.inside_mask])
+    centers = domain.operator.points
+    g_inside = np.abs(np.asarray(g_values, dtype=float))
+    if g_inside.shape == domain.grid_shape:
+        g_inside = domain.operator.cells(g_inside)
+    if g_inside.shape != centers.shape[:1]:
+        raise ShapeMismatchError("g must be (N,) on inside cells or (*grid)")
     margins = np.empty(len(faces))
     for i in range(len(faces)):
         d2 = np.sum((centers - faces.point[i]) ** 2, axis=-1)

@@ -30,9 +30,10 @@ reshapes to that layout without a copy, ``G^T z`` reads it without one,
 and the prox reduces over the n and d axes of contiguous planes.  Each
 update is written in place into an array the iteration already owns: the
 prox input into the gradient product, the interior mask into the prox
-output, and u into the divergence product.  Padded arrays are made only
-at the I/O edge, for the Field and DualField of the SolveResult and from a
-padded warm start.
+output, and u into the divergence product.  The data g, h and lambda, the
+cold start and ``prolong_state`` are compressed too; padded arrays are
+made only for the Field and DualField of the SolveResult, and read only
+from a padded warm start.
 
 The steps follow the diagonal alpha-exponent rule of Pock and Chambolle
 (ICCV 2011) for K = [h^d G; w_b B], with alpha = ``_STEP_ALPHA`` = 0.5:
@@ -247,12 +248,13 @@ class DualityGap:
 
 
 def nearest_boundary_extension(spec: ProblemSpec) -> np.ndarray:
-    """u0 extended inward by nearest boundary face value; warm start."""
+    """u0 extended inward by nearest boundary face value, (N, n): the cold
+    start of ``solve``."""
     from scipy.spatial import cKDTree
 
-    op = spec.domain.operator
-    _, nearest = cKDTree(spec.domain.boundary_faces.point).query(op.points)
-    return op.pad(spec.u0[nearest])
+    points = spec.domain.operator.points
+    _, nearest = cKDTree(spec.domain.boundary_faces.point).query(points)
+    return spec.u0[nearest]
 
 
 def _box_conjugate(v, g, lam, h, M):
@@ -330,8 +332,7 @@ def _gap_terms(spec, dens, z, zeta):
     face = dens.face + bf.weight * (np.where(np.isfinite(conj_b), 0.0, np.inf)
                                     - np.sum(zeta * dens.jump, axis=1))
     v = _drift(spec, z, zeta)
-    q = _box_conjugate(v, spec.g_cells, spec.lam_cells[:, None],
-                       spec.h_cells, spec.box_bound)
+    q = _box_conjugate(v, spec.g, spec.lam[:, None], spec.h, spec.box_bound)
     lower = dens.lower + vol * np.sum(q - v * dens.u, axis=1)
     return cell, face, lower
 
@@ -355,7 +356,7 @@ def repair_dual(spec: ProblemSpec, z, zeta):
     f = spec.integrand
     domain = spec.domain
     if (f.n_rows != 1 or not f.homogeneous or f.dual_radius is None
-            or np.any(spec.lam_cells != 0) or np.any(spec.g_cells != 0)):
+            or np.any(spec.lam != 0) or np.any(spec.g != 0)):
         return z, zeta
     op = domain.operator
     bf = domain.boundary_faces
@@ -485,7 +486,9 @@ def prolong_state(coarse_spec: ProblemSpec, coarse: SolveResult,
                   fine_spec: ProblemSpec):
     """Nearest-neighbor transfer of (u, z, zeta) to a finer grid (warm start).
 
-    Returns padded (u, z) and the (m, n) zeta of the fine grid.
+    Reads the padded Field and DualField of ``coarse`` and returns the
+    compressed state of the fine grid: u (N, n), z (N, n, d), zero off its
+    interior faces, and zeta (m, n), which ``solve`` takes as they are.
     """
     from scipy.spatial import cKDTree
 
@@ -509,7 +512,7 @@ def prolong_state(coarse_spec: ProblemSpec, coarse: SolveResult,
     tree = cKDTree(cd.boundary_faces.point)
     _, nearest = tree.query(fd.boundary_faces.point)
     zeta = coarse.zeta[nearest]
-    return op.pad(u), op.pad(z), zeta
+    return u, z, zeta
 
 
 # a check restarts once the reported rel-gap is at most this factor times
@@ -563,7 +566,7 @@ def solve(spec: ProblemSpec, config: Optional[SolverConfig] = None,
         z = np.where(op.interior, _dual_values(domain, z0_w, n), 0.0)
         zeta = _zeta_values(spec, zeta0_w).copy()
     else:
-        u = op.cells(nearest_boundary_extension(spec))
+        u = nearest_boundary_extension(spec)
         z = _dual_values(domain, np.zeros((len(pts), n, d)))
         zeta = np.zeros((len(bf), n))
     u_bar = u
@@ -572,13 +575,13 @@ def solve(spec: ProblemSpec, config: Optional[SolverConfig] = None,
         np.asarray(f.dual_radius(bf.point), dtype=float), (len(bf),)
     )
 
-    lam = spec.lam_cells[:, None]
-    g_arr = spec.g_cells
-    lam_h = lam * spec.h_cells
+    lam = spec.lam[:, None]
+    g_arr = spec.g
+    lam_h = lam * spec.h
     # accelerated schedule: primal steps t tau, dual steps sigma / t, from
     # t = 1/gamma down to the floor t = 1; gamma is the strong-convexity
     # modulus of the lower-order term in the metric of the steps
-    gamma = float(spec.lam_cells.min() * tau.min())
+    gamma = float(spec.lam.min() * tau.min())
     t = 1.0 / gamma if 0 < gamma < 1 else 1.0
 
     sigma_zeta_t = np.empty_like(sigma_zeta)

@@ -19,8 +19,9 @@ Example::
 
 Data entries are expressions over (x, y, r, theta) or ``file:<path>``
 references to LGF1 fields on the same grid; vector problems separate
-per-channel expressions with ``;``.  Unknown sections or keys are
-rejected by name, as is any [solver] value ``solve`` would reject.
+per-channel expressions with ``;``, sampled at the boundary faces (u0) or
+at the inside-cell centres only (g, h, lambda).  Unknown sections or keys
+are rejected by name, as is any [solver] value ``solve`` would reject.
 """
 
 from __future__ import annotations
@@ -123,25 +124,27 @@ def make_integrand_from_name(name: str, shape):
     raise SpecFileError(f"unknown integrand name {name!r}")
 
 
-def _sample_data(entry: str, points: np.ndarray, n: int, base_dir: str,
-                 domain: GridDomain, on_cells: bool):
+def _sample_data(entry: str, n: int, base_dir: str, domain: GridDomain,
+                 on_cells: bool):
     """Evaluate an expression (';'-separated per channel) or load file:...
 
-    Returns (n, *grid) on cells, or (m, n) on the m boundary faces.
+    Returns (N, n) values on the N inside cells, or (m, n) on the m
+    boundary faces.  A file's values off the inside cells are not read.
     """
     entry = entry.strip()
     if entry.startswith("file:"):
         path = os.path.join(base_dir, entry[5:].strip())
         values = read_grid_field(path, domain, n, faces=not on_cells)
-        return values if on_cells else values.T
+        return domain.operator.cells(values) if on_cells else values.T
     exprs = [e for e in entry.split(";") if e.strip()]
     if len(exprs) == 1 and n > 1:
         exprs = exprs * n
     if len(exprs) != n:
         raise SpecFileError(
             f"need {n} ';'-separated expressions, got {len(exprs)}")
-    out = np.stack([evaluate_on_points(e, points) for e in exprs], axis=0)
-    return out if on_cells else out.T
+    points = (domain.operator.points if on_cells
+              else domain.boundary_faces.point)
+    return np.stack([evaluate_on_points(e, points) for e in exprs], axis=1)
 
 
 def parse_spec(path: str, nx: Optional[int] = None) -> SpecBundle:
@@ -178,9 +181,8 @@ def parse_spec(path: str, nx: Optional[int] = None) -> SpecBundle:
     base_dir = os.path.dirname(os.path.abspath(path))
 
     def sample(key, channels, on_cells):
-        points = domain.cell_centers if on_cells else domain.boundary_faces.point
         return _entry(path, cp, "data", key, lambda text: _sample_data(
-            text, points, channels, base_dir, domain, on_cells))
+            text, channels, base_dir, domain, on_cells))
 
     u0 = sample("u0", n, on_cells=False)
     if u0 is None:
@@ -189,7 +191,7 @@ def parse_spec(path: str, nx: Optional[int] = None) -> SpecBundle:
     h = sample("h", n, on_cells=True)
     lam_arr = sample("lambda", 1, on_cells=True)
     if lam_arr is not None:
-        lam_arr = lam_arr[0]
+        lam_arr = lam_arr[:, 0]
 
     box_bound = _entry(path, cp, "solver", "box_bound", float)
     try:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from lingrad.cli import main
 from lingrad.errors import InvalidFieldError, SpecFileError
 from lingrad.expr import evaluate_on_points
-from lingrad.fields import read_lgf, write_lgf
+from lingrad.fields import Field, read_lgf, write_lgf
 from lingrad.gallery import get_case
 from lingrad.solver import SolverConfig, duality_gap, solve
 from lingrad.specfile import parse_shape, parse_spec
@@ -127,22 +127,36 @@ def test_rof_spec_matches_gallery(tmp_path):
     case = get_case("rof_annulus")
     ana_u0 = case.analytic.u0(bundle.spec.domain.boundary_faces.point)
     assert np.allclose(bundle.spec.u0[:, 0], ana_u0, atol=1e-12)
-    ref_h = case.analytic.h(bundle.spec.domain.cell_centers)
-    inside = bundle.spec.domain.inside_mask
-    assert np.allclose(bundle.spec.h[0][inside], ref_h[inside], atol=1e-12)
+    ref_h = case.analytic.h(bundle.spec.domain.operator.points)
+    assert np.allclose(bundle.spec.h[:, 0], ref_h, atol=1e-12)
 
 
 def test_rof_spec_gap_uses_inside_cell_box_bound(tmp_path):
-    # h = 4/(3r) - 4/3 is evaluated at every cell center and reaches 43.9
-    # near the origin, outside the annulus; the default box bound of the
-    # spec reads the inside cells only, and the solve's gap reads the spec's
+    # h = 4/(3r) - 4/3 reaches 43.9 at the cell centers near the origin,
+    # outside the annulus; the spec samples h on the inside cells only, its
+    # default box bound reads those, and the solve's gap reads the spec's
     p = tmp_path / "rof.cfg"
     p.write_text(ROF)
     spec = parse_spec(str(p)).spec
-    box = max(np.abs(spec.u0).max(), np.abs(spec.h_cells).max())
-    assert spec.box_bound == box < 1.34 < np.abs(spec.h).max()
+    domain = spec.domain
+    assert evaluate_on_points("4/(3*r)-4/3", domain.cell_centers).max() > 1.34
+    assert spec.h.shape == (len(domain.operator.points), 1)
+    box = max(np.abs(spec.u0).max(), np.abs(spec.h).max())
+    assert spec.box_bound == box < 1.34
     res = solve(spec, SolverConfig(max_iters=20, gap_tol=0.0))
     assert res.gap == duality_gap(spec, res.u, res.z, res.zeta).value
+
+
+def test_spec_data_are_sampled_on_inside_cells_only(tmp_path):
+    # 0/indicator(r - 0.5) is NaN exactly at the cell centers with r <= 0.5,
+    # outside the annulus, where the spec never evaluates it
+    p = tmp_path / "hole.cfg"
+    p.write_text(ROF.replace("h = 4/(3*r)-4/3", "h = 0/indicator(r-0.5)"))
+    spec = parse_spec(str(p)).spec
+    centers = spec.domain.cell_centers
+    nan = np.isnan(evaluate_on_points("0/indicator(r-0.5)", centers))
+    assert np.array_equal(nan, np.linalg.norm(centers, axis=-1) <= 0.5)
+    assert np.all(spec.h == 0)  # finite: 0/1 at every inside cell
 
 
 def test_misspelled_key_is_named(tmp_path):
@@ -246,7 +260,7 @@ def test_file_reference_round_trip(tmp_path):
     p2.write_text(MINIMAL + "g = file:g.lgf\n")
     bundle2 = parse_spec(str(p2))
     inside = bundle2.spec.domain.inside_mask
-    assert np.allclose(bundle2.spec.g[0][inside], gvals[0][inside])
+    assert np.allclose(bundle2.spec.g[:, 0], gvals[0][inside])
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +332,34 @@ def test_cli_energy_and_convert(tmp_path):
     assert main(["convert", "--spec", str(spec), "--in", str(u),
                  "--out", str(out)]) == 0
     assert out.read_text().startswith("x,y,channel,value")
+
+
+def test_cli_energy_evaluates_the_densities_once(tmp_path, monkeypatch):
+    # the three sums come from one evaluation of the densities of u, and
+    # are the values of the public functions, each of which evaluates them
+    import lingrad.energy as en
+
+    spec_path = tmp_path / "rof.cfg"
+    spec_path.write_text(ROF)
+    spec = parse_spec(str(spec_path)).spec
+    values = np.random.default_rng(3).uniform(
+        -1.0, 1.0, (1,) + spec.domain.grid_shape)
+    u = tmp_path / "u.lgf"
+    write_lgf(u, values, h=spec.domain.h)
+    calls = []
+    densities = en._densities
+    monkeypatch.setattr(en, "_densities",
+                        lambda *args: calls.append(1) or densities(*args))
+    report = tmp_path / "energy.json"
+    assert main(["energy", "--spec", str(spec_path), "--u", str(u),
+                 "--report", str(report)]) == 0
+    assert len(calls) == 1
+    monkeypatch.undo()
+    got = json.loads(report.read_text())
+    field = Field(spec.domain, values)
+    assert got["energy"] == en.relaxed_energy(spec, field)
+    assert got["boundary_penalty"] == en.boundary_penalty(spec, field)
+    assert got["lower_order"] == en.lower_order_energy(spec, field)
 
 
 ANNULUS_LG = """

@@ -198,14 +198,36 @@ def test_problem_spec_rejects_non_finite_data(name, value):
         ProblemSpec(make_tv(1, 2), domain, **data)
 
 
+@pytest.mark.parametrize("name", ["g", "h", "lambda"])
+def test_an_array_is_checked_whole(name):
+    # a padded g, h or lambda is checked whole, like a padded u or z: a NaN
+    # at an outside cell raises naming the field, while a Field built from
+    # the same array zeroes its outside cells and scores like zero data
+    domain = GridDomain(Ball(1.0), 32)
+    tv, u0 = make_tv(1, 2), np.ones(len(domain.boundary_faces))
+    key = "lam" if name == "lambda" else name
+    arr = np.zeros(domain.grid_shape)
+    arr[tuple(np.argwhere(~domain.inside_mask)[0])] = np.nan
+    with pytest.raises(InvalidFieldError, match=rf"^{name} has non-finite"):
+        ProblemSpec(tv, domain, u0, **{key: arr})
+    data = {"lam": np.ones(domain.grid_shape),
+            "h": np.full(domain.grid_shape, 2.0)}
+    spec = ProblemSpec(tv, domain, u0,
+                       **{**data, key: Field(domain, arr[None]).values[0]})
+    zero = ProblemSpec(tv, domain, u0,
+                       **{**data, key: np.zeros(domain.grid_shape)})
+    u, _ = random_pair(domain)
+    assert relaxed_energy(spec, u) == relaxed_energy(zero, u)
+
+
 def test_problem_spec_checks_lambda_on_inside_cells_only():
-    # spec files evaluate lambda at every cell center; values outside the
-    # domain never enter the problem
+    # a padded lambda is compressed to the inside cells; finite values
+    # outside the domain never enter the problem
     domain = GridDomain(Ball(1.0), 32)
     u0 = np.zeros(len(domain.boundary_faces))
     spec = ProblemSpec(make_tv(1, 2), domain, u0,
                        lam=np.where(domain.inside_mask, 0.0, -1.0))
-    assert np.all(spec.lam_cells == 0)
+    assert np.all(spec.lam == 0)
     with pytest.raises(InvalidFieldError, match="nonnegative"):
         ProblemSpec(make_tv(1, 2), domain, u0,
                     lam=np.where(domain.inside_mask, -1.0, 0.0))

@@ -189,3 +189,9 @@ def test_curvature_condition_sees_local_g():
     far = np.linalg.norm(bf.point + np.array([1.0, 0.0]), axis=-1) < disk.h
     assert np.all(margins[near] < -3.5)
     assert np.all(margins[far] > 0.5)
+    # g on the inside cells, as a ProblemSpec holds it, gives the same margins
+    g_cells = g[disk.inside_mask]
+    assert np.array_equal(
+        curvature_condition_margin(tv, g_cells, disk, c=0.0), margins)
+    with pytest.raises(ShapeMismatchError, match="on inside cells"):
+        curvature_condition_margin(tv, g_cells[:-1], disk, c=0.0)

@@ -6,20 +6,26 @@ shows up here rather than only in a traced benchmark run.
 """
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from lingrad import get_case
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+WORKLOADS = [w["name"] for w in
+             json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
-def test_run_setup_only_prints_a_time():
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_run_setup_only_prints_a_time(workload):
     out = subprocess.run(
-        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "lg_annulus",
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload,
          "--seed", "1", "--seconds", "0", "--trace", "0", "--setup-only"],
         cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=150)
     assert out.returncode == 0, out.stderr
