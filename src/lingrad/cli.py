@@ -82,6 +82,7 @@ def _cmd_solve(args):
                     fh.write(f"{i},{e:.17g},{g:.17g}\n")
         _atomic_write(args.history, w)
     print(f"iterations: {res.iterations}")
+    print("levels: " + " ".join(f"{nx}:{its}" for nx, its, _ in res.levels))
     print(f"energy: {res.energy_history_raw[-1]:.12g}")
     print(f"relative_gap: {res.gap_relative:.6g}")
     print(f"trace_error: {trace_error(bundle.spec, res.u):.12g}")
@@ -171,6 +172,7 @@ def _cmd_gallery(args):
         payload["solve.gap_relative"] = res.gap_relative
         payload["solve.trace_error"] = trace_error(spec, res.u)
         payload["solve.iterations"] = res.iterations
+        payload["solve.levels"] = [list(level) for level in res.levels]
         if case.expected.energy is not None:
             rel = abs(energy - case.expected.energy) / abs(
                 case.expected.energy)

@@ -213,6 +213,7 @@ class GridDomain:
         if nx < 16:
             raise ResolutionError("resolution must be at least 16")
         self.shape = shape
+        self.nx = nx  # cells across the first axis of the shape's box
         self.dim = shape.dim
         if self.dim not in (1, 2):
             raise ResolutionError("grids support dim 1 and 2 only")

@@ -31,9 +31,9 @@ and the prox reduces over the n and d axes of contiguous planes.  Each
 update is written in place into an array the iteration already owns: the
 prox input into the gradient product, the interior mask into the prox
 output, and u into the divergence product.  The data g, h and lambda, the
-cold start and ``prolong_state`` are compressed too; padded arrays are
-made only for the Field and DualField of the SolveResult, and read only
-from a padded warm start.
+cold start, the coarse levels and their prolongation are compressed too;
+padded arrays are made only for the Field and DualField of the
+SolveResult, and read only from a padded warm start.
 
 The steps follow the diagonal alpha-exponent rule of Pock and Chambolle
 (ICCV 2011) for K = [h^d G; w_b B], with alpha = ``_STEP_ALPHA`` = 0.5:
@@ -78,11 +78,20 @@ Scaling T by t and Sigma by 1/t keeps ||Sigma^(1/2) K T^(1/2)|| <= 1
 (Pock and Chambolle, Lemma 2), so every step is stable.  The floor
 theta >= 1/t keeps t >= 1: primal steps never get smaller than the plain
 ones.  t carries across restarts.  Where lambda vanishes on some cell,
-gamma = 0, theta = 1 and t = 1 throughout, and the iteration is the plain
-one bit for bit.  The plain steps grow lopsided as the grid is refined
-(in 2-D a primal step is about h/2 times a dual step), which the schedule
-undoes while t is large.  Iterations to the target on the ROF annulus with
-lambda scaled, plain -> accelerated:
+gamma = 0, theta = 1 and t = 1 throughout, and the steps are the plain
+ones; step (iii) is then followed by a clip of u to [-M, M], M =
+``ProblemSpec.box_bound``, which makes it the exact prox of the
+lower-order term plus the indicator of the box |u| <= M over which the
+gap takes its dual (the term is separable, so the prox of the sum is the
+clipped prox).  The iterate then never leaves the box the gap assumes,
+and no lower-order term of the gap is negative.  Where gamma > 0 the clip
+is left out: on the ROF annulus at nx=192 it made the solve slower in 4
+of 4 alternating pairs of runs at the same 1,500 iterations (1.11-1.37 s
+against 1.07-1.10 s).  The plain steps grow
+lopsided as the grid is refined (in 2-D a primal step is about h/2 times
+a dual step), which the schedule undoes while t is large.  Iterations
+to the target on the ROF annulus with lambda scaled, plain ->
+accelerated:
 
   ======  ======  =====  ======================
   lambda  target  nx     plain -> accelerated
@@ -127,8 +136,52 @@ at most ``_RESTART_DECAY`` = 0.2 times the relative gap at the last
 restart, the iterate restarts from that state, with u_bar = u and the
 average emptied.  The first check always restarts.  The restarts pay on
 the piecewise-linear (LP-like) least-gradient and BV problems, where plain
-steps crawl: the least-gradient annulus at nx=96 reaches a relative gap of
-1e-3 in 1,800 iterations, against 12,800 without restarts.
+steps crawl: from a cold start on its own grid, the least-gradient
+annulus at nx=96 reaches a relative gap of 1e-3 in 1,800 iterations,
+against 12,800 without restarts.
+
+Where lambda vanishes on some inside cell (gamma = 0) a solve without a
+``warm_start`` does not start cold on its own grid.  It first solves the
+restriction of its spec (``_restriction``): the same integrand and box
+bound M on half the cells per axis, with u0 taken from the nearest fine
+boundary face and g, h, lambda from the nearest fine inside cell.  That
+solve starts the same way, so the ladder runs down to the coarsest grid
+``GridDomain`` allows (nx >= 16, each nx even).  Each level runs under
+the caller's ``SolverConfig`` (the same gap_tol, max_iters and
+check_every) and hands its compressed (u, z, zeta) to the next finer
+level through ``_prolong``, the compressed core of ``prolong_state``;
+its spec, domain, factors and state are released before the finer level
+iterates.  ``SolveResult.levels`` records each level.  Iterations per
+level, coarsest first, against a cold start on the finest grid alone:
+
+  ==================================  ===============================  ========
+  case, target                        ladder                           cold
+  ==================================  ===============================  ========
+  least-gradient annulus, 96, 1e-3    500 / 300 / 600                  1,800
+  least-gradient annulus, 256, 1e-3   300 / 300 / 500 / 500 / 900      4,700
+  BV-attainment disk, 96, 1e-3        1,200 / 700 / 1,100              4,100
+  BV-attainment disk, 256, 1e-3       700 / 300 / 500 / 900 / 1,300    13,000
+  weighted 1-D TV, 256, 1e-2          800 / 400 / 1,000 / 1,500 / 800  68,100
+  half-disk, 64, 1e-5                 1,900 / 3,800 / 3,400            > 30,000
+  ==================================  ===============================  ========
+
+The one loss measured is criterion 10's half-disk at nx=48 to 1e-6 with
+the datum truncated at b = 0.25: 19,000 + 7,750 iterations against
+11,500 cold (b = 1 and b = 0.5 gain: 6,250 + 18,250 against 28,250 and
+3,750 + 11,750 against 16,750).  Below nx of about 48 an iteration costs
+about the same at any size, so a long coarse level is not cheap there.
+Looser coarse tolerances lose: with 10x the target, sqrt(target) or
+max(target, 1e-3) on the coarse levels, the disk at nx=96 to 1e-3 took
+3,600 / 4,500 / 1,100 fine iterations (1,100 with the target itself),
+and the half-disk at nx=64 to 1e-5 took 7,100 / 22,600 / 15,900 (3,400).
+A coarsest level of 48 instead of 24 took 1,200 + 600 iterations on the
+least-gradient annulus at nx=96 against 500 + 300 + 600.  Where gamma > 0
+the ladder is not run.  On the ROF annulus at nx=192 it took 400 + 300 +
+500 + 1,200 iterations against 1,500 cold, and won 5 of 8 alternating
+pairs of runs (0.92-1.29 s against 0.99-1.34 s): no gain that stands out
+of the spread.  A likely cause is that each warm start restarts the
+accelerated schedule at t = 1/gamma, whose large early steps move the
+warm iterate away.  The step-rule table above was measured from cold starts on one grid.
 
 The reported duality gap is a true primal-dual gap for the problem
 restricted to a box |u| <= M: the dual objective uses the conjugate of the
@@ -143,8 +196,9 @@ and Pock, JMIV 2011), the one evaluation of the dual.
 from __future__ import annotations
 
 import numbers
+import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -158,9 +212,14 @@ from .energy import (
     _total,
     _zeta_values,
 )
-from .errors import InstabilityError, ShapeMismatchError, SpecFileError
+from .errors import (
+    InstabilityError,
+    ResolutionError,
+    ShapeMismatchError,
+    SpecFileError,
+)
 from .fields import DualField, Field
-from .geometry import Annulus, Ball
+from .geometry import Annulus, Ball, GridDomain
 
 __all__ = [
     "SolverConfig",
@@ -217,6 +276,10 @@ class SolveResult:
     had the lower relative gap.  ``gap``, ``gap_relative`` and
     ``energy_history_raw[-1]`` describe that same state.  At each check,
     ``energy_history_raw`` holds the primal energy of the reported state.
+    These, ``iterations`` and ``converged`` describe the grid of ``spec``.
+    ``levels`` holds one ``(nx, iterations, seconds)`` record per grid the
+    solve iterated on, coarsest first; the last is the grid of ``spec``,
+    so a solve without coarse levels has one.
     """
 
     u: Field
@@ -229,6 +292,7 @@ class SolveResult:
     converged: bool
     gap: float
     gap_relative: float
+    levels: tuple
 
 
 @dataclass
@@ -486,33 +550,63 @@ def prolong_state(coarse_spec: ProblemSpec, coarse: SolveResult,
                   fine_spec: ProblemSpec):
     """Nearest-neighbor transfer of (u, z, zeta) to a finer grid (warm start).
 
-    Reads the padded Field and DualField of ``coarse`` and returns the
-    compressed state of the fine grid: u (N, n), z (N, n, d), zero off its
-    interior faces, and zeta (m, n), which ``solve`` takes as they are.
+    Reads the Field and DualField of ``coarse`` and returns the compressed
+    state of the fine grid: u (N, n) from the nearest inside coarse cell,
+    z (N, n, d) from the inside coarse cell containing each fine interior
+    face (zero elsewhere), and zeta (m, n) from the nearest coarse boundary
+    face, which ``solve`` takes as they are.
     """
+    cd = coarse_spec.domain
+    return _prolong(cd, _cell_values(cd, coarse.u), _dual_values(cd, coarse.z),
+                    coarse.zeta, fine_spec.domain)
+
+
+def _prolong(cd, u, z, zeta, fd):
+    """``prolong_state`` on the compressed state of coarse domain ``cd``."""
     from scipy.spatial import cKDTree
 
-    cd, fd = coarse_spec.domain, fine_spec.domain
     op = fd.operator
-
-    def coarse_values(values, points):
-        idx = np.floor((points - cd.origin) / cd.h).astype(int)
-        for a in range(cd.dim):
-            idx[..., a] = np.clip(idx[..., a], 0, cd.n_cells[a] - 1)
-        return values[(slice(None),) + tuple(idx.T)].T  # (N, n)
-
-    u = coarse_values(coarse.u.values, op.points)
-    z = np.zeros((len(op.points), coarse_spec.n_channels, fd.dim))
+    _, nearest = cKDTree(cd.operator.points).query(op.points)
+    u = u[nearest]
+    z_f = np.zeros((len(op.points), z.shape[1], fd.dim))
     for a in range(fd.dim):
         face_pos = op.points.copy()
         face_pos[:, a] += 0.5 * fd.h
-        z[:, :, a] = coarse_values(coarse.z.values[:, a], face_pos)
-    z = np.where(op.interior, z, 0.0)
+        idx = np.floor((face_pos - cd.origin) / cd.h).astype(int)
+        for b in range(cd.dim):
+            idx[:, b] = np.clip(idx[:, b], 0, cd.n_cells[b] - 1)
+        cell = cd.cell_index[tuple(idx.T)]
+        z_f[:, :, a] = np.where(cell[:, None] >= 0, z[cell, :, a], 0.0)
+    z_f = np.where(op.interior, z_f, 0.0)
 
-    tree = cKDTree(cd.boundary_faces.point)
-    _, nearest = tree.query(fd.boundary_faces.point)
-    zeta = coarse.zeta[nearest]
-    return u, z, zeta
+    _, nearest = cKDTree(cd.boundary_faces.point).query(
+        fd.boundary_faces.point)
+    return u, z_f, zeta[nearest]
+
+
+def _restriction(spec: ProblemSpec) -> Optional[ProblemSpec]:
+    """The spec on half the cells per axis, or None where the domain's nx
+    is odd or ``GridDomain`` rejects nx // 2.
+
+    u0 on each coarse boundary face is that of the nearest fine face, g, h
+    and lambda those of the nearest fine inside cell; the integrand and the
+    box bound M are the fine spec's.
+    """
+    from scipy.spatial import cKDTree
+
+    fine = spec.domain
+    if fine.nx % 2:
+        return None
+    try:
+        coarse = GridDomain(fine.shape, fine.nx // 2)
+    except ResolutionError:
+        return None
+    _, face = cKDTree(fine.boundary_faces.point).query(
+        coarse.boundary_faces.point)
+    _, cell = cKDTree(fine.operator.points).query(coarse.operator.points)
+    return ProblemSpec(spec.integrand, coarse, spec.u0[face], g=spec.g[cell],
+                       h=spec.h[cell], lam=spec.lam[cell],
+                       box_bound=spec.box_bound)
 
 
 # a check restarts once the reported rel-gap is at most this factor times
@@ -528,7 +622,10 @@ def solve(spec: ProblemSpec, config: Optional[SolverConfig] = None,
 
     ``warm_start`` may carry an (u, z, zeta) triple, padded or compressed,
     e.g. from ``prolong_state`` after a coarser solve; it is checked like
-    the arguments of ``duality_gap``.
+    the arguments of ``duality_gap``.  Without one, a spec with lambda = 0
+    on some inside cell is first solved on the coarser grids of
+    ``_restriction``, each level started from the prolonged state of the
+    one below (see the module docstring); ``levels`` records them.
     """
     if config is None:
         config = SolverConfig()
@@ -539,6 +636,65 @@ def solve(spec: ProblemSpec, config: Optional[SolverConfig] = None,
             f"integrand {f.name!r} has no dual_radius: the boundary "
             "dualization projects zeta onto a ball-shaped dual range"
         )
+    levels = []
+    start = warm_start
+    if start is None and spec.lam.min() == 0:
+        start = _coarse_start(spec, config, levels)
+    run = _iterate(spec, config, start, levels)
+    op = spec.domain.operator
+    u, z, zeta = run.state
+    return SolveResult(
+        u=Field(spec.domain, op.pad(u)),
+        z=DualField(spec.domain, op.pad(z)),
+        zeta=zeta,
+        energy_history_raw=np.asarray(run.energies),
+        gap_history=np.asarray(run.gaps),
+        check_iters=np.asarray(run.check_iters, dtype=int),
+        iterations=run.iterations,
+        converged=run.converged,
+        gap=run.gap,
+        gap_relative=run.gap_relative,
+        levels=tuple(levels),
+    )
+
+
+def _coarse_start(spec, config, levels):
+    """The compressed state of ``spec``'s grid prolonged from a solve of
+    its restriction, itself started the same way; None on the coarsest
+    grid.  Each level's spec, domain and state are released on return."""
+    coarse = _restriction(spec)
+    if coarse is None:
+        return None
+    run = _iterate(coarse, config, _coarse_start(coarse, config, levels),
+                   levels)
+    return _prolong(coarse.domain, *run.state, spec.domain)
+
+
+def _scalars(dg: DualityGap):
+    """(relative, value, primal): what a gap check compares and logs."""
+    return dg.relative, dg.value, dg.primal
+
+
+class _Run(NamedTuple):
+    """What one level's loop reports; ``state`` is the compressed
+    (u, z, zeta) whose gap the last check reported."""
+
+    state: tuple
+    energies: list
+    gaps: list
+    check_iters: list
+    iterations: int
+    converged: bool
+    gap: float
+    gap_relative: float
+
+
+def _iterate(spec, config, start, levels) -> _Run:
+    """The primal-dual loop on one grid, from the (u, z, zeta) triple
+    ``start`` or, when it is None, from ``nearest_boundary_extension``
+    with zero duals; appends ``(nx, iterations, seconds)`` to ``levels``."""
+    t_start = time.perf_counter()
+    f = spec.integrand
     domain = spec.domain
     op = domain.operator
     n = spec.n_channels
@@ -560,8 +716,8 @@ def solve(spec: ProblemSpec, config: Optional[SolverConfig] = None,
     # net zeta step on (u0 - B u): sigma_row * w = w^(alpha - 1)
     sigma_zeta = (bf.weight ** (al - 1.0))[:, None]
 
-    if warm_start is not None:
-        u0_w, z0_w, zeta0_w = warm_start
+    if start is not None:
+        u0_w, z0_w, zeta0_w = start
         u = _cell_values(domain, u0_w, n)
         z = np.where(op.interior, _dual_values(domain, z0_w, n), 0.0)
         zeta = _zeta_values(spec, zeta0_w).copy()
@@ -583,6 +739,9 @@ def solve(spec: ProblemSpec, config: Optional[SolverConfig] = None,
     # modulus of the lower-order term in the metric of the steps
     gamma = float(spec.lam.min() * tau.min())
     t = 1.0 / gamma if 0 < gamma < 1 else 1.0
+    # where gamma = 0 the u update is the prox of l + the indicator of
+    # |u| <= M, the box the gap's dual is taken over
+    box = spec.box_bound if gamma == 0 else None
 
     sigma_zeta_t = np.empty_like(sigma_zeta)
     tau_t = np.empty_like(tau)
@@ -649,6 +808,8 @@ def solve(spec: ProblemSpec, config: Optional[SolverConfig] = None,
         u *= tau_t
         u += u_prev
         u /= denom
+        if box is not None:
+            np.clip(u, -box, box, out=u)
 
         # (iv) over-relaxation u + theta (u - u_prev) with theta = t_next / t
         # = max(1 / sqrt(1 + 2 gamma t), 1 / t); theta = 1 once t = 1
@@ -670,19 +831,23 @@ def solve(spec: ProblemSpec, config: Optional[SolverConfig] = None,
                 if not np.all(np.isfinite(a)):
                     raise InstabilityError(
                         f"non-finite {name} at iteration {it}")
+            # only the scalars of each gap are kept, and a losing average
+            # is dropped, so the arrays of one gap are freed before the
+            # next is evaluated
             kept = (u, z, zeta)
-            dg = duality_gap(spec, u, z, zeta)
+            score = _scalars(duality_gap(spec, u, z, zeta))
             if n_avg > 1:
                 avg = (sum_u / n_avg, sum_z / n_avg, sum_zeta / n_avg)
-                dg_avg = duality_gap(spec, *avg)
-                if dg_avg.relative < dg.relative:
-                    kept, dg = avg, dg_avg
-            if not np.isfinite(dg.value):
+                score_avg = _scalars(duality_gap(spec, *avg))
+                if score_avg[0] < score[0]:
+                    kept, score = avg, score_avg
+                del avg
+            rel_gap, gap_now, primal = score
+            if not np.isfinite(gap_now):
                 raise InstabilityError(
                     f"non-finite duality gap at iteration {it}")
-            energies_raw.append(dg.primal)
+            energies_raw.append(primal)
             iters_log.append(it)
-            gap_now, rel_gap = dg.value, dg.relative
             gaps.append(rel_gap)
             if rel_gap <= config.gap_tol:
                 converged = True
@@ -696,16 +861,6 @@ def solve(spec: ProblemSpec, config: Optional[SolverConfig] = None,
                 sum_zeta[...] = 0.0
                 n_avg = 0
 
-    u, z, zeta = kept
-    return SolveResult(
-        u=Field(domain, op.pad(u)),
-        z=DualField(domain, op.pad(z)),
-        zeta=zeta,
-        energy_history_raw=np.asarray(energies_raw),
-        gap_history=np.asarray(gaps),
-        check_iters=np.asarray(iters_log, dtype=int),
-        iterations=it,
-        converged=converged,
-        gap=gap_now,
-        gap_relative=rel_gap,
-    )
+    levels.append((domain.nx, it, time.perf_counter() - t_start))
+    return _Run(kept, energies_raw, gaps, iters_log, it, converged, gap_now,
+                rel_gap)

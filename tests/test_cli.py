@@ -390,6 +390,37 @@ def test_cli_solve_prints_the_energy_of_the_written_u(tmp_path, capsys):
     assert float(printed["energy"]) == pytest.approx(energy, rel=1e-12)
 
 
+def test_cli_solve_prints_the_levels_of_the_solve(tmp_path, capsys):
+    spec = tmp_path / "lg.cfg"
+    spec.write_text(ANNULUS_LG)
+    assert main(["solve", "--spec", str(spec), "--max-iters", "300",
+                 "--gap-tol", "1e-3"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].startswith("levels: ")  # right after iterations:
+    printed = dict(line.split(": ", 1) for line in out)
+    levels = [tuple(int(v) for v in lv.split(":"))
+              for lv in printed["levels"].split()]
+    bundle = parse_spec(str(spec))
+    cfg = bundle.solver_config
+    cfg.max_iters, cfg.gap_tol = 300, 1e-3
+    res = solve(bundle.spec, cfg)
+    assert levels == [lv[:2] for lv in res.levels]
+    assert [nx for nx, _ in levels] == [16, 32, 64]
+    assert levels[-1][1] == int(printed["iterations"])
+
+
+def test_cli_gallery_run_reports_the_levels(tmp_path):
+    report = tmp_path / "r.json"
+    assert main(["gallery", "run", "annulus_least_gradient", "--solve",
+                 "--nx", "32", "--max-iters", "200", "--gap-tol", "1e-3",
+                 "--report", str(report)]) in (0, 2)
+    payload = json.loads(report.read_text())
+    levels = payload["solve.levels"]
+    assert [lv[0] for lv in levels] == [16, 32]
+    assert levels[-1][1] == payload["solve.iterations"]
+    assert all(lv[2] > 0.0 for lv in levels)
+
+
 def test_cli_curvature(tmp_path):
     spec = tmp_path / "m.cfg"
     spec.write_text(MINIMAL)

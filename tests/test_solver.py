@@ -1,13 +1,17 @@
 """Primal-dual solver: fixed points, gap, dual feasibility, truncation echo."""
 
 import dataclasses
+import gc
 import re
+import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lingrad import solver as solver_module
 from lingrad.certificate import (
     ToleranceSet,
     verify_least_gradient,
@@ -26,13 +30,16 @@ from lingrad.errors import (
     ShapeMismatchError,
     SpecFileError,
 )
+from lingrad.fields import DualField, Field
 from lingrad.gallery import build_bad_f0, get_case
 from lingrad.geometry import Annulus, Ball, GridDomain, GridOperator, Rectangle
 from lingrad.integrands import Integrand, make_tv
 from lingrad.solver import (
     SolverConfig,
+    _restriction,
     duality_gap,
     nearest_boundary_extension,
+    prolong_state,
     repair_dual,
     solve,
     trace_error,
@@ -451,6 +458,107 @@ def test_warm_start_extension_values():
     r = np.linalg.norm(points, axis=-1)
     near_inner = r < 1.0 + 2 * spec.domain.h
     assert np.all(u[near_inner, 0] == 1.0)
+
+
+@pytest.mark.parametrize("make_spec", [annulus_spec, disk_spec])
+def test_prolonged_constant_is_constant_on_every_cell(make_spec):
+    # fine cells whose containing coarse cell lies outside the coarse
+    # domain read u from the nearest inside coarse cell
+    coarse, fine = make_spec(48), make_spec(96)
+    cd = coarse.domain
+    n_in, m = len(cd.operator.points), len(cd.boundary_faces)
+    u = cd.operator.pad(np.full((n_in, 1), 3.0))
+    state = SimpleNamespace(u=Field(cd, u), z=DualField.zeros(cd),
+                            zeta=np.zeros((m, 1)))
+    u, z, zeta = prolong_state(coarse, state, fine)
+    assert u.shape == (len(fine.domain.operator.points), 1)
+    assert np.all(u == 3.0)
+
+
+def test_plain_steps_keep_u_in_the_box():
+    # where lambda vanishes the u update is the prox of l + the box
+    # |u| <= M that the gap's dual is taken over, so no lower-order term
+    # of the gap is negative
+    spec = get_case("disk_bv_attainment").build_spec(64)
+    res = solve(spec, SolverConfig(max_iters=300))
+    assert np.abs(res.u.values).max() <= spec.box_bound
+    dg = duality_gap(spec, res.u, res.z, res.zeta)
+    assert np.all(dg.terms[2] >= 0.0)
+
+
+def test_cold_plain_solve_starts_from_its_restriction():
+    spec = get_case("annulus_least_gradient").build_spec(64)
+    cfg = SolverConfig(max_iters=400, gap_tol=1e-3)
+    res = solve(spec, cfg)
+    assert [nx for nx, _, _ in res.levels] == [16, 32, 64]
+    assert res.levels[-1][1] == res.iterations
+    coarse = _restriction(spec)
+    res_c = solve(coarse, cfg)
+    assert [lv[:2] for lv in res_c.levels] == [lv[:2] for lv in res.levels[:2]]
+    by_hand = solve(spec, cfg, warm_start=prolong_state(coarse, res_c, spec))
+    assert len(by_hand.levels) == 1
+    assert np.array_equal(res.u.values, by_hand.u.values)
+    assert np.array_equal(res.z.values, by_hand.z.values)
+    assert np.array_equal(res.zeta, by_hand.zeta)
+    assert res.iterations == by_hand.iterations
+    assert res.gap == by_hand.gap
+
+
+def test_coarse_levels_are_released_before_the_finer_one_iterates(
+        monkeypatch):
+    # reference counting alone frees each coarse spec and domain, with
+    # their factors, once its state is prolonged
+    coarse_domains, alive = [], []
+    restrict, iterate = solver_module._restriction, solver_module._iterate
+
+    def restriction(spec):
+        coarse = restrict(spec)
+        if coarse is not None:
+            coarse_domains.append(weakref.ref(coarse.domain))
+        return coarse
+
+    def spy(spec, *args):
+        alive.append(sorted(ref().nx for ref in coarse_domains
+                            if ref() is not None))
+        return iterate(spec, *args)
+
+    monkeypatch.setattr(solver_module, "_restriction", restriction)
+    monkeypatch.setattr(solver_module, "_iterate", spy)
+    spec = get_case("annulus_least_gradient").build_spec(64)
+    gc.disable()
+    try:
+        solve(spec, SolverConfig(max_iters=100))
+    finally:
+        gc.enable()
+    assert alive == [[16, 32], [32], []]
+
+
+@pytest.mark.parametrize("how", ["lambda_positive", "warm_start", "nx_24"])
+def test_solve_without_a_coarser_level_reports_one(how):
+    cfg = SolverConfig(max_iters=200, gap_tol=1e-3)
+    if how == "lambda_positive":
+        spec = get_case("rof_annulus").build_spec(64)
+        res = solve(spec, cfg)
+    elif how == "warm_start":
+        spec = annulus_spec(64)
+        first = solve(spec, cfg)
+        res = solve(spec, cfg, warm_start=(first.u, first.z, first.zeta))
+    else:  # 12 cells across is below GridDomain's 16
+        spec = annulus_spec(24)
+        assert _restriction(spec) is None
+        res = solve(spec, cfg)
+    assert [lv[:2] for lv in res.levels] == [(spec.domain.nx, res.iterations)]
+    assert res.levels[0][2] > 0.0
+
+
+def test_restriction_samples_the_fine_spec():
+    case = get_case("annulus_least_gradient")
+    fine = dataclasses.replace(case.build_spec(64), box_bound=2.5)
+    coarse = _restriction(fine)
+    assert coarse.domain.nx == 32
+    assert np.array_equal(coarse.u0, case.build_spec(32).u0)
+    assert coarse.box_bound == 2.5
+    assert coarse.integrand is fine.integrand
 
 
 # the four grid gallery cases at small resolutions
