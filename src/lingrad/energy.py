@@ -88,8 +88,8 @@ class ProblemSpec:
             )
         n = self.integrand.n_rows
         cells = len(self.domain.operator.points)
-        self.u0 = u0 = _checked(self.u0, "u0",
-                                (len(self.domain.boundary_faces), n))
+        self.u0 = _checked(self.u0, "u0",
+                           (len(self.domain.boundary_faces), n))
         for name, attr, shape in (("g", "g", (cells, n)),
                                   ("h", "h", (cells, n)),
                                   ("lambda", "lam", (cells,))):
@@ -99,7 +99,7 @@ class ProblemSpec:
         if np.any(self.lam < 0):
             raise InvalidFieldError("lambda must be nonnegative")
         if self.box_bound is None:
-            m0 = max(np.max(np.abs(u0)), np.max(np.abs(self.h)))
+            m0 = _data_bound(self)
             self.box_bound = float(4.0 * (m0 + 1.0) if np.any(self.g)
                                    else max(m0, 1e-12))
         elif not (isinstance(self.box_bound, numbers.Real)
@@ -114,6 +114,12 @@ class ProblemSpec:
 
     def zero_field(self) -> Field:
         return Field.zeros(self.domain, self.n_channels)
+
+
+def _data_bound(spec) -> float:
+    """m0 = max(|u0|, |h|): where g = 0 a minimizer with |u| <= m0 exists,
+    by truncation."""
+    return max(np.max(np.abs(spec.u0)), np.max(np.abs(spec.h)))
 
 
 # ---------------------------------------------------------------------------

@@ -79,17 +79,23 @@ Scaling T by t and Sigma by 1/t keeps ||Sigma^(1/2) K T^(1/2)|| <= 1
 theta >= 1/t keeps t >= 1: primal steps never get smaller than the plain
 ones.  t carries across restarts.  Where lambda vanishes on some cell,
 gamma = 0, theta = 1 and t = 1 throughout, and the steps are the plain
-ones; step (iii) is then followed by a clip of u to [-M, M], M =
-``ProblemSpec.box_bound``, which makes it the exact prox of the
-lower-order term plus the indicator of the box |u| <= M over which the
-gap takes its dual (the term is separable, so the prox of the sum is the
-clipped prox).  The iterate then never leaves the box the gap assumes,
-and no lower-order term of the gap is negative.  Where gamma > 0 the clip
-is left out: on the ROF annulus at nx=192 it made the solve slower in 4
-of 4 alternating pairs of runs at the same 1,500 iterations (1.11-1.37 s
-against 1.07-1.10 s).  The plain steps grow
-lopsided as the grid is refined (in 2-D a primal step is about h/2 times
-a dual step), which the schedule undoes while t is large.  Iterations
+ones.  Where moreover g = 0 and M = ``ProblemSpec.box_bound`` is at least
+the data bound max(|u0|, |h|), the box |u| <= M over which the gap takes
+its dual holds a minimizer (by truncation), and step (iii) is followed
+by a clip of u to [-M, M]: the exact prox of the lower-order term plus
+the indicator of the box (the term is separable, so the prox of the sum
+is the clipped prox).  The iterate then never leaves the box, and no
+lower-order term of the gap is negative.  Elsewhere the clip is left
+out.  With g != 0 the default M is a heuristic, and a spec may set any
+M; clipping there would solve the box-constrained problem instead and
+report it as converged, while without the clip an iterate past M shows
+as negative lower-order gap terms and in the certificate's count of
+cells outside the box.  Where gamma > 0 the clip would cost time: on the
+ROF annulus at nx=192 it made the solve slower in 4 of 4 alternating
+pairs of runs at the same 1,500 iterations (1.11-1.37 s against
+1.07-1.10 s).  The plain steps grow lopsided as the grid is refined (in
+2-D a primal step is about h/2 times a dual step), which the schedule
+undoes while t is large.  Iterations
 to the target on the ROF annulus with lambda scaled, plain ->
 accelerated:
 
@@ -181,7 +187,8 @@ the ladder is not run.  On the ROF annulus at nx=192 it took 400 + 300 +
 pairs of runs (0.92-1.29 s against 0.99-1.34 s): no gain that stands out
 of the spread.  A likely cause is that each warm start restarts the
 accelerated schedule at t = 1/gamma, whose large early steps move the
-warm iterate away.  The step-rule table above was measured from cold starts on one grid.
+warm iterate away.  The step-rule table above was measured from cold
+starts on one grid.
 
 The reported duality gap is a true primal-dual gap for the problem
 restricted to a box |u| <= M: the dual objective uses the conjugate of the
@@ -198,13 +205,14 @@ from __future__ import annotations
 import numbers
 import time
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 from .energy import (
     ProblemSpec,
     _cell_values,
+    _data_bound,
     _densities,
     _divergence,
     _dual_values,
@@ -640,22 +648,11 @@ def solve(spec: ProblemSpec, config: Optional[SolverConfig] = None,
     start = warm_start
     if start is None and spec.lam.min() == 0:
         start = _coarse_start(spec, config, levels)
-    run = _iterate(spec, config, start, levels)
+    (u, z, zeta), info = _iterate(spec, config, start, levels)
     op = spec.domain.operator
-    u, z, zeta = run.state
-    return SolveResult(
-        u=Field(spec.domain, op.pad(u)),
-        z=DualField(spec.domain, op.pad(z)),
-        zeta=zeta,
-        energy_history_raw=np.asarray(run.energies),
-        gap_history=np.asarray(run.gaps),
-        check_iters=np.asarray(run.check_iters, dtype=int),
-        iterations=run.iterations,
-        converged=run.converged,
-        gap=run.gap,
-        gap_relative=run.gap_relative,
-        levels=tuple(levels),
-    )
+    return SolveResult(u=Field(spec.domain, op.pad(u)),
+                       z=DualField(spec.domain, op.pad(z)), zeta=zeta,
+                       levels=tuple(levels), **info)
 
 
 def _coarse_start(spec, config, levels):
@@ -665,34 +662,18 @@ def _coarse_start(spec, config, levels):
     coarse = _restriction(spec)
     if coarse is None:
         return None
-    run = _iterate(coarse, config, _coarse_start(coarse, config, levels),
-                   levels)
-    return _prolong(coarse.domain, *run.state, spec.domain)
+    state, _ = _iterate(coarse, config, _coarse_start(coarse, config, levels),
+                        levels)
+    return _prolong(coarse.domain, *state, spec.domain)
 
 
-def _scalars(dg: DualityGap):
-    """(relative, value, primal): what a gap check compares and logs."""
-    return dg.relative, dg.value, dg.primal
-
-
-class _Run(NamedTuple):
-    """What one level's loop reports; ``state`` is the compressed
-    (u, z, zeta) whose gap the last check reported."""
-
-    state: tuple
-    energies: list
-    gaps: list
-    check_iters: list
-    iterations: int
-    converged: bool
-    gap: float
-    gap_relative: float
-
-
-def _iterate(spec, config, start, levels) -> _Run:
+def _iterate(spec, config, start, levels):
     """The primal-dual loop on one grid, from the (u, z, zeta) triple
     ``start`` or, when it is None, from ``nearest_boundary_extension``
-    with zero duals; appends ``(nx, iterations, seconds)`` to ``levels``."""
+    with zero duals; appends ``(nx, iterations, seconds)`` to ``levels``.
+
+    Returns the compressed (u, z, zeta) whose gap the last check reported
+    and the other fields of its ``SolveResult`` but ``levels``."""
     t_start = time.perf_counter()
     f = spec.integrand
     domain = spec.domain
@@ -739,9 +720,11 @@ def _iterate(spec, config, start, levels) -> _Run:
     # modulus of the lower-order term in the metric of the steps
     gamma = float(spec.lam.min() * tau.min())
     t = 1.0 / gamma if 0 < gamma < 1 else 1.0
-    # where gamma = 0 the u update is the prox of l + the indicator of
-    # |u| <= M, the box the gap's dual is taken over
-    box = spec.box_bound if gamma == 0 else None
+    # where gamma = 0 and the box |u| <= M the gap's dual is taken over
+    # holds a minimizer (g = 0 and M at least the data bound, by
+    # truncation), the u update is the prox of l + the box's indicator
+    proven = not np.any(spec.g) and spec.box_bound >= _data_bound(spec)
+    box = spec.box_bound if gamma == 0 and proven else None
 
     sigma_zeta_t = np.empty_like(sigma_zeta)
     tau_t = np.empty_like(tau)
@@ -834,14 +817,19 @@ def _iterate(spec, config, start, levels) -> _Run:
             # only the scalars of each gap are kept, and a losing average
             # is dropped, so the arrays of one gap are freed before the
             # next is evaluated
+            # only the scalars of each gap are kept, and a losing average
+            # is dropped, so the arrays of one gap are freed before the
+            # next is evaluated
             kept = (u, z, zeta)
-            score = _scalars(duality_gap(spec, u, z, zeta))
+            dg = duality_gap(spec, u, z, zeta)
+            score = (dg.relative, dg.value, dg.primal)
+            del dg
             if n_avg > 1:
                 avg = (sum_u / n_avg, sum_z / n_avg, sum_zeta / n_avg)
-                score_avg = _scalars(duality_gap(spec, *avg))
-                if score_avg[0] < score[0]:
-                    kept, score = avg, score_avg
-                del avg
+                dg = duality_gap(spec, *avg)
+                if dg.relative < score[0]:
+                    kept, score = avg, (dg.relative, dg.value, dg.primal)
+                del avg, dg
             rel_gap, gap_now, primal = score
             if not np.isfinite(gap_now):
                 raise InstabilityError(
@@ -862,5 +850,8 @@ def _iterate(spec, config, start, levels) -> _Run:
                 n_avg = 0
 
     levels.append((domain.nx, it, time.perf_counter() - t_start))
-    return _Run(kept, energies_raw, gaps, iters_log, it, converged, gap_now,
-                rel_gap)
+    return kept, dict(energy_history_raw=np.asarray(energies_raw),
+                      gap_history=np.asarray(gaps),
+                      check_iters=np.asarray(iters_log, dtype=int),
+                      iterations=it, converged=converged, gap=gap_now,
+                      gap_relative=rel_gap)

@@ -486,6 +486,21 @@ def test_plain_steps_keep_u_in_the_box():
     assert np.all(dg.terms[2] >= 0.0)
 
 
+def test_a_box_below_the_minimizer_is_flagged_not_clipped():
+    # M below the data bound holds no minimizer: u is not clipped to it,
+    # so the iterate leaves the box and the gap and the certificate show it
+    spec = get_case("disk_bv_attainment").build_spec(32)
+    small = dataclasses.replace(spec, box_bound=0.5)
+    res = solve(small, SolverConfig(max_iters=1000, gap_tol=1e-3))
+    assert np.abs(res.u.values).max() > 0.5
+    dg = duality_gap(small, res.u, res.z, res.zeta)
+    assert np.any(dg.terms[2] < 0.0)
+    note = verify_least_gradient(small, res.u, res.z, zeta=res.zeta)[
+        "r_div"].note
+    outside = int(re.search(r"(\d+) cells outside", note).group(1))
+    assert outside > 0
+
+
 def test_cold_plain_solve_starts_from_its_restriction():
     spec = get_case("annulus_least_gradient").build_spec(64)
     cfg = SolverConfig(max_iters=400, gap_tol=1e-3)
