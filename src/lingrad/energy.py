@@ -122,6 +122,13 @@ def _data_bound(spec) -> float:
     return max(np.max(np.abs(spec.u0)), np.max(np.abs(spec.h)))
 
 
+def _box_holds_minimizer(spec) -> bool:
+    """Whether the box |u| <= M = ``spec.box_bound`` of the gap is known to
+    hold a minimizer: g = 0 and M >= ``_data_bound``.  Elsewhere a gap is a
+    proof only for a state inside the box."""
+    return not np.any(spec.g) and spec.box_bound >= _data_bound(spec)
+
+
 # ---------------------------------------------------------------------------
 # Staggered operators
 # ---------------------------------------------------------------------------

@@ -30,6 +30,13 @@ q is the 2-homogeneous extension of a cutoff of 2 x21^2 x22 / x11 around
 +-e1 tensor e1 (bump equal to 1 within 10 eps, supported within 20 eps on
 the sphere), and f0 is recovered pointwise by Newton inversion of the
 gradient map of f0*^2 / 2.
+
+The counterexample's certificate needs no inversion.  Inside the cone
+|v2| < eps |v1|, D f0(v x v) = v1 (v x e1) / f0(v x v), and Euler's
+relation f0(X) = <D f0(X), X> (f0 is 1-homogeneous) gives f0(v x v) =
+|v1| |v|.  At the boundary point v = (c, x2), c = sqrt(1 - x2^2), this is
+D f0(v x v) = (c, x2) x e1.  r_boundary compares that closed form with
+the Newton-evaluated f0(u0 x nu): an independent check of the inversion.
 """
 
 from __future__ import annotations
@@ -518,6 +525,13 @@ class BadF0:
                     "try a smaller eps")
         return xi[0] if single else xi
 
+    def _value_and_grad(self, x):
+        """f0(x) and D f0(x) (2x2) at nonzero 4-vectors x (m, 4), from one
+        inversion p = F^-1(x) = D(f0^2 / 2)(x): f0^2 = <p, x>, D f0 = p / f0."""
+        p = self._invert_gradient(x)
+        f0 = np.sqrt(np.maximum(np.sum(p * x, axis=-1), 0.0))
+        return f0, _mat22(p / f0[..., None])
+
     def value(self, mats):
         """f0(x), the dual norm of f0*, batched over 2x2 matrices."""
         x = _vec4(mats)
@@ -526,8 +540,7 @@ class BadF0:
         nz = np.linalg.norm(x, axis=-1) > 0
         out = np.zeros(x.shape[0])
         if np.any(nz):
-            p = self._invert_gradient(x[nz])
-            out[nz] = np.sqrt(np.maximum(np.sum(p * x[nz], axis=-1), 0.0))
+            out[nz] = self._value_and_grad(x[nz])[0]
         return float(out[0]) if single else out
 
     def grad(self, mats):
@@ -537,9 +550,7 @@ class BadF0:
         x = np.atleast_2d(x)
         if np.any(np.linalg.norm(x, axis=-1) == 0):
             raise DomainError("gradient of a norm is undefined at 0")
-        p = self._invert_gradient(x)
-        f0 = np.sqrt(np.maximum(np.sum(p * x, axis=-1), 0.0))
-        g = _mat22(p / f0[..., None])
+        g = self._value_and_grad(x)[1]
         return g[0] if single else g
 
     def convexity_margin(self, n_samples: int = 1024, seed: int = 0,
@@ -627,10 +638,9 @@ def check_bad_grad(f0: BadF0, a: float, b: float) -> float:
     if not (0 <= abs(b) < 0.5 * f0.eps * abs(a)):
         raise DomainError("(a, b) outside the cone |b| < (eps/2) |a|")
     vec = np.array([a, b])
-    M = np.einsum("i,j->ij", vec, vec)
-    g = f0.grad(M)
-    target = a * np.einsum("i,j->ij", vec, np.array([1.0, 0.0])) / f0.value(M)
-    return float(np.linalg.norm(g - target))
+    value, g = f0._value_and_grad(_vec4(np.outer(vec, vec))[None])
+    target = a * np.outer(vec, [1.0, 0.0]) / value[0]
+    return float(np.linalg.norm(g[0] - target))
 
 
 def anisotropic_counterexample(f0: Optional[BadF0] = None) -> GalleryCase:
@@ -638,8 +648,10 @@ def anisotropic_counterexample(f0: Optional[BadF0] = None) -> GalleryCase:
 
     The datum u0(x) = 1_{x1 > 0} eta(x2) x is smooth on the circle (eta is
     a bump of width < eps/4 around 0), yet u = 0 is a minimizer: the
-    divergence-free certificate z(x) = etabar(x2) g(x2) built from the
-    rank-one gradient identity satisfies every optimality condition.
+    divergence-free certificate z(x) = etabar(x2) (c, x2) x e1, with
+    c = sqrt(1 - x2^2), satisfies every optimality condition.  It is the
+    closed form of the rank-one gradient identity (module docstring) on
+    the support |x2| <= eps/4 of etabar, well inside the cone.
     """
     f0 = f0 or build_bad_f0()
     eps = f0.eps
@@ -661,24 +673,11 @@ def anisotropic_counterexample(f0: Optional[BadF0] = None) -> GalleryCase:
         amp = np.where(p[:, 0] > 0, eta(s), 0.0)
         return amp[:, None] * p
 
-    def gmap(s):
-        """g(x2) on the boundary parametrized by x2 near e1."""
-        s = np.asarray(s, dtype=float)
-        c = np.sqrt(np.maximum(0.0, 1.0 - s * s))
-        vec = np.stack([c, s], axis=-1)           # (m, 2)
-        M = vec[:, :, None] * vec[:, None, :]     # (m, 2, 2)
-        vals = f0.value(M)
-        out = c[:, None, None] * vec[:, :, None] * np.array([1.0, 0.0])[None, None, :]
-        return out / vals[:, None, None]
-
     def z(p):
         s = p[:, 1]
-        w = eta_bar(s)
-        out = np.zeros((p.shape[0], 2, 2))
-        act = w > 0
-        if np.any(act):
-            out[act] = w[act, None, None] * gmap(s[act])
-        return out
+        col = eta_bar(s)[:, None] * np.stack(
+            [np.sqrt(np.maximum(0.0, 1.0 - s * s)), s], axis=-1)
+        return np.stack([col, np.zeros_like(col)], axis=-1)
 
     # the data live on a strip of half-width eps/4; the uniform quadrature
     # cannot resolve it, so refinement clusters carry the actual checks

@@ -51,8 +51,8 @@ class Ball:
     """Ball of given radius centered at the origin (disk when dim == 2)."""
 
     def __init__(self, radius: float, dim: int = 2):
-        if radius <= 0:
-            raise ValueError("radius must be positive")
+        if not 0 < radius < np.inf:
+            raise ValueError(f"radius must be finite and > 0, got {radius!r}")
         self.radius = float(radius)
         self.dim = int(dim)
         self.diameter = 2 * self.radius
@@ -84,8 +84,9 @@ class Annulus:
     """Region between two concentric spheres, r_in < |x| < r_out."""
 
     def __init__(self, r_in: float, r_out: float, dim: int = 2):
-        if not (0 < r_in < r_out):
-            raise ValueError("need 0 < r_in < r_out")
+        if not 0 < r_in < r_out < np.inf:
+            raise ValueError(
+                f"need 0 < r_in < r_out, both finite, got {r_in!r}, {r_out!r}")
         self.r_in = float(r_in)
         self.r_out = float(r_out)
         self.dim = int(dim)
@@ -118,8 +119,9 @@ class Rectangle:
 
     def __init__(self, bounds: Sequence = ((0.0, 1.0), (0.0, 1.0))):
         self.bounds = [(float(lo), float(hi)) for lo, hi in bounds]
-        if any(hi <= lo for lo, hi in self.bounds):
-            raise ValueError("degenerate rectangle")
+        if not all(-np.inf < lo < hi < np.inf for lo, hi in self.bounds):
+            raise ValueError(
+                f"need finite bounds lo < hi on every axis, got {self.bounds}")
         self.dim = len(self.bounds)
         self.diameter = float(
             np.sqrt(sum((hi - lo) ** 2 for lo, hi in self.bounds))
@@ -243,7 +245,14 @@ class GridDomain:
         if not np.any(self.inside_mask):
             raise ResolutionError("no cell center falls inside the shape")
 
-        # the ghost ring keeps every neighbor of an inside cell in the grid
+        # the ghost ring keeps every neighbor of an inside cell in the grid,
+        # unless the shape's signed distance cannot resolve cells of size h
+        ring = np.ones(self.n_cells, dtype=bool)
+        ring[(slice(1, -1),) * self.dim] = False
+        if np.any(self.inside_mask & ring):
+            raise ResolutionError(
+                "an inside cell lies on the grid's outer ring: the shape's "
+                f"signed distance does not resolve h = {self.h:.3g}")
         cells = np.argwhere(self.inside_mask)
         self.cell_index = np.full(self.n_cells, -1)
         self.cell_index[self.inside_mask] = np.arange(len(cells))
@@ -455,6 +464,81 @@ def boundary_normal(domain_or_shape, point):
     proj = shape.project(point)
     g = shape.sd_gradient(proj)
     return g / np.linalg.norm(g, axis=-1, keepdims=True)
+
+
+def _fibonacci_sphere(m):
+    k = np.arange(m) + 0.5
+    phi = np.arccos(1 - 2 * k / m)
+    theta = np.pi * (1 + 5**0.5) * k
+    return np.stack(
+        [np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta), np.cos(phi)],
+        axis=-1,
+    )
+
+
+def _shape_quadrature(shape, n_interior: int, n_boundary: int):
+    """Interior and boundary quadrature samples for an analytic shape:
+    (points, weights, boundary points, boundary weights, outward normals).
+
+    A 2-D or 3-D Ball or Annulus is sampled on spheres: its boundary gets
+    max(16, n_boundary // loops) equally weighted points per loop (equally
+    spaced angles in 2-D, a Fibonacci lattice in 3-D).  A 1-D Rectangle
+    gets its two endpoints, each of weight 1.  Other shapes raise
+    ShapeMismatchError naming their dimension and type.
+    """
+    if isinstance(shape, Ball) or isinstance(shape, Annulus):
+        dim = shape.dim
+        r0 = shape.r_in if isinstance(shape, Annulus) else 0.0
+        r1 = shape.r_out if isinstance(shape, Annulus) else shape.radius
+        n_dirs = 96 if dim == 2 else 128
+        n_rad = max(2, n_interior // n_dirs)
+        if dim == 2:
+            ang = np.linspace(0, 2 * np.pi, n_dirs, endpoint=False)
+            dirs = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+            sphere_area = 2 * np.pi
+        elif dim == 3:
+            dirs = _fibonacci_sphere(n_dirs)
+            sphere_area = 4 * np.pi
+        else:
+            raise ShapeMismatchError("analytic quadrature supports dim 2 and 3")
+        redges = np.linspace(r0, r1, n_rad + 1)
+        rmid = 0.5 * (redges[:-1] + redges[1:])
+        shell = (redges[1:] ** dim - redges[:-1] ** dim) / dim * sphere_area
+        pts = (rmid[:, None, None] * dirs[None]).reshape(-1, dim)
+        w = np.repeat(shell / n_dirs, n_dirs)
+
+        loops = [(r1, 1.0)]
+        if isinstance(shape, Annulus):
+            loops.append((r0, -1.0))
+        bp, bw, bn = [], [], []
+        for radius, orient in loops:
+            m_b = max(16, n_boundary // len(loops))
+            if dim == 2:
+                ang = np.linspace(0, 2 * np.pi, m_b, endpoint=False)
+                dd = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+                area = 2 * np.pi * radius
+            else:
+                dd = _fibonacci_sphere(m_b)
+                area = 4 * np.pi * radius**2
+            bp.append(radius * dd)
+            bw.append(np.full(len(dd), area / len(dd)))
+            bn.append(orient * dd)
+        return pts, w, np.concatenate(bp), np.concatenate(bw), np.concatenate(bn)
+
+    if isinstance(shape, Rectangle) and shape.dim == 1:
+        (a, b) = shape.bounds[0]
+        m = max(8, n_interior)
+        x = np.linspace(a, b, m + 1)
+        mid = 0.5 * (x[:-1] + x[1:])
+        pts = mid[:, None]
+        w = np.full(m, (b - a) / m)
+        bp = np.array([[a], [b]])
+        bw = np.array([1.0, 1.0])
+        bn = np.array([[-1.0], [1.0]])
+        return pts, w, bp, bw, bn
+
+    raise ShapeMismatchError(f"no analytic quadrature for a {shape.dim}-D "
+                             f"{type(shape).__name__}")
 
 
 def _central_divergence(field, x, step):

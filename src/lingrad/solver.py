@@ -90,10 +90,11 @@ out.  With g != 0 the default M is a heuristic, and a spec may set any
 M; clipping there would solve the box-constrained problem instead and
 report it as converged, while without the clip an iterate past M shows
 as negative lower-order gap terms and in the certificate's count of
-cells outside the box.  Where gamma > 0 the clip would cost time: on the
-ROF annulus at nx=192 it made the solve slower in 4 of 4 alternating
-pairs of runs at the same 1,500 iterations (1.11-1.37 s against
-1.07-1.10 s).  The plain steps grow lopsided as the grid is refined (in
+cells outside the box, and such a state is not converged whatever its
+gap (``energy._box_holds_minimizer``).  Where gamma > 0 the clip would
+cost time: on the ROF annulus at nx=192 it made the solve slower in 4 of
+4 alternating pairs of runs at the same 1,500 iterations (1.11-1.37 s
+against 1.07-1.10 s).  The plain steps grow lopsided as the grid is refined (in
 2-D a primal step is about h/2 times a dual step), which the schedule
 undoes while t is large.  Iterations
 to the target on the ROF annulus with lambda scaled, plain ->
@@ -211,8 +212,8 @@ import numpy as np
 
 from .energy import (
     ProblemSpec,
+    _box_holds_minimizer,
     _cell_values,
-    _data_bound,
     _densities,
     _divergence,
     _dual_values,
@@ -227,7 +228,7 @@ from .errors import (
     SpecFileError,
 )
 from .fields import DualField, Field
-from .geometry import Annulus, Ball, GridDomain
+from .geometry import GridDomain, _shape_quadrature
 
 __all__ = [
     "SolverConfig",
@@ -285,6 +286,8 @@ class SolveResult:
     ``energy_history_raw[-1]`` describe that same state.  At each check,
     ``energy_history_raw`` holds the primal energy of the reported state.
     These, ``iterations`` and ``converged`` describe the grid of ``spec``.
+    ``converged`` means a relative gap <= ``gap_tol`` and, where the box
+    |u| <= M is not known to hold a minimizer, u inside it.
     ``levels`` holds one ``(nx, iterations, seconds)`` record per grid the
     solve iterated on, coarsest first; the last is the grid of ``spec``,
     so a solve without coarse levels has one.
@@ -522,36 +525,22 @@ def boundary_l1_distance(spec: ProblemSpec, u, u0_fn,
     |trace - u0| dH^(d-1).  Unlike the per-face ``trace_error``, this sees
     the O(h) error of representing a datum jump inside a single face, so it
     is the right quantity for refinement studies of trace attainment.
-    The boundary is sampled on its circles, so the domain must be a 2-D
-    ``Ball`` or ``Annulus``; other shapes raise ``ShapeMismatchError``.
+    The boundary samples are those of the analytic certificates
+    (``geometry._shape_quadrature``): ``n_samples`` equally spaced angles
+    split over the circles of a 2-D ``Ball`` or ``Annulus``, or the two
+    endpoints of an interval; other shapes raise ``ShapeMismatchError``.
     """
     from scipy.spatial import cKDTree
 
     domain = spec.domain
-    bf = domain.boundary_faces
-    shape = domain.shape
-    if domain.dim == 2 and isinstance(shape, Ball):
-        loops = [shape.radius]
-    elif domain.dim == 2 and isinstance(shape, Annulus):
-        loops = [shape.r_in, shape.r_out]
-    else:
-        raise ShapeMismatchError(
-            f"boundary_l1_distance samples the circles of a 2-D Ball or "
-            f"Annulus, not a {domain.dim}-D {type(shape).__name__}")
+    _, _, pts, weight, _ = _shape_quadrature(domain.shape, 0, n_samples)
     u_adj = domain.operator.B @ _cell_values(domain, u)  # (m, n)
-    tree = cKDTree(bf.point)
-    total = 0.0
-    for radius in loops:
-        m = n_samples // len(loops)
-        ang = np.linspace(0.0, 2 * np.pi, m, endpoint=False)
-        pts = radius * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-        _, nearest = tree.query(pts)
-        datum = np.asarray(u0_fn(pts), dtype=float)
-        if datum.ndim == 1:
-            datum = datum[:, None]
-        diff = np.linalg.norm(u_adj[nearest] - datum, axis=-1)
-        total += float(diff.sum() * (2 * np.pi * radius / m))
-    return total
+    _, nearest = cKDTree(domain.boundary_faces.point).query(pts)
+    datum = np.asarray(u0_fn(pts), dtype=float)
+    if datum.ndim == 1:
+        datum = datum[:, None]
+    diff = np.linalg.norm(u_adj[nearest] - datum, axis=-1)
+    return float(np.sum(weight * diff))
 
 
 def prolong_state(coarse_spec: ProblemSpec, coarse: SolveResult,
@@ -722,8 +711,10 @@ def _iterate(spec, config, start, levels):
     t = 1.0 / gamma if 0 < gamma < 1 else 1.0
     # where gamma = 0 and the box |u| <= M the gap's dual is taken over
     # holds a minimizer (g = 0 and M at least the data bound, by
-    # truncation), the u update is the prox of l + the box's indicator
-    proven = not np.any(spec.g) and spec.box_bound >= _data_bound(spec)
+    # truncation), the u update is the prox of l + the box's indicator;
+    # where the box is not known to hold one, a state outside it is not
+    # converged whatever its gap
+    proven = _box_holds_minimizer(spec)
     box = spec.box_bound if gamma == 0 and proven else None
 
     sigma_zeta_t = np.empty_like(sigma_zeta)
@@ -817,9 +808,6 @@ def _iterate(spec, config, start, levels):
             # only the scalars of each gap are kept, and a losing average
             # is dropped, so the arrays of one gap are freed before the
             # next is evaluated
-            # only the scalars of each gap are kept, and a losing average
-            # is dropped, so the arrays of one gap are freed before the
-            # next is evaluated
             kept = (u, z, zeta)
             dg = duality_gap(spec, u, z, zeta)
             score = (dg.relative, dg.value, dg.primal)
@@ -837,7 +825,8 @@ def _iterate(spec, config, start, levels):
             energies_raw.append(primal)
             iters_log.append(it)
             gaps.append(rel_gap)
-            if rel_gap <= config.gap_tol:
+            if rel_gap <= config.gap_tol and (
+                    proven or np.all(np.abs(kept[0]) <= spec.box_bound)):
                 converged = True
                 break
             if rel_gap <= _RESTART_DECAY * restart_rel:

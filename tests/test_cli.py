@@ -184,6 +184,18 @@ def test_solver_step_keys_rejected(tmp_path, key):
         parse_spec(str(p))
 
 
+@pytest.mark.parametrize("name, at_0, at_2", [("area", 1.0, 3.0),
+                                              ("hencky", 0.0, 8**0.5 - 0.25)])
+def test_integrand_names_area_and_hencky(tmp_path, name, at_0, at_2):
+    # sqrt(1 + |xi|^2), and |xi|^2 below |xi| = 1/2 then |xi| - 1/4
+    p = tmp_path / "i.cfg"
+    p.write_text(MINIMAL.replace("name = tv", f"name = {name}"))
+    f = parse_spec(str(p)).spec.integrand
+    assert (f.name, f.n_rows, f.n_cols) == (name, 1, 2)
+    xi = np.array([[[0.0, 0.0]], [[2.0, 2.0]]])
+    assert f.value(np.zeros((2, 2)), xi) == pytest.approx([at_0, at_2])
+
+
 def test_solver_overrides(tmp_path):
     p = tmp_path / "s.cfg"
     p.write_text(MINIMAL + "\n[solver]\nmax_iters = 7\ngap_tol = 0.5\n")
@@ -227,6 +239,24 @@ def test_cli_malformed_entry_exits_1_naming_the_key(tmp_path, capsys):
     p.write_text(MINIMAL.replace("nx = 32", "nx = abc"))
     assert main(["solve", "--spec", str(p), "--max-iters", "10"]) == 1
     assert f"{p}: [domain] nx: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shape", ["disk nan", "disk inf", "annulus 0.5 inf",
+                                   "interval 0 nan", "disk 1e-200"])
+def test_cli_bad_shape_parameters_exit_1(tmp_path, capsys, shape):
+    # a non-finite parameter is named with its shape; a radius whose
+    # signed distance underflows at the grid spacing is a resolution error
+    p = tmp_path / "bad.cfg"
+    p.write_text(MINIMAL.replace("nx = 32", "nx = 16")
+                 .replace("shape = disk 1.0", f"shape = {shape}"))
+    assert main(["solve", "--spec", str(p), "--max-iters", "10"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    if shape == "disk 1e-200":
+        assert f"{p}: [domain] nx: an inside cell lies on the grid's outer " \
+            "ring" in err
+    else:
+        assert f"{p}: [domain] shape: bad shape parameters in {shape!r}" in err
 
 
 def test_weighted_integrand_string(tmp_path):

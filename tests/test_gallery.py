@@ -250,6 +250,40 @@ def test_anisotropic_certificate_passes(f0):
     assert rep.overall_pass
 
 
+def test_anisotropic_z_is_the_newton_field_in_closed_form(f0):
+    # on the plateau |x2| <= eps/8 of etabar, z is g(x2) = c (c, x2) x e1
+    # / f0(v x v) at v = (c, x2), the field built by inverting the
+    # gradient map, whatever x1
+    s = np.linspace(-f0.eps / 8, f0.eps / 8, 2001)
+    c = np.sqrt(1.0 - s * s)
+    v = np.stack([c, s], axis=-1)
+    g = (c / f0.value(v[:, :, None] * v[:, None, :]))[:, None] * v
+    z = anisotropic_counterexample(f0).analytic.z
+    for x1 in (-0.5, 0.0, 0.9):
+        closed = z(np.stack([np.full(s.size, x1), s], axis=-1))
+        assert np.all(closed[:, :, 1] == 0.0)
+        assert np.max(np.abs(closed[:, :, 0] - g)) <= 1e-13
+
+
+def test_anisotropic_certificate_inverts_nothing_and_check_inverts_once(
+        f0, monkeypatch):
+    calls = []
+    invert = BadF0._invert_gradient
+
+    def counted(self, targets):
+        calls.append(len(targets))
+        return invert(self, targets)
+
+    ana = anisotropic_counterexample(f0).analytic
+    monkeypatch.setattr(BadF0, "_invert_gradient", counted)
+    pts = RNG.uniform(-0.7, 0.7, (400, 2))
+    ana.z(pts)
+    ana._div_z(pts)
+    assert calls == []
+    check_bad_grad(f0, 1.0, f0.eps / 4)
+    assert calls == [1]
+
+
 def test_anisotropic_u0_needs_narrow_bump(f0):
     case = anisotropic_counterexample(f0)
     s = np.linspace(-1, 1, 100001)
