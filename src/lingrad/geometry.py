@@ -224,7 +224,16 @@ class GridDomain:
         # every boundary face's storage slot inside the array
         box = shape.bbox()
         self.h = float((box[0][1] - box[0][0]) / nx)
-        lo = np.array([b[0] - _PAD_CELLS * self.h for b in box])
+        # the operator scales by h, h^d and 1/h^2: each must be a finite,
+        # nonzero number, which is checked before anything is computed at
+        # the scale of h
+        with np.errstate(over="ignore", under="ignore", divide="ignore"):
+            scales = np.float64(self.h) ** np.array([1.0, self.dim, -2.0])
+        if not np.all(np.isfinite(scales) & (scales > 0)):
+            raise ResolutionError(
+                f"grid spacing h = {self.h:.3g} is not representable: h, "
+                f"h^{self.dim} and 1/h^2 must be finite and nonzero")
+        lo =np.array([b[0] - _PAD_CELLS * self.h for b in box])
         n_cells = []
         for a in range(self.dim):
             span = box[a][1] - box[a][0]

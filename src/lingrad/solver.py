@@ -69,15 +69,19 @@ over-relaxation theta follow the accelerated scheme of Chambolle and Pock,
 "A first-order primal-dual algorithm for convex problems with applications
 to imaging" (JMIV 40, 2011, Alg. 2), run in the metric of the diagonal
 steps.  In the variables T^(-1/2) u the term has a modulus of at least
-gamma = min(lambda) min(tau).  The scale starts at t = max(1, 1/gamma) (so
-the first prox has gamma t = 1 unless gamma > 1), and after each u update
+gamma = min(lambda) min(tau).  From a cold start, or a caller's
+``warm_start``, the scale starts at t = max(1, 1/gamma) (so the first prox
+has gamma t = 1 unless gamma > 1); on the coarse-to-fine ladder below,
+each finer level starts at the t the level under it ended with.  After
+each u update
 
   theta = max(1 / sqrt(1 + 2 gamma t), 1 / t),   t <- theta t.
 
 Scaling T by t and Sigma by 1/t keeps ||Sigma^(1/2) K T^(1/2)|| <= 1
-(Pock and Chambolle, Lemma 2), so every step is stable.  The floor
-theta >= 1/t keeps t >= 1: primal steps never get smaller than the plain
-ones.  t carries across restarts.  Where lambda vanishes on some cell,
+(Pock and Chambolle, Lemma 2), so every step is stable, whatever t >= 1 a
+level starts at.  The floor theta >= 1/t keeps t >= 1: primal steps never
+get smaller than the plain ones.  t carries across restarts.  Where
+lambda vanishes on some cell,
 gamma = 0, theta = 1 and t = 1 throughout, and the steps are the plain
 ones.  Where moreover g = 0 and M = ``ProblemSpec.box_bound`` is at least
 the data bound max(|u0|, |h|), the box |u| <= M over which the gap takes
@@ -147,8 +151,8 @@ steps crawl: from a cold start on its own grid, the least-gradient
 annulus at nx=96 reaches a relative gap of 1e-3 in 1,800 iterations,
 against 12,800 without restarts.
 
-Where lambda vanishes on some inside cell (gamma = 0) a solve without a
-``warm_start`` does not start cold on its own grid.  It first solves the
+A solve without a ``warm_start`` does not start cold on its own grid.
+It first solves the
 restriction of its spec (``_restriction``): the same integrand and box
 bound M on half the cells per axis, with u0 taken from the nearest fine
 boundary face and g, h, lambda from the nearest fine inside cell.  That
@@ -158,8 +162,13 @@ the caller's ``SolverConfig`` (the same gap_tol, max_iters and
 check_every) and hands its compressed (u, z, zeta) to the next finer
 level through ``_prolong``, the compressed core of ``prolong_state``;
 its spec, domain, factors and state are released before the finer level
-iterates.  ``SolveResult.levels`` records each level.  Iterations per
-level, coarsest first, against a cold start on the finest grid alone:
+iterates, and the prolonged state once the finer level has copied it in.
+The prolongation reads u from the coarse cell that contains each fine
+center, which is the nearest inside coarse cell wherever it is inside;
+only the other fine cells search for the nearest (200 of 21,736 cells of
+the ROF annulus at nx=192).  ``SolveResult.levels`` records each level.
+Iterations per level, coarsest first, against a cold start on the finest
+grid alone:
 
   ==================================  ===============================  ========
   case, target                        ladder                           cold
@@ -170,6 +179,9 @@ level, coarsest first, against a cold start on the finest grid alone:
   BV-attainment disk, 256, 1e-3       700 / 300 / 500 / 900 / 1,300    13,000
   weighted 1-D TV, 256, 1e-2          800 / 400 / 1,000 / 1,500 / 800  68,100
   half-disk, 64, 1e-5                 1,900 / 3,800 / 3,400            > 30,000
+  ROF annulus, 96, 1e-3               400 / 400 / 300                  700
+  ROF annulus, 192, 1e-3              400 / 400 / 300 / 700            1,500
+  ROF annulus, 384, 1e-3              400 / 400 / 300 / 700 / 400      3,000
   ==================================  ===============================  ========
 
 The one loss measured is criterion 10's half-disk at nx=48 to 1e-6 with
@@ -182,14 +194,40 @@ max(target, 1e-3) on the coarse levels, the disk at nx=96 to 1e-3 took
 3,600 / 4,500 / 1,100 fine iterations (1,100 with the target itself),
 and the half-disk at nx=64 to 1e-5 took 7,100 / 22,600 / 15,900 (3,400).
 A coarsest level of 48 instead of 24 took 1,200 + 600 iterations on the
-least-gradient annulus at nx=96 against 500 + 300 + 600.  Where gamma > 0
-the ladder is not run.  On the ROF annulus at nx=192 it took 400 + 300 +
-500 + 1,200 iterations against 1,500 cold, and won 5 of 8 alternating
-pairs of runs (0.92-1.29 s against 0.99-1.34 s): no gain that stands out
-of the spread.  A likely cause is that each warm start restarts the
-accelerated schedule at t = 1/gamma, whose large early steps move the
-warm iterate away.  The step-rule table above was measured from cold
-starts on one grid.
+least-gradient annulus at nx=96 against 500 + 300 + 600.
+
+Where gamma > 0 each level starts at the step scale t the level below
+ended with, and the coarsest at t = max(1, 1/gamma).  Where gamma = 0,
+t = 1 on every level, so the rule leaves those ladders as they are.  At
+lambda = 1 t reaches its floor 1 within the coarsest level, so the finer
+levels run plain steps from their warm starts; restarting them at
+t = 1/gamma, whose large early steps move the warm iterate away, took
+400 / 300 / 500 / 1,200 iterations on the ROF annulus at nx=192.  Other
+rules for a level's first t, as iterations on the nx=192 level of that
+ladder (700 when t is carried): t gamma kept from the level below, 800;
+1/(gamma (1 + k)) with k the iterations of the level below, 800;
+1/sqrt(gamma), 2,300.  The ROF annulus with lambda scaled, iterations to
+the target from a cold start on the finest grid -> on the ladder:
+
+  ======  ======  =====  ==================================
+  lambda  target  nx     cold -> ladder
+  ======  ======  =====  ==================================
+  1       1e-3    96     700 -> 400 / 400 / 300
+  1       1e-4    96     1,300 -> 500 / 500 / 900
+  1       1e-4    192    1,500 -> 500 / 500 / 900 / 800
+  0.1     1e-3    192    2,600 -> 500 / 300 / 600 / 800
+  0.01    1e-3    96     2,400 -> 700 / 400 / 900
+  10      1e-3    192    600 -> 100 / 100 / 100 / 200
+  1       1e-4    64     800 -> 400 / 500 / 800
+  100     1e-3    192    100 -> 100 / 100 / 100 / 100
+  ======  ======  =====  ==================================
+
+The last two rows are losses, 0.09 -> 0.13 s and 0.08 -> 0.12 s in single
+runs: where the cold solve on the finest grid is already short, the
+coarse levels cost more than they save.  At lambda = 0.1 and nx=192 the
+ladder took 1.12 s against 2.50 s, and at lambda = 1, 1e-4, nx=96 0.23 s
+against 0.24 s.  The step-rule and acceleration tables above were
+measured from cold starts on one grid.
 
 The reported duality gap is a true primal-dual gap for the problem
 restricted to a box |u| <= M: the dual objective uses the conjugate of the
@@ -558,21 +596,34 @@ def prolong_state(coarse_spec: ProblemSpec, coarse: SolveResult,
                     coarse.zeta, fine_spec.domain)
 
 
+def _containing_cell(cd, pts):
+    """The number of the cell of domain ``cd`` that contains each point,
+    -1 where that cell is outside."""
+    idx = np.floor((pts - cd.origin) / cd.h).astype(int)
+    for b in range(cd.dim):
+        idx[:, b] = np.clip(idx[:, b], 0, cd.n_cells[b] - 1)
+    return cd.cell_index[tuple(idx.T)]
+
+
 def _prolong(cd, u, z, zeta, fd):
     """``prolong_state`` on the compressed state of coarse domain ``cd``."""
     from scipy.spatial import cKDTree
 
     op = fd.operator
-    _, nearest = cKDTree(cd.operator.points).query(op.points)
+    # a fine center lies 0.35 h_c from the center of the coarse cell that
+    # contains it and at least 0.79 h_c from any other, so where that cell
+    # is inside it is the nearest inside one; only the other fine cells
+    # need a search
+    nearest = _containing_cell(cd, op.points)
+    out = nearest < 0
+    if np.any(out):
+        _, nearest[out] = cKDTree(cd.operator.points).query(op.points[out])
     u = u[nearest]
     z_f = np.zeros((len(op.points), z.shape[1], fd.dim))
     for a in range(fd.dim):
         face_pos = op.points.copy()
         face_pos[:, a] += 0.5 * fd.h
-        idx = np.floor((face_pos - cd.origin) / cd.h).astype(int)
-        for b in range(cd.dim):
-            idx[:, b] = np.clip(idx[:, b], 0, cd.n_cells[b] - 1)
-        cell = cd.cell_index[tuple(idx.T)]
+        cell = _containing_cell(cd, face_pos)
         z_f[:, :, a] = np.where(cell[:, None] >= 0, z[cell, :, a], 0.0)
     z_f = np.where(op.interior, z_f, 0.0)
 
@@ -619,10 +670,10 @@ def solve(spec: ProblemSpec, config: Optional[SolverConfig] = None,
 
     ``warm_start`` may carry an (u, z, zeta) triple, padded or compressed,
     e.g. from ``prolong_state`` after a coarser solve; it is checked like
-    the arguments of ``duality_gap``.  Without one, a spec with lambda = 0
-    on some inside cell is first solved on the coarser grids of
-    ``_restriction``, each level started from the prolonged state of the
-    one below (see the module docstring); ``levels`` records them.
+    the arguments of ``duality_gap``.  Without one, the spec is first
+    solved on the coarser grids of ``_restriction``, each level started
+    from the prolonged state and the step scale of the one below (see the
+    module docstring); ``levels`` records them.
     """
     if config is None:
         config = SolverConfig()
@@ -634,10 +685,14 @@ def solve(spec: ProblemSpec, config: Optional[SolverConfig] = None,
             "dualization projects zeta onto a ball-shaped dual range"
         )
     levels = []
-    start = warm_start
-    if start is None and spec.lam.min() == 0:
-        start = _coarse_start(spec, config, levels)
-    (u, z, zeta), info = _iterate(spec, config, start, levels)
+    # the prolonged start is handed to the loop without a name here, so
+    # the loop can drop it once copied in
+    if warm_start is None:
+        (u, z, zeta), _, info = _iterate(
+            spec, config, _coarse_start(spec, config, levels), levels)
+    else:
+        (u, z, zeta), _, info = _iterate(spec, config, (warm_start, None),
+                                         levels)
     op = spec.domain.operator
     return SolveResult(u=Field(spec.domain, op.pad(u)),
                        z=DualField(spec.domain, op.pad(z)), zeta=zeta,
@@ -645,24 +700,27 @@ def solve(spec: ProblemSpec, config: Optional[SolverConfig] = None,
 
 
 def _coarse_start(spec, config, levels):
-    """The compressed state of ``spec``'s grid prolonged from a solve of
-    its restriction, itself started the same way; None on the coarsest
+    """The start ``(state, t)`` of ``spec``'s grid: the compressed state
+    prolonged from a solve of its restriction, itself started the same
+    way, and the step scale t that solve ended with; None on the coarsest
     grid.  Each level's spec, domain and state are released on return."""
     coarse = _restriction(spec)
     if coarse is None:
         return None
-    state, _ = _iterate(coarse, config, _coarse_start(coarse, config, levels),
-                        levels)
-    return _prolong(coarse.domain, *state, spec.domain)
+    state, t, _ = _iterate(coarse, config,
+                           _coarse_start(coarse, config, levels), levels)
+    return _prolong(coarse.domain, *state, spec.domain), t
 
 
 def _iterate(spec, config, start, levels):
-    """The primal-dual loop on one grid, from the (u, z, zeta) triple
-    ``start`` or, when it is None, from ``nearest_boundary_extension``
-    with zero duals; appends ``(nx, iterations, seconds)`` to ``levels``.
+    """The primal-dual loop on one grid; appends ``(nx, iterations,
+    seconds)`` to ``levels``.
 
-    Returns the compressed (u, z, zeta) whose gap the last check reported
-    and the other fields of its ``SolveResult`` but ``levels``."""
+    ``start`` is None, for ``nearest_boundary_extension`` with zero duals
+    at the step scale t = max(1, 1/gamma), or a pair ``((u, z, zeta), t)``
+    whose t None means that same scale; where gamma = 0, t is 1.  Returns
+    the compressed (u, z, zeta) whose gap the last check reported, the
+    final t and the other fields of its ``SolveResult`` but ``levels``."""
     t_start = time.perf_counter()
     f = spec.integrand
     domain = spec.domain
@@ -687,11 +745,15 @@ def _iterate(spec, config, start, levels):
     sigma_zeta = (bf.weight ** (al - 1.0))[:, None]
 
     if start is not None:
-        u0_w, z0_w, zeta0_w = start
+        (u0_w, z0_w, zeta0_w), t = start
         u = _cell_values(domain, u0_w, n)
         z = np.where(op.interior, _dual_values(domain, z0_w, n), 0.0)
         zeta = _zeta_values(spec, zeta0_w).copy()
+        # a prolonged start is referenced nowhere else: free its copied
+        # z and zeta
+        del start, u0_w, z0_w, zeta0_w
     else:
+        t = None
         u = nearest_boundary_extension(spec)
         z = _dual_values(domain, np.zeros((len(pts), n, d)))
         zeta = np.zeros((len(bf), n))
@@ -705,10 +767,14 @@ def _iterate(spec, config, start, levels):
     g_arr = spec.g
     lam_h = lam * spec.h
     # accelerated schedule: primal steps t tau, dual steps sigma / t, from
-    # t = 1/gamma down to the floor t = 1; gamma is the strong-convexity
-    # modulus of the lower-order term in the metric of the steps
+    # the given t or t = 1/gamma down to the floor t = 1; gamma is the
+    # strong-convexity modulus of the lower-order term in the metric of
+    # the steps
     gamma = float(spec.lam.min() * tau.min())
-    t = 1.0 / gamma if 0 < gamma < 1 else 1.0
+    if gamma == 0:
+        t = 1.0
+    elif t is None:
+        t = max(1.0, 1.0 / gamma)
     # where gamma = 0 and the box |u| <= M the gap's dual is taken over
     # holds a minimizer (g = 0 and M at least the data bound, by
     # truncation), the u update is the prox of l + the box's indicator;
@@ -744,7 +810,6 @@ def _iterate(spec, config, start, levels):
     sum_zeta = np.zeros_like(zeta)
     n_avg = 0
     restart_rel = np.inf
-    kept = (u, z, zeta)
 
     for it in range(1, config.max_iters + 1):
         # (i) dual ascent in z, kept on interior faces; the prox input is
@@ -839,8 +904,8 @@ def _iterate(spec, config, start, levels):
                 n_avg = 0
 
     levels.append((domain.nx, it, time.perf_counter() - t_start))
-    return kept, dict(energy_history_raw=np.asarray(energies_raw),
-                      gap_history=np.asarray(gaps),
-                      check_iters=np.asarray(iters_log, dtype=int),
-                      iterations=it, converged=converged, gap=gap_now,
-                      gap_relative=rel_gap)
+    return kept, t, dict(energy_history_raw=np.asarray(energies_raw),
+                         gap_history=np.asarray(gaps),
+                         check_iters=np.asarray(iters_log, dtype=int),
+                         iterations=it, converged=converged, gap=gap_now,
+                         gap_relative=rel_gap)

@@ -242,19 +242,20 @@ def test_cli_malformed_entry_exits_1_naming_the_key(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("shape", ["disk nan", "disk inf", "annulus 0.5 inf",
-                                   "interval 0 nan", "disk 1e-200"])
+                                   "interval 0 nan", "disk 1e-200",
+                                   "disk 1e-160", "disk 1e300"])
 def test_cli_bad_shape_parameters_exit_1(tmp_path, capsys, shape):
-    # a non-finite parameter is named with its shape; a radius whose
-    # signed distance underflows at the grid spacing is a resolution error
+    # a non-finite parameter is named with its shape; a radius whose grid
+    # spacing h, h^d or 1/h^2 over- or underflows is a resolution error
     p = tmp_path / "bad.cfg"
     p.write_text(MINIMAL.replace("nx = 32", "nx = 16")
                  .replace("shape = disk 1.0", f"shape = {shape}"))
     assert main(["solve", "--spec", str(p), "--max-iters", "10"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
-    if shape == "disk 1e-200":
-        assert f"{p}: [domain] nx: an inside cell lies on the grid's outer " \
-            "ring" in err
+    if shape.startswith("disk 1e"):
+        assert f"{p}: [domain] nx: grid spacing h = " in err
+        assert "is not representable" in err
     else:
         assert f"{p}: [domain] shape: bad shape parameters in {shape!r}" in err
 

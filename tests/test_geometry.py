@@ -81,12 +81,25 @@ def test_build_domain_accepts_grammar_strings():
     assert lo < -1.0 < 1.0 < hi  # ghost ring extends past the shape box
 
 
+class _EverywhereInside(Ball):
+    """A shape whose signed distance cannot tell any point outside."""
+
+    def signed_distance(self, pts):
+        return np.full(np.shape(pts)[:-1], -1.0)
+
+
 def test_resolution_guards():
     with pytest.raises(ResolutionError):
         build_domain(Ball(1.0), 8)
     with pytest.raises(ResolutionError):
         # gap much thinner than a cell: no center lands inside
         GridDomain(Annulus(0.998, 1.0), 16)
+    for radius in (1e-200, 1e-160, 1e300):
+        # h^2 underflows to 0, 1/h^2 overflows, h^2 overflows
+        with pytest.raises(ResolutionError, match="h = .* not representable"):
+            GridDomain(Ball(radius), 16)
+    with pytest.raises(ResolutionError, match="outer ring"):
+        GridDomain(_EverywhereInside(1.0), 16)
 
 
 def test_boundary_normal_queries():

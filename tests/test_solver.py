@@ -364,12 +364,23 @@ def test_restarts_reach_the_gap_in_few_iterations():
     assert res.converged and res.gap_relative <= 1e-3
 
 
+def one_grid_start(spec):
+    """The cold start of ``solve`` as a warm start: the solve then runs on
+    the grid of ``spec`` alone."""
+    pts, bf = spec.domain.operator.points, spec.domain.boundary_faces
+    return (nearest_boundary_extension(spec),
+            np.zeros((len(pts), spec.n_channels, spec.domain.dim)),
+            np.zeros((len(bf), spec.n_channels)))
+
+
 def test_strongly_convex_solve_is_accelerated():
-    # lambda = 1 on every cell: the accelerated steps reach 1e-3 in about
-    # 700 iterations and 1e-4 in about 1,300, where steps that never move
-    # need 1,800 and 2,500
+    # lambda = 1 on every cell: on one grid the accelerated steps reach
+    # 1e-3 in about 700 iterations and 1e-4 in about 1,300, where steps
+    # that never move need 1,800 and 2,500
     spec = get_case("rof_annulus").build_spec(96)
-    res = solve(spec, SolverConfig(max_iters=1800, gap_tol=1e-4))
+    res = solve(spec, SolverConfig(max_iters=1800, gap_tol=1e-4),
+                warm_start=one_grid_start(spec))
+    assert len(res.levels) == 1
     assert res.converged and res.gap_relative <= 1e-4
     first = res.check_iters[np.argmax(res.gap_history <= 1e-3)]
     assert first <= 1000
@@ -550,14 +561,10 @@ def test_coarse_levels_are_released_before_the_finer_one_iterates(
     assert alive == [[16, 32], [32], []]
 
 
-@pytest.mark.parametrize("how", ["lambda_positive", "warm_start", "nx_24",
-                                 "nx_33"])
+@pytest.mark.parametrize("how", ["warm_start", "nx_24", "nx_33"])
 def test_solve_without_a_coarser_level_reports_one(how):
     cfg = SolverConfig(max_iters=200, gap_tol=1e-3)
-    if how == "lambda_positive":
-        spec = get_case("rof_annulus").build_spec(64)
-        res = solve(spec, cfg)
-    elif how == "warm_start":
+    if how == "warm_start":
         spec = annulus_spec(64)
         first = solve(spec, cfg)
         res = solve(spec, cfg, warm_start=(first.u, first.z, first.zeta))
@@ -568,6 +575,69 @@ def test_solve_without_a_coarser_level_reports_one(how):
         res = solve(spec, cfg)
     assert [lv[:2] for lv in res.levels] == [(spec.domain.nx, res.iterations)]
     assert res.levels[0][2] > 0.0
+
+
+def test_a_strongly_convex_cold_solve_ladders():
+    # lambda > 0 on every cell: the cold solve starts from its restriction
+    # too
+    spec = get_case("rof_annulus").build_spec(64)
+    res = solve(spec, SolverConfig(max_iters=2000, gap_tol=1e-3))
+    assert [nx for nx, _, _ in res.levels] == [16, 32, 64]
+    assert res.converged and res.gap_relative <= 1e-3
+
+
+def test_each_level_starts_at_the_step_scale_the_one_below_ended_with(
+        monkeypatch):
+    # with lambda = 0.01 the scale t is still far above its floor 1 after
+    # 200 iterations, where each level stops
+    scales, iterate = [], solver_module._iterate
+
+    def spy(spec, config, start, levels):
+        state, t, info = iterate(spec, config, start, levels)
+        scales.append((None if start is None else start[1], t))
+        return state, t, info
+
+    monkeypatch.setattr(solver_module, "_iterate", spy)
+    base = get_case("rof_annulus").build_spec(64)
+    spec = dataclasses.replace(base, lam=0.01 * base.lam)
+    res = solve(spec, SolverConfig(max_iters=200, gap_tol=1e-6))
+    assert [lv[:2] for lv in res.levels] == [(16, 200), (32, 200), (64, 200)]
+    assert scales[0][0] is None
+    assert [begin for begin, _ in scales[1:]] == [
+        end for _, end in scales[:-1]]
+    assert all(end > 1.0 for _, end in scales)
+
+
+def test_the_ladder_cuts_the_fine_iterations_where_lambda_is_positive():
+    # 300 iterations on the fine level at nx=96 after 400 and 400 on the
+    # coarser ones, against 700 from the cold start on that grid alone
+    spec = get_case("rof_annulus").build_spec(96)
+    cfg = SolverConfig(max_iters=2000, gap_tol=1e-3)
+    laddered = solve(spec, cfg)
+    assert [nx for nx, _, _ in laddered.levels] == [24, 48, 96]
+    one_grid = solve(spec, cfg, warm_start=one_grid_start(spec))
+    assert len(one_grid.levels) == 1
+    assert laddered.converged and one_grid.converged
+    assert laddered.iterations < one_grid.iterations
+
+
+@pytest.mark.parametrize("make_spec, nx", [
+    (annulus_spec, 48), (annulus_spec, 96), (disk_spec, 48), (disk_spec, 96),
+    (lambda nx: get_case("rof_annulus").build_spec(nx), 96)])
+def test_prolonged_u_is_read_from_the_nearest_inside_coarse_cell(make_spec,
+                                                                 nx):
+    from scipy.spatial import cKDTree
+
+    cd, fd = make_spec(nx // 2).domain, make_spec(nx).domain
+    n_in = len(cd.operator.points)
+    u, _, _ = solver_module._prolong(
+        cd, np.arange(n_in, dtype=float)[:, None], np.zeros((n_in, 1, 2)),
+        np.zeros((len(cd.boundary_faces), 1)), fd)
+    _, nearest = cKDTree(cd.operator.points).query(fd.operator.points)
+    assert np.array_equal(u[:, 0], nearest)
+    # both the containing cell and the search are taken somewhere
+    containing = solver_module._containing_cell(cd, fd.operator.points)
+    assert np.any(containing >= 0) and np.any(containing < 0)
 
 
 def test_restriction_samples_the_fine_spec():
