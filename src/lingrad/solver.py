@@ -687,12 +687,9 @@ def solve(spec: ProblemSpec, config: Optional[SolverConfig] = None,
     levels = []
     # the prolonged start is handed to the loop without a name here, so
     # the loop can drop it once copied in
-    if warm_start is None:
-        (u, z, zeta), _, info = _iterate(
-            spec, config, _coarse_start(spec, config, levels), levels)
-    else:
-        (u, z, zeta), _, info = _iterate(spec, config, (warm_start, None),
-                                         levels)
+    (u, z, zeta), _, info = _iterate(
+        spec, config, (warm_start, None) if warm_start is not None
+        else _coarse_start(spec, config, levels), levels)
     op = spec.domain.operator
     return SolveResult(u=Field(spec.domain, op.pad(u)),
                        z=DualField(spec.domain, op.pad(z)), zeta=zeta,
