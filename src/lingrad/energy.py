@@ -192,9 +192,10 @@ def _divergence(op, z: np.ndarray) -> np.ndarray:
 
 def _face_masks(domain: GridDomain):
     """Padded (d, *grid) masks: interior faces, boundary-face slots, both."""
-    interior = domain._interior_face_mask()
+    op = domain.operator
+    interior = op.pad(op.interior[:, 0, :])
     slots = np.zeros_like(interior)
-    slots[(domain.boundary_faces.axis,) + tuple(domain.operator.slot_cells.T)] = True
+    slots[(domain.boundary_faces.axis,) + tuple(op.slot_cells.T)] = True
     return interior, slots, interior | slots
 
 

@@ -509,9 +509,11 @@ def _polish_zeta(spec, z_rep, zeta, r_b):
 
     For fixed z the dual objective is w zeta u0 - M h^d |divergence balance|
     per boundary cell, with M = ``spec.box_bound``, piecewise linear in
-    each zeta; the 1-D maximum sits at -1, +1, or the balance kink, so
-    evaluating three candidates per face is exact.  Cells sharing no faces make the sweep a plain coordinate
-    ascent that can only improve the bound.
+    each zeta; the 1-D maximum sits at -r_b, +r_b, or the balance kink, so
+    evaluating three candidates per face is exact.  The faces of one
+    (axis, sign) group share no cell, so updating a group at once and the
+    groups in turn is a plain coordinate ascent that can only improve the
+    bound.  Each cell's backflow is read from ``Bt``.
     """
     domain = spec.domain
     op = domain.operator
@@ -524,21 +526,18 @@ def _polish_zeta(spec, z_rep, zeta, r_b):
     div_fixed = _divergence(op, z_rep)[:, 0]
     wu0 = bf.weight * spec.u0[:, 0]
     zeta = zeta.copy()
-    # backflow beta zeta of each face, and a trailing 0 for the table pads
-    flow = np.append(beta * zeta[:, 0], 0.0)
-    # faces of one cell always differ in (axis, sign), so sweeping those
-    # groups sequentially is genuine coordinate (Gauss-Seidel) ascent
-    groups = [(sel, cell_faces, div_fixed[op.face_cells[sel]], beta[sel],
-               r_b[sel], wu0[sel], np.arange(sel.size))
-              for sel, cell_faces in op.boundary_face_groups]
+    flow = beta * zeta[:, 0]  # backflow of each face
+    # axis-major, sign -1 before +1: the Gauss-Seidel order of the groups
+    groups = []
+    for a in range(domain.dim):
+        for sgn in (-1, 1):
+            sel = np.flatnonzero((bf.axis == a) & (bf.sign == sgn))
+            cell = op.face_cells[sel]
+            groups.append((sel, cell, div_fixed[cell], beta[sel], r_b[sel],
+                           wu0[sel], np.arange(sel.size)))
     for _ in range(_POLISH_SWEEPS):
-        for sel, cell_faces, div_c, b, r, wu, cols in groups:
-            # each cell's backflow summed as Bt @ sums it: from 0, faces
-            # ascending
-            back = np.zeros(sel.size)
-            for k in range(cell_faces.shape[1]):
-                back += flow[cell_faces[:, k]]
-            res_wo = (div_c + back) - b * zeta[sel, 0]
+        for sel, cell, div_c, b, r, wu, cols in groups:
+            res_wo = (div_c + (op.Bt @ flow)[cell]) - b * zeta[sel, 0]
             cands = np.stack([-r, r, np.clip(-res_wo / b, -r, r)], axis=0)
             vals = wu * cands - m_vol * np.abs(res_wo + b * cands)
             new = cands[np.argmax(vals, axis=0), cols]
@@ -764,9 +763,9 @@ def _iterate(spec, config, start, levels):
     g_arr = spec.g
     lam_h = lam * spec.h
     # accelerated schedule: primal steps t tau, dual steps sigma / t, from
-    # the given t or t = 1/gamma down to the floor t = 1; gamma is the
-    # strong-convexity modulus of the lower-order term in the metric of
-    # the steps
+    # the given t or t = max(1, 1/gamma) down to the floor t = 1; gamma is
+    # the strong-convexity modulus of the lower-order term in the metric
+    # of the steps
     gamma = float(spec.lam.min() * tau.min())
     if gamma == 0:
         t = 1.0

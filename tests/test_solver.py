@@ -240,7 +240,8 @@ def test_gap_rises_quadratically_under_dual_perturbation():
     spec = get_case("rof_annulus").build_spec(48)
     res = solve(spec, SolverConfig(max_iters=20000, gap_tol=1e-6))
     base = duality_gap(spec, res.u.values, res.z.values, res.zeta).value
-    interior = spec.domain._interior_face_mask()
+    op = spec.domain.operator
+    interior = op.pad(op.interior[:, 0, :])
     faces = np.argwhere(interior[0] & (np.abs(res.z.values[0, 0]) < 0.5))
     idx = (0, 0) + tuple(faces[len(faces) // 2])
     rises = []
@@ -619,6 +620,16 @@ def test_the_ladder_cuts_the_fine_iterations_where_lambda_is_positive():
     assert len(one_grid.levels) == 1
     assert laddered.converged and one_grid.converged
     assert laddered.iterations < one_grid.iterations
+
+
+def test_the_least_gradient_annulus_keeps_its_ladder_counts():
+    # the benchmark's lg_annulus solve, the one benchmark workload where
+    # repair_dual and its zeta polish run: any change to the repaired
+    # iterates shows in these counts
+    spec = get_case("annulus_least_gradient").build_spec(96)
+    res = solve(spec, SolverConfig(max_iters=30000, gap_tol=1e-3))
+    assert res.converged
+    assert [lv[:2] for lv in res.levels] == [(24, 500), (48, 300), (96, 600)]
 
 
 @pytest.mark.parametrize("make_spec, nx", [
