@@ -20,7 +20,6 @@ from lingrad import (
     trace_error,
     verify_least_gradient,
 )
-from lingrad.certificate import ToleranceSet
 
 case = get_case("annulus_least_gradient")
 
@@ -30,7 +29,7 @@ for pt, label in ([1.0, 0.0], "inner"), ([2.0, 0.0], "outer"):
     print(f"  {label} loop at {pt}: H = {H:+.4f}")
 
 print("\nanalytic certificate for u = 0 (z = -x/|x|^2):")
-report = verify_least_gradient(case.analytic, tols=ToleranceSet.uniform(1e-8))
+report = verify_least_gradient(case.analytic, tol=1e-8)
 for name, cond in report.conditions.items():
     print(f"  {name}: L1 residual {cond.l1:.2e}  (pass: {cond.passed})")
 

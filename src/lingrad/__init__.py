@@ -22,7 +22,6 @@ from .integrands import (
 from .geometry import (
     Annulus,
     Ball,
-    Disk,
     GridDomain,
     Interval,
     Rectangle,
@@ -45,7 +44,6 @@ from .solver import SolverConfig, SolveResult, duality_gap, solve, trace_error
 from .certificate import (
     AnalyticCase,
     CertificateReport,
-    ToleranceSet,
     boundary_gradient_condition,
     verify_least_gradient,
     verify_scalar,

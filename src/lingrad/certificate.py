@@ -16,18 +16,20 @@ of ``solver.duality_gap`` split into its local Fenchel-Young terms, the
 given (z, zeta), zeta = 0 when none is given, or ``repair_dual``'s.
 r_subdiff and r_div have one term per inside cell, r_boundary one per
 boundary face; each ``l1`` is that share of the gap, and r_range, the
-feasibility of the dual, must be exact.  A pass at
-``ToleranceSet.uniform(tol)`` thus proves gap <= 3 tol.  The r_div terms
-are >= 0 only where |u| <= M, the spec's ``box_bound``; its note counts
-the cells outside the box.  Where the box is not known to hold a minimizer
-(g != 0, or M below max(|u0|, |h|)), a u with any cell outside it fails
-r_div whatever its l1: the gap bounds only the box-constrained problem.
+feasibility of the dual, must be exact.  A pass at ``tol`` thus proves
+gap <= 3 tol.  The r_div terms are >= 0 only where |u| <= M, the spec's
+``box_bound``; its note counts the cells outside the box.  A
+``DualityGap.conditional`` gap (the box is not known to hold a minimizer
+and u leaves it) fails r_div whatever its l1: it bounds only the
+box-constrained problem.
 
 Analytic mode samples closed-form reference fields on quadrature points of
 the shape (no grid), which is how the gallery's explicit counterexample
 certificates are checked to 1e-8 and better.  Each residual is then a
 pointwise defect integrated against the quadrature weights, and r_range
-the measure of interior samples where f*(z) is infinite.
+the measure of interior samples where f*(z) is infinite.  Every check
+draws the same ``analytic_samples``: 9,500 interior and 500 boundary
+points of the uniform quadrature, plus the case's refinement clusters.
 
 ``verify_scalar``, ``verify_vector`` and ``verify_least_gradient`` differ
 only in the problems they accept; all three return this one report with
@@ -41,14 +43,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .energy import ProblemSpec, _box_holds_minimizer, _cell_values
+from .energy import ProblemSpec, _cell_values
 from .errors import ShapeMismatchError
 from .geometry import _central_divergence, _shape_quadrature
 from .integrands import Integrand
 from .solver import duality_gap
 
 __all__ = [
-    "ToleranceSet",
     "ConditionResidual",
     "CertificateReport",
     "AnalyticCase",
@@ -58,21 +59,6 @@ __all__ = [
     "boundary_gradient_condition",
     "analytic_samples",
 ]
-
-
-@dataclass
-class ToleranceSet:
-    """Per-condition pass thresholds on the aggregated residuals; on grids
-    the dual must be feasible whatever ``range`` is (analytic mode only)."""
-
-    div: float = 1e-6
-    subdiff: float = 1e-6
-    range: float = 1e-6
-    boundary: float = 1e-6
-
-    @classmethod
-    def uniform(cls, tol: float) -> "ToleranceSet":
-        return cls(div=tol, subdiff=tol, range=tol, boundary=tol)
 
 
 @dataclass
@@ -145,27 +131,28 @@ def _agg(name, per_sample, weights, locations, tol, note=""):
 _RANGE_TOL = 1e-8
 # |u0 - u| above which a boundary face counts in the gradient condition
 _ACTIVE_TOL = 1e-9
+# interior and boundary points of the uniform quadrature of every check
+_N_INTERIOR, _N_BOUNDARY = 9500, 500
 
 
-def _score(f: Integrand, s: _Samples, tols: ToleranceSet) -> CertificateReport:
+def _score(f: Integrand, s: _Samples, tol: float) -> CertificateReport:
     conds = {}
 
     # r_div
     el = s.div_z - (s.lam[:, None] * (s.u - s.h) + s.g)
     per = np.sum(np.abs(el), axis=-1)
-    conds["r_div"] = _agg("r_div", per, s.vol_w, s.points, tols.div)
+    conds["r_div"] = _agg("r_div", per, s.vol_w, s.points, tol)
 
     # r_subdiff
     res = np.maximum(f.subdiff_residual(s.points, s.grad_u, s.z), 0.0)
-    conds["r_subdiff"] = _agg("r_subdiff", res, s.vol_w, s.points,
-                              tols.subdiff)
+    conds["r_subdiff"] = _agg("r_subdiff", res, s.vol_w, s.points, tol)
 
     # r_range via conjugate finiteness after a relative shrink
     fmax = 10.0 * f.growth_constant**2
     conj = f.conjugate(s.points, s.z / (1.0 + _RANGE_TOL))
     bad = (~np.isfinite(conj)) | (conj > fmax)
     conds["r_range"] = _agg("r_range", bad.astype(float), s.vol_w,
-                            s.points, tols.range)
+                            s.points, tol)
 
     # r_boundary
     jumps = s.b_u0 - s.b_u
@@ -173,8 +160,7 @@ def _score(f: Integrand, s: _Samples, tols: ToleranceSet) -> CertificateReport:
     fin = f.recession(s.b_points, mats)
     pair = np.sum(s.b_ztrace * jumps, axis=-1)
     per = np.abs(pair - fin)
-    conds["r_boundary"] = _agg("r_boundary", per, s.b_w, s.b_points,
-                               tols.boundary)
+    conds["r_boundary"] = _agg("r_boundary", per, s.b_w, s.b_points, tol)
 
     overall = all(c.passed for c in conds.values())
     return CertificateReport(conds, overall)
@@ -186,7 +172,7 @@ def _score(f: Integrand, s: _Samples, tols: ToleranceSet) -> CertificateReport:
 
 
 def _grid_report(spec: ProblemSpec, u, z, zeta,
-                 tols: ToleranceSet) -> CertificateReport:
+                 tol: float) -> CertificateReport:
     """The duality gap of (u; z, zeta) split by location (module docstring)."""
     domain = spec.domain
     op, bf, M = domain.operator, domain.boundary_faces, spec.box_bound
@@ -199,20 +185,18 @@ def _grid_report(spec: ProblemSpec, u, z, zeta,
     outside = int(np.sum(np.any(np.abs(u) > M, axis=1)))
     # an infeasible z or zeta makes its cell or face term infinite
     bad = np.concatenate([~np.isfinite(cell), ~np.isfinite(face)])
-    r_div = _agg("r_div", lower, 1.0, op.points, tols.div,
+    r_div = _agg("r_div", lower, 1.0, op.points, tol,
                  f"{dual}, {outside} cells outside |u| <= M = {M:.6g}")
-    if outside and not _box_holds_minimizer(spec):
+    if dg.conditional:
         r_div.passed = False
     conds = {
         "r_div": r_div,
-        "r_subdiff": _agg("r_subdiff", cell, 1.0, op.points, tols.subdiff,
-                          dual),
+        "r_subdiff": _agg("r_subdiff", cell, 1.0, op.points, tol, dual),
         "r_range": _agg("r_range", bad.astype(float), np.concatenate(
             [np.full(len(cell), domain.cell_volume), bf.weight]),
             np.concatenate([op.points, bf.point]), 0.0,
             "measure where z or zeta is infeasible"),
-        "r_boundary": _agg("r_boundary", face, 1.0, bf.point, tols.boundary,
-                           dual),
+        "r_boundary": _agg("r_boundary", face, 1.0, bf.point, tol, dual),
     }
     return CertificateReport(conds, all(c.passed for c in conds.values()))
 
@@ -263,10 +247,11 @@ class AnalyticCase:
                                    1e-5 * self.shape.diameter)
 
 
-def analytic_samples(case: AnalyticCase, n_interior: int = 9600,
-                     n_boundary: int = 512) -> _Samples:
+def analytic_samples(case: AnalyticCase) -> _Samples:
+    """The case's fields on the quadrature every analytic check uses."""
     n = case.integrand.n_rows
-    pts, w, bp, bw, bn = _shape_quadrature(case.shape, n_interior, n_boundary)
+    pts, w, bp, bw, bn = _shape_quadrature(case.shape, _N_INTERIOR,
+                                           _N_BOUNDARY)
     if case.extra_interior is not None:
         pts = np.concatenate([pts, np.asarray(case.extra_interior[0], dtype=float)])
         w = np.concatenate([w, np.asarray(case.extra_interior[1], dtype=float)])
@@ -295,40 +280,35 @@ def analytic_samples(case: AnalyticCase, n_interior: int = 9600,
 # ---------------------------------------------------------------------------
 
 
-def _case_samples(case: AnalyticCase, n_samples: int) -> _Samples:
-    return analytic_samples(case, n_interior=int(n_samples * 0.95),
-                            n_boundary=max(64, int(n_samples * 0.05)))
-
-
-def _report(spec_or_case, u, z, zeta, tols, n_samples):
+def _report(spec_or_case, u, z, zeta, tol):
     if isinstance(spec_or_case, AnalyticCase):
-        return _score(spec_or_case.integrand,
-                      _case_samples(spec_or_case, n_samples), tols)
-    return _grid_report(spec_or_case, u, z, zeta, tols)
+        return _score(spec_or_case.integrand, analytic_samples(spec_or_case),
+                      tol)
+    return _grid_report(spec_or_case, u, z, zeta, tol)
 
 
-def verify_scalar(spec_or_case, u=None, z=None, tols: Optional[ToleranceSet] = None,
-                  zeta=None, n_samples: int = 10000) -> CertificateReport:
-    """Scalar certificate check; accepts a grid spec with fields or an AnalyticCase."""
+def verify_scalar(spec_or_case, u=None, z=None, tol: float = 1e-6,
+                  zeta=None) -> CertificateReport:
+    """Scalar certificate check; accepts a grid spec with fields or an
+    AnalyticCase.  Each condition passes when its l1 is at most ``tol``."""
     if spec_or_case.integrand.n_rows != 1:
         raise ShapeMismatchError("verify_scalar requires a scalar problem")
-    return _report(spec_or_case, u, z, zeta, tols or ToleranceSet(), n_samples)
+    return _report(spec_or_case, u, z, zeta, tol)
 
 
-def verify_vector(spec_or_case, u=None, z=None, tols: Optional[ToleranceSet] = None,
-                  zeta=None, n_samples: int = 10000) -> CertificateReport:
+def verify_vector(spec_or_case, u=None, z=None, tol: float = 1e-6,
+                  zeta=None) -> CertificateReport:
     """Vectorial certificate check (autonomous integrands only for n > 1)."""
     f = spec_or_case.integrand
     if f.n_rows > 1 and f.x_dependent:
         raise ShapeMismatchError(
             "the vectorial characterization requires an autonomous integrand"
         )
-    return _report(spec_or_case, u, z, zeta, tols or ToleranceSet(), n_samples)
+    return _report(spec_or_case, u, z, zeta, tol)
 
 
-def verify_least_gradient(spec_or_case, u=None, z=None,
-                          tols: Optional[ToleranceSet] = None,
-                          zeta=None, n_samples: int = 10000) -> CertificateReport:
+def verify_least_gradient(spec_or_case, u=None, z=None, tol: float = 1e-6,
+                          zeta=None) -> CertificateReport:
     """Least-gradient certificate: the report of ``verify_scalar`` for the
     TV integrand with g = lambda = 0, where the four conditions read
 
@@ -348,19 +328,18 @@ def verify_least_gradient(spec_or_case, u=None, z=None,
         raise ShapeMismatchError("least-gradient check requires the TV integrand")
     analytic = isinstance(spec_or_case, AnalyticCase)
     if analytic:
-        s = _case_samples(spec_or_case, n_samples)
+        s = analytic_samples(spec_or_case)
         lam, g = s.lam, s.g
     else:
         lam, g = spec_or_case.lam, spec_or_case.g
     if np.any(lam != 0) or np.any(g != 0):
         raise ShapeMismatchError("least-gradient check requires g = h = lambda = 0")
-    tols = tols or ToleranceSet()
     if analytic:
-        return _score(f, s, tols)
-    return _grid_report(spec_or_case, u, z, zeta, tols)
+        return _score(f, s, tol)
+    return _grid_report(spec_or_case, u, z, zeta, tol)
 
 
-def boundary_gradient_condition(case: AnalyticCase, n_samples: int = 10000):
+def boundary_gradient_condition(case: AnalyticCase):
     """Per-sample residual of the normal-trace gradient condition.
 
     Where the trace misses the datum, [z, nu] must equal
@@ -370,7 +349,7 @@ def boundary_gradient_condition(case: AnalyticCase, n_samples: int = 10000):
     """
     if not isinstance(case, AnalyticCase):
         raise ShapeMismatchError("boundary_gradient_condition needs an AnalyticCase")
-    f, s = case.integrand, _case_samples(case, n_samples)
+    f, s = case.integrand, analytic_samples(case)
     jumps = s.b_u0 - s.b_u
     active = np.linalg.norm(jumps, axis=-1) > _ACTIVE_TOL
     res = np.zeros(len(s.b_points))

@@ -101,9 +101,8 @@ def _cmd_certify(args):
     zeta = None
     if args.zeta:
         zeta = read_grid_field(args.zeta, domain, n, faces=True).T
-    tols = cert.ToleranceSet.uniform(args.tol)
     verify = cert.verify_scalar if n == 1 else cert.verify_vector
-    report = verify(spec, u, z, tols=tols, zeta=zeta)
+    report = verify(spec, u, z, tol=args.tol, zeta=zeta)
     payload = report.as_flat_dict()
     if args.report:
         _write_report(args.report, payload)

@@ -101,14 +101,13 @@ class GalleryCase:
         if self.analytic is None:
             raise DomainError(f"case {self.name} ships no reference fields")
         tol = tol if tol is not None else self.expected.certificate_tol
-        tols = C.ToleranceSet.uniform(tol)
         kind = self.expected.certificate or "scalar"
         fn = {
             "scalar": C.verify_scalar,
             "vector": C.verify_vector,
             "least_gradient": C.verify_least_gradient,
         }[kind]
-        return fn(self.analytic, tols=tols)
+        return fn(self.analytic, tol=tol)
 
 
 # ---------------------------------------------------------------------------

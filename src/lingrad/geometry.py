@@ -33,7 +33,6 @@ from .integrands import Integrand
 
 __all__ = [
     "Ball",
-    "Disk",
     "Annulus",
     "Rectangle",
     "Interval",
@@ -73,11 +72,6 @@ class Ball:
 
     def bbox(self):
         return [(-self.radius, self.radius)] * self.dim
-
-
-def Disk(radius: float, dim: int = 2) -> Ball:
-    """Alias of Ball for the planar case."""
-    return Ball(radius, dim)
 
 
 class Annulus:
@@ -308,9 +302,6 @@ class GridDomain:
             for a in range(self.dim)
         )
 
-    def signed_distance(self, pts):
-        return self.shape.signed_distance(pts)
-
     @property
     def grid_shape(self):
         return self.n_cells
@@ -382,17 +373,36 @@ class GridOperator:
         self.slot_cells[np.arange(m), bf.axis] -= (bf.sign < 0)
 
     @cached_property
-    def neumann_solver(self):
-        """LU factors of G^T G with the first cell pinned (no constant nullspace)."""
+    def _neumann(self):
+        """LU factors of G^T G with the first cell of each face-connected
+        component pinned (no constant nullspace), the cells of each
+        component in ascending order, each cell's component and the pinned
+        cells."""
         import scipy.sparse as sp
+        from scipy.sparse.csgraph import connected_components
         from scipy.sparse.linalg import splu
 
         n_in = self.G.shape[1]
+        lap = self.G.T @ self.G
+        _, labels = connected_components(lap, directed=False)
+        groups = np.split(np.argsort(labels, kind="stable"),
+                          np.cumsum(np.bincount(labels))[:-1])
+        pinned = [cells[0] for cells in groups]
         keep = np.ones(n_in)
-        keep[0] = 0.0
-        lap = sp.diags_array(keep) @ (self.G.T @ self.G)
-        lap = lap + sp.csr_array(([1.0], ([0], [0])), shape=(n_in, n_in))
-        return splu(lap.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        keep[pinned] = 0.0
+        lap = sp.diags_array(keep) @ lap + sp.csr_array(
+            (np.ones(len(pinned)), (pinned, pinned)), shape=(n_in, n_in))
+        return (splu(lap.tocsc(), permc_spec="MMD_AT_PLUS_A"), groups, labels,
+                pinned)
+
+    def neumann_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """x with G^T G x = rhs minus its mean on each face-connected
+        component, and x = 0 at the first cell of each."""
+        lu, groups, labels, pinned = self._neumann
+        # np.mean's pairwise sum: a connected grid's mean is rhs.mean() exactly
+        rhs = rhs - np.array([rhs[cells].mean() for cells in groups])[labels]
+        rhs[pinned] = 0.0
+        return lu.solve(rhs)
 
     def cells(self, values: np.ndarray) -> np.ndarray:
         """Compressed (N, ...) copy of padded (..., *grid) values."""

@@ -399,13 +399,16 @@ def make_hencky(d: int = 2) -> Integrand:
                       conjugate=conjugate, prox_scale=prox_scale)
 
 
+_WEIGHT_SAMPLES = 4096  # uniform points of a sample_box that bound a
+
+
 def make_weighted_tv(a: Callable, d: int = 1, *, a_bounds=None,
-                     sample_box=None, n_samples: int = 4096) -> Integrand:
+                     sample_box=None) -> Integrand:
     """Spatially weighted total variation f(x, xi) = a(x) |xi|.
 
     ``a`` maps point arrays of shape (..., d) to positive weights.  Bounds on
     a are needed for the growth constant; pass ``a_bounds=(a_min, a_max)`` or
-    a ``sample_box`` ((lo, hi) per axis) over which they are estimated.
+    a ``sample_box`` ((lo, hi) per axis) where 4,096 points estimate them.
     """
     if a_bounds is not None:
         a_min, a_max = float(a_bounds[0]), float(a_bounds[1])
@@ -415,7 +418,7 @@ def make_weighted_tv(a: Callable, d: int = 1, *, a_bounds=None,
         rng = np.random.default_rng(7)
         lo = np.asarray([b[0] for b in sample_box], dtype=float)
         hi = np.asarray([b[1] for b in sample_box], dtype=float)
-        pts = lo + (hi - lo) * rng.random((n_samples, d))
+        pts = lo + (hi - lo) * rng.random((_WEIGHT_SAMPLES, d))
         vals = np.asarray(a(pts), dtype=float)
         a_min, a_max = float(vals.min()), float(vals.max())
     if a_min <= 0:

@@ -95,7 +95,7 @@ M; clipping there would solve the box-constrained problem instead and
 report it as converged, while without the clip an iterate past M shows
 as negative lower-order gap terms and in the certificate's count of
 cells outside the box, and such a state is not converged whatever its
-gap (``energy._box_holds_minimizer``).  Where gamma > 0 the clip would
+gap (``DualityGap.conditional``).  Where gamma > 0 the clip would
 cost time: on the ROF annulus at nx=192 it made the solve slower in 4 of
 4 alternating pairs of runs at the same 1,500 iterations (1.11-1.37 s
 against 1.07-1.10 s).  The plain steps grow lopsided as the grid is refined (in
@@ -347,7 +347,10 @@ class SolveResult:
 @dataclass
 class DualityGap:
     """A gap at a dual point (given, or ``repaired``): ``value`` sums its
-    ``_gap_terms`` (cell, face, lower) and ``dual`` is ``primal - value``."""
+    ``_gap_terms`` (cell, face, lower) and ``dual`` is ``primal - value``.
+    ``conditional`` marks a gap that proves nothing: the box |u| <= M is
+    not known to hold a minimizer (``energy._box_holds_minimizer``) and u
+    has a cell outside it."""
 
     value: float
     relative: float
@@ -357,7 +360,8 @@ class DualityGap:
     z: np.ndarray
     zeta: np.ndarray
     terms: tuple
-    repaired: bool = False
+    repaired: bool
+    conditional: bool
 
 
 def nearest_boundary_extension(spec: ProblemSpec) -> np.ndarray:
@@ -400,8 +404,11 @@ def duality_gap(spec: ProblemSpec, u, z, zeta) -> DualityGap:
     primal = _total(dens.cell, dens.face, dens.lower)
     terms = _gap_terms(spec, dens, z, zeta)
     gap = _total(*terms)
+    conditional = bool(np.any(np.abs(dens.u) > spec.box_bound)
+                       and not _box_holds_minimizer(spec))
     if not np.isfinite(gap):  # an infeasible given dual
-        return DualityGap(np.inf, np.inf, primal, -np.inf, False, z, zeta, terms)
+        return DualityGap(np.inf, np.inf, primal, -np.inf, False, z, zeta,
+                          terms, False, conditional)
     scored, repaired = (z, zeta), False
     z_rep, zeta_rep = repair_dual(spec, z, zeta)
     if z_rep is not z:
@@ -412,7 +419,8 @@ def duality_gap(spec: ProblemSpec, u, z, zeta) -> DualityGap:
                                             (z_rep, zeta_rep), True)
     dual = primal - gap
     rel = gap / max(abs(primal), abs(dual), 1e-12)
-    return DualityGap(gap, rel, primal, dual, True, *scored, terms, repaired)
+    return DualityGap(gap, rel, primal, dual, True, *scored, terms, repaired,
+                      conditional)
 
 
 def _drift(spec, z, zeta):
@@ -485,9 +493,7 @@ def repair_dual(spec: ProblemSpec, z, zeta):
     z_rep = _dual_values(domain, z)
     for k in range(_REPAIR_ROUNDS):
         v = _drift(spec, z_rep, zeta)[:, 0]
-        rhs = v - v.mean()
-        rhs[0] = 0.0
-        z_rep = z_rep - _gradient(op, op.neumann_solver.solve(-rhs)[:, None])
+        z_rep = z_rep - _gradient(op, op.neumann_solve(-v)[:, None])
         if k < _REPAIR_ROUNDS - 1:
             znorm = np.sqrt(np.sum(z_rep**2, axis=(1, 2)))
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -553,8 +559,10 @@ def trace_error(spec: ProblemSpec, u) -> float:
     return float(np.sum(spec.domain.boundary_faces.weight * diff))
 
 
-def boundary_l1_distance(spec: ProblemSpec, u, u0_fn,
-                         n_samples: int = 8192) -> float:
+_TRACE_SAMPLES = 8192  # boundary samples of boundary_l1_distance
+
+
+def boundary_l1_distance(spec: ProblemSpec, u, u0_fn) -> float:
     """L1 distance of the piecewise-constant discrete trace to a continuum datum.
 
     Quadrature at sub-face resolution: sample the true boundary, read the
@@ -563,14 +571,14 @@ def boundary_l1_distance(spec: ProblemSpec, u, u0_fn,
     the O(h) error of representing a datum jump inside a single face, so it
     is the right quantity for refinement studies of trace attainment.
     The boundary samples are those of the analytic certificates
-    (``geometry._shape_quadrature``): ``n_samples`` equally spaced angles
+    (``geometry._shape_quadrature``): 8,192 equally spaced angles
     split over the circles of a 2-D ``Ball`` or ``Annulus``, or the two
     endpoints of an interval; other shapes raise ``ShapeMismatchError``.
     """
     from scipy.spatial import cKDTree
 
     domain = spec.domain
-    _, _, pts, weight, _ = _shape_quadrature(domain.shape, 0, n_samples)
+    _, _, pts, weight, _ = _shape_quadrature(domain.shape, 0, _TRACE_SAMPLES)
     u_adj = domain.operator.B @ _cell_values(domain, u)  # (m, n)
     _, nearest = cKDTree(domain.boundary_faces.point).query(pts)
     datum = np.asarray(u0_fn(pts), dtype=float)
@@ -695,6 +703,11 @@ def solve(spec: ProblemSpec, config: Optional[SolverConfig] = None,
                        levels=tuple(levels), **info)
 
 
+def _scalars(dg):
+    """What the loop keeps of a gap: (relative, value, primal, conditional)."""
+    return dg.relative, dg.value, dg.primal, dg.conditional
+
+
 def _coarse_start(spec, config, levels):
     """The start ``(state, t)`` of ``spec``'s grid: the compressed state
     prolonged from a solve of its restriction, itself started the same
@@ -733,8 +746,9 @@ def _iterate(spec, config, start, levels):
     al = _STEP_ALPHA
     K_grad = vol * abs(G)
     # prox parameter for the z block: sigma_row * h^d; every interior row
-    # has the same sum
-    sigma_z = vol / float(K_grad.power(2.0 - al).sum(axis=1).max())
+    # has the same sum; with no interior face z = 0, and any step is exact
+    sigma_z = vol / max(float(K_grad.power(2.0 - al).sum(axis=1).max()),
+                        1e-300)
     col = K_grad.power(al).sum(axis=0) + Bt @ bf.weight**al
     tau = (vol / np.maximum(col, 1e-300))[:, None]
     # net zeta step on (u0 - B u): sigma_row * w = w^(alpha - 1)
@@ -775,9 +789,9 @@ def _iterate(spec, config, start, levels):
     # holds a minimizer (g = 0 and M at least the data bound, by
     # truncation), the u update is the prox of l + the box's indicator;
     # where the box is not known to hold one, a state outside it is not
-    # converged whatever its gap
-    proven = _box_holds_minimizer(spec)
-    box = spec.box_bound if gamma == 0 and proven else None
+    # converged whatever its gap (``DualityGap.conditional``)
+    box = (spec.box_bound if gamma == 0 and _box_holds_minimizer(spec)
+           else None)
 
     sigma_zeta_t = np.empty_like(sigma_zeta)
     tau_t = np.empty_like(tau)
@@ -870,24 +884,21 @@ def _iterate(spec, config, start, levels):
             # is dropped, so the arrays of one gap are freed before the
             # next is evaluated
             kept = (u, z, zeta)
-            dg = duality_gap(spec, u, z, zeta)
-            score = (dg.relative, dg.value, dg.primal)
-            del dg
+            score = _scalars(duality_gap(spec, u, z, zeta))
             if n_avg > 1:
                 avg = (sum_u / n_avg, sum_z / n_avg, sum_zeta / n_avg)
-                dg = duality_gap(spec, *avg)
-                if dg.relative < score[0]:
-                    kept, score = avg, (dg.relative, dg.value, dg.primal)
-                del avg, dg
-            rel_gap, gap_now, primal = score
+                avg_score = _scalars(duality_gap(spec, *avg))
+                if avg_score[0] < score[0]:
+                    kept, score = avg, avg_score
+                del avg
+            rel_gap, gap_now, primal, conditional = score
             if not np.isfinite(gap_now):
                 raise InstabilityError(
                     f"non-finite duality gap at iteration {it}")
             energies_raw.append(primal)
             iters_log.append(it)
             gaps.append(rel_gap)
-            if rel_gap <= config.gap_tol and (
-                    proven or np.all(np.abs(kept[0]) <= spec.box_bound)):
+            if rel_gap <= config.gap_tol and not conditional:
                 converged = True
                 break
             if rel_gap <= _RESTART_DECAY * restart_rel:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from lingrad.certificate import (
-    ToleranceSet,
     boundary_gradient_condition,
     verify_least_gradient,
     verify_scalar,
@@ -30,7 +29,7 @@ def annulus_lg_case():
 
 
 def test_rof_annulus_reference_passes_tight():
-    rep = verify_scalar(rof_annulus_case(), tols=ToleranceSet.uniform(1e-8))
+    rep = verify_scalar(rof_annulus_case(), tol=1e-8)
     assert rep.overall_pass
     for cond in rep.conditions.values():
         assert cond.l1 <= 1e-8
@@ -51,11 +50,10 @@ def test_weighted_1d_reference_passes_at_1e10():
 
 
 def test_least_gradient_annulus_reference():
-    rep = verify_least_gradient(annulus_lg_case(),
-                                tols=ToleranceSet.uniform(1e-8))
+    rep = verify_least_gradient(annulus_lg_case(), tol=1e-8)
     assert rep.overall_pass
     # the scalar characterization agrees on the same fields
-    rep2 = verify_scalar(annulus_lg_case(), tols=ToleranceSet.uniform(1e-8))
+    rep2 = verify_scalar(annulus_lg_case(), tol=1e-8)
     assert rep2.overall_pass
     # one scorer: the same four residuals with the same values
     assert list(rep.conditions) == list(rep2.conditions) == [
@@ -71,7 +69,7 @@ def test_anisotropic_vector_reference():
 
 
 def test_reports_expose_locations_and_norms():
-    rep = verify_scalar(rof_annulus_case(), tols=ToleranceSet.uniform(1e-8))
+    rep = verify_scalar(rof_annulus_case(), tol=1e-8)
     c = rep["r_boundary"]
     assert c.l1 >= 0 and c.sup >= 0
     assert len(c.worst_location) == 2
@@ -103,8 +101,8 @@ def test_constant_dual_shift_is_detected(case_name, verifier):
     bump[0, 0] = delta
 
     pert = dataclasses.replace(ana, z=lambda p: z_orig(p) + bump[None])
-    before = verifier(ana, tols=ToleranceSet.uniform(np.inf))
-    after = verifier(pert, tols=ToleranceSet.uniform(np.inf))
+    before = verifier(ana, tol=np.inf)
+    after = verifier(pert, tol=np.inf)
     rise = _max_l1(after) - _max_l1(before)
     assert rise >= delta / 4
 
@@ -116,7 +114,7 @@ def test_primal_perturbation_is_detected():
         ana,
         u=lambda p: np.full(p.shape[0], delta),
     )
-    rep = verify_scalar(pert, tols=ToleranceSet.uniform(np.inf))
+    rep = verify_scalar(pert, tol=np.inf)
     assert _max_l1(rep) >= delta / 4
 
 
@@ -161,11 +159,9 @@ def test_grid_certificate_on_converged_solve():
     spec = ProblemSpec(make_tv(1, 2), domain, np.where(r < 1.5, 1.0, 0.0))
     res = solve(spec, SolverConfig(max_iters=30000, gap_tol=1e-6))
     tol = 100 * max(res.gap, 1e-12)
-    rep = verify_scalar(spec, res.u, res.z, zeta=res.zeta,
-                        tols=ToleranceSet.uniform(tol))
+    rep = verify_scalar(spec, res.u, res.z, zeta=res.zeta, tol=tol)
     assert rep.overall_pass
-    repg = verify_least_gradient(spec, res.u, res.z, zeta=res.zeta,
-                                 tols=ToleranceSet.uniform(tol))
+    repg = verify_least_gradient(spec, res.u, res.z, zeta=res.zeta, tol=tol)
     assert repg.overall_pass
 
 
@@ -177,8 +173,7 @@ def test_grid_certificate_flags_corrupted_dual():
     z_bad = res.z.values.copy()
     z_bad[0, 0] += 0.5
     rep = verify_scalar(spec, Field(domain, res.u.values),
-                        DualField(domain, z_bad), zeta=res.zeta,
-                        tols=ToleranceSet.uniform(1e-2))
+                        DualField(domain, z_bad), zeta=res.zeta, tol=1e-2)
     assert not rep.overall_pass
 
 
@@ -189,7 +184,7 @@ def test_vector_trivial_certificate():
                        np.zeros((len(domain.boundary_faces), n)))
     u = Field.zeros(domain, n)
     z = DualField.zeros(domain, n)
-    rep = verify_vector(spec, u, z, tols=ToleranceSet.uniform(1e-12))
+    rep = verify_vector(spec, u, z, tol=1e-12)
     assert rep.overall_pass
     assert all(c.l1 == 0.0 for c in rep.conditions.values())
 
@@ -201,7 +196,7 @@ def test_vector_constant_certificate():
     spec = ProblemSpec(make_vector_tv(2, 2), domain,
                        np.tile(c, (len(domain.boundary_faces), 1)))
     rep = verify_vector(spec, Field(domain, u_vals), DualField.zeros(domain, 2),
-                        tols=ToleranceSet.uniform(1e-12))
+                        tol=1e-12)
     assert rep.overall_pass
 
 
@@ -239,8 +234,7 @@ def test_grid_certificate_passes_across_a_jump():
     spec = ProblemSpec(make_tv(1, 2), domain, u0)
     res = solve(spec, SolverConfig(max_iters=20000, gap_tol=1e-5))
     tol = 100 * max(res.gap, 1e-12)
-    rep = verify_scalar(spec, res.u, res.z, zeta=res.zeta,
-                        tols=ToleranceSet.uniform(tol))
+    rep = verify_scalar(spec, res.u, res.z, zeta=res.zeta, tol=tol)
     assert rep.overall_pass
 
 
@@ -259,13 +253,13 @@ def test_grid_report_names_the_worst_location(rof_annulus_48):
     spec, res = rof_annulus_48
     op = spec.domain.operator
     bf = spec.domain.boundary_faces
-    tols = ToleranceSet.uniform(np.inf)
+    tol = np.inf
     u = op.cells(res.u.values)
 
     c = len(u) // 2
     u_bad = u.copy()
     u_bad[c] += 0.5
-    rep = verify_scalar(spec, u_bad, res.z, zeta=res.zeta, tols=tols)
+    rep = verify_scalar(spec, u_bad, res.z, zeta=res.zeta, tol=tol)
     centre = tuple(op.points[c].tolist())
     assert centre in (rep["r_subdiff"].worst_location,
                       rep["r_div"].worst_location)
@@ -275,14 +269,13 @@ def test_grid_report_names_the_worst_location(rof_annulus_48):
     assert jump[k] > 0.1
     zeta_bad = res.zeta.copy()
     zeta_bad[k] = 0.0
-    rep = verify_scalar(spec, res.u, res.z, zeta=zeta_bad, tols=tols)
+    rep = verify_scalar(spec, res.u, res.z, zeta=zeta_bad, tol=tol)
     assert rep["r_boundary"].worst_location == tuple(bf.point[k].tolist())
 
 
 def test_grid_report_flags_an_infeasible_multiplier(rof_annulus_48):
     spec, res = rof_annulus_48
-    rep = verify_scalar(spec, res.u, res.z, zeta=1.01 * res.zeta,
-                        tols=ToleranceSet.uniform(np.inf))
+    rep = verify_scalar(spec, res.u, res.z, zeta=1.01 * res.zeta, tol=np.inf)
     assert not rep.overall_pass
     assert not rep["r_range"].passed and rep["r_range"].l1 > 0
     assert rep["r_range"].worst_location in {
