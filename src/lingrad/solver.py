@@ -5,32 +5,40 @@ f(x, grad u) = sup_z <z, grad u> - f*(x, z), and the boundary penalty, via
 its own multiplier zeta constrained to the nu-section of the dual range.
 The solver takes integrands whose dual range is a ball (``dual_radius``),
 so the section is the ball of that radius (for scalar TV the interval
-[-1, 1]).  One iteration alternates
+[-1, 1]).  One PDHG step T maps x = (u, z, zeta) to (u+, z+, zeta+),
+primal first:
 
-  (i)   z    <- prox of f* at z + sigma/t G u_bar, per cell,
-  (ii)  zeta <- project zeta + sigma/t (u0 - B u_bar) onto the ball,
-  (iii) u    <- closed-form prox of the lower-order terms at
+  (i)   u+   <- closed-form prox of the lower-order terms at
                 u + t tau (-G^T z + B^T (w_b / h^d zeta) - g),
-  (iv)  u_bar <- u + theta (u - u_prev) (over-relaxation), t <- theta t,
+  (ii)  u_bar <- u+ + theta (u+ - u) (over-relaxation), t <- theta t,
+  (iii) z+   <- prox of f* at z + sigma/t G u_bar, per cell,
+  (iv)  zeta+ <- project zeta + sigma/t (u0 - B u_bar) onto the ball,
 
 with G and B the domain's operator (``GridDomain.operator``): forward
 differences on interior faces, and the selection of each boundary face's
 inside cell.  The zeta backflow B^T (w_b / h^d zeta) couples each face
 through its geometric weight w_b, the same weight as in the boundary
-penalty.  At a fixed point -G^T z + B^T (w_b / h^d zeta) = lambda (u - h)
-+ g, the discrete Euler-Lagrange equation, and the pair (z, zeta) is the
-certificate the verification module consumes.
+penalty.  At a fixed point of T, -G^T z + B^T (w_b / h^d zeta) =
+lambda (u - h) + g, the discrete Euler-Lagrange equation, and the pair
+(z, zeta) is the certificate the verification module consumes.  The solver
+iterates T in the restarted Halpern scheme below.
 
 The loop, the gap and the dual repair run on compressed vectors: u is
 (N, n) over the N inside cells, z is (N, n, d) on the + face of each
 inside cell (the layout the conjugate prox takes), zeta is (m, n) over
-boundary faces.  z, its running sum and the interior mask are stored
-planar, as (N, n, d) views of C-contiguous (d, N, n) arrays: ``G u_bar``
-reshapes to that layout without a copy, ``G^T z`` reads it without one,
-and the prox reduces over the n and d axes of contiguous planes.  Each
-update is written in place into an array the iteration already owns: the
-prox input into the gradient product, the interior mask into the prox
-output, and u into the divergence product.  The data g, h and lambda, the
+boundary faces.  z and the interior mask are stored planar, as (N, n, d)
+views of C-contiguous (d, N, n) arrays: ``G u_bar`` reshapes to that
+layout without a copy, ``G^T z`` reads it without one, and the prox
+reduces over the n and d axes of contiguous planes.  The loop keeps x,
+its Halpern anchor x0 and T(x) each in one flat buffer: u, then the
+stacked dual (z, zeta) as a (d N + m, n) block with z planar on top.  The
+u update reads its drift -G^T z + B^T (w_b / h^d zeta) from that block
+with one sparse product, the dual ascent forms (G u_bar, -B u_bar) with
+one, and the Halpern step and a restart are whole-buffer operations.
+Each update is written in place into an array the iteration already
+owns: the dual prox inputs into the ascent product, the interior mask
+into the prox output, T(x) into its buffer, and the Halpern step into x
+by BLAS axpy and scal.  The data g, h and lambda, the
 cold start, the coarse levels and their prolongation are compressed too;
 padded arrays are made only for the Field and DualField of the
 SolveResult, and read only from a padded warm start.
@@ -42,7 +50,8 @@ primal step h^d over its column sum of |K|^alpha.  The rule needs no
 operator norm estimate and is stable for any alpha in [0, 2], the zeta
 block included.  It is the only rule.  Scalar steps 0.99/L, with
 L = sqrt(4 d)/h the norm bound of G alone, were measured against it in
-the same restarted loop, as iterations to the target relative gap:
+the restarted averaging loop that the Halpern iteration replaced (see
+below), as iterations to the target relative gap:
 
   =======================================  ===========  ===============
   case                                     diagonal     scalar 0.99/L
@@ -85,24 +94,25 @@ lambda vanishes on some cell,
 gamma = 0, theta = 1 and t = 1 throughout, and the steps are the plain
 ones.  Where moreover g = 0 and M = ``ProblemSpec.box_bound`` is at least
 the data bound max(|u0|, |h|), the box |u| <= M over which the gap takes
-its dual holds a minimizer (by truncation), and step (iii) is followed
-by a clip of u to [-M, M]: the exact prox of the lower-order term plus
+its dual holds a minimizer (by truncation), and step (i) is followed
+by a clip of u+ to [-M, M]: the exact prox of the lower-order term plus
 the indicator of the box (the term is separable, so the prox of the sum
-is the clipped prox).  The iterate then never leaves the box, and no
-lower-order term of the gap is negative.  Elsewhere the clip is left
-out.  With g != 0 the default M is a heuristic, and a spec may set any
-M; clipping there would solve the box-constrained problem instead and
-report it as converged, while without the clip an iterate past M shows
-as negative lower-order gap terms and in the certificate's count of
-cells outside the box, and such a state is not converged whatever its
-gap (``DualityGap.conditional``).  Where gamma > 0 the clip would
-cost time: on the ROF annulus at nx=192 it made the solve slower in 4 of
-4 alternating pairs of runs at the same 1,500 iterations (1.11-1.37 s
-against 1.07-1.10 s).  The plain steps grow lopsided as the grid is refined (in
-2-D a primal step is about h/2 times a dual step), which the schedule
-undoes while t is large.  Iterations
-to the target on the ROF annulus with lambda scaled, plain ->
-accelerated:
+is the clipped prox).  The scored state T(x) then never leaves the box
+(the Halpern iterate x, a reflection, may), and no lower-order term of
+its gap is negative.  Elsewhere the clip is left out.  With g != 0 the
+default M is a heuristic, and a spec may set any M; clipping there would
+solve the box-constrained problem instead and report it as converged,
+while without the clip an iterate past M shows as negative lower-order
+gap terms and in the certificate's count of cells outside the box, and
+such a state is not converged whatever its gap
+(``DualityGap.conditional``).  Where gamma > 0 the clip would cost time:
+on the ROF annulus at nx=192, in the averaging loop, it made the solve
+slower in 4 of 4 alternating pairs of runs at the same 1,500 iterations
+(1.11-1.37 s against 1.07-1.10 s).  The plain steps grow lopsided as the
+grid is refined (in 2-D a primal step is about h/2 times a dual step),
+which the schedule undoes while t is large.  Iterations to the target on
+the ROF annulus with lambda scaled, plain ->
+accelerated, measured in the restarted averaging loop:
 
   ======  ======  =====  ======================
   lambda  target  nx     plain -> accelerated
@@ -135,21 +145,71 @@ iterations to 1e-3 at nx=192: resetting t at each restart took 2,300 /
 tuned constant; a start at 1/sqrt(gamma) took 2,600 against 1,800 at
 lambda = 0.1, nx=64, 1e-4.
 
-The loop restarts from an averaged iterate, the "sufficient decay" rule of
-Applegate, Hinder, Lu and Lubin, "Faster first-order primal-dual methods
-for linear programming using restarts and sharpness" (arXiv:2105.12715),
-also used by PDLP (arXiv:2106.04756), with the certified duality gap below
-as the restart metric.  The solver keeps the running average of (u, z,
-zeta) since the last restart.  Every gap check evaluates the gap of both
-the current iterate and the average; the state with the lower relative
-gap is the one reported.  Once that gap is
-at most ``_RESTART_DECAY`` = 0.2 times the relative gap at the last
-restart, the iterate restarts from that state, with u_bar = u and the
-average emptied.  The first check always restarts.  The restarts pay on
-the piecewise-linear (LP-like) least-gradient and BV problems, where plain
-steps crawl: from a cold start on its own grid, the least-gradient
-annulus at nx=96 reaches a relative gap of 1e-3 in 1,800 iterations,
-against 12,800 without restarts.
+The loop is restarted reflected Halpern PDHG, r2HPDHG of Lu and Yang,
+"Restarted Halpern PDHG for linear programming" (arXiv:2407.16144), in
+both regimes.  With T the step above and x0 an anchor, each iteration sets
+
+  x <- (k + 1)/(k + 2) (2 T(x) - x) + 1/(k + 2) x0,
+
+k counting the iterations since x0 was set.  Halpern's last iterate has
+the O(1/k) fixed-point rate that plain PDHG has only for its average
+(Lieder, "On the convergence rate of the Halpern-iteration", Optim. Lett.
+15, 2021), so a gap check scores one state, T(x), with one
+``duality_gap`` call.  Its z+ and zeta+ are prox outputs, so its dual is
+feasible, and T(x) is the state a solve reports.  A check restarts by the
+"sufficient decay" rule of Applegate, Hinder, Lu and Lubin, "Faster
+first-order primal-dual methods for linear programming using restarts
+and sharpness" (arXiv:2105.12715), also used by PDLP (arXiv:2106.04756),
+on the certified relative gap below: once it is at most
+``_RESTART_DECAY`` = 0.2 times the relative gap at the last restart,
+x = x0 = T(x) and k = 0.  The first check always restarts.  t is carried
+across restarts and up the ladder, and where gamma > 0 the schedule stays
+inside T: with the plain steps (t = 1) the ROF annulus at nx=96 from one
+grid takes 2,400 iterations to 1e-4, with t 800.  Restarts are decided
+at gap checks only: in a prototype, r2HPDHG's own rule on the fixed-point
+residual, checked every 50 iterations, drove the trace errors of the
+half-disk refinement study (acceptance criterion 5) to roundoff and out
+of order (2.4e-7 / 3.5e-7 / 1.6e-6 at nx 64 / 128 / 256).
+
+The loop it replaced kept the running average of (u, z, zeta) since the
+last restart, scored both the average and the current iterate at every
+check (two ``duality_gap`` calls, each with a ``repair_dual`` where
+g = lambda = 0) and reported the lower.  Iterations per ladder level and
+gap evaluations per solve, averaging loop -> Halpern:
+
+  ================================  ===============================  ========
+  case, target                      ladder                           gaps
+  ================================  ===============================  ========
+  least-gradient annulus, 96, 1e-3  500 / 300 / 600 ->               28 -> 10
+                                    400 / 300 / 300
+  ROF annulus, 192, 1e-3            400 / 400 / 300 / 700 ->         36 -> 11
+                                    300 / 200 / 200 / 400
+  BV-attainment disk, 96, 1e-3      1,200 / 700 / 1,100 ->           60 -> 13
+                                    500 / 300 / 500
+  BV-attainment disk, 64, 1e-4      1,300 / 800 / 700 ->             56 -> 24
+                                    1,700 / 300 / 400
+  weighted 1-D TV, 256, 1e-2        800 / 400 / 1,000 / 1,500 / 800  90 -> 28
+                                    -> 900 / 200 / 600 / 700 / 400
+  ================================  ===============================  ========
+
+Two solves lose.  Criterion 10's half-disk at nx=48 to 1e-6
+(``check_every`` 250) loses on its nx=24 level.  With the datum
+truncated at b = 1 / 0.25 / 0.5 it takes 20,250 + 16,250 /
+57,500 + 14,750 / 32,500 + 14,250 iterations on nx 24 + 48, against
+6,250 + 18,250 / 19,000 + 7,750 / 3,750 + 11,750, and the three solves
+14.2 s against 7.4 s (back-to-back single runs on a 2-vCPU machine).
+The averaging loop won there with its current iterate, which converges
+fast on this problem, while the anchored Halpern iterate decays as 1/k
+between restarts, and the restarts grow sparse (250, 500, 1,000, 2,500,
+8,250, 32,000 iterations apart at b = 0.25).  No restart rule at checks
+tried fixed the nx=24 level, as iterations there for b = 1 / 0.25 /
+0.5: restarting at every check took 16,000 / 41,500 / 23,750; PDLP's
+three-part rule (sufficient decay 0.2, necessary decay 0.8 with no
+progress since the last check, or k at least 0.36 times the iterations
+so far) 17,750 / 49,000 / 27,000; sufficient decay 0.5, 20,000 /
+52,250 / 28,250.  And the ROF annulus at lambda = 10, nx=192 to 1e-3
+takes 700 iterations over the ladder (200 / 100 / 200 / 200), against
+500.
 
 A solve without a ``warm_start`` does not start cold on its own grid.
 It first solves the
@@ -168,66 +228,104 @@ center, which is the nearest inside coarse cell wherever it is inside;
 only the other fine cells search for the nearest (200 of 21,736 cells of
 the ROF annulus at nx=192).  ``SolveResult.levels`` records each level.
 Iterations per level, coarsest first, against a cold start on the finest
-grid alone:
+grid alone, with the caller's cap of 30,000 iterations per level:
 
   ==================================  ===============================  ========
   case, target                        ladder                           cold
   ==================================  ===============================  ========
-  least-gradient annulus, 96, 1e-3    500 / 300 / 600                  1,800
-  least-gradient annulus, 256, 1e-3   300 / 300 / 500 / 500 / 900      4,700
-  BV-attainment disk, 96, 1e-3        1,200 / 700 / 1,100              4,100
-  BV-attainment disk, 256, 1e-3       700 / 300 / 500 / 900 / 1,300    13,000
-  weighted 1-D TV, 256, 1e-2          800 / 400 / 1,000 / 1,500 / 800  68,100
-  half-disk, 64, 1e-5                 1,900 / 3,800 / 3,400            > 30,000
-  ROF annulus, 96, 1e-3               400 / 400 / 300                  700
-  ROF annulus, 192, 1e-3              400 / 400 / 300 / 700            1,500
-  ROF annulus, 384, 1e-3              400 / 400 / 300 / 700 / 400      3,000
+  least-gradient annulus, 96, 1e-3    400 / 300 / 300                  1,700
+  least-gradient annulus, 256, 1e-3   200 / 300 / 300 / 400 / 500      3,300
+  BV-attainment disk, 96, 1e-3        500 / 300 / 500                  1,900
+  BV-attainment disk, 256, 1e-3       200 / 300 / 300 / 600 / 800      6,200
+  weighted 1-D TV, 256, 1e-2          900 / 200 / 600 / 700 / 400      > 30,000
+  half-disk, 64, 1e-5                 4,200 / 1,000 / 600              > 30,000
+  ROF annulus, 96, 1e-3               300 / 200 / 200                  700
+  ROF annulus, 192, 1e-3              300 / 200 / 200 / 400            1,000
+  ROF annulus, 384, 1e-3              300 / 200 / 200 / 400 / 200      1,700
   ==================================  ===============================  ========
 
-The one loss measured is criterion 10's half-disk at nx=48 to 1e-6 with
-the datum truncated at b = 0.25: 19,000 + 7,750 iterations against
-11,500 cold (b = 1 and b = 0.5 gain: 6,250 + 18,250 against 28,250 and
-3,750 + 11,750 against 16,750).  Below nx of about 48 an iteration costs
-about the same at any size, so a long coarse level is not cheap there.
-Looser coarse tolerances lose: with 10x the target, sqrt(target) or
-max(target, 1e-3) on the coarse levels, the disk at nx=96 to 1e-3 took
-3,600 / 4,500 / 1,100 fine iterations (1,100 with the target itself),
-and the half-disk at nx=64 to 1e-5 took 7,100 / 22,600 / 15,900 (3,400).
-A coarsest level of 48 instead of 24 took 1,200 + 600 iterations on the
-least-gradient annulus at nx=96 against 500 + 300 + 600.
+Criterion 10's half-disk at nx=48 to 1e-6 (``check_every`` 250) loses in
+iterations: with the datum truncated at b = 1 / 0.25 / 0.5 the ladder
+takes 20,250 + 16,250 / 57,500 + 14,750 / 32,500 + 14,250 against 35,250
+/ 46,500 / 30,000 cold, in about the same time (4.6 / 8.7 / 4.5 s against
+6.9 / 7.8 / 4.6 s in back-to-back single runs).  Below nx of about 48 an
+iteration costs about the same at any size, so a long coarse level is not
+cheap there.  Measured with the averaging loop, looser coarse tolerances
+lose: with 10x the target, sqrt(target) or max(target, 1e-3) on the
+coarse levels, the disk at nx=96 to 1e-3 took 3,600 / 4,500 / 1,100 fine
+iterations (1,100 with the target itself), and the half-disk at nx=64 to
+1e-5 took 7,100 / 22,600 / 15,900 (3,400).  A coarsest level of 48
+instead of 24 took 1,200 + 600 iterations on the least-gradient annulus
+at nx=96 against 500 + 300 + 600.
 
 Where gamma > 0 each level starts at the step scale t the level below
 ended with, and the coarsest at t = max(1, 1/gamma).  Where gamma = 0,
 t = 1 on every level, so the rule leaves those ladders as they are.  At
 lambda = 1 t reaches its floor 1 within the coarsest level, so the finer
-levels run plain steps from their warm starts; restarting them at
+levels run plain steps from their warm starts.  Measured with the
+averaging loop: restarting them at
 t = 1/gamma, whose large early steps move the warm iterate away, took
 400 / 300 / 500 / 1,200 iterations on the ROF annulus at nx=192.  Other
 rules for a level's first t, as iterations on the nx=192 level of that
 ladder (700 when t is carried): t gamma kept from the level below, 800;
 1/(gamma (1 + k)) with k the iterations of the level below, 800;
 1/sqrt(gamma), 2,300.  The ROF annulus with lambda scaled, iterations to
-the target from a cold start on the finest grid -> on the ladder:
+the target from a cold start on the finest grid -> on the ladder, with
+the Halpern loop:
 
   ======  ======  =====  ==================================
   lambda  target  nx     cold -> ladder
   ======  ======  =====  ==================================
-  1       1e-3    96     700 -> 400 / 400 / 300
-  1       1e-4    96     1,300 -> 500 / 500 / 900
-  1       1e-4    192    1,500 -> 500 / 500 / 900 / 800
-  0.1     1e-3    192    2,600 -> 500 / 300 / 600 / 800
-  0.01    1e-3    96     2,400 -> 700 / 400 / 900
-  10      1e-3    192    600 -> 100 / 100 / 100 / 200
-  1       1e-4    64     800 -> 400 / 500 / 800
-  100     1e-3    192    100 -> 100 / 100 / 100 / 100
+  1       1e-3    96     700 -> 300 / 200 / 200
+  1       1e-4    96     800 -> 400 / 400 / 300
+  1       1e-4    192    1,400 -> 400 / 400 / 300 / 900
+  0.1     1e-3    192    1,300 -> 400 / 300 / 300 / 500
+  0.01    1e-3    96     1,900 -> 600 / 300 / 300
+  10      1e-3    192    900 -> 200 / 100 / 200 / 200
+  1       1e-4    64     600 -> 300 / 300 / 300
+  100     1e-3    192    300 -> 100 / 100 / 100 / 100
   ======  ======  =====  ==================================
 
-The last two rows are losses, 0.09 -> 0.13 s and 0.08 -> 0.12 s in single
-runs: where the cold solve on the finest grid is already short, the
-coarse levels cost more than they save.  At lambda = 0.1 and nx=192 the
-ladder took 1.12 s against 2.50 s, and at lambda = 1, 1e-4, nx=96 0.23 s
-against 0.24 s.  The step-rule and acceleration tables above were
+In the last two rows the ladder takes more iterations in all than the
+cold solve: where that solve is already short, the coarse levels cost
+more than they save.  The step-rule and acceleration tables above were
 measured from cold starts on one grid.
+
+Total iterations over the ladder of a cold solve (``check_every`` 100,
+at most 30,000 per level) to a certified relative gap of 1e-2 / 1e-3 /
+1e-4, then the seconds of the 1e-4 solve, on the grid gallery cases;
+single runs on a 2-vCPU machine:
+
+  ======================  ======  =======================  =========
+  case                    nx      1e-2 / 1e-3 / 1e-4       1e-4 time
+  ======================  ======  =======================  =========
+  annulus_least_gradient  64      500 / 800 / 1,300        0.16 s
+  annulus_least_gradient  128     700 / 1,200 / 2,000      0.58 s
+  annulus_least_gradient  256     900 / 1,700 / 2,700      2.2 s
+  rof_annulus             64      400 / 700 / 900          0.07 s
+  rof_annulus             128     500 / 1,000 / 1,500      0.50 s
+  rof_annulus             256     700 / 1,200 / 2,100      1.3 s
+  disk_bv_attainment      64      600 / 800 / 2,400        0.38 s
+  disk_bv_attainment      128     800 / 1,400 / 3,000      0.78 s
+  disk_bv_attainment      256     1,100 / 2,200 / 4,100    4.4 s
+  weighted_tv_1d          64      2,100 / 8,100 / *
+  weighted_tv_1d          128     2,400 / 7,300 / *
+  weighted_tv_1d          256     2,800 / 10,200 / *
+  ======================  ======  =======================  =========
+
+Against the averaging loop (700 / 1,100 / 1,800, 1,100 / 1,600 / 2,600
+and 1,400 / 2,500 / 4,700 on the least-gradient annulus; 300 / 700 /
+1,700, 600 / 1,100 / 2,400 and 1,000 / 1,600 / 3,600 on the ROF annulus;
+800 / 1,500 / 2,800, 1,200 / 2,400 / 4,500 and 1,700 / 3,700 / 7,700 on
+the disk; 2,600 / 7,100 / 29,400, 3,800 / 12,200 / 53,800 and 4,500 /
+16,200 / 56,800 on the weighted 1-D TV) these cells need more: the ROF
+annulus at nx=64 to 1e-2 (400 against 300); the weighted 1-D TV at nx=64
+to 1e-3 (8,100 against 7,100); and the weighted 1-D TV to 1e-4 (*) at
+every nx, where the finest level stops at its cap of 30,000 unconverged
+(50,500 / 79,300 / 72,100 in all).  There the gap sits on a plateau near
+2e-4, dominated by the lower-order (box) terms of the cells where lambda
+vanishes; the averaging loop sat on the same plateau and left it late (at
+iteration 21,400 of its nx=64 level).
 
 The reported duality gap is a true primal-dual gap for the problem
 restricted to a box |u| <= M: the dual objective uses the conjugate of the
@@ -241,6 +339,7 @@ and Pock, JMIV 2011), the one evaluation of the dual.
 
 from __future__ import annotations
 
+import math
 import numbers
 import time
 from dataclasses import dataclass
@@ -319,10 +418,11 @@ class SolveResult:
     """Converged (or truncated) primal-dual state.
 
     ``u``/``z``/``zeta`` are the state whose gap the last check reported:
-    the current iterate or the average since the last restart, whichever
-    had the lower relative gap.  ``gap``, ``gap_relative`` and
-    ``energy_history_raw[-1]`` describe that same state.  At each check,
-    ``energy_history_raw`` holds the primal energy of the reported state.
+    T(x), the PDHG step from the last Halpern iterate x (see the module
+    docstring), so z and zeta are prox outputs and lie in their dual
+    balls.  ``gap``, ``gap_relative`` and ``energy_history_raw[-1]``
+    describe that same state.  At each check, ``energy_history_raw``
+    holds the primal energy of the state it scored.
     These, ``iterations`` and ``converged`` describe the grid of ``spec``.
     ``converged`` means a relative gap <= ``gap_tol`` and, where the box
     |u| <= M is not known to hold a minimizer, u inside it.
@@ -741,6 +841,7 @@ def _iterate(spec, config, start, levels):
     G, B, Bt = op.G, op.B, op.Bt
     pts = op.points
 
+    N, m = len(pts), len(bf)
     beta = (bf.weight / vol)[:, None]  # per-face backflow density
     # diagonal steps for K = [h^d G; w_b B], in plain coordinates
     al = _STEP_ALPHA
@@ -754,28 +855,39 @@ def _iterate(spec, config, start, levels):
     # net zeta step on (u0 - B u): sigma_row * w = w^(alpha - 1)
     sigma_zeta = (bf.weight ** (al - 1.0))[:, None]
 
+    # x = (u, z, zeta), its anchor x0 and T(x) are each one flat buffer,
+    # so that the Halpern step and a restart are a few whole-buffer
+    # operations; z is stored planar within it
+    cut = (N * n, (1 + d) * N * n)
+
+    def split(buf):
+        return (buf[:cut[0]].reshape(N, n),
+                buf[cut[0]:cut[1]].reshape(d, N, n).transpose(1, 2, 0),
+                buf[cut[1]:].reshape(m, n))
+
+    x = np.zeros(cut[1] + m * n)
+    u, z, zeta = split(x)
     if start is not None:
         (u0_w, z0_w, zeta0_w), t = start
-        u = _cell_values(domain, u0_w, n)
-        z = np.where(op.interior, _dual_values(domain, z0_w, n), 0.0)
-        zeta = _zeta_values(spec, zeta0_w).copy()
-        # a prolonged start is referenced nowhere else: free its copied
-        # z and zeta
+        u[...] = _cell_values(domain, u0_w, n)
+        np.copyto(z, _dual_values(domain, z0_w, n), where=op.interior)
+        zeta[...] = _zeta_values(spec, zeta0_w)
+        # a prolonged start is referenced nowhere else: free it once
+        # copied in
         del start, u0_w, z0_w, zeta0_w
     else:
         t = None
-        u = nearest_boundary_extension(spec)
-        z = _dual_values(domain, np.zeros((len(pts), n, d)))
-        zeta = np.zeros((len(bf), n))
-    u_bar = u
+        u[...] = nearest_boundary_extension(spec)
+    x_0 = x.copy()
+    x_T = np.empty_like(x)
+    u_T, z_T, zeta_T = split(x_T)
+    u_bar = np.empty_like(u)
     exterior = ~op.interior
     radius = np.broadcast_to(
-        np.asarray(f.dual_radius(bf.point), dtype=float), (len(bf),)
-    )
+        np.asarray(f.dual_radius(bf.point), dtype=float), (m,))[:, None]
 
     lam = spec.lam[:, None]
-    g_arr = spec.g
-    lam_h = lam * spec.h
+    shift = lam * spec.h - spec.g
     # accelerated schedule: primal steps t tau, dual steps sigma / t, from
     # the given t or t = max(1, 1/gamma) down to the floor t = 1; gamma is
     # the strong-convexity modulus of the lower-order term in the metric
@@ -792,6 +904,14 @@ def _iterate(spec, config, start, levels):
     # converged whatever its gap (``DualityGap.conditional``)
     box = (spec.box_bound if gamma == 0 and _box_holds_minimizer(spec)
            else None)
+    # there a minimizer also lies in the data range [lo, hi] (truncation
+    # lowers the energy), and a check scores T(x) with its u truncated to
+    # that range, in the buffer of u_bar, which is free at a check: the
+    # primal energy can only fall and the dual is T(x)'s
+    if box is not None:
+        lo = float(min(spec.u0.min(), spec.h.min()))
+        hi = float(max(spec.u0.max(), spec.h.max()))
+    u_S = u_T if box is None else u_bar  # the scored u
 
     sigma_zeta_t = np.empty_like(sigma_zeta)
     tau_t = np.empty_like(tau)
@@ -814,22 +934,41 @@ def _iterate(spec, config, start, levels):
     rel_gap = np.inf
     converged = False
     it = 0
-    # running sums of (u, z, zeta) since the last restart, and the state
-    # whose gap the last check reported
-    sum_u, sum_z = np.zeros_like(u), np.zeros_like(z)
-    sum_zeta = np.zeros_like(zeta)
-    n_avg = 0
+    k = 0  # Halpern steps since the anchor was set
     restart_rel = np.inf
 
     for it in range(1, config.max_iters + 1):
-        # (i) dual ascent in z, kept on interior faces; the prox input is
-        # formed in the gradient product's output, the mask applied in the
-        # prox's output
+        # T(x), primal first.  (i) primal descent with closed-form
+        # lower-order prox, (u + t tau (drift - g + lambda h)) /
+        # (1 + t tau lambda)
+        drift = _divergence(op, z)
+        drift += Bt @ (beta * zeta)
+        drift += shift
+        np.multiply(drift, tau_t, out=u_T)
+        u_T += u
+        u_T /= denom
+        if box is not None:
+            np.clip(u_T, -box, box, out=u_T)
+
+        # (ii) over-relaxation u_bar = u_T + theta (u_T - u) with
+        # theta = t_next / t = max(1 / sqrt(1 + 2 gamma t), 1 / t);
+        # theta = 1 once t = 1
+        t_next = max(t / math.sqrt(1.0 + 2.0 * gamma * t), 1.0)
+        np.subtract(u_T, u, out=u_bar)
+        if t_next < t:
+            u_bar *= t_next / t
+            t = t_next
+            sigma_t = rescale(t)
+        u_bar += u_T
+
+        # (iii) dual ascent in z at u_bar, kept on interior faces; the prox
+        # input is formed in the gradient product's output, the mask
+        # applied in the prox's output, which is then copied into T(x)
         z_in = _gradient(op, u_bar)
         z_in *= sigma_t
         z_in += z
         try:
-            z = f.prox_conjugate(pts, z_in, sigma_t)
+            z_in = f.prox_conjugate(pts, z_in, sigma_t)
         except ShapeMismatchError:
             # the prox rejects a non-finite input z + sigma G u_bar: name
             # the iterate that blew up instead
@@ -838,60 +977,32 @@ def _iterate(spec, config, start, levels):
             bad = "u" if np.all(np.isfinite(z)) else "z"
             raise InstabilityError(
                 f"non-finite {bad} at iteration {it}") from None
-        np.copyto(z, 0.0, where=exterior)
+        np.copyto(z_in, 0.0, where=exterior)
+        z_T[...] = z_in
 
-        # (ii) boundary dual ascent in zeta
-        zeta = zeta + sigma_zeta_t * (spec.u0 - B @ u_bar)
-        nrm = np.linalg.norm(zeta, axis=-1)
-        scale = np.minimum(1.0, radius / np.maximum(nrm, 1e-300))
-        zeta = zeta * scale[:, None]
-
-        # (iii) primal descent with closed-form lower-order prox,
-        # (u + t tau (drift - g + lambda h)) / (1 + t tau lambda), built in
-        # the divergence product's output
-        u_prev = u
-        u = _divergence(op, z)
-        u += Bt @ (beta * zeta)
-        u -= g_arr
-        u += lam_h
-        u *= tau_t
-        u += u_prev
-        u /= denom
-        if box is not None:
-            np.clip(u, -box, box, out=u)
-
-        # (iv) over-relaxation u + theta (u - u_prev) with theta = t_next / t
-        # = max(1 / sqrt(1 + 2 gamma t), 1 / t); theta = 1 once t = 1
-        t_next = max(t / np.sqrt(1.0 + 2.0 * gamma * t), 1.0)
-        u_bar = u - u_prev
-        if t_next < t:
-            u_bar *= t_next / t
-            t = t_next
-            sigma_t = rescale(t)
-        u_bar += u
-
-        sum_u += u
-        sum_z += z
-        sum_zeta += zeta
-        n_avg += 1
+        # (iv) boundary dual ascent in zeta at u_bar, formed in the
+        # boundary product's output, then projected onto the ball
+        zeta_in = B @ u_bar
+        np.subtract(spec.u0, zeta_in, out=zeta_in)
+        zeta_in *= sigma_zeta_t
+        zeta_in += zeta
+        nrm = np.linalg.norm(zeta_in, axis=-1, keepdims=True)
+        np.multiply(zeta_in, np.minimum(1.0, radius / np.maximum(nrm, 1e-300)),
+                    out=zeta_T)
 
         if it % config.check_every == 0 or it == config.max_iters:
-            for name, a in (("z", z), ("zeta", zeta), ("u", u)):
+            for name, a in (("z", z_T), ("zeta", zeta_T), ("u", u_T)):
                 if not np.all(np.isfinite(a)):
                     raise InstabilityError(
                         f"non-finite {name} at iteration {it}")
-            # only the scalars of each gap are kept, and a losing average
-            # is dropped, so the arrays of one gap are freed before the
-            # next is evaluated
-            kept = (u, z, zeta)
-            score = _scalars(duality_gap(spec, u, z, zeta))
-            if n_avg > 1:
-                avg = (sum_u / n_avg, sum_z / n_avg, sum_zeta / n_avg)
-                avg_score = _scalars(duality_gap(spec, *avg))
-                if avg_score[0] < score[0]:
-                    kept, score = avg, avg_score
-                del avg
-            rel_gap, gap_now, primal, conditional = score
+            # z_T and zeta_T are prox outputs, so the scored dual is
+            # feasible; only the scalars of the gap are kept, and the
+            # step's temporaries are freed before the gap makes its own
+            del drift, z_in, zeta_in, nrm
+            if box is not None:
+                np.clip(u_T, lo, hi, out=u_S)
+            rel_gap, gap_now, primal, conditional = _scalars(
+                duality_gap(spec, u_S, z_T, zeta_T))
             if not np.isfinite(gap_now):
                 raise InstabilityError(
                     f"non-finite duality gap at iteration {it}")
@@ -901,18 +1012,34 @@ def _iterate(spec, config, start, levels):
             if rel_gap <= config.gap_tol and not conditional:
                 converged = True
                 break
-            if rel_gap <= _RESTART_DECAY * restart_rel:
-                u, z, zeta = kept
-                u_bar = u
+            # sufficient decay; a negative gap (a state outside a box not
+            # known to hold a minimizer) proves none, and the first restart
+            # needs the target more than one decay away
+            if (0.0 <= rel_gap <= _RESTART_DECAY * restart_rel
+                    and (restart_rel < np.inf
+                         or _RESTART_DECAY * rel_gap > config.gap_tol)):
+                # restart: x = x0 = the scored state
+                np.copyto(x, x_T)
+                if box is not None:
+                    u[...] = u_S
+                np.copyto(x_0, x)
+                k = 0
                 restart_rel = rel_gap
-                sum_u[...] = 0.0
-                sum_z[...] = 0.0
-                sum_zeta[...] = 0.0
-                n_avg = 0
+                continue
+
+        # reflected Halpern step x <- a (2 T(x) - x) + (1 - a) x0 with
+        # a = (k + 1) / (k + 2), as x0 - a (x + x0 - 2 T(x)), which keeps
+        # a fixed point x = T(x) = x0 to the last bit
+        x += x_0
+        x -= x_T
+        x -= x_T
+        x *= -(k + 1) / (k + 2)
+        x += x_0
+        k += 1
 
     levels.append((domain.nx, it, time.perf_counter() - t_start))
-    return kept, t, dict(energy_history_raw=np.asarray(energies_raw),
-                         gap_history=np.asarray(gaps),
-                         check_iters=np.asarray(iters_log, dtype=int),
-                         iterations=it, converged=converged, gap=gap_now,
-                         gap_relative=rel_gap)
+    return (u_S, z_T, zeta_T), t, dict(energy_history_raw=np.asarray(energies_raw),
+                               gap_history=np.asarray(gaps),
+                               check_iters=np.asarray(iters_log, dtype=int),
+                               iterations=it, converged=converged,
+                               gap=gap_now, gap_relative=rel_gap)

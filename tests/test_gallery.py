@@ -163,12 +163,12 @@ def test_value_against_support_function_oracle(f0):
             nw = np.linalg.norm(w)
             return -(x @ w) / (f0.conj_value(_mat22(w / nw)[None])[0] * nw)
 
+        # the ratio is smooth and 0-homogeneous in w, so quasi-Newton
+        # from a few starts finds the maximum to roundoff
         best = -np.inf
-        for _ in range(8):
+        for _ in range(3):
             res = optimize.minimize(neg_ratio, rng.standard_normal(4),
-                                    method="Nelder-Mead",
-                                    options={"xatol": 1e-13, "fatol": 1e-15,
-                                             "maxiter": 4000})
+                                    method="BFGS", options={"gtol": 1e-8})
             best = max(best, -res.fun)
         assert f0.value(M) == pytest.approx(best, rel=1e-9)
 

@@ -357,11 +357,30 @@ def test_dual_is_planar_in_the_prox_and_the_divergence(monkeypatch, n):
 
 
 def test_restarts_reach_the_gap_in_few_iterations():
-    # plain primal-dual steps need 5,600 iterations here; restarting from
-    # the averaged iterate needs about 1,000
+    # plain primal-dual steps need 5,600 iterations here; the restarted
+    # Halpern iteration needs 800 over the ladder (200 / 300 / 300)
     spec = get_case("annulus_least_gradient").build_spec(64)
     res = solve(spec, SolverConfig(max_iters=2800, gap_tol=1e-3))
     assert res.converged and res.gap_relative <= 1e-3
+
+
+def test_every_gap_check_scores_one_state(monkeypatch):
+    # one duality_gap call per check on every level of the ladder: checks
+    # fall every check_every iterations and at the last one
+    calls, gap = [], solver_module.duality_gap
+
+    def counted(*args):
+        calls.append(1)
+        return gap(*args)
+
+    monkeypatch.setattr(solver_module, "duality_gap", counted)
+    spec = get_case("annulus_least_gradient").build_spec(64)
+    cfg = SolverConfig(max_iters=2800, gap_tol=1e-3)
+    res = solve(spec, cfg)
+    assert [nx for nx, _, _ in res.levels] == [16, 32, 64]
+    checks = sum(-(-it // cfg.check_every) for _, it, _ in res.levels)
+    assert len(calls) == checks
+    assert len(res.check_iters) == -(-res.iterations // cfg.check_every)
 
 
 def one_grid_start(spec):
@@ -375,8 +394,8 @@ def one_grid_start(spec):
 
 def test_strongly_convex_solve_is_accelerated():
     # lambda = 1 on every cell: on one grid the accelerated steps reach
-    # 1e-3 in about 700 iterations and 1e-4 in about 1,300, where steps
-    # that never move need 1,800 and 2,500
+    # 1e-3 in about 700 iterations and 1e-4 in about 800, where plain
+    # steps (t = 1) do not reach 1e-4 within the 1,800 allowed
     spec = get_case("rof_annulus").build_spec(96)
     res = solve(spec, SolverConfig(max_iters=1800, gap_tol=1e-4),
                 warm_start=one_grid_start(spec))
@@ -650,7 +669,7 @@ def test_the_least_gradient_annulus_keeps_its_ladder_counts():
     spec = get_case("annulus_least_gradient").build_spec(96)
     res = solve(spec, SolverConfig(max_iters=30000, gap_tol=1e-3))
     assert res.converged
-    assert [lv[:2] for lv in res.levels] == [(24, 500), (48, 300), (96, 600)]
+    assert [lv[:2] for lv in res.levels] == [(24, 300), (48, 200), (96, 200)]
 
 
 @pytest.mark.parametrize("make_spec, nx", [
@@ -873,10 +892,27 @@ def test_grid_report_is_the_gap_split_by_location(solved_grid_cases, name):
 
 @pytest.mark.parametrize("name", GRID_CASES)
 def test_returned_state_is_the_reported_one(solved_grid_cases, name):
-    # the solve may report the averaged state rather than the last iterate;
-    # u, z, zeta, the gap and the last raw energy describe one triple
+    # the solve reports T(x), the PDHG step from the Halpern iterate x,
+    # not x itself; u, z, zeta, the gap and the last raw energy describe
+    # that one triple
     spec, res = solved_grid_cases[name]
     dg = duality_gap(spec, res.u, res.z, res.zeta)
     assert dg.relative == res.gap_relative
     assert dg.value == res.gap
     assert relaxed_energy(spec, res.u) == res.energy_history_raw[-1]
+
+
+@pytest.mark.parametrize("name", ["rof_annulus", "disk_bv_attainment"])
+def test_returned_dual_lies_in_its_balls(solved_grid_cases, name):
+    # the reported z and zeta are prox outputs: z in the dual ball of each
+    # cell and zeta in that of each boundary face, with no repair; a
+    # projection onto a ball lands on its sphere to within one rounding
+    spec, res = solved_grid_cases[name]
+    op, bf = spec.domain.operator, spec.domain.boundary_faces
+    f = spec.integrand
+    roundoff = 1.0 + 2.0 * np.finfo(float).eps
+    z = _dual_values(spec.domain, res.z)
+    z_norm = np.sqrt(np.sum(z * z, axis=(1, 2)))
+    assert np.all(z_norm <= roundoff * f.dual_radius(op.points))
+    assert np.all(np.linalg.norm(res.zeta, axis=1)
+                  <= roundoff * f.dual_radius(bf.point))
