@@ -30,15 +30,15 @@ boundary faces.  z and the interior mask are stored planar, as (N, n, d)
 views of C-contiguous (d, N, n) arrays: ``G u_bar`` reshapes to that
 layout without a copy, ``G^T z`` reads it without one, and the prox
 reduces over the n and d axes of contiguous planes.  The loop keeps x,
-its Halpern anchor x0 and T(x) each in one flat buffer: u, then the
-stacked dual (z, zeta) as a (d N + m, n) block with z planar on top.  The
-u update reads its drift -G^T z + B^T (w_b / h^d zeta) from that block
-with one sparse product, the dual ascent forms (G u_bar, -B u_bar) with
-one, and the Halpern step and a restart are whole-buffer operations.
+its Halpern anchor x0 and T(x) each in one flat buffer (u, then z
+planar, then zeta), so that the Halpern step and a restart are
+whole-buffer operations; the buffer is only a storage layout.  The u
+update forms its drift -G^T z + B^T (w_b / h^d zeta) with two sparse
+products, and the dual ascent forms G u_bar and B u_bar with two more.
 Each update is written in place into an array the iteration already
-owns: the dual prox inputs into the ascent product, the interior mask
-into the prox output, T(x) into its buffer, and the Halpern step into x
-by BLAS axpy and scal.  The data g, h and lambda, the
+owns: the dual prox inputs into the output of their ascent product, the
+interior mask into the prox output, T(x) into its buffer, and the
+Halpern step into x.  The data g, h and lambda, the
 cold start, the coarse levels and their prolongation are compressed too;
 padded arrays are made only for the Field and DualField of the
 SolveResult, and read only from a padded warm start.
@@ -154,22 +154,37 @@ both regimes.  With T the step above and x0 an anchor, each iteration sets
 k counting the iterations since x0 was set.  Halpern's last iterate has
 the O(1/k) fixed-point rate that plain PDHG has only for its average
 (Lieder, "On the convergence rate of the Halpern-iteration", Optim. Lett.
-15, 2021), so a gap check scores one state, T(x), with one
-``duality_gap`` call.  Its z+ and zeta+ are prox outputs, so its dual is
-feasible, and T(x) is the state a solve reports.  A check restarts by the
-"sufficient decay" rule of Applegate, Hinder, Lu and Lubin, "Faster
-first-order primal-dual methods for linear programming using restarts
-and sharpness" (arXiv:2105.12715), also used by PDLP (arXiv:2106.04756),
-on the certified relative gap below: once it is at most
-``_RESTART_DECAY`` = 0.2 times the relative gap at the last restart,
-x = x0 = T(x) and k = 0.  The first check always restarts.  t is carried
-across restarts and up the ladder, and where gamma > 0 the schedule stays
-inside T: with the plain steps (t = 1) the ROF annulus at nx=96 from one
-grid takes 2,400 iterations to 1e-4, with t 800.  Restarts are decided
-at gap checks only: in a prototype, r2HPDHG's own rule on the fixed-point
-residual, checked every 50 iterations, drove the trace errors of the
-half-disk refinement study (acceptance criterion 5) to roundoff and out
-of order (2.4e-7 / 3.5e-7 / 1.6e-6 at nx 64 / 128 / 256).
+15, 2021), so a gap check scores one state, with one ``duality_gap``
+call: T(x), whose z+ and zeta+ are prox outputs, so its dual is
+feasible.  Where the u update clips to the box, a minimizer also lies in
+the data range [min(u0, h), max(u0, h)] (truncation lowers the energy),
+and the scored u is T(x)'s truncated to that range: the primal energy,
+and with it the gap, can only fall, and the reported u keeps the datum's
+range (on the half-disk at nx=64 to 1e-5, T(x)'s own u dips to -3.5e-6
+next to the datum's jumps).  The scored state is the one a solve
+reports.  A check restarts by the "sufficient decay" rule of Applegate,
+Hinder, Lu and Lubin, "Faster first-order primal-dual methods for linear
+programming using restarts and sharpness" (arXiv:2105.12715), also used
+by PDLP (arXiv:2106.04756), on the certified relative gap below: once it
+is at most ``_RESTART_DECAY`` = 0.2 times the relative gap at the last
+restart, x = x0 = the scored state and k = 0.  The reference starts at
++inf, with two provisos.  A negative gap, which only a state outside a
+box not known to hold a minimizer has, proves no decay: it neither
+restarts nor becomes the reference, which would stop every later
+restart.  And the first restart needs the target more than one decay
+away (0.2 times the gap above ``gap_tol``): a start already that near its
+target runs on from its anchor, where a restart cuts the gap far past
+the target by the next check (the half-disk warm-started at nx=64 went
+from 3.1e-2 to 2.8e-3 against a target of 2e-2 in 100 iterations, which
+put the trace errors of a refinement study whose target follows h out
+of order).  t is carried across restarts and up the ladder, and where
+gamma > 0 the schedule stays inside T: with the plain steps (t = 1) the
+ROF annulus at nx=96 from one grid takes 2,400 iterations to 1e-4, with
+t 800.  Restarts are decided at gap checks only: in a prototype,
+r2HPDHG's own rule on the fixed-point residual, checked every 50
+iterations, drove the trace errors of the half-disk refinement study
+(acceptance criterion 5) to roundoff and out of order (2.4e-7 / 3.5e-7 /
+1.6e-6 at nx 64 / 128 / 256).
 
 The loop it replaced kept the running average of (u, z, zeta) since the
 last restart, scored both the average and the current iterate at every
@@ -180,36 +195,42 @@ gap evaluations per solve, averaging loop -> Halpern:
   ================================  ===============================  ========
   case, target                      ladder                           gaps
   ================================  ===============================  ========
-  least-gradient annulus, 96, 1e-3  500 / 300 / 600 ->               28 -> 10
-                                    400 / 300 / 300
-  ROF annulus, 192, 1e-3            400 / 400 / 300 / 700 ->         36 -> 11
-                                    300 / 200 / 200 / 400
+  least-gradient annulus, 96, 1e-3  500 / 300 / 600 ->               28 -> 7
+                                    300 / 200 / 200
+  ROF annulus, 192, 1e-3            400 / 400 / 300 / 700 ->         36 -> 13
+                                    300 / 400 / 200 / 400
   BV-attainment disk, 96, 1e-3      1,200 / 700 / 1,100 ->           60 -> 13
                                     500 / 300 / 500
   BV-attainment disk, 64, 1e-4      1,300 / 800 / 700 ->             56 -> 24
-                                    1,700 / 300 / 400
+                                    1,800 / 300 / 300
   weighted 1-D TV, 256, 1e-2        800 / 400 / 1,000 / 1,500 / 800  90 -> 28
                                     -> 900 / 200 / 600 / 700 / 400
   ================================  ===============================  ========
 
-Two solves lose.  Criterion 10's half-disk at nx=48 to 1e-6
+Some solves lose.  Criterion 10's half-disk at nx=48 to 1e-6
 (``check_every`` 250) loses on its nx=24 level.  With the datum
-truncated at b = 1 / 0.25 / 0.5 it takes 20,250 + 16,250 /
-57,500 + 14,750 / 32,500 + 14,250 iterations on nx 24 + 48, against
+truncated at b = 1 / 0.25 / 0.5 it takes 16,250 + 15,500 /
+32,000 + 12,000 / 25,000 + 13,000 iterations on nx 24 + 48, against
 6,250 + 18,250 / 19,000 + 7,750 / 3,750 + 11,750, and the three solves
-14.2 s against 7.4 s (back-to-back single runs on a 2-vCPU machine).
-The averaging loop won there with its current iterate, which converges
-fast on this problem, while the anchored Halpern iterate decays as 1/k
-between restarts, and the restarts grow sparse (250, 500, 1,000, 2,500,
-8,250, 32,000 iterations apart at b = 0.25).  No restart rule at checks
-tried fixed the nx=24 level, as iterations there for b = 1 / 0.25 /
-0.5: restarting at every check took 16,000 / 41,500 / 23,750; PDLP's
-three-part rule (sufficient decay 0.2, necessary decay 0.8 with no
-progress since the last check, or k at least 0.36 times the iterations
-so far) 17,750 / 49,000 / 27,000; sufficient decay 0.5, 20,000 /
-52,250 / 28,250.  And the ROF annulus at lambda = 10, nx=192 to 1e-3
-takes 700 iterations over the ladder (200 / 100 / 200 / 200), against
-500.
+10.6 s against 9.2 s (back-to-back single runs on a 2-vCPU machine).
+The averaging loop won there with its current iterate: plain PDHG, whose
+last iterate converges fast on this problem (scoring x = T(x) with no
+anchor takes 6,250 / 10,250 / 3,250 iterations at nx=24), while the
+anchored Halpern iterate decays as 1/k between restarts.  No restart rule
+at checks tried fixed the nx=24 level, as iterations there for b = 1 /
+0.25 / 0.5: sufficient decay of the gap, or k at least 0.36 times the
+iterations so far (PDLP's artificial restart), took 14,000 / 28,250 /
+18,000; r2HPDHG's three-part rule on the fixed-point residual in the
+step metric (sufficient decay 0.2, necessary decay 0.8 once the residual
+rises, or that artificial restart) the same; sufficient decay of that
+residual alone 17,250 / 33,000 / 20,750; and restarting at every check,
+measured before the scored u was truncated, 16,000 / 41,500 / 23,750.
+The ROF annulus at lambda = 10, nx=192 to 1e-3 takes
+800 iterations over the ladder (300 / 100 / 200 / 200), against 500.
+Criterion 5's annulus contrast (nx=256 from the nx=128 solve, 1e-3,
+``check_every`` 500) takes 2,000 against 1,000: its first check is
+within one decay of the target, so no restart is made.  And the
+weighted 1-D TV to 1e-4 stops at the cap (below).
 
 A solve without a ``warm_start`` does not start cold on its own grid.
 It first solves the
@@ -233,22 +254,22 @@ grid alone, with the caller's cap of 30,000 iterations per level:
   ==================================  ===============================  ========
   case, target                        ladder                           cold
   ==================================  ===============================  ========
-  least-gradient annulus, 96, 1e-3    400 / 300 / 300                  1,700
-  least-gradient annulus, 256, 1e-3   200 / 300 / 300 / 400 / 500      3,300
+  least-gradient annulus, 96, 1e-3    300 / 200 / 200                  1,000
+  least-gradient annulus, 256, 1e-3   200 / 300 / 300 / 400 / 500      2,800
   BV-attainment disk, 96, 1e-3        500 / 300 / 500                  1,900
-  BV-attainment disk, 256, 1e-3       200 / 300 / 300 / 600 / 800      6,200
+  BV-attainment disk, 256, 1e-3       200 / 300 / 300 / 600 / 800      6,400
   weighted 1-D TV, 256, 1e-2          900 / 200 / 600 / 700 / 400      > 30,000
-  half-disk, 64, 1e-5                 4,200 / 1,000 / 600              > 30,000
-  ROF annulus, 96, 1e-3               300 / 200 / 200                  700
-  ROF annulus, 192, 1e-3              300 / 200 / 200 / 400            1,000
-  ROF annulus, 384, 1e-3              300 / 200 / 200 / 400 / 200      1,700
+  half-disk, 64, 1e-5                 3,600 / 1,000 / 800              > 30,000
+  ROF annulus, 96, 1e-3               300 / 400 / 200                  700
+  ROF annulus, 192, 1e-3              300 / 400 / 200 / 400            1,000
+  ROF annulus, 384, 1e-3              300 / 400 / 200 / 400 / 200      1,700
   ==================================  ===============================  ========
 
 Criterion 10's half-disk at nx=48 to 1e-6 (``check_every`` 250) loses in
-iterations: with the datum truncated at b = 1 / 0.25 / 0.5 the ladder
-takes 20,250 + 16,250 / 57,500 + 14,750 / 32,500 + 14,250 against 35,250
-/ 46,500 / 30,000 cold, in about the same time (4.6 / 8.7 / 4.5 s against
-6.9 / 7.8 / 4.6 s in back-to-back single runs).  Below nx of about 48 an
+iterations for two of its three data: with the datum truncated at b = 1 /
+0.25 / 0.5 the ladder takes 16,250 + 15,500 / 32,000 + 12,000 / 25,000 +
+13,000 against 34,500 / 36,750 / 26,500 cold, but less time (3.2 / 3.7 /
+3.7 s against 5.5 / 6.6 / 4.9 s in single runs).  Below nx of about 48 an
 iteration costs about the same at any size, so a long coarse level is not
 cheap there.  Measured with the averaging loop, looser coarse tolerances
 lose: with 10x the target, sqrt(target) or max(target, 1e-3) on the
@@ -269,27 +290,27 @@ t = 1/gamma, whose large early steps move the warm iterate away, took
 rules for a level's first t, as iterations on the nx=192 level of that
 ladder (700 when t is carried): t gamma kept from the level below, 800;
 1/(gamma (1 + k)) with k the iterations of the level below, 800;
-1/sqrt(gamma), 2,300.  The ROF annulus with lambda scaled, iterations to
-the target from a cold start on the finest grid -> on the ladder, with
-the Halpern loop:
+1/sqrt(gamma), 2,300.  The ROF annulus with lambda scaled, iterations and
+seconds to the target from a cold start on the finest grid -> on the
+ladder, with the Halpern loop (single runs on a 2-vCPU machine):
 
-  ======  ======  =====  ==================================
+  ======  ======  =====  ================================================
   lambda  target  nx     cold -> ladder
-  ======  ======  =====  ==================================
-  1       1e-3    96     700 -> 300 / 200 / 200
-  1       1e-4    96     800 -> 400 / 400 / 300
-  1       1e-4    192    1,400 -> 400 / 400 / 300 / 900
-  0.1     1e-3    192    1,300 -> 400 / 300 / 300 / 500
-  0.01    1e-3    96     1,900 -> 600 / 300 / 300
-  10      1e-3    192    900 -> 200 / 100 / 200 / 200
-  1       1e-4    64     600 -> 300 / 300 / 300
-  100     1e-3    192    300 -> 100 / 100 / 100 / 100
-  ======  ======  =====  ==================================
+  ======  ======  =====  ================================================
+  1       1e-3    96     700, 0.19 s -> 300 / 400 / 200, 0.11 s
+  1       1e-4    96     800, 0.28 s -> 400 / 400 / 300, 0.21 s
+  1       1e-4    192    1,400, 1.15 s -> 400 / 400 / 300 / 900, 0.84 s
+  0.1     1e-3    192    1,300, 1.35 s -> 400 / 300 / 300 / 500, 0.75 s
+  0.01    1e-3    96     1,900, 0.53 s -> 600 / 300 / 300, 0.16 s
+  10      1e-3    192    900, 0.95 s -> 300 / 100 / 200 / 200, 0.36 s
+  1       1e-4    64     600, 0.08 s -> 300 / 300 / 300, 0.08 s
+  100     1e-3    192    300, 0.25 s -> 100 / 100 / 100 / 100, 0.14 s
+  ======  ======  =====  ================================================
 
-In the last two rows the ladder takes more iterations in all than the
-cold solve: where that solve is already short, the coarse levels cost
-more than they save.  The step-rule and acceleration tables above were
-measured from cold starts on one grid.
+In six rows the ladder takes more iterations in all than the cold solve,
+but its coarse iterations are cheap, and it is as fast or faster in
+every row.  The step-rule and acceleration tables above were measured
+from cold starts on one grid.
 
 Total iterations over the ladder of a cold solve (``check_every`` 100,
 at most 30,000 per level) to a certified relative gap of 1e-2 / 1e-3 /
@@ -299,33 +320,36 @@ single runs on a 2-vCPU machine:
   ======================  ======  =======================  =========
   case                    nx      1e-2 / 1e-3 / 1e-4       1e-4 time
   ======================  ======  =======================  =========
-  annulus_least_gradient  64      500 / 800 / 1,300        0.16 s
-  annulus_least_gradient  128     700 / 1,200 / 2,000      0.58 s
-  annulus_least_gradient  256     900 / 1,700 / 2,700      2.2 s
-  rof_annulus             64      400 / 700 / 900          0.07 s
-  rof_annulus             128     500 / 1,000 / 1,500      0.50 s
-  rof_annulus             256     700 / 1,200 / 2,100      1.3 s
-  disk_bv_attainment      64      600 / 800 / 2,400        0.38 s
-  disk_bv_attainment      128     800 / 1,400 / 3,000      0.78 s
-  disk_bv_attainment      256     1,100 / 2,200 / 4,100    4.4 s
+  annulus_least_gradient  64      500 / 800 / 1,200        0.16 s
+  annulus_least_gradient  128     700 / 1,200 / 1,700      0.45 s
+  annulus_least_gradient  256     800 / 1,700 / 2,400      2.3 s
+  rof_annulus             64      500 / 900 / 900          0.20 s
+  rof_annulus             128     600 / 1,200 / 1,500      0.47 s
+  rof_annulus             256     800 / 1,400 / 2,100      1.8 s
+  disk_bv_attainment      64      1,000 / 800 / 2,400      0.46 s
+  disk_bv_attainment      128     1,200 / 1,400 / 2,900    1.0 s
+  disk_bv_attainment      256     1,400 / 2,200 / 3,900    4.5 s
   weighted_tv_1d          64      2,100 / 8,100 / *
   weighted_tv_1d          128     2,400 / 7,300 / *
   weighted_tv_1d          256     2,800 / 10,200 / *
   ======================  ======  =======================  =========
 
-Against the averaging loop (700 / 1,100 / 1,800, 1,100 / 1,600 / 2,600
-and 1,400 / 2,500 / 4,700 on the least-gradient annulus; 300 / 700 /
-1,700, 600 / 1,100 / 2,400 and 1,000 / 1,600 / 3,600 on the ROF annulus;
-800 / 1,500 / 2,800, 1,200 / 2,400 / 4,500 and 1,700 / 3,700 / 7,700 on
-the disk; 2,600 / 7,100 / 29,400, 3,800 / 12,200 / 53,800 and 4,500 /
-16,200 / 56,800 on the weighted 1-D TV) these cells need more: the ROF
-annulus at nx=64 to 1e-2 (400 against 300); the weighted 1-D TV at nx=64
+Against the baseline, the ladder with the averaging loop (700 / 1,100 /
+1,800, 1,100 / 1,600 / 2,600 and 1,400 / 2,500 / 4,700 on the
+least-gradient annulus; 300 / 700 / 1,700, 600 / 1,100 / 2,400 and
+1,000 / 1,600 / 3,600 on the ROF annulus; 800 / 1,500 / 2,800, 1,200 /
+2,400 / 4,500 and 1,700 / 3,700 / 7,700 on the disk; 2,600 / 7,100 /
+29,400, 3,800 / 12,200 / 53,800 and 4,500 / 16,200 / 56,800 on the
+weighted 1-D TV) these cells need more: the ROF annulus at nx=64 to
+1e-2 and 1e-3 (500 and 900 against 300 and 700) and at nx=128 to 1e-3
+(1,200 against 1,100); the disk at nx=64 to 1e-2 (1,000 against 800); the weighted 1-D TV at nx=64
 to 1e-3 (8,100 against 7,100); and the weighted 1-D TV to 1e-4 (*) at
 every nx, where the finest level stops at its cap of 30,000 unconverged
 (50,500 / 79,300 / 72,100 in all).  There the gap sits on a plateau near
-2e-4, dominated by the lower-order (box) terms of the cells where lambda
-vanishes; the averaging loop sat on the same plateau and left it late (at
-iteration 21,400 of its nx=64 level).
+2e-4, dominated by the lower-order (box) terms M |v - g| of the cells
+where lambda vanishes, with g != 0 and M = 8; the averaging loop sat on
+the same plateau and left it late (at iteration 21,400 of its nx=64
+level).
 
 The reported duality gap is a true primal-dual gap for the problem
 restricted to a box |u| <= M: the dual objective uses the conjugate of the
@@ -420,7 +444,8 @@ class SolveResult:
     ``u``/``z``/``zeta`` are the state whose gap the last check reported:
     T(x), the PDHG step from the last Halpern iterate x (see the module
     docstring), so z and zeta are prox outputs and lie in their dual
-    balls.  ``gap``, ``gap_relative`` and ``energy_history_raw[-1]``
+    balls; where the u update clips to the box, u is truncated to the
+    data range.  ``gap``, ``gap_relative`` and ``energy_history_raw[-1]``
     describe that same state.  At each check, ``energy_history_raw``
     holds the primal energy of the state it scored.
     These, ``iterations`` and ``converged`` describe the grid of ``spec``.
@@ -1020,8 +1045,7 @@ def _iterate(spec, config, start, levels):
                          or _RESTART_DECAY * rel_gap > config.gap_tol)):
                 # restart: x = x0 = the scored state
                 np.copyto(x, x_T)
-                if box is not None:
-                    u[...] = u_S
+                u[...] = u_S
                 np.copyto(x_0, x)
                 k = 0
                 restart_rel = rel_gap
@@ -1038,8 +1062,8 @@ def _iterate(spec, config, start, levels):
         k += 1
 
     levels.append((domain.nx, it, time.perf_counter() - t_start))
-    return (u_S, z_T, zeta_T), t, dict(energy_history_raw=np.asarray(energies_raw),
-                               gap_history=np.asarray(gaps),
-                               check_iters=np.asarray(iters_log, dtype=int),
-                               iterations=it, converged=converged,
-                               gap=gap_now, gap_relative=rel_gap)
+    return (u_S, z_T, zeta_T), t, dict(
+        energy_history_raw=np.asarray(energies_raw),
+        gap_history=np.asarray(gaps),
+        check_iters=np.asarray(iters_log, dtype=int), iterations=it,
+        converged=converged, gap=gap_now, gap_relative=rel_gap)

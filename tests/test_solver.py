@@ -383,6 +383,17 @@ def test_every_gap_check_scores_one_state(monkeypatch):
     assert len(res.check_iters) == -(-res.iterations // cfg.check_every)
 
 
+@pytest.mark.xfail(strict=True, reason="the finest level stops at its cap "
+                   "on the plateau near 2e-4 of the lower-order terms")
+def test_weighted_tv_reaches_1e_4_within_the_level_cap():
+    # the averaging loop converged here (29,400 iterations over the
+    # ladder); the Halpern loop does not, and this marks the loss until a
+    # solve leaves the plateau
+    spec = get_case("weighted_tv_1d").build_spec(64)
+    res = solve(spec, SolverConfig(max_iters=30000, gap_tol=1e-4))
+    assert res.converged
+
+
 def one_grid_start(spec):
     """The cold start of ``solve`` as a warm start: the solve then runs on
     the grid of ``spec`` alone."""
@@ -893,7 +904,8 @@ def test_grid_report_is_the_gap_split_by_location(solved_grid_cases, name):
 @pytest.mark.parametrize("name", GRID_CASES)
 def test_returned_state_is_the_reported_one(solved_grid_cases, name):
     # the solve reports T(x), the PDHG step from the Halpern iterate x,
-    # not x itself; u, z, zeta, the gap and the last raw energy describe
+    # not x itself (with u truncated to the data range where u is clipped
+    # to the box); u, z, zeta, the gap and the last raw energy describe
     # that one triple
     spec, res = solved_grid_cases[name]
     dg = duality_gap(spec, res.u, res.z, res.zeta)
