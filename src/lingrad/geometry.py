@@ -354,18 +354,22 @@ class GridOperator:
         self.interior = interior[:, :, None].transpose(1, 2, 0)
         slots = np.flatnonzero(interior)  # in row order a * N + c
         inv_h = 1.0 / domain.h
+        # scipy keeps the index dtype it is given: int32 wherever every
+        # index and count fits (G has the most, 2 d N entries)
+        idx = np.int32 if 2 * d * n_in <= np.iinfo(np.int32).max else np.int64
         self.G = sp.csr_array(
             (np.tile([-inv_h, inv_h], len(slots)),
-             np.stack([slots % n_in, nbr.ravel()[slots]], axis=1).ravel(),
-             np.concatenate([[0], np.cumsum(2 * interior.ravel())])),
+             np.stack([slots % n_in, nbr.ravel()[slots]],
+                      axis=1).ravel().astype(idx),
+             np.concatenate([[0], np.cumsum(2 * interior.ravel())]).astype(idx)),
             shape=(d * n_in, n_in))
         self.div = (-self.G.T).tocsr()
 
         bf = domain.boundary_faces
         m = len(bf)
         self.face_cells = domain.cell_index[tuple(bf.cell.T)]
-        self.B = sp.csr_array((np.ones(m), self.face_cells, np.arange(m + 1)),
-                              shape=(m, n_in))
+        self.B = sp.csr_array((np.ones(m), self.face_cells.astype(idx),
+                               np.arange(m + 1, dtype=idx)), shape=(m, n_in))
         self.Bt = self.B.T  # CSC: products scatter over the m faces only
         # a face with sign -1 stores its value on the + face of the outside
         # cell below it; padded dual arrays keep that slot

@@ -190,7 +190,9 @@ The loop it replaced kept the running average of (u, z, zeta) since the
 last restart, scored both the average and the current iterate at every
 check (two ``duality_gap`` calls, each with a ``repair_dual`` where
 g = lambda = 0) and reported the lower.  Iterations per ladder level and
-gap evaluations per solve, averaging loop -> Halpern:
+gap evaluations per solve, averaging loop -> Halpern, both measured with
+the nearest-cell restriction that the mean over children replaced (see
+below):
 
   ================================  ===============================  ========
   case, target                      ladder                           gaps
@@ -226,17 +228,23 @@ rises, or that artificial restart) the same; sufficient decay of that
 residual alone 17,250 / 33,000 / 20,750; and restarting at every check,
 measured before the scored u was truncated, 16,000 / 41,500 / 23,750.
 The ROF annulus at lambda = 10, nx=192 to 1e-3 takes
-800 iterations over the ladder (300 / 100 / 200 / 200), against 500.
+700 iterations over the ladder (300 / 100 / 100 / 200; 800 with the
+nearest-cell restriction), against 500.
 Criterion 5's annulus contrast (nx=256 from the nx=128 solve, 1e-3,
 ``check_every`` 500) takes 2,000 against 1,000: its first check is
 within one decay of the target, so no restart is made.  And the
-weighted 1-D TV to 1e-4 stops at the cap (below).
+weighted 1-D TV to 1e-4 stops at the cap at nx 64 and 256 (below).
 
 A solve without a ``warm_start`` does not start cold on its own grid.
 It first solves the
 restriction of its spec (``_restriction``): the same integrand and box
 bound M on half the cells per axis, with u0 taken from the nearest fine
-boundary face and g, h, lambda from the nearest fine inside cell.  That
+boundary face and g, h, lambda the mean over the inside children of each
+coarse cell, the cell-centred restriction of Trottenberg, Oosterlee and
+Schueller (Multigrid, 2001).  Both grids' origins lie two cells outside
+the shape's box, so the children of coarse cell I are the fine cells
+2I - 2 and 2I - 1 on each axis.  A coarse cell with no inside child (on a
+thin annulus) takes the data of the nearest fine inside cell.  That
 solve starts the same way, so the ladder runs down to the coarsest grid
 ``GridDomain`` allows (nx >= 16, each nx even).  Each level runs under
 the caller's ``SolverConfig`` (the same gap_tol, max_iters and
@@ -247,7 +255,14 @@ iterates, and the prolonged state once the finer level has copied it in.
 The prolongation reads u from the coarse cell that contains each fine
 center, which is the nearest inside coarse cell wherever it is inside;
 only the other fine cells search for the nearest (200 of 21,736 cells of
-the ROF annulus at nx=192).  ``SolveResult.levels`` records each level.
+the ROF annulus at nx=192), among the coarse cells that own a boundary
+face.  These searches, the face-to-face maps of u0 and zeta, the cold
+start and ``boundary_l1_distance`` all call ``_nearest``, an exact
+brute-force argmin of squared distances that takes the first point on
+ties, so a solve loads no k-d tree (``scipy.spatial``, which also
+imports ``scipy.special``: 15.8 MB of resident memory on top of
+``scipy.sparse``).
+``SolveResult.levels`` records each level.
 Iterations per level, coarsest first, against a cold start on the finest
 grid alone, with the caller's cap of 30,000 iterations per level:
 
@@ -258,7 +273,7 @@ grid alone, with the caller's cap of 30,000 iterations per level:
   least-gradient annulus, 256, 1e-3   200 / 300 / 300 / 400 / 500      2,800
   BV-attainment disk, 96, 1e-3        500 / 300 / 500                  1,900
   BV-attainment disk, 256, 1e-3       200 / 300 / 300 / 600 / 800      6,400
-  weighted 1-D TV, 256, 1e-2          900 / 200 / 600 / 700 / 400      > 30,000
+  weighted 1-D TV, 256, 1e-2          700 / 300 / 500 / 800 / 400      > 30,000
   half-disk, 64, 1e-5                 3,600 / 1,000 / 800              > 30,000
   ROF annulus, 96, 1e-3               300 / 400 / 200                  700
   ROF annulus, 192, 1e-3              300 / 400 / 200 / 400            1,000
@@ -297,14 +312,14 @@ ladder, with the Halpern loop (single runs on a 2-vCPU machine):
   ======  ======  =====  ================================================
   lambda  target  nx     cold -> ladder
   ======  ======  =====  ================================================
-  1       1e-3    96     700, 0.19 s -> 300 / 400 / 200, 0.11 s
-  1       1e-4    96     800, 0.28 s -> 400 / 400 / 300, 0.21 s
-  1       1e-4    192    1,400, 1.15 s -> 400 / 400 / 300 / 900, 0.84 s
-  0.1     1e-3    192    1,300, 1.35 s -> 400 / 300 / 300 / 500, 0.75 s
-  0.01    1e-3    96     1,900, 0.53 s -> 600 / 300 / 300, 0.16 s
-  10      1e-3    192    900, 0.95 s -> 300 / 100 / 200 / 200, 0.36 s
-  1       1e-4    64     600, 0.08 s -> 300 / 300 / 300, 0.08 s
-  100     1e-3    192    300, 0.25 s -> 100 / 100 / 100 / 100, 0.14 s
+  1       1e-3    96     700, 0.17 s -> 300 / 400 / 200, 0.11 s
+  1       1e-4    96     800, 0.19 s -> 400 / 400 / 300, 0.14 s
+  1       1e-4    192    1,400, 1.30 s -> 400 / 400 / 300 / 900, 1.06 s
+  0.1     1e-3    192    1,300, 1.25 s -> 400 / 300 / 300 / 500, 0.58 s
+  0.01    1e-3    96     1,900, 0.49 s -> 600 / 300 / 300, 0.22 s
+  10      1e-3    192    900, 0.90 s -> 300 / 100 / 100 / 200, 0.23 s
+  1       1e-4    64     600, 0.09 s -> 300 / 300 / 300, 0.08 s
+  100     1e-3    192    300, 0.30 s -> 100 / 100 / 100 / 100, 0.12 s
   ======  ======  =====  ================================================
 
 In six rows the ladder takes more iterations in all than the cold solve,
@@ -320,18 +335,18 @@ single runs on a 2-vCPU machine:
   ======================  ======  =======================  =========
   case                    nx      1e-2 / 1e-3 / 1e-4       1e-4 time
   ======================  ======  =======================  =========
-  annulus_least_gradient  64      500 / 800 / 1,200        0.16 s
-  annulus_least_gradient  128     700 / 1,200 / 1,700      0.45 s
-  annulus_least_gradient  256     800 / 1,700 / 2,400      2.3 s
-  rof_annulus             64      500 / 900 / 900          0.20 s
-  rof_annulus             128     600 / 1,200 / 1,500      0.47 s
-  rof_annulus             256     800 / 1,400 / 2,100      1.8 s
-  disk_bv_attainment      64      1,000 / 800 / 2,400      0.46 s
-  disk_bv_attainment      128     1,200 / 1,400 / 2,900    1.0 s
-  disk_bv_attainment      256     1,400 / 2,200 / 3,900    4.5 s
-  weighted_tv_1d          64      2,100 / 8,100 / *
-  weighted_tv_1d          128     2,400 / 7,300 / *
-  weighted_tv_1d          256     2,800 / 10,200 / *
+  annulus_least_gradient  64      500 / 800 / 1,200        0.29 s
+  annulus_least_gradient  128     700 / 1,200 / 1,700      0.47 s
+  annulus_least_gradient  256     800 / 1,700 / 2,400      1.8 s
+  rof_annulus             64      500 / 900 / 900          0.07 s
+  rof_annulus             128     600 / 1,300 / 1,600      0.25 s
+  rof_annulus             256     700 / 1,500 / 2,200      0.98 s
+  disk_bv_attainment      64      1,000 / 800 / 2,400      0.24 s
+  disk_bv_attainment      128     1,200 / 1,400 / 2,900    0.55 s
+  disk_bv_attainment      256     1,400 / 2,200 / 3,900    2.9 s
+  weighted_tv_1d          64      1,500 / 7,700 / *
+  weighted_tv_1d          128     2,300 / 8,700 / 45,100   2.2 s
+  weighted_tv_1d          256     2,700 / 12,900 / *
   ======================  ======  =======================  =========
 
 Against the baseline, the ladder with the averaging loop (700 / 1,100 /
@@ -342,14 +357,27 @@ least-gradient annulus; 300 / 700 / 1,700, 600 / 1,100 / 2,400 and
 29,400, 3,800 / 12,200 / 53,800 and 4,500 / 16,200 / 56,800 on the
 weighted 1-D TV) these cells need more: the ROF annulus at nx=64 to
 1e-2 and 1e-3 (500 and 900 against 300 and 700) and at nx=128 to 1e-3
-(1,200 against 1,100); the disk at nx=64 to 1e-2 (1,000 against 800); the weighted 1-D TV at nx=64
-to 1e-3 (8,100 against 7,100); and the weighted 1-D TV to 1e-4 (*) at
-every nx, where the finest level stops at its cap of 30,000 unconverged
-(50,500 / 79,300 / 72,100 in all).  There the gap sits on a plateau near
-2e-4, dominated by the lower-order (box) terms M |v - g| of the cells
-where lambda vanishes, with g != 0 and M = 8; the averaging loop sat on
-the same plateau and left it late (at iteration 21,400 of its nx=64
-level).
+(1,300 against 1,100); the disk at nx=64 to 1e-2 (1,000 against 800);
+the weighted 1-D TV at nx=64 to 1e-3 (7,700 against 7,100); and the
+weighted 1-D TV to 1e-4 (*) at nx 64 and 256, where the finest level
+stops at its cap of 30,000 unconverged (40,000 / 69,500 in all).  There
+the gap sits on a plateau near 2e-4, dominated by the lower-order (box)
+terms M |v - g| of the cells where lambda vanishes, with g != 0 and
+M = 8; the averaging loop sat on the same plateau and left it late (at
+iteration 21,400 of its nx=64 level).
+
+Against the nearest-fine-cell restriction that the mean over children
+replaced, whose ties fell wherever a k-d tree put them (at nx=128, 2,328
+of the 2,416 coarse ROF centres tie with four fine ones and the other 88
+with two or three), the table moved only where g, h or lambda vary.  The ROF annulus took 500 / 900,
+600 / 1,200 and 800 / 1,400 iterations to 1e-2 / 1e-3 at nx 64 / 128 /
+256, and 1,500 and 2,100 to 1e-4 at nx 128 / 256: 100 more to 1e-3 and
+1e-4 at nx 128 and 256.  The weighted 1-D TV took 2,100 / 8,100, 2,400 /
+7,300 and 2,800 / 10,200: 1,400 and 2,700 more to 1e-3 at nx 128 and
+256, on the plateau above, and 400 fewer at nx=64; to 1e-4 the nx=128
+solve now converges, and took 79,300 unconverged before.  Reading the
+first inside child instead of the mean left the weighted 1-D TV to 1e-3
+at its cap of 30,000 on its finest level at nx 128 and 256.
 
 The reported duality gap is a true primal-dual gap for the problem
 restricted to a box |u| <= M: the dual objective uses the conjugate of the
@@ -363,6 +391,7 @@ and Pock, JMIV 2011), the one evaluation of the dual.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import time
@@ -490,13 +519,41 @@ class DualityGap:
 
 
 def nearest_boundary_extension(spec: ProblemSpec) -> np.ndarray:
-    """u0 extended inward by nearest boundary face value, (N, n): the cold
-    start of ``solve``."""
-    from scipy.spatial import cKDTree
+    """u0 extended inward, (N, n): each inside cell takes the value of the
+    boundary face whose point is nearest its center, the first such face
+    on ties (``_nearest``).  The cold start of ``solve``."""
+    domain = spec.domain
+    return spec.u0[_nearest(domain.boundary_faces.point,
+                            domain.operator.points)]
 
-    points = spec.domain.operator.points
-    _, nearest = cKDTree(spec.domain.boundary_faces.point).query(points)
-    return spec.u0[nearest]
+
+# query-reference pairs per block of _nearest's distance table
+_NEAREST_BLOCK = 1 << 16
+
+
+def _nearest(ref, query):
+    """The index of the row of ``ref`` (r, d) nearest to each row of
+    ``query`` (q, d), the first such row on ties: an exact brute-force
+    argmin of squared distances, in blocks of about ``_NEAREST_BLOCK``
+    pairs."""
+    nearest = np.empty(len(query), dtype=np.intp)
+    rows = max(1, min(len(query), _NEAREST_BLOCK // len(ref)))
+    d2 = np.empty((rows, len(ref)))
+    sq = np.empty_like(d2)
+    # one contiguous row per axis: the differences are then formed in
+    # contiguous runs of ref
+    ref, query = np.ascontiguousarray(ref.T), np.ascontiguousarray(query.T)
+    for lo in range(0, query.shape[1], rows):
+        q = query[:, lo:lo + rows, None]
+        block, diff = d2[:q.shape[1]], sq[:q.shape[1]]
+        np.subtract(q[0], ref[0], out=block)
+        block *= block
+        for a in range(1, len(ref)):
+            np.subtract(q[a], ref[a], out=diff)
+            diff *= diff
+            block += diff
+        nearest[lo:lo + len(block)] = np.argmin(block, axis=1)
+    return nearest
 
 
 def _box_conjugate(v, g, lam, h, M):
@@ -699,13 +756,13 @@ def boundary_l1_distance(spec: ProblemSpec, u, u0_fn) -> float:
     (``geometry._shape_quadrature``): 8,192 equally spaced angles
     split over the circles of a 2-D ``Ball`` or ``Annulus``, or the two
     endpoints of an interval; other shapes raise ``ShapeMismatchError``.
+    Each sample reads the face whose boundary point is nearest, the first
+    such face on ties (``_nearest``).
     """
-    from scipy.spatial import cKDTree
-
     domain = spec.domain
     _, _, pts, weight, _ = _shape_quadrature(domain.shape, 0, _TRACE_SAMPLES)
     u_adj = domain.operator.B @ _cell_values(domain, u)  # (m, n)
-    _, nearest = cKDTree(domain.boundary_faces.point).query(pts)
+    nearest = _nearest(domain.boundary_faces.point, pts)
     datum = np.asarray(u0_fn(pts), dtype=float)
     if datum.ndim == 1:
         datum = datum[:, None]
@@ -737,19 +794,27 @@ def _containing_cell(cd, pts):
     return cd.cell_index[tuple(idx.T)]
 
 
+def _nearest_inside(domain, pts):
+    """The inside cell of ``domain`` whose center is nearest each point,
+    the first such cell on ties, for points outside the box of every
+    inside cell.  Only the cells that own a boundary face are searched:
+    from any other inside cell, one step toward such a point reaches an
+    inside cell strictly nearer to it."""
+    owners = np.unique(domain.operator.face_cells)
+    return owners[_nearest(domain.operator.points[owners], pts)]
+
+
 def _prolong(cd, u, z, zeta, fd):
     """``prolong_state`` on the compressed state of coarse domain ``cd``."""
-    from scipy.spatial import cKDTree
-
     op = fd.operator
     # a fine center lies 0.35 h_c from the center of the coarse cell that
     # contains it and at least 0.79 h_c from any other, so where that cell
-    # is inside it is the nearest inside one; only the other fine cells
-    # need a search
+    # is inside it is the nearest inside one; the other fine centers lie
+    # outside the box of every inside coarse cell
     nearest = _containing_cell(cd, op.points)
     out = nearest < 0
     if np.any(out):
-        _, nearest[out] = cKDTree(cd.operator.points).query(op.points[out])
+        nearest[out] = _nearest_inside(cd, op.points[out])
     u = u[nearest]
     z_f = np.zeros((len(op.points), z.shape[1], fd.dim))
     for a in range(fd.dim):
@@ -758,9 +823,7 @@ def _prolong(cd, u, z, zeta, fd):
         cell = _containing_cell(cd, face_pos)
         z_f[:, :, a] = np.where(cell[:, None] >= 0, z[cell, :, a], 0.0)
     z_f = np.where(op.interior, z_f, 0.0)
-
-    _, nearest = cKDTree(cd.boundary_faces.point).query(
-        fd.boundary_faces.point)
+    nearest = _nearest(cd.boundary_faces.point, fd.boundary_faces.point)
     return u, z_f, zeta[nearest]
 
 
@@ -768,12 +831,13 @@ def _restriction(spec: ProblemSpec) -> Optional[ProblemSpec]:
     """The spec on half the cells per axis, or None where the domain's nx
     is odd or ``GridDomain`` rejects nx // 2.
 
-    u0 on each coarse boundary face is that of the nearest fine face, g, h
-    and lambda those of the nearest fine inside cell; the integrand and the
-    box bound M are the fine spec's.
+    u0 on each coarse boundary face is that of the fine face whose point is
+    nearest, the first such face on ties.  g, h and lambda on each coarse
+    cell are their means over its inside fine children; a coarse cell with
+    none (on a thin annulus) takes those of the nearest fine inside cell,
+    the first such cell on ties.  The integrand and the box bound M are
+    the fine spec's.
     """
-    from scipy.spatial import cKDTree
-
     fine = spec.domain
     if fine.nx % 2:
         return None
@@ -781,11 +845,28 @@ def _restriction(spec: ProblemSpec) -> Optional[ProblemSpec]:
         coarse = GridDomain(fine.shape, fine.nx // 2)
     except ResolutionError:
         return None
-    _, face = cKDTree(fine.boundary_faces.point).query(
-        coarse.boundary_faces.point)
-    _, cell = cKDTree(fine.operator.points).query(coarse.operator.points)
-    return ProblemSpec(spec.integrand, coarse, spec.u0[face], g=spec.g[cell],
-                       h=spec.h[cell], lam=spec.lam[cell],
+    # both grids' origins lie two cells outside the shape's box, so coarse
+    # cell I covers fine cells 2 I - 2 and 2 I - 1 on each axis
+    corner = 2 * np.argwhere(coarse.inside_mask) - 2  # in the cells' order
+    offsets = np.array(list(itertools.product((0, 1), repeat=fine.dim)))
+    child = fine.cell_index[tuple(np.moveaxis(corner[:, None] + offsets,
+                                              -1, 0))]  # (N_c, 2^d)
+    # a coarse center is the common corner of its children, so where
+    # none is inside it lies outside the box of every inside fine cell
+    lone = np.all(child < 0, axis=1)
+    if np.any(lone):
+        child[lone, 0] = _nearest_inside(fine, coarse.operator.points[lone])
+    inside = child >= 0
+    count = inside.sum(axis=1)
+
+    def mean(values):
+        keep = inside.reshape(inside.shape + (1,) * (values.ndim - 1))
+        total = np.where(keep, values[child], 0.0).sum(axis=1)
+        return total / count.reshape(count.shape + (1,) * (values.ndim - 1))
+
+    face = _nearest(fine.boundary_faces.point, coarse.boundary_faces.point)
+    return ProblemSpec(spec.integrand, coarse, spec.u0[face], g=mean(spec.g),
+                       h=mean(spec.h), lam=mean(spec.lam),
                        box_bound=spec.box_bound)
 
 
@@ -876,6 +957,7 @@ def _iterate(spec, config, start, levels):
     sigma_z = vol / max(float(K_grad.power(2.0 - al).sum(axis=1).max()),
                         1e-300)
     col = K_grad.power(al).sum(axis=0) + Bt @ bf.weight**al
+    del K_grad  # a copy of G, not needed past the steps
     tau = (vol / np.maximum(col, 1e-300))[:, None]
     # net zeta step on (u0 - B u): sigma_row * w = w^(alpha - 1)
     sigma_zeta = (bf.weight ** (al - 1.0))[:, None]

@@ -125,6 +125,24 @@ def test_padded_operators_match_slice_loops(domain, seed, n):
 
 
 @settings(max_examples=20, deadline=None)
+@given(domains(), st.integers(0, 2**32 - 1))
+def test_int32_indices_give_the_int64_products(domain, seed):
+    op = domain.operator
+    rng = np.random.default_rng(seed)
+    wide = {}
+    for name in ("G", "div", "B", "Bt"):
+        m = getattr(op, name)
+        assert m.indices.dtype == m.indptr.dtype == np.int32
+        wide[name] = type(m)((m.data, m.indices.astype(np.int64),
+                              m.indptr.astype(np.int64)), shape=m.shape)
+        assert wide[name].indices.dtype == np.int64
+        x = rng.standard_normal((m.shape[1], 2))
+        assert np.array_equal(m @ x, wide[name] @ x)
+    lap, lap_wide = op.G.T @ op.G, wide["G"].T @ wide["G"]
+    assert np.array_equal(lap.toarray(), lap_wide.toarray())
+
+
+@settings(max_examples=20, deadline=None)
 @given(domains())
 def test_boundary_selection_and_step_sums(domain):
     op = domain.operator

@@ -2,8 +2,12 @@
 
 import dataclasses
 import gc
+import os
 import re
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -688,6 +692,8 @@ def test_the_least_gradient_annulus_keeps_its_ladder_counts():
     (lambda nx: get_case("rof_annulus").build_spec(nx), 96)])
 def test_prolonged_u_is_read_from_the_nearest_inside_coarse_cell(make_spec,
                                                                  nx):
+    # cKDTree is an independent oracle of the distance; ties between
+    # coarse cells may fall either way
     from scipy.spatial import cKDTree
 
     cd, fd = make_spec(nx // 2).domain, make_spec(nx).domain
@@ -695,8 +701,10 @@ def test_prolonged_u_is_read_from_the_nearest_inside_coarse_cell(make_spec,
     u, _, _ = solver_module._prolong(
         cd, np.arange(n_in, dtype=float)[:, None], np.zeros((n_in, 1, 2)),
         np.zeros((len(cd.boundary_faces), 1)), fd)
-    _, nearest = cKDTree(cd.operator.points).query(fd.operator.points)
-    assert np.array_equal(u[:, 0], nearest)
+    dist, _ = cKDTree(cd.operator.points).query(fd.operator.points)
+    chosen = cd.operator.points[u[:, 0].astype(int)]
+    assert np.array_equal(np.linalg.norm(chosen - fd.operator.points, axis=1),
+                          dist)
     # both the containing cell and the search are taken somewhere
     containing = solver_module._containing_cell(cd, fd.operator.points)
     assert np.any(containing >= 0) and np.any(containing < 0)
@@ -710,6 +718,79 @@ def test_restriction_samples_the_fine_spec():
     assert np.array_equal(coarse.u0, case.build_spec(32).u0)
     assert coarse.box_bound == 2.5
     assert coarse.integrand is fine.integrand
+
+
+@pytest.mark.parametrize("d, n_ref, n_query", [
+    (1, 7, 50), (2, 300, 1000), (3, 40, 5000), (2, 70000, 3)])
+def test_nearest_is_the_first_argmin_of_squared_distances(d, n_ref, n_query):
+    # small integer coordinates make exact ties common; the sizes give one
+    # block, several blocks, and blocks of one query row
+    rng = np.random.default_rng(d + n_ref)
+    ref = rng.integers(-4, 5, (n_ref, d)).astype(float)
+    query = rng.integers(-6, 7, (n_query, d)) / 2.0
+    d2 = np.sum((query[:, None, :] - ref[None]) ** 2, axis=-1)
+    assert np.array_equal(solver_module._nearest(ref, query),
+                          np.argmin(d2, axis=1))
+
+
+def test_restriction_takes_the_mean_of_the_inside_children():
+    spec = get_case("rof_annulus").build_spec(64)
+    x, y = spec.domain.operator.points.T
+    spec = dataclasses.replace(spec, g=0.1 * x[:, None], lam=1.0 + y**2)
+    coarse = _restriction(spec)
+    # the children of each coarse cell, found by the coarse cell that
+    # contains each fine center; some fine cells lie in outside coarse ones
+    parent = solver_module._containing_cell(coarse.domain,
+                                            spec.domain.operator.points)
+    child = parent >= 0
+    assert not np.all(child)
+    count = np.bincount(parent[child], minlength=len(coarse.lam))
+    assert np.all(count > 0) and np.any(count < 4)
+    for fine, restricted in ((spec.g[:, 0], coarse.g[:, 0]),
+                             (spec.h[:, 0], coarse.h[:, 0]),
+                             (spec.lam, coarse.lam)):
+        mean = np.bincount(parent[child], weights=fine[child]) / count
+        np.testing.assert_allclose(restricted, mean, rtol=1e-15, atol=1e-15)
+
+
+def test_a_coarse_cell_without_inside_children_reads_the_nearest_fine_cell():
+    # on this thin annulus some coarse centers are inside while none of
+    # their four fine children are
+    domain = GridDomain(Annulus(0.97, 1.0), 32)
+    pts = domain.operator.points
+    spec = ProblemSpec(make_tv(1, 2), domain,
+                       np.zeros(len(domain.boundary_faces)),
+                       h=np.arange(len(pts), dtype=float))
+    coarse = _restriction(spec)
+    cpts = coarse.domain.operator.points
+    d2 = np.sum((cpts[:, None, :] - pts[None]) ** 2, axis=-1)
+    lone = np.min(d2, axis=1) > (0.5 * domain.h) ** 2 * 2 * (1 + 1e-9)
+    assert np.any(lone)
+    # h numbers the fine cells: the first nearest fine cell is read
+    assert np.array_equal(coarse.h[lone, 0], np.argmin(d2[lone], axis=1))
+
+
+def test_the_solve_path_imports_no_scipy_spatial():
+    code = (
+        "import sys\n"
+        "import lingrad\n"
+        "from lingrad.solver import boundary_l1_distance\n"
+        "case = lingrad.get_case('rof_annulus')\n"
+        "spec = case.build_spec(32)\n"
+        "res = lingrad.solve(spec, lingrad.SolverConfig(gap_tol=1e-3))\n"
+        "assert len(res.levels) > 1\n"
+        "lingrad.verify_scalar(spec, res.u, res.z, zeta=res.zeta)\n"
+        "boundary_l1_distance(spec, res.u, case.analytic.u0)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).parents[1] / "src"),
+                    env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # the four grid gallery cases at small resolutions
