@@ -5,8 +5,8 @@ domain (see ``GridDomain.operator``): a primal field is an (N, n) array, a
 dual field an (N, n, d) array on the + face of each inside cell, and a
 boundary multiplier an (m, n) array over boundary faces.  A compressed dual
 field is stored planar, as the (N, n, d) view of a C-contiguous (d, N, n)
-array, so that ``G u`` and ``G^T z`` reshape it without a copy; a dual
-field given in another layout is copied to it once on entry.  A
+array, so that ``G u`` writes it and ``G^T z`` reads it without a copy;
+a dual field given in another layout is copied to it once on entry.  A
 ``ProblemSpec`` stores g, h and lambda the same way, on the inside cells.
 Padded (n, *grid) and (n, d, *grid) arrays appear only at the I/O edge:
 Field, DualField and LGF1 files, and the padded-signature
@@ -14,9 +14,10 @@ Field, DualField and LGF1 files, and the padded-signature
 for callers that hold padded arrays.  Every public function here accepts
 either form; every field enters through the one check of ``_checked``.
 
-The operator is two sparse matrices.  ``G`` takes forward differences on
-interior faces (faces between two inside cells) and is zero elsewhere;
-``B`` selects the inside cell of each boundary face.  The discrete
+The operator is four products on neighbor index tables.  ``G`` takes
+forward differences on interior faces (faces between two inside cells)
+and is zero elsewhere; ``B`` selects the inside cell of each boundary
+face.  The discrete
 divergence of a padded dual field is -G^T z plus the boundary flux
 B^T (h^(d-1)/h^d [z, nu]), with [z, nu] the face-normal component of z
 (sign times the value stored at the face's slot), so that
@@ -179,15 +180,15 @@ def _zeta_values(spec: "ProblemSpec", zeta) -> np.ndarray:
 
 def _gradient(op, u: np.ndarray) -> np.ndarray:
     """G u: (N, n) cell values to planar (N, n, d) face values."""
-    return (op.G @ u).reshape(op.dim, len(u), -1).transpose(1, 2, 0)
+    return op.grad(u)
 
 
 def _divergence(op, z: np.ndarray) -> np.ndarray:
     """-G^T z: (N, n, d) face values to (N, n); interior faces only.
 
-    A planar z is reshaped without a copy.
+    A planar z is read without a copy.
     """
-    return op.div @ z.transpose(2, 0, 1).reshape(-1, z.shape[1])
+    return op.div(z)
 
 
 def _face_masks(domain: GridDomain):
@@ -211,7 +212,7 @@ def discrete_divergence(domain: GridDomain, z: np.ndarray) -> np.ndarray:
     op = domain.operator
     flux = (domain.boundary_faces.face_measure / domain.cell_volume
             * normal_trace(domain, z).T)
-    return op.pad(_divergence(op, op.cells(z)) + op.Bt @ flux)
+    return op.pad(_divergence(op, op.cells(z)) + op.trace_adjoint(flux))
 
 
 def normal_trace(domain: GridDomain, z: np.ndarray) -> np.ndarray:
@@ -223,7 +224,7 @@ def normal_trace(domain: GridDomain, z: np.ndarray) -> np.ndarray:
 
 def boundary_flux(domain: GridDomain, u: np.ndarray, z: np.ndarray) -> float:
     """Exact discrete flux: sum over boundary faces of h^(d-1) u_adj . [z, nu]."""
-    u_adj = domain.operator.B @ _cell_values(domain, u)  # (m, n)
+    u_adj = domain.operator.trace(_cell_values(domain, u))  # (m, n)
     tr = normal_trace(domain, z)
     return float(domain.boundary_faces.face_measure * np.sum(u_adj.T * tr))
 
@@ -260,7 +261,7 @@ def _densities(spec: ProblemSpec, u) -> _Densities:
     domain, f = spec.domain, spec.integrand
     op, bf, vol = domain.operator, domain.boundary_faces, domain.cell_volume
     u = _cell_values(domain, u, spec.n_channels)
-    grad, jump, dev = _gradient(op, u), spec.u0 - op.B @ u, u - spec.h
+    grad, jump, dev = _gradient(op, u), spec.u0 - op.trace(u), u - spec.h
     face = f.recession(bf.point, jump[:, :, None] * bf.normal[:, None, :])
     lower = (np.sum(spec.g * u, axis=1)
              + 0.5 * spec.lam * np.sum(dev * dev, axis=1))

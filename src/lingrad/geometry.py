@@ -314,7 +314,7 @@ class GridDomain:
 
 
 class GridOperator:
-    """The discretization of a GridDomain as two sparse matrices.
+    """The discretization of a GridDomain: neighbor tables and four products.
 
     Inside cells are numbered 0..N-1 in the order of boolean indexing with
     ``inside_mask``.  A primal field is an (N, n) array of cell values.  A
@@ -322,59 +322,90 @@ class GridOperator:
     the face between cell c and its +e_a neighbor (face slot a * N + c).
     It is stored planar: its memory is a C-contiguous (d, N, n) array and
     the (N, n, d) array is the view ``.transpose(1, 2, 0)`` of it, so the
-    slots of one axis are contiguous and ``G @ u`` reshapes to a dual
-    field without a copy.
+    slots of one axis are contiguous.
 
-    * ``G`` (d N x N, CSR): forward differences (u[c + e_a] - u[c]) / h on
-      interior faces, those between two inside cells.  Rows of the other
-      slots are empty, so G^T ignores whatever a dual field holds there.
-    * ``B`` (m x N, CSR): one row per boundary face selecting its inside
-      cell; ``face_cells`` lists those cells.
+    * ``grad(u)`` = G u: forward differences (u[c + e_a] - u[c]) / h on
+      interior faces, those between two inside cells, and 0 on the other
+      slots; a planar dual field.
+    * ``div(z)`` = -G^T z, the interior divergence: the (finite) values a
+      dual field holds on the other slots are ignored.
+    * ``trace(u)`` = B u: the value of each boundary face's inside cell,
+      listed in ``face_cells``; ``trace_adjoint(zeta)`` = B^T zeta sums
+      the values of each cell's boundary faces.
 
-    The interior divergence is ``div`` = -G^T and the Neumann Laplacian is
-    G^T G.  ``interior`` is the (N, 1, d) planar mask of interior slots.
-    Padded (..., *grid) arrays are made only by ``pad``/``cells``.
+    Each is index arithmetic on the neighbor table of the domain, and
+    sums its terms in the order of a CSR product with its matrix, bit for
+    bit (``tests/test_operator.py`` holds that oracle).  ``interior`` is
+    the (N, 1, d) planar mask of interior slots and ``degree`` the number
+    of interior faces of each cell.  Only the Neumann Laplacian G^T G of
+    ``neumann_solve`` is a sparse matrix.  Padded (..., *grid) arrays are
+    made only by ``pad``/``cells``.
     """
 
     def __init__(self, domain: GridDomain):
-        import scipy.sparse as sp
-
         self.dim = d = domain.dim
         self.grid_shape = domain.grid_shape
         self.inside = domain.inside_mask
         self._flat = np.flatnonzero(self.inside)  # row-major, like argwhere
         n_in = len(self._flat)
         self.points = domain.cell_centers[self.inside]  # (N, d)
+        self._inv_h = 1.0 / domain.h
 
-        # + neighbor of every inside cell per axis, (d, N).  Neighbors come
-        # later in the numbering, so each row's column indices [c, c + e_a]
-        # are already sorted.
-        nbr = domain.neighbors[:, 0]
-        interior = nbr >= 0
+        nbr = domain.neighbors  # (d, 2, N): + and - neighbor per axis
+        interior = nbr[:, 0] >= 0
         self.interior = interior[:, :, None].transpose(1, 2, 0)
-        slots = np.flatnonzero(interior)  # in row order a * N + c
-        inv_h = 1.0 / domain.h
-        # scipy keeps the index dtype it is given: int32 wherever every
-        # index and count fits (G has the most, 2 d N entries)
-        idx = np.int32 if 2 * d * n_in <= np.iinfo(np.int32).max else np.int64
-        self.G = sp.csr_array(
-            (np.tile([-inv_h, inv_h], len(slots)),
-             np.stack([slots % n_in, nbr.ravel()[slots]],
-                      axis=1).ravel().astype(idx),
-             np.concatenate([[0], np.cumsum(2 * interior.ravel())]).astype(idx)),
-            shape=(d * n_in, n_in))
-        self.div = (-self.G.T).tocsr()
+        self.degree = np.count_nonzero(nbr >= 0, axis=(0, 1))
+        # the +e_a neighbor of each cell, the cell itself where the face is
+        # not interior, so that its difference is an exact 0
+        self._fwd = np.where(interior, nbr[:, 0], np.arange(n_in))
+        # 1/h on interior slots, 0 on the others, planar (d, N, 1)
+        self._weight = (interior * self._inv_h)[:, :, None]
+        # on the first axis of a 2-D grid, the -e_0 neighbor of each cell,
+        # or a non-interior slot, whose weighted value is 0, where it has
+        # none; on the last axis that neighbor is c - 1 wherever it is
+        # inside, and slot c - 1 is not interior wherever it is not
+        if d == 2:
+            self._back = np.where(nbr[0, 1] >= 0, nbr[0, 1],
+                                  np.argmin(interior[0]))
 
         bf = domain.boundary_faces
-        m = len(bf)
         self.face_cells = domain.cell_index[tuple(bf.cell.T)]
-        self.B = sp.csr_array((np.ones(m), self.face_cells.astype(idx),
-                               np.arange(m + 1, dtype=idx)), shape=(m, n_in))
-        self.Bt = self.B.T  # CSC: products scatter over the m faces only
         # a face with sign -1 stores its value on the + face of the outside
         # cell below it; padded dual arrays keep that slot
         self.slot_cells = bf.cell.copy()
-        self.slot_cells[np.arange(m), bf.axis] -= (bf.sign < 0)
+        self.slot_cells[np.arange(len(bf)), bf.axis] -= (bf.sign < 0)
+
+    def grad(self, u: np.ndarray) -> np.ndarray:
+        """G u: (N, n) cell values to planar (N, n, d) face values."""
+        su = u * self._inv_h
+        out = su.take(self._fwd, axis=0)  # (d, N, n)
+        out -= su
+        return out.transpose(1, 2, 0)
+
+    def div(self, z: np.ndarray) -> np.ndarray:
+        """-G^T z: (N, n, d) face values to (N, n) cell values.  A planar z
+        is read without a copy."""
+        sz = z.transpose(2, 0, 1) * self._weight
+        last = sz[-1]
+        out = (sz[0] - sz[0].take(self._back, axis=0) if self.dim == 2
+               else np.zeros_like(last))
+        out[1:] -= last[:-1]
+        out += last
+        return out
+
+    def trace(self, u: np.ndarray) -> np.ndarray:
+        """B u: (N, ...) cell values to the (m, ...) values of the inside
+        cell of each boundary face."""
+        return u.take(self.face_cells, axis=0)
+
+    def trace_adjoint(self, zeta: np.ndarray) -> np.ndarray:
+        """B^T zeta: (m, ...) face values to (N, ...) sums over each cell's
+        boundary faces, one ``bincount`` per channel."""
+        if zeta.ndim == 1:
+            return np.bincount(self.face_cells, zeta,
+                               minlength=len(self.points))
+        sums = [self.trace_adjoint(col) for col in zeta.T]
+        return sums[0][:, None] if len(sums) == 1 else np.stack(sums, axis=1)
 
     @cached_property
     def _neumann(self):
@@ -386,8 +417,15 @@ class GridOperator:
         from scipy.sparse.csgraph import connected_components
         from scipy.sparse.linalg import splu
 
-        n_in = self.G.shape[1]
-        lap = self.G.T @ self.G
+        d, n_in = self._fwd.shape
+        interior = self._weight[:, :, 0] > 0
+        slots = np.flatnonzero(interior)  # in row order a * N + c
+        grad = sp.csr_array(
+            (np.tile([-self._inv_h, self._inv_h], len(slots)),
+             np.stack([slots % n_in, self._fwd.ravel()[slots]], axis=1).ravel(),
+             np.concatenate([[0], np.cumsum(2 * interior.ravel())])),
+            shape=(d * n_in, n_in))
+        lap = grad.T @ grad
         _, labels = connected_components(lap, directed=False)
         groups = np.split(np.argsort(labels, kind="stable"),
                           np.cumsum(np.bincount(labels))[:-1])

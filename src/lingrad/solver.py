@@ -27,14 +27,17 @@ The loop, the gap and the dual repair run on compressed vectors: u is
 (N, n) over the N inside cells, z is (N, n, d) on the + face of each
 inside cell (the layout the conjugate prox takes), zeta is (m, n) over
 boundary faces.  z and the interior mask are stored planar, as (N, n, d)
-views of C-contiguous (d, N, n) arrays: ``G u_bar`` reshapes to that
-layout without a copy, ``G^T z`` reads it without one, and the prox
-reduces over the n and d axes of contiguous planes.  The loop keeps x,
-its Halpern anchor x0 and T(x) each in one flat buffer (u, then z
-planar, then zeta), so that the Halpern step and a restart are
-whole-buffer operations; the buffer is only a storage layout.  The u
-update forms its drift -G^T z + B^T (w_b / h^d zeta) with two sparse
-products, and the dual ascent forms G u_bar and B u_bar with two more.
+views of C-contiguous (d, N, n) arrays: ``G u_bar`` is made in that
+layout, ``G^T z`` reads it without a copy, and the prox reduces over the
+n and d axes of contiguous planes.  The loop keeps x, its Halpern anchor
+x0 and T(x) each in one flat buffer (u, then z planar, then zeta), so
+that the Halpern step and a restart are whole-buffer operations; the
+buffer is only a storage layout.  The u update forms its drift
+-G^T z + B^T (w_b / h^d zeta) with two of the operator's products, and
+the dual ascent forms G u_bar and B u_bar with the other two.  These
+are stencil differences on the grid's neighbor table, as Chambolle and
+Pock write them, and gathers and ``bincount`` sums over the boundary
+faces' cells (``GridOperator``); no sparse matrix enters the loop.
 Each update is written in place into an array the iteration already
 owns: the dual prox inputs into the output of their ascent product, the
 interior mask into the prox output, T(x) into its buffer, and the
@@ -261,7 +264,10 @@ start and ``boundary_l1_distance`` all call ``_nearest``, an exact
 brute-force argmin of squared distances that takes the first point on
 ties, so a solve loads no k-d tree (``scipy.spatial``, which also
 imports ``scipy.special``: 15.8 MB of resident memory on top of
-``scipy.sparse``).
+``scipy.sparse``).  ``scipy.sparse`` itself (20.6 MB) loads only with the
+Neumann factorization of ``repair_dual``, so a solve that the repair
+passes by (lambda or g nonzero, or an integrand that is not scalar and
+homogeneous) imports no scipy module.
 ``SolveResult.levels`` records each level.
 Iterations per level, coarsest first, against a cold start on the finest
 grid alone, with the caller's cap of 30,000 iterations per level:
@@ -610,7 +616,7 @@ def _drift(spec, z, zeta):
     domain = spec.domain
     beta = domain.boundary_faces.weight / domain.cell_volume
     return (_divergence(domain.operator, z)
-            + domain.operator.Bt @ (beta[:, None] * zeta))
+            + domain.operator.trace_adjoint(beta[:, None] * zeta))
 
 
 def _gap_terms(spec, dens, z, zeta):
@@ -701,7 +707,7 @@ def _polish_zeta(spec, z_rep, zeta, r_b):
     evaluating three candidates per face is exact.  The faces of one
     (axis, sign) group share no cell, so updating a group at once and the
     groups in turn is a plain coordinate ascent that can only improve the
-    bound.  Each cell's backflow is read from ``Bt``.
+    bound.  Each cell's backflow is summed by ``trace_adjoint`` (B^T).
     """
     domain = spec.domain
     op = domain.operator
@@ -725,7 +731,7 @@ def _polish_zeta(spec, z_rep, zeta, r_b):
                            wu0[sel], np.arange(sel.size)))
     for _ in range(_POLISH_SWEEPS):
         for sel, cell, div_c, b, r, wu, cols in groups:
-            res_wo = (div_c + (op.Bt @ flow)[cell]) - b * zeta[sel, 0]
+            res_wo = (div_c + op.trace_adjoint(flow)[cell]) - b * zeta[sel, 0]
             cands = np.stack([-r, r, np.clip(-res_wo / b, -r, r)], axis=0)
             vals = wu * cands - m_vol * np.abs(res_wo + b * cands)
             new = cands[np.argmax(vals, axis=0), cols]
@@ -736,7 +742,7 @@ def _polish_zeta(spec, z_rep, zeta, r_b):
 
 def trace_error(spec: ProblemSpec, u) -> float:
     """Discrete L1 boundary distance sum w_b |u_adjacent - u0|."""
-    u_adj = spec.domain.operator.B @ _cell_values(spec.domain, u)
+    u_adj = spec.domain.operator.trace(_cell_values(spec.domain, u))
     diff = np.linalg.norm(u_adj - spec.u0, axis=-1)
     return float(np.sum(spec.domain.boundary_faces.weight * diff))
 
@@ -761,7 +767,7 @@ def boundary_l1_distance(spec: ProblemSpec, u, u0_fn) -> float:
     """
     domain = spec.domain
     _, _, pts, weight, _ = _shape_quadrature(domain.shape, 0, _TRACE_SAMPLES)
-    u_adj = domain.operator.B @ _cell_values(domain, u)  # (m, n)
+    u_adj = domain.operator.trace(_cell_values(domain, u))  # (m, n)
     nearest = _nearest(domain.boundary_faces.point, pts)
     datum = np.asarray(u0_fn(pts), dtype=float)
     if datum.ndim == 1:
@@ -944,20 +950,19 @@ def _iterate(spec, config, start, levels):
     d = domain.dim
     vol = domain.cell_volume
     bf = domain.boundary_faces
-    G, B, Bt = op.G, op.B, op.Bt
     pts = op.points
 
     N, m = len(pts), len(bf)
     beta = (bf.weight / vol)[:, None]  # per-face backflow density
     # diagonal steps for K = [h^d G; w_b B], in plain coordinates
     al = _STEP_ALPHA
-    K_grad = vol * abs(G)
+    # every entry of h^d G is +-k with k = h^d / h, two in each interior
+    # row and degree_c in column c
+    k_z, k_u = np.power(np.array([vol * (1.0 / domain.h)]), [2.0 - al, al])
     # prox parameter for the z block: sigma_row * h^d; every interior row
     # has the same sum; with no interior face z = 0, and any step is exact
-    sigma_z = vol / max(float(K_grad.power(2.0 - al).sum(axis=1).max()),
-                        1e-300)
-    col = K_grad.power(al).sum(axis=0) + Bt @ bf.weight**al
-    del K_grad  # a copy of G, not needed past the steps
+    sigma_z = vol / max(2.0 * k_z if op.degree.any() else 0.0, 1e-300)
+    col = op.degree * k_u + op.trace_adjoint(bf.weight**al)
     tau = (vol / np.maximum(col, 1e-300))[:, None]
     # net zeta step on (u0 - B u): sigma_row * w = w^(alpha - 1)
     sigma_zeta = (bf.weight ** (al - 1.0))[:, None]
@@ -1049,7 +1054,7 @@ def _iterate(spec, config, start, levels):
         # lower-order prox, (u + t tau (drift - g + lambda h)) /
         # (1 + t tau lambda)
         drift = _divergence(op, z)
-        drift += Bt @ (beta * zeta)
+        drift += op.trace_adjoint(beta * zeta)
         drift += shift
         np.multiply(drift, tau_t, out=u_T)
         u_T += u
@@ -1089,7 +1094,7 @@ def _iterate(spec, config, start, levels):
 
         # (iv) boundary dual ascent in zeta at u_bar, formed in the
         # boundary product's output, then projected onto the ball
-        zeta_in = B @ u_bar
+        zeta_in = op.trace(u_bar)
         np.subtract(spec.u0, zeta_in, out=zeta_in)
         zeta_in *= sigma_zeta_t
         zeta_in += zeta

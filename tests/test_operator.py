@@ -1,11 +1,13 @@
 """Property tests of the compressed operator (G, B) of a masked grid.
 
-Random balls and annuli in 1-D and 2-D at random resolutions.  The padded
-operators are checked against the per-axis slice-loop formulas they
-replaced, kept below as a reference oracle.
+Random balls and annuli in 1-D and 2-D at random resolutions.  The four
+products are checked bit for bit against sparse matrices built here from
+the neighbor table, and the padded operators against the per-axis
+slice-loop formulas they replaced, both kept below as reference oracles.
 """
 
 import numpy as np
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -66,6 +68,27 @@ def reference_masks(domain):
     return interior, active
 
 
+def sparse_oracle(domain):
+    """G (forward differences on interior faces, d N x N), -G^T, B (one row
+    per boundary face selecting its inside cell) and B^T as sparse
+    matrices."""
+    nbr = domain.neighbors[:, 0]
+    n_in = nbr.shape[1]
+    interior = nbr >= 0
+    slots = np.flatnonzero(interior)  # in row order a * N + c
+    inv_h = 1.0 / domain.h
+    G = sp.csr_array(
+        (np.tile([-inv_h, inv_h], len(slots)),
+         np.stack([slots % n_in, nbr.ravel()[slots]], axis=1).ravel(),
+         np.concatenate([[0], np.cumsum(2 * interior.ravel())])),
+        shape=(domain.dim * n_in, n_in))
+    face_cells = domain.cell_index[tuple(domain.boundary_faces.cell.T)]
+    m = len(face_cells)
+    B = sp.csr_array((np.ones(m), face_cells, np.arange(m + 1)),
+                     shape=(m, n_in))
+    return G, (-G.T).tocsr(), B, B.T
+
+
 def slice_loop_gradient(domain, u):
     """Forward differences per axis, masked to interior faces."""
     interior, _ = reference_masks(domain)
@@ -94,15 +117,38 @@ def slice_loop_divergence(domain, z):
 
 @settings(max_examples=30, deadline=None)
 @given(domains(), st.integers(0, 2**32 - 1), st.integers(1, 2))
+def test_the_products_equal_the_sparse_oracle(domain, seed, n):
+    op = domain.operator
+    G, div, B, Bt = sparse_oracle(domain)
+    rng = np.random.default_rng(seed)
+    n_in, m, d = len(op.points), len(domain.boundary_faces), domain.dim
+    u = rng.standard_normal((n_in, n))
+    z = rng.standard_normal((d, n_in, n)).transpose(1, 2, 0)  # planar
+    zeta = rng.standard_normal((m, n))
+    assert np.array_equal(op.grad(u),
+                          (G @ u).reshape(d, n_in, n).transpose(1, 2, 0))
+    div_z = div @ z.transpose(2, 0, 1).reshape(-1, n)
+    assert np.array_equal(op.div(z), div_z)
+    assert np.array_equal(op.div(z.copy()), div_z)  # a non-planar z
+    assert np.array_equal(op.trace(u), B @ u)
+    assert np.array_equal(op.trace_adjoint(zeta), Bt @ zeta)
+    assert np.array_equal(op.trace_adjoint(zeta[:, 0]), Bt @ zeta[:, 0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(domains(), st.integers(0, 2**32 - 1), st.integers(1, 2))
 def test_adjointness_and_gauss_green(domain, seed, n):
     op = domain.operator
     rng = np.random.default_rng(seed)
     u = rng.standard_normal((len(op.points), n))
-    w = rng.standard_normal((op.G.shape[0], n))
-    lhs = float(np.sum((op.G @ u) * w))
-    rhs = float(np.sum(u * (op.G.T @ w)))
-    # relative to the sum of the magnitudes of all the products
-    scale = float(np.sum((abs(op.G) @ np.abs(u)) * np.abs(w)))
+    w = rng.standard_normal((len(op.points), n, domain.dim))
+    lhs = float(np.sum(op.grad(u) * w))
+    rhs = -float(np.sum(u * op.div(w)))
+    # relative to the sum of the magnitudes of all the products: |G| |u|
+    # is (|u[c + e_a]| + |u[c]|) / h on interior faces
+    abs_u = np.abs(u)
+    abs_grad = op.grad(abs_u) + 2.0 / domain.h * abs_u[:, :, None] * op.interior
+    scale = float(np.sum(abs_grad * np.abs(w)))
     assert abs(lhs - rhs) <= 1e-12 * scale
 
     u_pad, z_pad = random_fields(domain, seed, n)
@@ -125,24 +171,6 @@ def test_padded_operators_match_slice_loops(domain, seed, n):
 
 
 @settings(max_examples=20, deadline=None)
-@given(domains(), st.integers(0, 2**32 - 1))
-def test_int32_indices_give_the_int64_products(domain, seed):
-    op = domain.operator
-    rng = np.random.default_rng(seed)
-    wide = {}
-    for name in ("G", "div", "B", "Bt"):
-        m = getattr(op, name)
-        assert m.indices.dtype == m.indptr.dtype == np.int32
-        wide[name] = type(m)((m.data, m.indices.astype(np.int64),
-                              m.indptr.astype(np.int64)), shape=m.shape)
-        assert wide[name].indices.dtype == np.int64
-        x = rng.standard_normal((m.shape[1], 2))
-        assert np.array_equal(m @ x, wide[name] @ x)
-    lap, lap_wide = op.G.T @ op.G, wide["G"].T @ wide["G"]
-    assert np.array_equal(lap.toarray(), lap_wide.toarray())
-
-
-@settings(max_examples=20, deadline=None)
 @given(domains())
 def test_boundary_selection_and_step_sums(domain):
     op = domain.operator
@@ -150,16 +178,16 @@ def test_boundary_selection_and_step_sums(domain):
     # B picks each boundary face's inside cell
     cells = np.argwhere(domain.inside_mask)
     assert np.array_equal(cells[op.face_cells], bf.cell)
-    assert np.all(op.B.sum(axis=1) == 1.0)
-    # |G| column sums count the interior faces of each cell (divided by h)
+    assert np.array_equal(op.trace(cells), bf.cell)
+    # the degree, on which the steps' column sums rest, counts the interior
+    # faces of each cell
     interior, active = reference_masks(domain)
     degree = np.zeros(domain.grid_shape)
     for a in range(domain.dim):
         lo, hi = shifted_slices(domain, a)
         degree += interior[a]
         degree[hi] += interior[a][lo]
-    col = abs(op.G).sum(axis=0) * domain.h
-    assert np.allclose(col, degree[domain.inside_mask], rtol=0, atol=1e-12)
+    assert np.array_equal(op.degree, degree[domain.inside_mask])
     # the padded masks kept for callers holding padded arrays
     got_interior, _, got_active = _face_masks(domain)
     assert np.array_equal(got_interior, interior)
@@ -185,7 +213,7 @@ def test_the_zeta_polish_and_the_repair_keep_their_bounds(domain, seed):
     weight = spec.box_bound * (1.0 + 1e-9) * domain.cell_volume
 
     def objective(zeta):
-        balance = _divergence(op, z)[:, 0] + op.Bt @ (
+        balance = _divergence(op, z)[:, 0] + op.trace_adjoint(
             bf.weight / domain.cell_volume * zeta[:, 0])
         value = np.sum(bf.weight * zeta[:, 0] * spec.u0[:, 0])
         penalty = weight * np.sum(np.abs(balance))

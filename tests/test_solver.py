@@ -119,7 +119,7 @@ def test_fixed_point_euler_lagrange():
     op = domain.operator
     beta = (domain.boundary_faces.weight / domain.cell_volume)[:, None]
     z = op.cells(res.z.values)  # (N, 1, d)
-    v = _divergence(op, z) + op.B.T @ (beta * res.zeta)
+    v = _divergence(op, z) + op.trace_adjoint(beta * res.zeta)
     resid = domain.cell_volume * np.sum(np.abs(v))
     assert resid <= 200 * max(res.gap, 1e-12)
 
@@ -322,15 +322,19 @@ def test_non_finite_prox_output_raises_naming_the_iteration(monkeypatch):
         solve(spec, SolverConfig(max_iters=5000, gap_tol=0.0))
 
 
-class _RecordingMatrix:
-    """Wraps a sparse matrix; records whether each operand shares memory."""
+class _RecordingWeight:
+    """Stands in for the face weights of the divergence; records whether
+    each dual field it scales shares memory with ``base`` and is a
+    C-contiguous (d, N, n) array."""
 
-    def __init__(self, mat, base):
-        self.mat, self.base, self.shared = mat, base, []
+    __array_ufunc__ = None  # numpy hands x * weight to __rmul__
 
-    def __matmul__(self, x):
-        self.shared.append(np.shares_memory(x, self.base))
-        return self.mat @ x
+    def __init__(self, weight, base):
+        self.weight, self.base, self.seen = weight, base, []
+
+    def __rmul__(self, x):
+        self.seen.append((np.shares_memory(x, self.base), x.flags.c_contiguous))
+        return x * self.weight
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -354,10 +358,10 @@ def test_dual_is_planar_in_the_prox_and_the_divergence(monkeypatch, n):
     assert layouts == [((len(op.points), n, 2), True)] * 60
 
     z = _dual_values(domain, res.z)
-    div = _RecordingMatrix(op.div, z)
-    monkeypatch.setattr(op, "div", div)
+    weight = _RecordingWeight(op._weight, z)
+    monkeypatch.setattr(op, "_weight", weight)
     _divergence(op, z)
-    assert div.shared == [True]
+    assert weight.seen == [(True, True)]
 
 
 def test_restarts_reach_the_gap_in_few_iterations():
@@ -783,6 +787,37 @@ def test_the_solve_path_imports_no_scipy_spatial():
         "boundary_l1_distance(spec, res.u, case.analytic.u0)\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))\n"
     )
+    assert _fresh_python(code) == ["[]"]
+
+
+def test_a_positive_lambda_solve_imports_no_scipy_sparse():
+    # only the Neumann factorization of repair_dual loads scipy.sparse: the
+    # ROF annulus (lambda > 0) never reaches it, the least-gradient annulus
+    # loads it on its first gap check
+    code = (
+        "import sys\n"
+        "import lingrad\n"
+        "from lingrad.energy import gauss_green_residual\n"
+        "from lingrad.solver import boundary_l1_distance, trace_error\n"
+        "case = lingrad.get_case('rof_annulus')\n"
+        "spec = case.build_spec(32)\n"
+        "res = lingrad.solve(spec, lingrad.SolverConfig(gap_tol=1e-3))\n"
+        "assert len(res.levels) > 1\n"
+        "lingrad.verify_scalar(spec, res.u, res.z, zeta=res.zeta)\n"
+        "trace_error(spec, res.u)\n"
+        "boundary_l1_distance(spec, res.u, case.analytic.u0)\n"
+        "gauss_green_residual(spec.domain, res.u, res.z)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n"
+        "spec = lingrad.get_case('annulus_least_gradient').build_spec(32)\n"
+        "res = lingrad.solve(spec, lingrad.SolverConfig(gap_tol=1e-3))\n"
+        "print(res.converged, 'scipy.sparse.linalg' in sys.modules)\n"
+    )
+    assert _fresh_python(code) == ["[]", "True True"]
+
+
+def _fresh_python(code):
+    """The stdout lines of ``code`` run in a new interpreter on this
+    checkout's ``src``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(__file__).parents[1] / "src"),
@@ -790,7 +825,7 @@ def test_the_solve_path_imports_no_scipy_spatial():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.splitlines()
 
 
 # the four grid gallery cases at small resolutions
@@ -888,7 +923,7 @@ def test_one_evaluation_of_the_gap(solved_grid_cases, name):
     assert sum(float(np.sum(t)) for t in dg.terms) == dg.value
     assert relaxed_energy(spec, res.u) == dg.primal
     v = (_divergence(op, dg.z)
-         + op.Bt @ (bf.weight[:, None] / vol * dg.zeta))
+         + op.trace_adjoint(bf.weight[:, None] / vol * dg.zeta))
     dual = (float(np.sum(bf.weight[:, None] * dg.zeta * spec.u0))
             - vol * float(np.sum(spec.integrand.conjugate(op.points, dg.z)))
             - vol * float(np.sum(_box_conjugate_oracle(v, spec))))
