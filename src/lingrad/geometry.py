@@ -409,33 +409,40 @@ class GridOperator:
 
     @cached_property
     def _neumann(self):
-        """LU factors of G^T G with the first cell of each face-connected
-        component pinned (no constant nullspace), the cells of each
-        component in ascending order, each cell's component and the pinned
-        cells."""
+        """LU factors of the Neumann Laplacian G^T G with the first cell of
+        each face-connected component pinned (its row and column those of
+        the identity: no constant nullspace, and still symmetric), the
+        cells of each component in ascending order, each cell's component
+        and the pinned cells."""
         import scipy.sparse as sp
         from scipy.sparse.csgraph import connected_components
         from scipy.sparse.linalg import splu
 
-        d, n_in = self._fwd.shape
-        interior = self._weight[:, :, 0] > 0
-        slots = np.flatnonzero(interior)  # in row order a * N + c
-        grad = sp.csr_array(
-            (np.tile([-self._inv_h, self._inv_h], len(slots)),
-             np.stack([slots % n_in, self._fwd.ravel()[slots]], axis=1).ravel(),
-             np.concatenate([[0], np.cumsum(2 * interior.ravel())])),
-            shape=(d * n_in, n_in))
-        lap = grad.T @ grad
-        _, labels = connected_components(lap, directed=False)
+        n_in = len(self.points)
+        inv_h2 = self._inv_h * self._inv_h
+        # the two cells of each interior face, both ways round
+        interior = self.interior[:, 0].T  # (d, N)
+        pair = np.stack([np.nonzero(interior)[1], self._fwd[interior]])
+        rows, cols = np.concatenate([pair, pair[::-1]], axis=1)
+        _, labels = connected_components(
+            sp.csr_array((np.ones(len(rows)), (rows, cols)),
+                         shape=(n_in, n_in)), directed=False)
         groups = np.split(np.argsort(labels, kind="stable"),
                           np.cumsum(np.bincount(labels))[:-1])
         pinned = [cells[0] for cells in groups]
-        keep = np.ones(n_in)
-        keep[pinned] = 0.0
-        lap = sp.diags_array(keep) @ lap + sp.csr_array(
-            (np.ones(len(pinned)), (pinned, pinned)), shape=(n_in, n_in))
-        return (splu(lap.tocsc(), permc_spec="MMD_AT_PLUS_A"), groups, labels,
-                pinned)
+        diag = self.degree * inv_h2
+        diag[pinned] = 1.0
+        free = np.ones(n_in, dtype=bool)
+        free[pinned] = False
+        off = free[rows] & free[cols]
+        lap = sp.csc_array(
+            (np.concatenate([np.full(off.sum(), -inv_h2), diag]),
+             (np.concatenate([rows[off], np.arange(n_in)]),
+              np.concatenate([cols[off], np.arange(n_in)]))),
+            shape=(n_in, n_in))
+        return (splu(lap, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options=dict(SymmetricMode=True)),
+                groups, labels, pinned)
 
     def neumann_solve(self, rhs: np.ndarray) -> np.ndarray:
         """x with G^T G x = rhs minus its mean on each face-connected

@@ -233,6 +233,22 @@ def test_the_zeta_polish_and_the_repair_keep_their_bounds(domain, seed):
     assert np.all(np.abs(zeta_rep) <= 1.0)
 
 
+@settings(max_examples=20, deadline=None)
+@given(domains(), st.integers(0, 2**32 - 1))
+def test_the_neumann_solve_inverts_the_laplacian_of_the_oracle(domain, seed):
+    # G^T G x = rhs minus its mean on each face-connected component, with
+    # x = 0 at the pinned cell of each
+    op = domain.operator
+    G = sparse_oracle(domain)[0]
+    rhs = np.random.default_rng(seed).standard_normal(len(op.points))
+    x = op.neumann_solve(rhs)
+    _, groups, labels, pinned = op._neumann
+    assert np.all(x[pinned] == 0.0)
+    centred = rhs - np.array([rhs[cells].mean() for cells in groups])[labels]
+    scale = np.abs(centred).max() + 4.0 / domain.h**2 * np.abs(x).max()
+    assert np.abs(G.T @ (G @ x) - centred).max() <= 1e-12 * scale
+
+
 def test_the_repair_on_a_split_grid():
     # the 1-D annulus is two intervals; its repaired pair must be feasible
     domain = GridDomain(Annulus(0.5, 1.0, dim=1), 32)
