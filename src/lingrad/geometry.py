@@ -343,7 +343,7 @@ class GridOperator:
     """
 
     def __init__(self, domain: GridDomain):
-        self.dim = d = domain.dim
+        self.dim = domain.dim
         self.grid_shape = domain.grid_shape
         self.inside = domain.inside_mask
         self._flat = np.flatnonzero(self.inside)  # row-major, like argwhere
@@ -360,13 +360,13 @@ class GridOperator:
         self._fwd = np.where(interior, nbr[:, 0], np.arange(n_in))
         # 1/h on interior slots, 0 on the others, planar (d, N, 1)
         self._weight = (interior * self._inv_h)[:, :, None]
-        # on the first axis of a 2-D grid, the -e_0 neighbor of each cell,
-        # or a non-interior slot, whose weighted value is 0, where it has
-        # none; on the last axis that neighbor is c - 1 wherever it is
-        # inside, and slot c - 1 is not interior wherever it is not
-        if d == 2:
-            self._back = np.where(nbr[0, 1] >= 0, nbr[0, 1],
-                                  np.argmin(interior[0]))
+        # the -e_0 neighbor of each cell, or a non-interior slot, whose
+        # weighted value is 0, where it has none; ``div`` gathers it on
+        # the first axis of a 2-D grid only: on the last axis that
+        # neighbor is c - 1 wherever it is inside, and slot c - 1 is not
+        # interior wherever it is not
+        self._back = np.where(nbr[0, 1] >= 0, nbr[0, 1],
+                              np.argmin(interior[0]))
 
         bf = domain.boundary_faces
         self.face_cells = domain.cell_index[tuple(bf.cell.T)]
@@ -436,7 +436,7 @@ class GridOperator:
         free[pinned] = False
         off = free[rows] & free[cols]
         lap = sp.csc_array(
-            (np.concatenate([np.full(off.sum(), -inv_h2), diag]),
+            (np.concatenate([np.full(np.count_nonzero(off), -inv_h2), diag]),
              (np.concatenate([rows[off], np.arange(n_in)]),
               np.concatenate([cols[off], np.arange(n_in)]))),
             shape=(n_in, n_in))

@@ -956,7 +956,7 @@ def _iterate(spec, config, start, levels):
     beta = (bf.weight / vol)[:, None]  # per-face backflow density
     # diagonal steps for K = [h^d G; w_b B], in plain coordinates
     al = _STEP_ALPHA
-    # every entry of h^d G is +-k with k = h^d / h, two in each interior
+    # every entry of h^d G is +-k with k = h^d (1/h), two in each interior
     # row and degree_c in column c
     k_z, k_u = np.power(np.array([vol * (1.0 / domain.h)]), [2.0 - al, al])
     # prox parameter for the z block: sigma_row * h^d; every interior row

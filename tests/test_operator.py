@@ -147,7 +147,8 @@ def test_adjointness_and_gauss_green(domain, seed, n):
     # relative to the sum of the magnitudes of all the products: |G| |u|
     # is (|u[c + e_a]| + |u[c]|) / h on interior faces
     abs_u = np.abs(u)
-    abs_grad = op.grad(abs_u) + 2.0 / domain.h * abs_u[:, :, None] * op.interior
+    abs_grad = (op.grad(abs_u)
+                + 2.0 / domain.h * abs_u[:, :, None] * op.interior)
     scale = float(np.sum(abs_grad * np.abs(w)))
     assert abs(lhs - rhs) <= 1e-12 * scale
 

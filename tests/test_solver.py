@@ -333,7 +333,8 @@ class _RecordingWeight:
         self.weight, self.base, self.seen = weight, base, []
 
     def __rmul__(self, x):
-        self.seen.append((np.shares_memory(x, self.base), x.flags.c_contiguous))
+        self.seen.append((np.shares_memory(x, self.base),
+                          x.flags.c_contiguous))
         return x * self.weight
 
 
