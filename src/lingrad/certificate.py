@@ -175,7 +175,7 @@ def _grid_report(spec: ProblemSpec, u, z, zeta,
                  tol: float) -> CertificateReport:
     """The duality gap of (u; z, zeta) split by location (module docstring)."""
     domain = spec.domain
-    op, bf, M = domain.operator, domain.boundary_faces, spec.box_bound
+    bf, M = domain.boundary_faces, spec.box_bound
     u = _cell_values(domain, u, spec.n_channels)
     if zeta is None:
         zeta = np.zeros((len(bf), spec.n_channels))
@@ -185,16 +185,16 @@ def _grid_report(spec: ProblemSpec, u, z, zeta,
     outside = int(np.sum(np.any(np.abs(u) > M, axis=1)))
     # an infeasible z or zeta makes its cell or face term infinite
     bad = np.concatenate([~np.isfinite(cell), ~np.isfinite(face)])
-    r_div = _agg("r_div", lower, 1.0, op.points, tol,
+    r_div = _agg("r_div", lower, 1.0, domain.points, tol,
                  f"{dual}, {outside} cells outside |u| <= M = {M:.6g}")
     if dg.conditional:
         r_div.passed = False
     conds = {
         "r_div": r_div,
-        "r_subdiff": _agg("r_subdiff", cell, 1.0, op.points, tol, dual),
+        "r_subdiff": _agg("r_subdiff", cell, 1.0, domain.points, tol, dual),
         "r_range": _agg("r_range", bad.astype(float), np.concatenate(
             [np.full(len(cell), domain.cell_volume), bf.weight]),
-            np.concatenate([op.points, bf.point]), 0.0,
+            np.concatenate([domain.points, bf.point]), 0.0,
             "measure where z or zeta is infeasible"),
         "r_boundary": _agg("r_boundary", face, 1.0, bf.point, tol, dual),
     }

@@ -1,7 +1,7 @@
 """Discrete relaxed energy, exact-adjoint operators, and truncation.
 
 Everything here works on compressed vectors over the N inside cells of a
-domain (see ``GridDomain.operator``): a primal field is an (N, n) array, a
+domain (see ``GridDomain``): a primal field is an (N, n) array, a
 dual field an (N, n, d) array on the + face of each inside cell, and a
 boundary multiplier an (m, n) array over boundary faces.  A compressed dual
 field is stored planar, as the (N, n, d) view of a C-contiguous (d, N, n)
@@ -14,11 +14,13 @@ Field, DualField and LGF1 files, and the padded-signature
 for callers that hold padded arrays.  Every public function here accepts
 either form; every field enters through the one check of ``_checked``.
 
-The operator is four products on neighbor index tables.  ``G`` takes
-forward differences on interior faces (faces between two inside cells)
-and is zero elsewhere; ``B`` selects the inside cell of each boundary
-face.  The discrete
-divergence of a padded dual field is -G^T z plus the boundary flux
+The operator is four products on the neighbor index tables of the
+domain, and they are its methods: ``domain.grad(u)`` = G u takes forward
+differences on interior faces (faces between two inside cells) and is
+zero elsewhere, ``domain.div(z)`` = -G^T z, ``domain.trace(u)`` = B u
+selects the inside cell of each boundary face, and
+``domain.trace_adjoint`` is B^T.  The discrete divergence of a padded
+dual field is -G^T z plus the boundary flux
 B^T (h^(d-1)/h^d [z, nu]), with [z, nu] the face-normal component of z
 (sign times the value stored at the face's slot), so that
 
@@ -88,7 +90,7 @@ class ProblemSpec:
                 "integrand column dimension must match the spatial dimension"
             )
         n = self.integrand.n_rows
-        cells = len(self.domain.operator.points)
+        cells = len(self.domain.points)
         self.u0 = _checked(self.u0, "u0",
                            (len(self.domain.boundary_faces), n))
         for name, attr, shape in (("g", "g", (cells, n)),
@@ -146,7 +148,7 @@ def _checked(values, name, expected, domain=None) -> np.ndarray:
         raise InvalidFieldError(f"{name} has non-finite values")
     grid = () if domain is None else domain.grid_shape
     if grid and values.shape[values.ndim - len(grid):] == grid:
-        values = domain.operator.cells(values)
+        values = domain.cells(values)
     if values.ndim == len(expected) - 1 >= 1 and expected[1] == 1:
         values = values[:, None]
     if (values.ndim != len(expected)
@@ -160,14 +162,14 @@ def _cell_values(domain: GridDomain, u, n: Optional[int] = None) -> np.ndarray:
     """(N, n) inside-cell values of a Field, a padded or a compressed array,
     checked; n = None accepts any channel count."""
     u = u.values if isinstance(u, Field) else u
-    return _checked(u, "u", (len(domain.operator.points), n), domain)
+    return _checked(u, "u", (len(domain.points), n), domain)
 
 
 def _dual_values(domain: GridDomain, z, n: Optional[int] = None) -> np.ndarray:
     """Planar (N, n, d) face values of a DualField, a padded or a compressed
     array, checked; n = None accepts any channel count."""
     z = z.values if isinstance(z, DualField) else z
-    z = _checked(z, "z", (len(domain.operator.points), n, domain.dim), domain)
+    z = _checked(z, "z", (len(domain.points), n, domain.dim), domain)
     # no copy when z is already stored planar
     return np.ascontiguousarray(z.transpose(2, 0, 1)).transpose(1, 2, 0)
 
@@ -178,53 +180,37 @@ def _zeta_values(spec: "ProblemSpec", zeta) -> np.ndarray:
                     (len(spec.domain.boundary_faces), spec.n_channels))
 
 
-def _gradient(op, u: np.ndarray) -> np.ndarray:
-    """G u: (N, n) cell values to planar (N, n, d) face values."""
-    return op.grad(u)
-
-
-def _divergence(op, z: np.ndarray) -> np.ndarray:
-    """-G^T z: (N, n, d) face values to (N, n); interior faces only.
-
-    A planar z is read without a copy.
-    """
-    return op.div(z)
-
-
 def _face_masks(domain: GridDomain):
     """Padded (d, *grid) masks: interior faces, boundary-face slots, both."""
-    op = domain.operator
-    interior = op.pad(op.interior[:, 0, :])
+    interior = domain.pad(domain.interior[:, 0, :])
     slots = np.zeros_like(interior)
-    slots[(domain.boundary_faces.axis,) + tuple(op.slot_cells.T)] = True
+    slots[(domain.boundary_faces.axis,) + tuple(domain.slot_cells.T)] = True
     return interior, slots, interior | slots
 
 
 def discrete_gradient(domain: GridDomain, u: np.ndarray) -> np.ndarray:
     """Forward differences of (n, *grid) cell values on interior faces."""
-    op = domain.operator
-    return op.pad(_gradient(op, op.cells(np.asarray(u, dtype=float))))
+    return domain.pad(domain.grad(domain.cells(np.asarray(u, dtype=float))))
 
 
 def discrete_divergence(domain: GridDomain, z: np.ndarray) -> np.ndarray:
     """Negative adjoint of the gradient, collecting boundary-face flux."""
     z = np.asarray(z, dtype=float)
-    op = domain.operator
     flux = (domain.boundary_faces.face_measure / domain.cell_volume
             * normal_trace(domain, z).T)
-    return op.pad(_divergence(op, op.cells(z)) + op.trace_adjoint(flux))
+    return domain.pad(domain.div(domain.cells(z)) + domain.trace_adjoint(flux))
 
 
 def normal_trace(domain: GridDomain, z: np.ndarray) -> np.ndarray:
     """[z, nu] at boundary faces of a padded z: sign times the slot value, (n, m)."""
     bf = domain.boundary_faces
-    vals = z[(slice(None), bf.axis) + tuple(domain.operator.slot_cells.T)]
+    vals = z[(slice(None), bf.axis) + tuple(domain.slot_cells.T)]
     return vals * bf.sign[None]
 
 
 def boundary_flux(domain: GridDomain, u: np.ndarray, z: np.ndarray) -> float:
     """Exact discrete flux: sum over boundary faces of h^(d-1) u_adj . [z, nu]."""
-    u_adj = domain.operator.trace(_cell_values(domain, u))  # (m, n)
+    u_adj = domain.trace(_cell_values(domain, u))  # (m, n)
     tr = normal_trace(domain, z)
     return float(domain.boundary_faces.face_measure * np.sum(u_adj.T * tr))
 
@@ -259,13 +245,13 @@ class _Densities(NamedTuple):
 def _densities(spec: ProblemSpec, u) -> _Densities:
     """The densities of a field, a padded or a compressed array u, checked."""
     domain, f = spec.domain, spec.integrand
-    op, bf, vol = domain.operator, domain.boundary_faces, domain.cell_volume
+    bf, vol = domain.boundary_faces, domain.cell_volume
     u = _cell_values(domain, u, spec.n_channels)
-    grad, jump, dev = _gradient(op, u), spec.u0 - op.trace(u), u - spec.h
+    grad, jump, dev = domain.grad(u), spec.u0 - domain.trace(u), u - spec.h
     face = f.recession(bf.point, jump[:, :, None] * bf.normal[:, None, :])
     lower = (np.sum(spec.g * u, axis=1)
              + 0.5 * spec.lam * np.sum(dev * dev, axis=1))
-    return _Densities(u, grad, jump, vol * f.value(op.points, grad),
+    return _Densities(u, grad, jump, vol * f.value(domain.points, grad),
                       bf.weight * face, vol * lower)
 
 
@@ -292,7 +278,7 @@ def relaxed_energy(spec: ProblemSpec, u) -> float:
 
 def total_variation(domain: GridDomain, u: np.ndarray) -> float:
     """Discrete TV: sum h^d |grad u| over cells (Frobenius per cell)."""
-    grad = _gradient(domain.operator, _cell_values(domain, u))
+    grad = domain.grad(_cell_values(domain, u))
     mag = np.sqrt(np.sum(grad * grad, axis=(1, 2)))
     return domain.cell_volume * float(np.sum(mag))
 

@@ -181,7 +181,7 @@ def rof_annulus_counterexample() -> GalleryCase:
 
     def build(nx):
         domain = GridDomain(shape, nx)
-        points = domain.operator.points
+        points = domain.points
         return ProblemSpec(make_tv(1, 2), domain,
                            hbar(domain.boundary_faces.point),
                            h=hbar(points), lam=np.ones(len(points)))
@@ -291,7 +291,7 @@ def weighted_tv_1d(a: Optional[Callable] = None,
     def build(nx):
         domain = GridDomain(shape, nx)
         return ProblemSpec(integrand, domain, u0(domain.boundary_faces.point),
-                           g=g_fn(domain.operator.points))
+                           g=g_fn(domain.points))
 
     return GalleryCase(
         name="weighted_tv_1d",

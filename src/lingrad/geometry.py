@@ -37,7 +37,6 @@ __all__ = [
     "Rectangle",
     "Interval",
     "GridDomain",
-    "GridOperator",
     "BoundaryFaces",
     "build_domain",
     "boundary_normal",
@@ -193,16 +192,42 @@ _PAD_CELLS = 2
 
 
 class GridDomain:
-    """Masked uniform grid over an analytic shape.
+    """Masked uniform grid over an analytic shape, and its discrete operator.
 
     Cells are squares of side ``h``; a cell belongs to the domain when its
-    center is strictly inside.  Fields live on inside cells; dual fields
-    live on the + faces of each cell (index [axis, cell]).
+    center is strictly inside.  The inside cells are numbered 0..N-1 once,
+    row-major (the order of boolean indexing with ``inside_mask``):
+    ``cell_index`` holds each cell's number (-1 outside) and ``points``
+    the (N, d) centers.  ``neighbors`` (d, 2, N) holds at [a, 0] and
+    [a, 1] the numbers of each inside cell's +e_a and -e_a neighbors, -1
+    where that cell is outside; each -1 is a boundary face.
 
-    ``cell_index`` numbers the inside cells 0..N-1 row-major (-1 outside).
-    ``neighbors`` (d, 2, N) holds at [a, 0] and [a, 1] the numbers of each
-    inside cell's +e_a and -e_a neighbors, -1 where that cell is outside;
-    each -1 is a boundary face.
+    A primal field is an (N, n) array of cell values.  A dual field is an
+    (N, n, d) array holding, at [c, :, a], the value on the face between
+    cell c and its +e_a neighbor (face slot a * N + c).  It is stored
+    planar: its memory is a C-contiguous (d, N, n) array and the (N, n, d)
+    array is the view ``.transpose(1, 2, 0)`` of it, so the slots of one
+    axis are contiguous.  Padded (n, *grid) and (n, d, *grid) arrays keep
+    the same values at [cell] and [axis, cell].
+
+    * ``grad(u)`` = G u: forward differences (u[c + e_a] - u[c]) / h on
+      interior faces, those between two inside cells, and 0 on the other
+      slots; a planar dual field.
+    * ``div(z)`` = -G^T z, the interior divergence: the (finite) values a
+      dual field holds on the other slots are ignored.
+    * ``trace(u)`` = B u: the value of each boundary face's inside cell,
+      listed in ``face_cells``; ``trace_adjoint(zeta)`` = B^T zeta sums
+      the values of each cell's boundary faces.
+
+    Each is index arithmetic on the neighbor table, and sums its terms in
+    the order of a CSR product with its matrix, bit for bit
+    (``tests/test_operator.py`` holds that oracle).  ``interior`` is the
+    (N, 1, d) planar mask of interior slots, ``degree`` the number of
+    interior faces of each cell, and ``slot_cells`` the grid cell at whose
+    + face a padded dual array keeps each boundary face's value.  Only the
+    Neumann Laplacian G^T G of ``neumann_solve`` is a sparse matrix, built
+    on first use.  Padded (..., *grid) arrays are made only by
+    ``pad``/``cells``.
     """
 
     def __init__(self, shape: Shape, nx: int):
@@ -256,102 +281,22 @@ class GridDomain:
             raise ResolutionError(
                 "an inside cell lies on the grid's outer ring: the shape's "
                 f"signed distance does not resolve h = {self.h:.3g}")
-        cells = np.argwhere(self.inside_mask)
-        self.cell_index = np.full(self.n_cells, -1)
-        self.cell_index[self.inside_mask] = np.arange(len(cells))
-        self.neighbors = np.stack([
-            np.stack([self.cell_index[tuple((cells + sgn * e).T)]
-                      for sgn in (1, -1)])
-            for e in np.eye(self.dim, dtype=int)])
-        self.boundary_faces = self._collect_boundary_faces(cells)
-
-    @cached_property
-    def operator(self) -> "GridOperator":
-        """The compressed discrete operator, built on first use."""
-        return GridOperator(self)
-
-    def _collect_boundary_faces(self, cells):
-        """One face per inside cell and (axis, sign) whose neighbor is
-        outside; axis-major, + before -, cells row-major."""
-        face_of = [(a, sgn, np.flatnonzero(self.neighbors[a, k] < 0))
-                   for a in range(self.dim) for k, sgn in enumerate((1, -1))]
-        cell = cells[np.concatenate([idx for _, _, idx in face_of])]
-        axis = np.concatenate([np.full(len(idx), a) for a, _, idx in face_of])
-        sign = np.concatenate([np.full(len(idx), s) for _, s, idx in face_of])
-
-        centers = self.cell_centers[tuple(cell.T)]
-        face_pts = centers.copy()
-        face_pts[np.arange(len(axis)), axis] += 0.5 * self.h * sign
-        bpoint = np.atleast_2d(self.shape.project(face_pts))
-        normal = np.atleast_2d(self.shape.sd_gradient(bpoint))
-        normal = normal / np.linalg.norm(normal, axis=-1, keepdims=True)
-        nu_comp = np.abs(normal[np.arange(len(axis)), axis])
-        measure = self.h ** (self.dim - 1)
-        weight = measure * nu_comp
-        return BoundaryFaces(cell, axis, sign, bpoint, normal, weight, measure)
-
-    @property
-    def cell_volume(self) -> float:
-        return self.h**self.dim
-
-    @property
-    def bounds(self):
-        """Axis-aligned bounding box of the grid, ((lo, hi) per axis)."""
-        return tuple(
-            (float(self.origin[a]), float(self.origin[a] + self.n_cells[a] * self.h))
-            for a in range(self.dim)
-        )
-
-    @property
-    def grid_shape(self):
-        return self.n_cells
-
-    def __repr__(self):
-        return (
-            f"GridDomain({type(self.shape).__name__}, n_cells={self.n_cells}, "
-            f"h={self.h:.4g}, faces={len(self.boundary_faces)})"
-        )
-
-
-class GridOperator:
-    """The discretization of a GridDomain: neighbor tables and four products.
-
-    Inside cells are numbered 0..N-1 in the order of boolean indexing with
-    ``inside_mask``.  A primal field is an (N, n) array of cell values.  A
-    dual field is an (N, n, d) array holding, at [c, :, a], the value on
-    the face between cell c and its +e_a neighbor (face slot a * N + c).
-    It is stored planar: its memory is a C-contiguous (d, N, n) array and
-    the (N, n, d) array is the view ``.transpose(1, 2, 0)`` of it, so the
-    slots of one axis are contiguous.
-
-    * ``grad(u)`` = G u: forward differences (u[c + e_a] - u[c]) / h on
-      interior faces, those between two inside cells, and 0 on the other
-      slots; a planar dual field.
-    * ``div(z)`` = -G^T z, the interior divergence: the (finite) values a
-      dual field holds on the other slots are ignored.
-    * ``trace(u)`` = B u: the value of each boundary face's inside cell,
-      listed in ``face_cells``; ``trace_adjoint(zeta)`` = B^T zeta sums
-      the values of each cell's boundary faces.
-
-    Each is index arithmetic on the neighbor table of the domain, and
-    sums its terms in the order of a CSR product with its matrix, bit for
-    bit (``tests/test_operator.py`` holds that oracle).  ``interior`` is
-    the (N, 1, d) planar mask of interior slots and ``degree`` the number
-    of interior faces of each cell.  Only the Neumann Laplacian G^T G of
-    ``neumann_solve`` is a sparse matrix.  Padded (..., *grid) arrays are
-    made only by ``pad``/``cells``.
-    """
-
-    def __init__(self, domain: GridDomain):
-        self.dim = domain.dim
-        self.grid_shape = domain.grid_shape
-        self.inside = domain.inside_mask
-        self._flat = np.flatnonzero(self.inside)  # row-major, like argwhere
+        # the one numbering of the inside cells; within the ring a
+        # neighbor's flat index is the cell's plus or minus its axis's stride
+        self._flat = np.flatnonzero(self.inside_mask)
         n_in = len(self._flat)
-        self.points = domain.cell_centers[self.inside]  # (N, d)
-        self._inv_h = 1.0 / domain.h
+        index = np.full(self.inside_mask.size, -1)
+        index[self._flat] = np.arange(n_in)
+        self.cell_index = index.reshape(self.n_cells)
+        strides = [int(np.prod(self.n_cells[a + 1:])) for a in range(self.dim)]
+        self.neighbors = np.stack([
+            np.stack([index[self._flat + sgn * s] for sgn in (1, -1)])
+            for s in strides])
+        self.points = self.cell_centers[self.inside_mask]  # (N, d)
+        self.boundary_faces, self.face_cells = self._collect_boundary_faces()
 
-        nbr = domain.neighbors  # (d, 2, N): + and - neighbor per axis
+        self._inv_h = 1.0 / self.h
+        nbr = self.neighbors  # (d, 2, N): + and - neighbor per axis
         interior = nbr[:, 0] >= 0
         self.interior = interior[:, :, None].transpose(1, 2, 0)
         self.degree = np.count_nonzero(nbr >= 0, axis=(0, 1))
@@ -368,12 +313,50 @@ class GridOperator:
         self._back = np.where(nbr[0, 1] >= 0, nbr[0, 1],
                               np.argmin(interior[0]))
 
-        bf = domain.boundary_faces
-        self.face_cells = domain.cell_index[tuple(bf.cell.T)]
+        bf = self.boundary_faces
         # a face with sign -1 stores its value on the + face of the outside
         # cell below it; padded dual arrays keep that slot
         self.slot_cells = bf.cell.copy()
         self.slot_cells[np.arange(len(bf)), bf.axis] -= (bf.sign < 0)
+
+    def _collect_boundary_faces(self):
+        """One face per inside cell and (axis, sign) whose neighbor is
+        outside; axis-major, + before -, cells row-major.  Returns the
+        faces and the number of each face's inside cell."""
+        face_of = [(a, sgn, np.flatnonzero(self.neighbors[a, k] < 0))
+                   for a in range(self.dim) for k, sgn in enumerate((1, -1))]
+        face_cells = np.concatenate([idx for _, _, idx in face_of])
+        cell = np.stack(np.unravel_index(self._flat[face_cells], self.n_cells),
+                        axis=1)
+        axis = np.concatenate([np.full(len(idx), a) for a, _, idx in face_of])
+        sign = np.concatenate([np.full(len(idx), s) for _, s, idx in face_of])
+
+        face_pts = self.points[face_cells]
+        face_pts[np.arange(len(axis)), axis] += 0.5 * self.h * sign
+        bpoint = np.atleast_2d(self.shape.project(face_pts))
+        normal = np.atleast_2d(self.shape.sd_gradient(bpoint))
+        normal = normal / np.linalg.norm(normal, axis=-1, keepdims=True)
+        nu_comp = np.abs(normal[np.arange(len(axis)), axis])
+        measure = self.h ** (self.dim - 1)
+        weight = measure * nu_comp
+        faces = BoundaryFaces(cell, axis, sign, bpoint, normal, weight, measure)
+        return faces, face_cells
+
+    @property
+    def cell_volume(self) -> float:
+        return self.h**self.dim
+
+    @property
+    def bounds(self):
+        """Axis-aligned bounding box of the grid, ((lo, hi) per axis)."""
+        return tuple(
+            (float(self.origin[a]), float(self.origin[a] + self.n_cells[a] * self.h))
+            for a in range(self.dim)
+        )
+
+    @property
+    def grid_shape(self):
+        return self.n_cells
 
     def grad(self, u: np.ndarray) -> np.ndarray:
         """G u: (N, n) cell values to planar (N, n, d) face values."""
@@ -455,7 +438,8 @@ class GridOperator:
 
     def cells(self, values: np.ndarray) -> np.ndarray:
         """Compressed (N, ...) copy of padded (..., *grid) values."""
-        rows = values.reshape(-1, self.inside.size)  # one row per leading index
+        # one row per leading index
+        rows = values.reshape(-1, self.inside_mask.size)
         out = np.empty((len(self._flat), len(rows)), dtype=values.dtype)
         for k, row in enumerate(rows):
             out[:, k] = row[self._flat]
@@ -464,10 +448,16 @@ class GridOperator:
     def pad(self, values: np.ndarray) -> np.ndarray:
         """Padded (..., *grid) array of compressed (N, ...) values, zero outside."""
         rows = values.reshape(len(values), -1).T  # one row per leading index
-        out = np.zeros((len(rows), self.inside.size), dtype=values.dtype)
+        out = np.zeros((len(rows), self.inside_mask.size), dtype=values.dtype)
         for k, row in enumerate(rows):  # a 1-D scatter per row is the fast path
             out[k, self._flat] = row
         return out.reshape(values.shape[1:] + self.grid_shape)
+
+    def __repr__(self):
+        return (
+            f"GridDomain({type(self.shape).__name__}, n_cells={self.n_cells}, "
+            f"h={self.h:.4g}, faces={len(self.boundary_faces)})"
+        )
 
 
 def build_domain(shape, resolution: int) -> GridDomain:
@@ -640,10 +630,10 @@ def curvature_condition_margin(f: Integrand, g_values, domain: GridDomain,
     faces = domain.boundary_faces
     H = generalized_mean_curvature(f, domain, faces.point)
     H = np.atleast_1d(H)
-    centers = domain.operator.points
+    centers = domain.points
     g_inside = np.abs(np.asarray(g_values, dtype=float))
     if g_inside.shape == domain.grid_shape:
-        g_inside = domain.operator.cells(g_inside)
+        g_inside = domain.cells(g_inside)
     if g_inside.shape != centers.shape[:1]:
         raise ShapeMismatchError("g must be (N,) on inside cells or (*grid)")
     margins = np.empty(len(faces))

@@ -14,11 +14,11 @@ primal first:
   (iii) z+   <- prox of f* at z + sigma/t G u_bar, per cell,
   (iv)  zeta+ <- project zeta + sigma/t (u0 - B u_bar) onto the ball,
 
-with G and B the domain's operator (``GridDomain.operator``): forward
-differences on interior faces, and the selection of each boundary face's
-inside cell.  The zeta backflow B^T (w_b / h^d zeta) couples each face
-through its geometric weight w_b, the same weight as in the boundary
-penalty.  At a fixed point of T, -G^T z + B^T (w_b / h^d zeta) =
+with G and B the products of the domain (``GridDomain.grad`` and
+``GridDomain.trace``): forward differences on interior faces, and the
+selection of each boundary face's inside cell.  The zeta backflow
+B^T (w_b / h^d zeta) couples each face through its geometric weight
+w_b, the same weight as in the boundary penalty.  At a fixed point of T, -G^T z + B^T (w_b / h^d zeta) =
 lambda (u - h) + g, the discrete Euler-Lagrange equation, and the pair
 (z, zeta) is the certificate the verification module consumes.  The solver
 iterates T in the restarted Halpern scheme below.
@@ -37,7 +37,7 @@ buffer is only a storage layout.  The u update forms its drift
 the dual ascent forms G u_bar and B u_bar with the other two.  These
 are stencil differences on the grid's neighbor table, as Chambolle and
 Pock write them, and gathers and ``bincount`` sums over the boundary
-faces' cells (``GridOperator``); no sparse matrix enters the loop.
+faces' cells (``GridDomain``); no sparse matrix enters the loop.
 Each update is written in place into an array the iteration already
 owns: the dual prox inputs into the output of their ascent product, the
 interior mask into the prox output, T(x) into its buffer, and the
@@ -53,8 +53,8 @@ primal step h^d over its column sum of |K|^alpha.  The rule needs no
 operator norm estimate and is stable for any alpha in [0, 2], the zeta
 block included.  It is the only rule.  Scalar steps 0.99/L, with
 L = sqrt(4 d)/h the norm bound of G alone, were measured against it in
-the restarted averaging loop that the Halpern iteration replaced (see
-below), as iterations to the target relative gap:
+the restarted averaging loop that the Halpern iteration replaced, as
+iterations to the target relative gap:
 
   =======================================  ===========  ===============
   case                                     diagonal     scalar 0.99/L
@@ -189,31 +189,10 @@ iterations, drove the trace errors of the half-disk refinement study
 (acceptance criterion 5) to roundoff and out of order (2.4e-7 / 3.5e-7 /
 1.6e-6 at nx 64 / 128 / 256).
 
-The loop it replaced kept the running average of (u, z, zeta) since the
-last restart, scored both the average and the current iterate at every
-check (two ``duality_gap`` calls, each with a ``repair_dual`` where
-g = lambda = 0) and reported the lower.  Iterations per ladder level and
-gap evaluations per solve, averaging loop -> Halpern, both measured with
-the nearest-cell restriction that the mean over children replaced (see
-below):
-
-  ================================  ===============================  ========
-  case, target                      ladder                           gaps
-  ================================  ===============================  ========
-  least-gradient annulus, 96, 1e-3  500 / 300 / 600 ->               28 -> 7
-                                    300 / 200 / 200
-  ROF annulus, 192, 1e-3            400 / 400 / 300 / 700 ->         36 -> 13
-                                    300 / 400 / 200 / 400
-  BV-attainment disk, 96, 1e-3      1,200 / 700 / 1,100 ->           60 -> 13
-                                    500 / 300 / 500
-  BV-attainment disk, 64, 1e-4      1,300 / 800 / 700 ->             56 -> 24
-                                    1,800 / 300 / 300
-  weighted 1-D TV, 256, 1e-2        800 / 400 / 1,000 / 1,500 / 800  90 -> 28
-                                    -> 900 / 200 / 600 / 700 / 400
-  ================================  ===============================  ========
-
-Some solves lose.  Criterion 10's half-disk at nx=48 to 1e-6
-(``check_every`` 250) loses on its nx=24 level.  With the datum
+Some solves lose against the restarted averaging loop that the Halpern
+iteration replaced, which scored the running average of (u, z, zeta)
+and the current iterate at every check.  Criterion 10's half-disk at
+nx=48 to 1e-6 (``check_every`` 250) loses on its nx=24 level.  With the datum
 truncated at b = 1 / 0.25 / 0.5 it takes 16,250 + 15,500 /
 32,000 + 12,000 / 25,000 + 13,000 iterations on nx 24 + 48, against
 6,250 + 18,250 / 19,000 + 7,750 / 3,750 + 11,750, and the three solves
@@ -231,8 +210,7 @@ rises, or that artificial restart) the same; sufficient decay of that
 residual alone 17,250 / 33,000 / 20,750; and restarting at every check,
 measured before the scored u was truncated, 16,000 / 41,500 / 23,750.
 The ROF annulus at lambda = 10, nx=192 to 1e-3 takes
-700 iterations over the ladder (300 / 100 / 100 / 200; 800 with the
-nearest-cell restriction), against 500.
+700 iterations over the ladder (300 / 100 / 100 / 200), against 500.
 Criterion 5's annulus contrast (nx=256 from the nx=128 solve, 1e-3,
 ``check_every`` 500) takes 2,000 against 1,000: its first check is
 within one decay of the target, so no restart is made.  And the
@@ -244,10 +222,11 @@ restriction of its spec (``_restriction``): the same integrand and box
 bound M on half the cells per axis, with u0 taken from the nearest fine
 boundary face and g, h, lambda the mean over the inside children of each
 coarse cell, the cell-centred restriction of Trottenberg, Oosterlee and
-Schueller (Multigrid, 2001).  Both grids' origins lie two cells outside
-the shape's box, so the children of coarse cell I are the fine cells
-2I - 2 and 2I - 1 on each axis.  A coarse cell with no inside child (on a
-thin annulus) takes the data of the nearest fine inside cell.  That
+Schueller (Multigrid, 2001).  Both grids' origins lie P =
+``geometry._PAD_CELLS`` = 2 cells outside the shape's box, so the
+children of coarse cell I are the fine cells 2I - P and 2I - P + 1 on
+each axis.  A coarse cell with no inside child (on a thin annulus)
+takes the data of the nearest fine inside cell.  That
 solve starts the same way, so the ladder runs down to the coarsest grid
 ``GridDomain`` allows (nx >= 16, each nx even).  Each level runs under
 the caller's ``SolverConfig`` (the same gap_tol, max_iters and
@@ -372,18 +351,9 @@ terms M |v - g| of the cells where lambda vanishes, with g != 0 and
 M = 8; the averaging loop sat on the same plateau and left it late (at
 iteration 21,400 of its nx=64 level).
 
-Against the nearest-fine-cell restriction that the mean over children
-replaced, whose ties fell wherever a k-d tree put them (at nx=128, 2,328
-of the 2,416 coarse ROF centres tie with four fine ones and the other 88
-with two or three), the table moved only where g, h or lambda vary.  The ROF annulus took 500 / 900,
-600 / 1,200 and 800 / 1,400 iterations to 1e-2 / 1e-3 at nx 64 / 128 /
-256, and 1,500 and 2,100 to 1e-4 at nx 128 / 256: 100 more to 1e-3 and
-1e-4 at nx 128 and 256.  The weighted 1-D TV took 2,100 / 8,100, 2,400 /
-7,300 and 2,800 / 10,200: 1,400 and 2,700 more to 1e-3 at nx 128 and
-256, on the plateau above, and 400 fewer at nx=64; to 1e-4 the nx=128
-solve now converges, and took 79,300 unconverged before.  Reading the
-first inside child instead of the mean left the weighted 1-D TV to 1e-3
-at its cap of 30,000 on its finest level at nx 128 and 256.
+The restriction takes the mean over the inside children, not the first
+of them: reading the first inside child left the weighted 1-D TV to
+1e-3 at its cap of 30,000 on its finest level at nx 128 and 256.
 
 The reported duality gap is a true primal-dual gap for the problem
 restricted to a box |u| <= M: the dual objective uses the conjugate of the
@@ -411,9 +381,7 @@ from .energy import (
     _box_holds_minimizer,
     _cell_values,
     _densities,
-    _divergence,
     _dual_values,
-    _gradient,
     _total,
     _zeta_values,
 )
@@ -424,7 +392,7 @@ from .errors import (
     SpecFileError,
 )
 from .fields import DualField, Field
-from .geometry import GridDomain, _shape_quadrature
+from .geometry import _PAD_CELLS, GridDomain, _shape_quadrature
 
 __all__ = [
     "SolverConfig",
@@ -529,8 +497,7 @@ def nearest_boundary_extension(spec: ProblemSpec) -> np.ndarray:
     boundary face whose point is nearest its center, the first such face
     on ties (``_nearest``).  The cold start of ``solve``."""
     domain = spec.domain
-    return spec.u0[_nearest(domain.boundary_faces.point,
-                            domain.operator.points)]
+    return spec.u0[_nearest(domain.boundary_faces.point, domain.points)]
 
 
 # query-reference pairs per block of _nearest's distance table
@@ -615,8 +582,7 @@ def _drift(spec, z, zeta):
     """v = -G^T z + B^T (w_b / h^d zeta), the dual field the u update sees."""
     domain = spec.domain
     beta = domain.boundary_faces.weight / domain.cell_volume
-    return (_divergence(domain.operator, z)
-            + domain.operator.trace_adjoint(beta[:, None] * zeta))
+    return domain.div(z) + domain.trace_adjoint(beta[:, None] * zeta)
 
 
 def _gap_terms(spec, dens, z, zeta):
@@ -634,8 +600,8 @@ def _gap_terms(spec, dens, z, zeta):
     optimality condition holds, inf where its dual variable is infeasible.
     """
     domain, f = spec.domain, spec.integrand
-    op, bf, vol = domain.operator, domain.boundary_faces, domain.cell_volume
-    cell = dens.cell + vol * (f.conjugate(op.points, z)
+    bf, vol = domain.boundary_faces, domain.cell_volume
+    cell = dens.cell + vol * (f.conjugate(domain.points, z)
                               - np.sum(z * dens.grad, axis=(1, 2)))
     conj_b = f.conjugate(bf.point, zeta[:, :, None] * bf.normal[:, None, :])
     face = dens.face + bf.weight * (np.where(np.isfinite(conj_b), 0.0, np.inf)
@@ -667,10 +633,10 @@ def repair_dual(spec: ProblemSpec, z, zeta):
     if (f.n_rows != 1 or not f.homogeneous or f.dual_radius is None
             or np.any(spec.lam != 0) or np.any(spec.g != 0)):
         return z, zeta
-    op = domain.operator
     bf = domain.boundary_faces
     radius = np.broadcast_to(
-        np.asarray(f.dual_radius(op.points), dtype=float), (len(op.points),))
+        np.asarray(f.dual_radius(domain.points), dtype=float),
+        (len(domain.points),))
 
     # nu-section bounds for the zeta polish
     r_b = np.asarray(f.dual_radius(bf.point), dtype=float)
@@ -681,7 +647,7 @@ def repair_dual(spec: ProblemSpec, z, zeta):
     z_rep = _dual_values(domain, z)
     for k in range(_REPAIR_ROUNDS):
         v = _drift(spec, z_rep, zeta)[:, 0]
-        z_rep = z_rep - _gradient(op, op.neumann_solve(-v)[:, None])
+        z_rep = z_rep - domain.grad(domain.neumann_solve(-v)[:, None])
         if k < _REPAIR_ROUNDS - 1:
             znorm = np.sqrt(np.sum(z_rep**2, axis=(1, 2)))
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -710,14 +676,13 @@ def _polish_zeta(spec, z_rep, zeta, r_b):
     bound.  Each cell's backflow is summed by ``trace_adjoint`` (B^T).
     """
     domain = spec.domain
-    op = domain.operator
     bf = domain.boundary_faces
     beta = bf.weight / domain.cell_volume
     # the balance penalty gets an epsilon preference so that ties break
     # toward divergence feasibility, which the later Poisson projection
     # would otherwise pay for; argmax takes the first of tied candidates
     m_vol = spec.box_bound * (1.0 + 1e-9) * domain.cell_volume
-    div_fixed = _divergence(op, z_rep)[:, 0]
+    div_fixed = domain.div(z_rep)[:, 0]
     wu0 = bf.weight * spec.u0[:, 0]
     zeta = zeta.copy()
     flow = beta * zeta[:, 0]  # backflow of each face
@@ -726,12 +691,13 @@ def _polish_zeta(spec, z_rep, zeta, r_b):
     for a in range(domain.dim):
         for sgn in (-1, 1):
             sel = np.flatnonzero((bf.axis == a) & (bf.sign == sgn))
-            cell = op.face_cells[sel]
+            cell = domain.face_cells[sel]
             groups.append((sel, cell, div_fixed[cell], beta[sel], r_b[sel],
                            wu0[sel], np.arange(sel.size)))
     for _ in range(_POLISH_SWEEPS):
         for sel, cell, div_c, b, r, wu, cols in groups:
-            res_wo = (div_c + op.trace_adjoint(flow)[cell]) - b * zeta[sel, 0]
+            res_wo = ((div_c + domain.trace_adjoint(flow)[cell])
+                      - b * zeta[sel, 0])
             cands = np.stack([-r, r, np.clip(-res_wo / b, -r, r)], axis=0)
             vals = wu * cands - m_vol * np.abs(res_wo + b * cands)
             new = cands[np.argmax(vals, axis=0), cols]
@@ -742,7 +708,7 @@ def _polish_zeta(spec, z_rep, zeta, r_b):
 
 def trace_error(spec: ProblemSpec, u) -> float:
     """Discrete L1 boundary distance sum w_b |u_adjacent - u0|."""
-    u_adj = spec.domain.operator.trace(_cell_values(spec.domain, u))
+    u_adj = spec.domain.trace(_cell_values(spec.domain, u))
     diff = np.linalg.norm(u_adj - spec.u0, axis=-1)
     return float(np.sum(spec.domain.boundary_faces.weight * diff))
 
@@ -767,7 +733,7 @@ def boundary_l1_distance(spec: ProblemSpec, u, u0_fn) -> float:
     """
     domain = spec.domain
     _, _, pts, weight, _ = _shape_quadrature(domain.shape, 0, _TRACE_SAMPLES)
-    u_adj = domain.operator.trace(_cell_values(domain, u))  # (m, n)
+    u_adj = domain.trace(_cell_values(domain, u))  # (m, n)
     nearest = _nearest(domain.boundary_faces.point, pts)
     datum = np.asarray(u0_fn(pts), dtype=float)
     if datum.ndim == 1:
@@ -806,29 +772,28 @@ def _nearest_inside(domain, pts):
     inside cell.  Only the cells that own a boundary face are searched:
     from any other inside cell, one step toward such a point reaches an
     inside cell strictly nearer to it."""
-    owners = np.unique(domain.operator.face_cells)
-    return owners[_nearest(domain.operator.points[owners], pts)]
+    owners = np.unique(domain.face_cells)
+    return owners[_nearest(domain.points[owners], pts)]
 
 
 def _prolong(cd, u, z, zeta, fd):
     """``prolong_state`` on the compressed state of coarse domain ``cd``."""
-    op = fd.operator
     # a fine center lies 0.35 h_c from the center of the coarse cell that
     # contains it and at least 0.79 h_c from any other, so where that cell
     # is inside it is the nearest inside one; the other fine centers lie
     # outside the box of every inside coarse cell
-    nearest = _containing_cell(cd, op.points)
+    nearest = _containing_cell(cd, fd.points)
     out = nearest < 0
     if np.any(out):
-        nearest[out] = _nearest_inside(cd, op.points[out])
+        nearest[out] = _nearest_inside(cd, fd.points[out])
     u = u[nearest]
-    z_f = np.zeros((len(op.points), z.shape[1], fd.dim))
+    z_f = np.zeros((len(fd.points), z.shape[1], fd.dim))
     for a in range(fd.dim):
-        face_pos = op.points.copy()
+        face_pos = fd.points.copy()
         face_pos[:, a] += 0.5 * fd.h
         cell = _containing_cell(cd, face_pos)
         z_f[:, :, a] = np.where(cell[:, None] >= 0, z[cell, :, a], 0.0)
-    z_f = np.where(op.interior, z_f, 0.0)
+    z_f = np.where(fd.interior, z_f, 0.0)
     nearest = _nearest(cd.boundary_faces.point, fd.boundary_faces.point)
     return u, z_f, zeta[nearest]
 
@@ -851,9 +816,10 @@ def _restriction(spec: ProblemSpec) -> Optional[ProblemSpec]:
         coarse = GridDomain(fine.shape, fine.nx // 2)
     except ResolutionError:
         return None
-    # both grids' origins lie two cells outside the shape's box, so coarse
-    # cell I covers fine cells 2 I - 2 and 2 I - 1 on each axis
-    corner = 2 * np.argwhere(coarse.inside_mask) - 2  # in the cells' order
+    # both grids' origins lie P = _PAD_CELLS cells outside the shape's box,
+    # so coarse cell I covers fine cells 2 I - P and 2 I - P + 1 on each
+    # axis; the corners are in the coarse cells' order
+    corner = 2 * np.argwhere(coarse.inside_mask) - _PAD_CELLS
     offsets = np.array(list(itertools.product((0, 1), repeat=fine.dim)))
     child = fine.cell_index[tuple(np.moveaxis(corner[:, None] + offsets,
                                               -1, 0))]  # (N_c, 2^d)
@@ -861,7 +827,7 @@ def _restriction(spec: ProblemSpec) -> Optional[ProblemSpec]:
     # none is inside it lies outside the box of every inside fine cell
     lone = np.all(child < 0, axis=1)
     if np.any(lone):
-        child[lone, 0] = _nearest_inside(fine, coarse.operator.points[lone])
+        child[lone, 0] = _nearest_inside(fine, coarse.points[lone])
     inside = child >= 0
     count = inside.sum(axis=1)
 
@@ -909,9 +875,9 @@ def solve(spec: ProblemSpec, config: Optional[SolverConfig] = None,
     (u, z, zeta), _, info = _iterate(
         spec, config, (warm_start, None) if warm_start is not None
         else _coarse_start(spec, config, levels), levels)
-    op = spec.domain.operator
-    return SolveResult(u=Field(spec.domain, op.pad(u)),
-                       z=DualField(spec.domain, op.pad(z)), zeta=zeta,
+    domain = spec.domain
+    return SolveResult(u=Field(domain, domain.pad(u)),
+                       z=DualField(domain, domain.pad(z)), zeta=zeta,
                        levels=tuple(levels), **info)
 
 
@@ -945,12 +911,11 @@ def _iterate(spec, config, start, levels):
     t_start = time.perf_counter()
     f = spec.integrand
     domain = spec.domain
-    op = domain.operator
     n = spec.n_channels
     d = domain.dim
     vol = domain.cell_volume
     bf = domain.boundary_faces
-    pts = op.points
+    pts = domain.points
 
     N, m = len(pts), len(bf)
     beta = (bf.weight / vol)[:, None]  # per-face backflow density
@@ -961,8 +926,8 @@ def _iterate(spec, config, start, levels):
     k_z, k_u = np.power(np.array([vol * (1.0 / domain.h)]), [2.0 - al, al])
     # prox parameter for the z block: sigma_row * h^d; every interior row
     # has the same sum; with no interior face z = 0, and any step is exact
-    sigma_z = vol / max(2.0 * k_z if op.degree.any() else 0.0, 1e-300)
-    col = op.degree * k_u + op.trace_adjoint(bf.weight**al)
+    sigma_z = vol / max(2.0 * k_z if domain.degree.any() else 0.0, 1e-300)
+    col = domain.degree * k_u + domain.trace_adjoint(bf.weight**al)
     tau = (vol / np.maximum(col, 1e-300))[:, None]
     # net zeta step on (u0 - B u): sigma_row * w = w^(alpha - 1)
     sigma_zeta = (bf.weight ** (al - 1.0))[:, None]
@@ -982,7 +947,7 @@ def _iterate(spec, config, start, levels):
     if start is not None:
         (u0_w, z0_w, zeta0_w), t = start
         u[...] = _cell_values(domain, u0_w, n)
-        np.copyto(z, _dual_values(domain, z0_w, n), where=op.interior)
+        np.copyto(z, _dual_values(domain, z0_w, n), where=domain.interior)
         zeta[...] = _zeta_values(spec, zeta0_w)
         # a prolonged start is referenced nowhere else: free it once
         # copied in
@@ -994,7 +959,7 @@ def _iterate(spec, config, start, levels):
     x_T = np.empty_like(x)
     u_T, z_T, zeta_T = split(x_T)
     u_bar = np.empty_like(u)
-    exterior = ~op.interior
+    exterior = ~domain.interior
     radius = np.broadcast_to(
         np.asarray(f.dual_radius(bf.point), dtype=float), (m,))[:, None]
 
@@ -1053,8 +1018,8 @@ def _iterate(spec, config, start, levels):
         # T(x), primal first.  (i) primal descent with closed-form
         # lower-order prox, (u + t tau (drift - g + lambda h)) /
         # (1 + t tau lambda)
-        drift = _divergence(op, z)
-        drift += op.trace_adjoint(beta * zeta)
+        drift = domain.div(z)
+        drift += domain.trace_adjoint(beta * zeta)
         drift += shift
         np.multiply(drift, tau_t, out=u_T)
         u_T += u
@@ -1076,7 +1041,7 @@ def _iterate(spec, config, start, levels):
         # (iii) dual ascent in z at u_bar, kept on interior faces; the prox
         # input is formed in the gradient product's output, the mask
         # applied in the prox's output, which is then copied into T(x)
-        z_in = _gradient(op, u_bar)
+        z_in = domain.grad(u_bar)
         z_in *= sigma_t
         z_in += z
         try:
@@ -1094,7 +1059,7 @@ def _iterate(spec, config, start, levels):
 
         # (iv) boundary dual ascent in zeta at u_bar, formed in the
         # boundary product's output, then projected onto the ball
-        zeta_in = op.trace(u_bar)
+        zeta_in = domain.trace(u_bar)
         np.subtract(spec.u0, zeta_in, out=zeta_in)
         zeta_in *= sigma_zeta_t
         zeta_in += zeta

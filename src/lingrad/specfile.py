@@ -135,14 +135,14 @@ def _sample_data(entry: str, n: int, base_dir: str, domain: GridDomain,
     if entry.startswith("file:"):
         path = os.path.join(base_dir, entry[5:].strip())
         values = read_grid_field(path, domain, n, faces=not on_cells)
-        return domain.operator.cells(values) if on_cells else values.T
+        return domain.cells(values) if on_cells else values.T
     exprs = [e for e in entry.split(";") if e.strip()]
     if len(exprs) == 1 and n > 1:
         exprs = exprs * n
     if len(exprs) != n:
         raise SpecFileError(
             f"need {n} ';'-separated expressions, got {len(exprs)}")
-    points = (domain.operator.points if on_cells
+    points = (domain.points if on_cells
               else domain.boundary_faces.point)
     return np.stack([evaluate_on_points(e, points) for e in exprs], axis=1)
 

@@ -251,20 +251,20 @@ def rof_annulus_48():
 
 def test_grid_report_names_the_worst_location(rof_annulus_48):
     spec, res = rof_annulus_48
-    op = spec.domain.operator
-    bf = spec.domain.boundary_faces
+    domain = spec.domain
+    bf = domain.boundary_faces
     tol = np.inf
-    u = op.cells(res.u.values)
+    u = domain.cells(res.u.values)
 
     c = len(u) // 2
     u_bad = u.copy()
     u_bad[c] += 0.5
     rep = verify_scalar(spec, u_bad, res.z, zeta=res.zeta, tol=tol)
-    centre = tuple(op.points[c].tolist())
+    centre = tuple(domain.points[c].tolist())
     assert centre in (rep["r_subdiff"].worst_location,
                       rep["r_div"].worst_location)
 
-    jump = np.abs(spec.u0 - op.trace(u))[:, 0]
+    jump = np.abs(spec.u0 - domain.trace(u))[:, 0]
     k = int(np.argmax(jump))
     assert jump[k] > 0.1
     zeta_bad = res.zeta.copy()

@@ -127,7 +127,7 @@ def test_rof_spec_matches_gallery(tmp_path):
     case = get_case("rof_annulus")
     ana_u0 = case.analytic.u0(bundle.spec.domain.boundary_faces.point)
     assert np.allclose(bundle.spec.u0[:, 0], ana_u0, atol=1e-12)
-    ref_h = case.analytic.h(bundle.spec.domain.operator.points)
+    ref_h = case.analytic.h(bundle.spec.domain.points)
     assert np.allclose(bundle.spec.h[:, 0], ref_h, atol=1e-12)
 
 
@@ -140,7 +140,7 @@ def test_rof_spec_gap_uses_inside_cell_box_bound(tmp_path):
     spec = parse_spec(str(p)).spec
     domain = spec.domain
     assert evaluate_on_points("4/(3*r)-4/3", domain.cell_centers).max() > 1.34
-    assert spec.h.shape == (len(domain.operator.points), 1)
+    assert spec.h.shape == (len(domain.points), 1)
     box = max(np.abs(spec.u0).max(), np.abs(spec.h).max())
     assert spec.box_bound == box < 1.34
     res = solve(spec, SolverConfig(max_iters=20, gap_tol=0.0))

@@ -50,7 +50,7 @@ def test_gradient_of_linear_on_rectangle():
     domain = GridDomain(Rectangle(), 32)
     u = domain.cell_centers[..., 0][None]
     g = discrete_gradient(domain, u)
-    interior = domain.operator.pad(domain.operator.interior[:, 0, :])
+    interior = domain.pad(domain.interior[:, 0, :])
     assert np.allclose(g[0, 0][interior[0]], 1.0)
     assert np.allclose(g[0, 1][interior[1]], 0.0)
 

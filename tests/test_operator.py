@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from lingrad.energy import (
     ProblemSpec,
-    _divergence,
     _face_masks,
     discrete_divergence,
     discrete_gradient,
@@ -118,37 +117,35 @@ def slice_loop_divergence(domain, z):
 @settings(max_examples=30, deadline=None)
 @given(domains(), st.integers(0, 2**32 - 1), st.integers(1, 2))
 def test_the_products_equal_the_sparse_oracle(domain, seed, n):
-    op = domain.operator
     G, div, B, Bt = sparse_oracle(domain)
     rng = np.random.default_rng(seed)
-    n_in, m, d = len(op.points), len(domain.boundary_faces), domain.dim
+    n_in, m, d = len(domain.points), len(domain.boundary_faces), domain.dim
     u = rng.standard_normal((n_in, n))
     z = rng.standard_normal((d, n_in, n)).transpose(1, 2, 0)  # planar
     zeta = rng.standard_normal((m, n))
-    assert np.array_equal(op.grad(u),
+    assert np.array_equal(domain.grad(u),
                           (G @ u).reshape(d, n_in, n).transpose(1, 2, 0))
     div_z = div @ z.transpose(2, 0, 1).reshape(-1, n)
-    assert np.array_equal(op.div(z), div_z)
-    assert np.array_equal(op.div(z.copy()), div_z)  # a non-planar z
-    assert np.array_equal(op.trace(u), B @ u)
-    assert np.array_equal(op.trace_adjoint(zeta), Bt @ zeta)
-    assert np.array_equal(op.trace_adjoint(zeta[:, 0]), Bt @ zeta[:, 0])
+    assert np.array_equal(domain.div(z), div_z)
+    assert np.array_equal(domain.div(z.copy()), div_z)  # a non-planar z
+    assert np.array_equal(domain.trace(u), B @ u)
+    assert np.array_equal(domain.trace_adjoint(zeta), Bt @ zeta)
+    assert np.array_equal(domain.trace_adjoint(zeta[:, 0]), Bt @ zeta[:, 0])
 
 
 @settings(max_examples=30, deadline=None)
 @given(domains(), st.integers(0, 2**32 - 1), st.integers(1, 2))
 def test_adjointness_and_gauss_green(domain, seed, n):
-    op = domain.operator
     rng = np.random.default_rng(seed)
-    u = rng.standard_normal((len(op.points), n))
-    w = rng.standard_normal((len(op.points), n, domain.dim))
-    lhs = float(np.sum(op.grad(u) * w))
-    rhs = -float(np.sum(u * op.div(w)))
+    u = rng.standard_normal((len(domain.points), n))
+    w = rng.standard_normal((len(domain.points), n, domain.dim))
+    lhs = float(np.sum(domain.grad(u) * w))
+    rhs = -float(np.sum(u * domain.div(w)))
     # relative to the sum of the magnitudes of all the products: |G| |u|
     # is (|u[c + e_a]| + |u[c]|) / h on interior faces
     abs_u = np.abs(u)
-    abs_grad = (op.grad(abs_u)
-                + 2.0 / domain.h * abs_u[:, :, None] * op.interior)
+    abs_grad = (domain.grad(abs_u)
+                + 2.0 / domain.h * abs_u[:, :, None] * domain.interior)
     scale = float(np.sum(abs_grad * np.abs(w)))
     assert abs(lhs - rhs) <= 1e-12 * scale
 
@@ -171,15 +168,38 @@ def test_padded_operators_match_slice_loops(domain, seed, n):
     assert np.max(np.abs(div - ref_div)) <= tol * max(1.0, np.abs(z).max())
 
 
+@settings(max_examples=30, deadline=None)
+@given(domains())
+def test_the_inside_cells_are_numbered_once(domain):
+    # the centers, the cell numbers, the boundary faces' cells and the
+    # neighbor table all follow the one row-major numbering of the cells
+    n_in = len(domain.points)
+    inside = domain.inside_mask
+    assert np.array_equal(domain.points, domain.cell_centers[inside])
+    assert np.array_equal(domain.cell_index[tuple(np.argwhere(inside).T)],
+                          np.arange(n_in))
+    assert np.all(domain.cell_index[~inside] == -1)
+    assert np.array_equal(
+        domain.face_cells,
+        domain.cell_index[tuple(domain.boundary_faces.cell.T)])
+    for a in range(domain.dim):
+        fwd, back = domain.neighbors[a]
+        has = fwd >= 0
+        assert np.array_equal(back[fwd[has]], np.flatnonzero(has))
+        step = np.zeros(domain.dim)
+        step[a] = domain.h
+        assert np.allclose(domain.points[fwd[has]] - domain.points[has],
+                           step, rtol=0.0, atol=1e-9 * domain.h)
+
+
 @settings(max_examples=20, deadline=None)
 @given(domains())
 def test_boundary_selection_and_step_sums(domain):
-    op = domain.operator
     bf = domain.boundary_faces
     # B picks each boundary face's inside cell
     cells = np.argwhere(domain.inside_mask)
-    assert np.array_equal(cells[op.face_cells], bf.cell)
-    assert np.array_equal(op.trace(cells), bf.cell)
+    assert np.array_equal(cells[domain.face_cells], bf.cell)
+    assert np.array_equal(domain.trace(cells), bf.cell)
     # the degree, on which the steps' column sums rest, counts the interior
     # faces of each cell
     interior, active = reference_masks(domain)
@@ -188,7 +208,7 @@ def test_boundary_selection_and_step_sums(domain):
         lo, hi = shifted_slices(domain, a)
         degree += interior[a]
         degree[hi] += interior[a][lo]
-    assert np.array_equal(op.degree, degree[domain.inside_mask])
+    assert np.array_equal(domain.degree, degree[domain.inside_mask])
     # the padded masks kept for callers holding padded arrays
     got_interior, _, got_active = _face_masks(domain)
     assert np.array_equal(got_interior, interior)
@@ -202,8 +222,8 @@ def test_the_zeta_polish_and_the_repair_keep_their_bounds(domain, seed):
     # its bounds and never lowers its own zeta-block objective, and the
     # repaired pair is feasible, so duality_gap cannot drop it silently
     rng = np.random.default_rng(seed)
-    op, bf = domain.operator, domain.boundary_faces
-    m, n_in = len(bf), len(op.points)
+    bf = domain.boundary_faces
+    m, n_in = len(bf), len(domain.points)
     spec = ProblemSpec(make_tv(1, domain.dim), domain,
                        rng.uniform(-1.0, 1.0, (m, 1)))
     r_b = np.ones(m)
@@ -214,7 +234,7 @@ def test_the_zeta_polish_and_the_repair_keep_their_bounds(domain, seed):
     weight = spec.box_bound * (1.0 + 1e-9) * domain.cell_volume
 
     def objective(zeta):
-        balance = _divergence(op, z)[:, 0] + op.trace_adjoint(
+        balance = domain.div(z)[:, 0] + domain.trace_adjoint(
             bf.weight / domain.cell_volume * zeta[:, 0])
         value = np.sum(bf.weight * zeta[:, 0] * spec.u0[:, 0])
         penalty = weight * np.sum(np.abs(balance))
@@ -230,7 +250,7 @@ def test_the_zeta_polish_and_the_repair_keep_their_bounds(domain, seed):
     assert z_rep is not z
     # feasible as the gap reads it: the final rescale may leave |z_c| an
     # ulp above r, inside the conjugate's 1e-12 relative slack
-    assert np.all(spec.integrand.conjugate(op.points, z_rep) == 0.0)
+    assert np.all(spec.integrand.conjugate(domain.points, z_rep) == 0.0)
     assert np.all(np.abs(zeta_rep) <= 1.0)
 
 
@@ -239,11 +259,10 @@ def test_the_zeta_polish_and_the_repair_keep_their_bounds(domain, seed):
 def test_the_neumann_solve_inverts_the_laplacian_of_the_oracle(domain, seed):
     # G^T G x = rhs minus its mean on each face-connected component, with
     # x = 0 at the pinned cell of each
-    op = domain.operator
     G = sparse_oracle(domain)[0]
-    rhs = np.random.default_rng(seed).standard_normal(len(op.points))
-    x = op.neumann_solve(rhs)
-    _, groups, labels, pinned = op._neumann
+    rhs = np.random.default_rng(seed).standard_normal(len(domain.points))
+    x = domain.neumann_solve(rhs)
+    _, groups, labels, pinned = domain._neumann
     assert np.all(x[pinned] == 0.0)
     centred = rhs - np.array([rhs[cells].mean() for cells in groups])[labels]
     scale = np.abs(centred).max() + 4.0 / domain.h**2 * np.abs(x).max()
@@ -253,10 +272,9 @@ def test_the_neumann_solve_inverts_the_laplacian_of_the_oracle(domain, seed):
 def test_the_repair_on_a_split_grid():
     # the 1-D annulus is two intervals; its repaired pair must be feasible
     domain = GridDomain(Annulus(0.5, 1.0, dim=1), 32)
-    op = domain.operator
-    m, n_in = len(domain.boundary_faces), len(op.points)
+    m, n_in = len(domain.boundary_faces), len(domain.points)
     spec = ProblemSpec(make_tv(1, 1), domain, np.ones((m, 1)))
     z = np.random.default_rng(0).standard_normal((n_in, 1, 1))
     z_rep, zeta_rep = repair_dual(spec, z, np.zeros((m, 1)))
-    assert np.all(spec.integrand.conjugate(op.points, z_rep) == 0.0)
+    assert np.all(spec.integrand.conjugate(domain.points, z_rep) == 0.0)
     assert np.all(np.abs(zeta_rep) <= 1.0)

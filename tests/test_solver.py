@@ -22,7 +22,6 @@ from lingrad.certificate import (
 )
 from lingrad.energy import (
     ProblemSpec,
-    _divergence,
     _dual_values,
     relaxed_energy,
 )
@@ -34,7 +33,7 @@ from lingrad.errors import (
 )
 from lingrad.fields import DualField, Field
 from lingrad.gallery import build_bad_f0, get_case
-from lingrad.geometry import Annulus, Ball, GridDomain, GridOperator, Rectangle
+from lingrad.geometry import Annulus, Ball, GridDomain, Rectangle
 from lingrad.integrands import Integrand, make_tv
 from lingrad.solver import (
     SolverConfig,
@@ -116,10 +115,9 @@ def test_fixed_point_euler_lagrange():
     spec = annulus_spec(48)
     res = solve(spec, SolverConfig(max_iters=30000, gap_tol=1e-5))
     domain = spec.domain
-    op = domain.operator
     beta = (domain.boundary_faces.weight / domain.cell_volume)[:, None]
-    z = op.cells(res.z.values)  # (N, 1, d)
-    v = _divergence(op, z) + op.trace_adjoint(beta * res.zeta)
+    z = domain.cells(res.z.values)  # (N, 1, d)
+    v = domain.div(z) + domain.trace_adjoint(beta * res.zeta)
     resid = domain.cell_volume * np.sum(np.abs(v))
     assert resid <= 200 * max(res.gap, 1e-12)
 
@@ -199,7 +197,7 @@ def test_boundary_l1_distance_on_an_interval_is_the_trace_error():
     # the quadrature's boundary of an interval is its two endpoints, each
     # of weight 1, so the distance is the per-face trace_error
     spec = get_case("weighted_tv_1d").build_spec(64)
-    u = np.linspace(-0.5, 0.5, len(spec.domain.operator.points))[:, None]
+    u = np.linspace(-0.5, 0.5, len(spec.domain.points))[:, None]
     d = boundary_l1_distance(spec, u, lambda p: np.sign(p[:, 0] - 0.5))
     assert d == pytest.approx(trace_error(spec, u), rel=1e-14)
     assert d == pytest.approx(1.0, abs=0.05)
@@ -243,8 +241,8 @@ def test_gap_rises_quadratically_under_dual_perturbation():
     spec = get_case("rof_annulus").build_spec(48)
     res = solve(spec, SolverConfig(max_iters=20000, gap_tol=1e-6))
     base = duality_gap(spec, res.u.values, res.z.values, res.zeta).value
-    op = spec.domain.operator
-    interior = op.pad(op.interior[:, 0, :])
+    domain = spec.domain
+    interior = domain.pad(domain.interior[:, 0, :])
     faces = np.argwhere(interior[0] & (np.abs(res.z.values[0, 0]) < 0.5))
     idx = (0, 0) + tuple(faces[len(faces) // 2])
     rises = []
@@ -344,7 +342,6 @@ def test_dual_is_planar_in_the_prox_and_the_divergence(monkeypatch, n):
     # storage, cold and warm started, and -G^T reads a planar z in place
     domain = GridDomain(Ball(1.0), 24)
     spec = ProblemSpec(make_tv(n, 2), domain, domain.boundary_faces.point[:, :n])
-    op = domain.operator
     prox = spec.integrand.prox_conjugate
     layouts = []
 
@@ -356,12 +353,12 @@ def test_dual_is_planar_in_the_prox_and_the_divergence(monkeypatch, n):
     cfg = SolverConfig(max_iters=30, gap_tol=0.0, check_every=10)
     res = solve(spec, cfg)
     solve(spec, cfg, warm_start=(res.u, res.z, res.zeta))
-    assert layouts == [((len(op.points), n, 2), True)] * 60
+    assert layouts == [((len(domain.points), n, 2), True)] * 60
 
     z = _dual_values(domain, res.z)
-    weight = _RecordingWeight(op._weight, z)
-    monkeypatch.setattr(op, "_weight", weight)
-    _divergence(op, z)
+    weight = _RecordingWeight(domain._weight, z)
+    monkeypatch.setattr(domain, "_weight", weight)
+    domain.div(z)
     assert weight.seen == [(True, True)]
 
 
@@ -406,7 +403,7 @@ def test_weighted_tv_reaches_1e_4_within_the_level_cap():
 def one_grid_start(spec):
     """The cold start of ``solve`` as a warm start: the solve then runs on
     the grid of ``spec`` alone."""
-    pts, bf = spec.domain.operator.points, spec.domain.boundary_faces
+    pts, bf = spec.domain.points, spec.domain.boundary_faces
     return (nearest_boundary_extension(spec),
             np.zeros((len(pts), spec.n_channels, spec.domain.dim)),
             np.zeros((len(bf), spec.n_channels)))
@@ -497,7 +494,7 @@ def test_solve_rejects_integrand_without_dual_radius(make_integrand):
 def test_warm_start_extension_values():
     spec = annulus_spec(48)
     u = nearest_boundary_extension(spec)
-    points = spec.domain.operator.points
+    points = spec.domain.points
     assert u.shape == (len(points), 1)
     vals = np.unique(np.round(u[:, 0], 12))
     assert set(vals) <= {0.0, 1.0}
@@ -513,12 +510,12 @@ def test_prolonged_constant_is_constant_on_every_cell(make_spec):
     # domain read u from the nearest inside coarse cell
     coarse, fine = make_spec(48), make_spec(96)
     cd = coarse.domain
-    n_in, m = len(cd.operator.points), len(cd.boundary_faces)
-    u = cd.operator.pad(np.full((n_in, 1), 3.0))
+    n_in, m = len(cd.points), len(cd.boundary_faces)
+    u = cd.pad(np.full((n_in, 1), 3.0))
     state = SimpleNamespace(u=Field(cd, u), z=DualField.zeros(cd),
                             zeta=np.zeros((m, 1)))
     u, z, zeta = prolong_state(coarse, state, fine)
-    assert u.shape == (len(fine.domain.operator.points), 1)
+    assert u.shape == (len(fine.domain.points), 1)
     assert np.all(u == 3.0)
 
 
@@ -702,16 +699,16 @@ def test_prolonged_u_is_read_from_the_nearest_inside_coarse_cell(make_spec,
     from scipy.spatial import cKDTree
 
     cd, fd = make_spec(nx // 2).domain, make_spec(nx).domain
-    n_in = len(cd.operator.points)
+    n_in = len(cd.points)
     u, _, _ = solver_module._prolong(
         cd, np.arange(n_in, dtype=float)[:, None], np.zeros((n_in, 1, 2)),
         np.zeros((len(cd.boundary_faces), 1)), fd)
-    dist, _ = cKDTree(cd.operator.points).query(fd.operator.points)
-    chosen = cd.operator.points[u[:, 0].astype(int)]
-    assert np.array_equal(np.linalg.norm(chosen - fd.operator.points, axis=1),
+    dist, _ = cKDTree(cd.points).query(fd.points)
+    chosen = cd.points[u[:, 0].astype(int)]
+    assert np.array_equal(np.linalg.norm(chosen - fd.points, axis=1),
                           dist)
     # both the containing cell and the search are taken somewhere
-    containing = solver_module._containing_cell(cd, fd.operator.points)
+    containing = solver_module._containing_cell(cd, fd.points)
     assert np.any(containing >= 0) and np.any(containing < 0)
 
 
@@ -740,13 +737,13 @@ def test_nearest_is_the_first_argmin_of_squared_distances(d, n_ref, n_query):
 
 def test_restriction_takes_the_mean_of_the_inside_children():
     spec = get_case("rof_annulus").build_spec(64)
-    x, y = spec.domain.operator.points.T
+    x, y = spec.domain.points.T
     spec = dataclasses.replace(spec, g=0.1 * x[:, None], lam=1.0 + y**2)
     coarse = _restriction(spec)
     # the children of each coarse cell, found by the coarse cell that
     # contains each fine center; some fine cells lie in outside coarse ones
     parent = solver_module._containing_cell(coarse.domain,
-                                            spec.domain.operator.points)
+                                            spec.domain.points)
     child = parent >= 0
     assert not np.all(child)
     count = np.bincount(parent[child], minlength=len(coarse.lam))
@@ -762,12 +759,12 @@ def test_a_coarse_cell_without_inside_children_reads_the_nearest_fine_cell():
     # on this thin annulus some coarse centers are inside while none of
     # their four fine children are
     domain = GridDomain(Annulus(0.97, 1.0), 32)
-    pts = domain.operator.points
+    pts = domain.points
     spec = ProblemSpec(make_tv(1, 2), domain,
                        np.zeros(len(domain.boundary_faces)),
                        h=np.arange(len(pts), dtype=float))
     coarse = _restriction(spec)
-    cpts = coarse.domain.operator.points
+    cpts = coarse.domain.points
     d2 = np.sum((cpts[:, None, :] - pts[None]) ** 2, axis=-1)
     lone = np.min(d2, axis=1) > (0.5 * domain.h) ** 2 * 2 * (1 + 1e-9)
     assert np.any(lone)
@@ -841,10 +838,10 @@ def test_a_cold_solve_makes_no_round_trip(monkeypatch, name):
     calls = {"cells": 0, "pad": 0}
     for meth in calls:
         def counted(self, values, _meth=meth,
-                    _orig=getattr(GridOperator, meth)):
+                    _orig=getattr(GridDomain, meth)):
             calls[_meth] += 1
             return _orig(self, values)
-        monkeypatch.setattr(GridOperator, meth, counted)
+        monkeypatch.setattr(GridDomain, meth, counted)
     spec = get_case(name).build_spec(32)
     solve(spec, SolverConfig(max_iters=200))
     assert calls == {"cells": 0, "pad": 2}
@@ -875,18 +872,19 @@ def test_gap_nonnegative_for_every_feasible_pair(solved_grid_cases, name,
                                                  seed, size):
     # weak duality: any u against any feasible (z, zeta) has gap >= 0
     spec, res = solved_grid_cases[name]
-    op = spec.domain.operator
-    bf = spec.domain.boundary_faces
+    domain = spec.domain
+    bf = domain.boundary_faces
     f = spec.integrand
     rng = np.random.default_rng(seed)
 
     def shake(a):
         return a + size * rng.uniform(-1.0, 1.0, a.shape)
 
-    u = shake(op.cells(res.u.values))
-    radius = np.broadcast_to(f.dual_radius(op.points), (len(op.points),))
-    z = _into_ball(np.where(op.interior, shake(op.cells(res.z.values)), 0.0),
-                   radius)
+    u = shake(domain.cells(res.u.values))
+    radius = np.broadcast_to(f.dual_radius(domain.points),
+                             (len(domain.points),))
+    z = _into_ball(np.where(domain.interior,
+                            shake(domain.cells(res.z.values)), 0.0), radius)
     r_b = np.broadcast_to(f.dual_radius(bf.point), (len(bf),))
     zeta = _into_ball(shake(res.zeta), r_b)
     dg = duality_gap(spec, u, z, zeta)
@@ -919,14 +917,15 @@ def test_one_evaluation_of_the_gap(solved_grid_cases, name):
     # independent of the terms' pairings, is primal - gap
     spec, res = solved_grid_cases[name]
     domain = spec.domain
-    op, bf, vol = domain.operator, domain.boundary_faces, domain.cell_volume
+    bf, vol = domain.boundary_faces, domain.cell_volume
     dg = duality_gap(spec, res.u, res.z, res.zeta)
     assert sum(float(np.sum(t)) for t in dg.terms) == dg.value
     assert relaxed_energy(spec, res.u) == dg.primal
-    v = (_divergence(op, dg.z)
-         + op.trace_adjoint(bf.weight[:, None] / vol * dg.zeta))
+    v = (domain.div(dg.z)
+         + domain.trace_adjoint(bf.weight[:, None] / vol * dg.zeta))
     dual = (float(np.sum(bf.weight[:, None] * dg.zeta * spec.u0))
-            - vol * float(np.sum(spec.integrand.conjugate(op.points, dg.z)))
+            - vol * float(np.sum(spec.integrand.conjugate(domain.points,
+                                                          dg.z)))
             - vol * float(np.sum(_box_conjugate_oracle(v, spec))))
     assert abs(dual - dg.dual) <= 1e-12 * max(abs(dg.primal), abs(dg.dual))
 
@@ -983,8 +982,8 @@ def _first_nan(a):
 def test_fields_are_checked_where_they_enter(solved_grid_cases, field, edit,
                                              error, msg, entry):
     spec, res = solved_grid_cases["annulus_least_gradient"]
-    op = spec.domain.operator
-    state = {"u": op.cells(res.u.values), "z": op.cells(res.z.values),
+    domain = spec.domain
+    state = {"u": domain.cells(res.u.values), "z": domain.cells(res.z.values),
              "zeta": res.zeta}
     state[field] = edit(state[field])
     u, z, zeta = state.values()
@@ -1037,11 +1036,11 @@ def test_returned_dual_lies_in_its_balls(solved_grid_cases, name):
     # cell and zeta in that of each boundary face, with no repair; a
     # projection onto a ball lands on its sphere to within one rounding
     spec, res = solved_grid_cases[name]
-    op, bf = spec.domain.operator, spec.domain.boundary_faces
+    bf = spec.domain.boundary_faces
     f = spec.integrand
     roundoff = 1.0 + 2.0 * np.finfo(float).eps
     z = _dual_values(spec.domain, res.z)
     z_norm = np.sqrt(np.sum(z * z, axis=(1, 2)))
-    assert np.all(z_norm <= roundoff * f.dual_radius(op.points))
+    assert np.all(z_norm <= roundoff * f.dual_radius(spec.domain.points))
     assert np.all(np.linalg.norm(res.zeta, axis=1)
                   <= roundoff * f.dual_radius(bf.point))
