@@ -81,11 +81,12 @@ over-relaxation theta follow the accelerated scheme of Chambolle and Pock,
 "A first-order primal-dual algorithm for convex problems with applications
 to imaging" (JMIV 40, 2011, Alg. 2), run in the metric of the diagonal
 steps.  In the variables T^(-1/2) u the term has a modulus of at least
-gamma = min(lambda) min(tau).  From a cold start, or a caller's
-``warm_start``, the scale starts at t = max(1, 1/gamma) (so the first prox
-has gamma t = 1 unless gamma > 1); on the coarse-to-fine ladder below,
-each finer level starts at the t the level under it ended with.  After
-each u update
+gamma = min(lambda) min(tau).  A cold start (the coarsest level of the
+coarse-to-fine ladder below, or a grid with no coarser level) starts at
+t = max(1, 1/gamma), so the first prox has gamma t = 1 unless gamma > 1.
+Every given start, a prolonged ladder level or a caller's ``warm_start``,
+runs t = 1, as does a subnormal gamma, whose 1/gamma overflows and would
+make every dual step 0.  After each u update
 
   theta = max(1 / sqrt(1 + 2 gamma t), 1 / t),   t <- theta t.
 
@@ -93,11 +94,12 @@ Scaling T by t and Sigma by 1/t keeps ||Sigma^(1/2) K T^(1/2)|| <= 1
 (Pock and Chambolle, Lemma 2), so every step is stable, whatever t >= 1 a
 level starts at.  The floor theta >= 1/t keeps t >= 1: primal steps never
 get smaller than the plain ones.  t carries across restarts.  Where
-lambda vanishes on some cell,
-gamma = 0, theta = 1 and t = 1 throughout, and the steps are the plain
-ones.  Where moreover g = 0 and M = ``ProblemSpec.box_bound`` is at least
-the data bound max(|u0|, |h|), the box |u| <= M over which the gap takes
-its dual holds a minimizer (by truncation), and step (i) is followed
+lambda vanishes on some cell, gamma = 0, theta = 1 and t = 1 throughout,
+and the steps are the plain ones.
+
+Where g = 0 and M = ``ProblemSpec.box_bound`` is at least the data bound
+max(|u0|, |h|), the box |u| <= M over which the gap takes its dual holds
+a minimizer (by truncation, whatever lambda), and step (i) is followed
 by a clip of u+ to [-M, M]: the exact prox of the lower-order term plus
 the indicator of the box (the term is separable, so the prox of the sum
 is the clipped prox).  The scored state T(x) then never leaves the box
@@ -108,45 +110,48 @@ solve the box-constrained problem instead and report it as converged,
 while without the clip an iterate past M shows as negative lower-order
 gap terms and in the certificate's count of cells outside the box, and
 such a state is not converged whatever its gap
-(``DualityGap.conditional``).  Where gamma > 0 the clip would cost time:
-on the ROF annulus at nx=192, in the averaging loop, it made the solve
-slower in 4 of 4 alternating pairs of runs at the same 1,500 iterations
-(1.11-1.37 s against 1.07-1.10 s).  The plain steps grow lopsided as the
-grid is refined (in 2-D a primal step is about h/2 times a dual step),
-which the schedule undoes while t is large.  Iterations to the target on
-the ROF annulus with lambda scaled, plain ->
-accelerated, measured in the restarted averaging loop:
+(``DualityGap.conditional``).
+
+The plain steps grow lopsided as the grid is refined (in 2-D a primal
+step is about h/2 times a dual step), which the schedule undoes while t
+is large.  Iterations to the target on the ROF annulus with lambda
+scaled, on one grid (an odd nx has no coarser level) from the start of
+``nearest_boundary_extension``, plain (that start given as a
+``warm_start``) -> accelerated (cold):
 
   ======  ======  =====  ======================
   lambda  target  nx     plain -> accelerated
   ======  ======  =====  ======================
-  1       1e-3    96     1,800 -> 700
-  1       1e-3    192    4,300 -> 1,500
-  1       1e-3    384    12,000 -> 3,000
-  1       1e-4    64     1,900 -> 800
-  1       1e-4    96     2,500 -> 1,300
-  1       1e-6    48     2,700 -> 1,900
-  10      1e-3    64     300 -> 200
-  10      1e-3    96     400 -> 300
-  10      1e-3    192    1,200 -> 600
-  100     1e-3    64     100 -> 100
-  100     1e-3    192    200 -> 100
-  0.1     1e-3    128    2,400 -> 2,100
-  0.1     1e-3    192    4,300 -> 2,600
-  0.1     1e-3    64     1,300 -> 1,800
-  0.1     1e-4    64     1,600 -> 1,800
-  0.01    1e-3    64     1,400 -> 1,800
-  0.01    1e-3    96     1,900 -> 2,400
-  0.01    1e-4    64     1,600 -> 2,000
+  1       1e-3    97     1,700 -> 500
+  1       1e-3    193    4,600 -> 600
+  1       1e-3    385    12,600 -> 1,100
+  1       1e-4    65     1,500 -> 400
+  1       1e-4    97     2,500 -> 800
+  1       1e-6    49     1,800 -> 1,200
+  10      1e-3    65     300 -> 300
+  10      1e-3    97     600 -> 500
+  10      1e-3    193    1,400 -> 900
+  100     1e-3    65     200 -> 200
+  100     1e-3    193    300 -> 300
+  0.1     1e-3    129    2,100 -> 800
+  0.1     1e-3    193    3,800 -> 1,000
+  0.1     1e-3    65     1,000 -> 500
+  0.1     1e-4    65     1,000 -> 500
+  0.01    1e-3    65     1,300 -> 900
+  0.01    1e-3    97     1,700 -> 1,300
+  0.01    1e-4    65     1,300 -> 1,000
   ======  ======  =====  ======================
 
-The last five rows are losses: with a small lambda on a coarse grid the
-large early steps cost more than they save.  Rejected alternatives, as
-iterations to 1e-3 at nx=192: resetting t at each restart took 2,300 /
-19,000 at lambda = 1 / 0.1 (against 1,500 / 2,600); a fixed t = 16 / 64
-/ 256 with theta = 1 took 1,800 / 900 / 3,400 at lambda = 1, erratic in a
-tuned constant; a start at 1/sqrt(gamma) took 2,600 against 1,800 at
-lambda = 0.1, nx=64, 1e-4.
+A tiny lambda still pays for the large early steps, since t decays from
+1/gamma over about 1/gamma iterations: at lambda = 1e-4 the one-grid
+solve at nx=65 stops at 5,000 iterations with a relative gap of 0.48
+(lambda = 0 converges in 1,000).  A start near a solution pays too, so
+only a cold start is accelerated: from the state prolonged from the nx/2
+solve, t = max(1, 1/gamma) took 500 / 900 / 1,000 / 1,200 iterations at
+(lambda, nx, target) = (1, 192, 1e-3) / (1, 128, 1e-4) / (0.1, 192,
+1e-3) / (0.01, 128, 1e-3), the plain steps 300 in each.  Measured with
+the averaging loop, resetting t at each restart, a fixed t with theta =
+1 and a start at 1/sqrt(gamma) all lost.
 
 The loop is restarted reflected Halpern PDHG, r2HPDHG of Lu and Yang,
 "Restarted Halpern PDHG for linear programming" (arXiv:2407.16144), in
@@ -180,14 +185,14 @@ target runs on from its anchor, where a restart cuts the gap far past
 the target by the next check (the half-disk warm-started at nx=64 went
 from 3.1e-2 to 2.8e-3 against a target of 2e-2 in 100 iterations, which
 put the trace errors of a refinement study whose target follows h out
-of order).  t is carried across restarts and up the ladder, and where
-gamma > 0 the schedule stays inside T: with the plain steps (t = 1) the
-ROF annulus at nx=96 from one grid takes 2,400 iterations to 1e-4, with
-t 800.  Restarts are decided at gap checks only: in a prototype,
-r2HPDHG's own rule on the fixed-point residual, checked every 50
-iterations, drove the trace errors of the half-disk refinement study
-(acceptance criterion 5) to roundoff and out of order (2.4e-7 / 3.5e-7 /
-1.6e-6 at nx 64 / 128 / 256).
+of order).  t is carried across restarts, and where gamma > 0 the
+schedule stays inside T: with the plain steps (t = 1) the ROF annulus at
+nx=97 on one grid takes 2,500 iterations to 1e-4, with t 800.  Restarts
+are decided at gap checks only: in a prototype, r2HPDHG's own rule on
+the fixed-point residual, checked every 50 iterations, drove the trace
+errors of the half-disk refinement study (acceptance criterion 5) to
+roundoff and out of order (2.4e-7 / 3.5e-7 / 1.6e-6 at nx 64 / 128 /
+256).
 
 Some solves lose against the restarted averaging loop that the Halpern
 iteration replaced, which scored the running average of (u, z, zeta)
@@ -260,9 +265,9 @@ grid alone, with the caller's cap of 30,000 iterations per level:
   BV-attainment disk, 256, 1e-3       200 / 300 / 300 / 600 / 800      6,400
   weighted 1-D TV, 256, 1e-2          700 / 300 / 500 / 800 / 400      > 30,000
   half-disk, 64, 1e-5                 3,600 / 1,000 / 800              > 30,000
-  ROF annulus, 96, 1e-3               300 / 400 / 200                  700
-  ROF annulus, 192, 1e-3              300 / 400 / 200 / 400            1,000
-  ROF annulus, 384, 1e-3              300 / 400 / 200 / 400 / 200      1,700
+  ROF annulus, 96, 1e-3               200 / 300 / 200                  500
+  ROF annulus, 192, 1e-3              200 / 300 / 200 / 300            600
+  ROF annulus, 384, 1e-3              200 / 300 / 200 / 300 / 200      1,100
   ==================================  ===============================  ========
 
 Criterion 10's half-disk at nx=48 to 1e-6 (``check_every`` 250) loses in
@@ -279,38 +284,33 @@ iterations (1,100 with the target itself), and the half-disk at nx=64 to
 instead of 24 took 1,200 + 600 iterations on the least-gradient annulus
 at nx=96 against 500 + 300 + 600.
 
-Where gamma > 0 each level starts at the step scale t the level below
-ended with, and the coarsest at t = max(1, 1/gamma).  Where gamma = 0,
-t = 1 on every level, so the rule leaves those ladders as they are.  At
-lambda = 1 t reaches its floor 1 within the coarsest level, so the finer
-levels run plain steps from their warm starts.  Measured with the
-averaging loop: restarting them at
-t = 1/gamma, whose large early steps move the warm iterate away, took
-400 / 300 / 500 / 1,200 iterations on the ROF annulus at nx=192.  Other
-rules for a level's first t, as iterations on the nx=192 level of that
-ladder (700 when t is carried): t gamma kept from the level below, 800;
-1/(gamma (1 + k)) with k the iterations of the level below, 800;
-1/sqrt(gamma), 2,300.  The ROF annulus with lambda scaled, iterations and
-seconds to the target from a cold start on the finest grid -> on the
-ladder, with the Halpern loop (single runs on a 2-vCPU machine):
+Only the coarsest level of a ladder is a cold start.  Carrying t up the
+ladder instead, each level starting at the t the level below ended
+with, took 300 / 400 / 200 / 400 iterations on the ROF annulus at nx=192
+to 1e-3 (200 / 300 / 200 / 300 with plain steps on the finer levels),
+and at lambda = 1e-6 on nx=64 it left all three levels at a cap of
+5,000, where now only the coarsest stops there.  The ROF annulus with
+lambda scaled, iterations and seconds to the target from a cold start
+on the finest grid alone -> on the ladder (single runs on a 2-vCPU
+machine):
 
   ======  ======  =====  ================================================
   lambda  target  nx     cold -> ladder
   ======  ======  =====  ================================================
-  1       1e-3    96     700, 0.17 s -> 300 / 400 / 200, 0.11 s
-  1       1e-4    96     800, 0.19 s -> 400 / 400 / 300, 0.14 s
-  1       1e-4    192    1,400, 1.30 s -> 400 / 400 / 300 / 900, 1.06 s
-  0.1     1e-3    192    1,300, 1.25 s -> 400 / 300 / 300 / 500, 0.58 s
-  0.01    1e-3    96     1,900, 0.49 s -> 600 / 300 / 300, 0.22 s
-  10      1e-3    192    900, 0.90 s -> 300 / 100 / 100 / 200, 0.23 s
-  1       1e-4    64     600, 0.09 s -> 300 / 300 / 300, 0.08 s
-  100     1e-3    192    300, 0.30 s -> 100 / 100 / 100 / 100, 0.12 s
+  1       1e-3    96     500, 0.11 s -> 200 / 300 / 200, 0.08 s
+  1       1e-4    96     800, 0.17 s -> 300 / 200 / 200, 0.10 s
+  1       1e-4    192    800, 0.61 s -> 300 / 200 / 200 / 400, 0.32 s
+  0.1     1e-3    192    1,000, 0.76 s -> 300 / 200 / 200 / 300, 0.26 s
+  0.01    1e-3    96     1,300, 0.24 s -> 500 / 200 / 200, 0.10 s
+  10      1e-3    192    900, 0.67 s -> 300 / 100 / 100 / 200, 0.18 s
+  1       1e-4    64     400, 0.05 s -> 300 / 200 / 300, 0.06 s
+  100     1e-3    192    300, 0.27 s -> 100 / 100 / 100 / 100, 0.11 s
   ======  ======  =====  ================================================
 
-In six rows the ladder takes more iterations in all than the cold solve,
-but its coarse iterations are cheap, and it is as fast or faster in
-every row.  The step-rule and acceleration tables above were measured
-from cold starts on one grid.
+In four rows the ladder takes more iterations in all than the cold solve,
+but its coarse iterations are cheap, and it is faster in every row but
+the nx=64 one.  The step-rule and acceleration tables above were
+measured from cold starts on one grid.
 
 Total iterations over the ladder of a cold solve (``check_every`` 100,
 at most 30,000 per level) to a certified relative gap of 1e-2 / 1e-3 /
@@ -323,9 +323,9 @@ single runs on a 2-vCPU machine:
   annulus_least_gradient  64      500 / 800 / 1,200        0.29 s
   annulus_least_gradient  128     700 / 1,200 / 1,700      0.47 s
   annulus_least_gradient  256     800 / 1,700 / 2,400      1.8 s
-  rof_annulus             64      500 / 900 / 900          0.07 s
-  rof_annulus             128     600 / 1,300 / 1,600      0.25 s
-  rof_annulus             256     700 / 1,500 / 2,200      0.98 s
+  rof_annulus             64      500 / 700 / 800          0.08 s
+  rof_annulus             128     600 / 1,000 / 1,100      0.19 s
+  rof_annulus             256     700 / 1,200 / 1,500      0.67 s
   disk_bv_attainment      64      1,000 / 800 / 2,400      0.24 s
   disk_bv_attainment      128     1,200 / 1,400 / 2,900    0.55 s
   disk_bv_attainment      256     1,400 / 2,200 / 3,900    2.9 s
@@ -341,8 +341,7 @@ least-gradient annulus; 300 / 700 / 1,700, 600 / 1,100 / 2,400 and
 2,400 / 4,500 and 1,700 / 3,700 / 7,700 on the disk; 2,600 / 7,100 /
 29,400, 3,800 / 12,200 / 53,800 and 4,500 / 16,200 / 56,800 on the
 weighted 1-D TV) these cells need more: the ROF annulus at nx=64 to
-1e-2 and 1e-3 (500 and 900 against 300 and 700) and at nx=128 to 1e-3
-(1,300 against 1,100); the disk at nx=64 to 1e-2 (1,000 against 800);
+1e-2 (500 against 300); the disk at nx=64 to 1e-2 (1,000 against 800);
 the weighted 1-D TV at nx=64 to 1e-3 (7,700 against 7,100); and the
 weighted 1-D TV to 1e-4 (*) at nx 64 and 256, where the finest level
 stops at its cap of 30,000 unconverged (40,000 / 69,500 in all).  There
@@ -447,10 +446,11 @@ class SolveResult:
     ``u``/``z``/``zeta`` are the state whose gap the last check reported:
     T(x), the PDHG step from the last Halpern iterate x (see the module
     docstring), so z and zeta are prox outputs and lie in their dual
-    balls; where the u update clips to the box, u is truncated to the
-    data range.  ``gap``, ``gap_relative`` and ``energy_history_raw[-1]``
-    describe that same state.  At each check, ``energy_history_raw``
-    holds the primal energy of the state it scored.
+    balls; where the box |u| <= M holds a minimizer
+    (``energy._box_holds_minimizer``), u is truncated to the data range.
+    ``gap``, ``gap_relative`` and ``energy_history_raw[-1]`` describe
+    that same state.  At each check, ``energy_history_raw`` holds the
+    primal energy of the state it scored.
     These, ``iterations`` and ``converged`` describe the grid of ``spec``.
     ``converged`` means a relative gap <= ``gap_tol`` and, where the box
     |u| <= M is not known to hold a minimizer, u inside it.
@@ -532,7 +532,9 @@ def _nearest(ref, query):
 def _box_conjugate(v, g, lam, h, M):
     """Pointwise sup over |u| <= M of (v - g) u - lam/2 (u - h)^2, per channel."""
     s = v - g
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # s / lam may overflow where lam is subnormal; the clip to +-M below
+    # makes that harmless
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         u_star = np.where(lam > 0, h + s / np.where(lam > 0, lam, 1.0), 0.0)
     u_star = np.clip(u_star, -M, M)
     u_free = np.where(lam > 0, u_star, np.sign(s) * M)
@@ -857,8 +859,9 @@ def solve(spec: ProblemSpec, config: Optional[SolverConfig] = None,
     e.g. from ``prolong_state`` after a coarser solve; it is checked like
     the arguments of ``duality_gap``.  Without one, the spec is first
     solved on the coarser grids of ``_restriction``, each level started
-    from the prolonged state and the step scale of the one below (see the
-    module docstring); ``levels`` records them.
+    from the prolonged state of the one below; ``levels`` records them.
+    Only a cold start takes the accelerated step scale (see the module
+    docstring).
     """
     if config is None:
         config = SolverConfig()
@@ -872,8 +875,8 @@ def solve(spec: ProblemSpec, config: Optional[SolverConfig] = None,
     levels = []
     # the prolonged start is handed to the loop without a name here, so
     # the loop can drop it once copied in
-    (u, z, zeta), _, info = _iterate(
-        spec, config, (warm_start, None) if warm_start is not None
+    (u, z, zeta), info = _iterate(
+        spec, config, warm_start if warm_start is not None
         else _coarse_start(spec, config, levels), levels)
     domain = spec.domain
     return SolveResult(u=Field(domain, domain.pad(u)),
@@ -887,16 +890,16 @@ def _scalars(dg):
 
 
 def _coarse_start(spec, config, levels):
-    """The start ``(state, t)`` of ``spec``'s grid: the compressed state
-    prolonged from a solve of its restriction, itself started the same
-    way, and the step scale t that solve ended with; None on the coarsest
-    grid.  Each level's spec, domain and state are released on return."""
+    """The start of ``spec``'s grid: the compressed state prolonged from a
+    solve of its restriction, itself started the same way; None on the
+    coarsest grid.  Each level's spec, domain and state are released on
+    return."""
     coarse = _restriction(spec)
     if coarse is None:
         return None
-    state, t, _ = _iterate(coarse, config,
-                           _coarse_start(coarse, config, levels), levels)
-    return _prolong(coarse.domain, *state, spec.domain), t
+    state, _ = _iterate(coarse, config,
+                        _coarse_start(coarse, config, levels), levels)
+    return _prolong(coarse.domain, *state, spec.domain)
 
 
 def _iterate(spec, config, start, levels):
@@ -904,10 +907,10 @@ def _iterate(spec, config, start, levels):
     seconds)`` to ``levels``.
 
     ``start`` is None, for ``nearest_boundary_extension`` with zero duals
-    at the step scale t = max(1, 1/gamma), or a pair ``((u, z, zeta), t)``
-    whose t None means that same scale; where gamma = 0, t is 1.  Returns
-    the compressed (u, z, zeta) whose gap the last check reported, the
-    final t and the other fields of its ``SolveResult`` but ``levels``."""
+    at the step scale t = max(1, 1/gamma) (1 where 1/gamma is not
+    finite), or a triple (u, z, zeta), run at t = 1.  Returns the
+    compressed (u, z, zeta) whose gap the last check reported and the
+    other fields of its ``SolveResult`` but ``levels``."""
     t_start = time.perf_counter()
     f = spec.integrand
     domain = spec.domain
@@ -931,6 +934,13 @@ def _iterate(spec, config, start, levels):
     tau = (vol / np.maximum(col, 1e-300))[:, None]
     # net zeta step on (u0 - B u): sigma_row * w = w^(alpha - 1)
     sigma_zeta = (bf.weight ** (al - 1.0))[:, None]
+    # accelerated schedule: primal steps t tau, dual steps sigma / t, with
+    # gamma the modulus of the lower-order term in the metric of the
+    # steps; only a cold start starts above t = 1, where 1/gamma is finite
+    gamma = float(spec.lam.min() * tau.min())
+    t = 1.0
+    if start is None and gamma > 0 and math.isfinite(1.0 / gamma):
+        t = max(1.0, 1.0 / gamma)
 
     # x = (u, z, zeta), its anchor x0 and T(x) are each one flat buffer,
     # so that the Halpern step and a restart are a few whole-buffer
@@ -945,7 +955,7 @@ def _iterate(spec, config, start, levels):
     x = np.zeros(cut[1] + m * n)
     u, z, zeta = split(x)
     if start is not None:
-        (u0_w, z0_w, zeta0_w), t = start
+        u0_w, z0_w, zeta0_w = start
         u[...] = _cell_values(domain, u0_w, n)
         np.copyto(z, _dual_values(domain, z0_w, n), where=domain.interior)
         zeta[...] = _zeta_values(spec, zeta0_w)
@@ -953,7 +963,6 @@ def _iterate(spec, config, start, levels):
         # copied in
         del start, u0_w, z0_w, zeta0_w
     else:
-        t = None
         u[...] = nearest_boundary_extension(spec)
     x_0 = x.copy()
     x_T = np.empty_like(x)
@@ -965,22 +974,12 @@ def _iterate(spec, config, start, levels):
 
     lam = spec.lam[:, None]
     shift = lam * spec.h - spec.g
-    # accelerated schedule: primal steps t tau, dual steps sigma / t, from
-    # the given t or t = max(1, 1/gamma) down to the floor t = 1; gamma is
-    # the strong-convexity modulus of the lower-order term in the metric
-    # of the steps
-    gamma = float(spec.lam.min() * tau.min())
-    if gamma == 0:
-        t = 1.0
-    elif t is None:
-        t = max(1.0, 1.0 / gamma)
-    # where gamma = 0 and the box |u| <= M the gap's dual is taken over
-    # holds a minimizer (g = 0 and M at least the data bound, by
-    # truncation), the u update is the prox of l + the box's indicator;
-    # where the box is not known to hold one, a state outside it is not
-    # converged whatever its gap (``DualityGap.conditional``)
-    box = (spec.box_bound if gamma == 0 and _box_holds_minimizer(spec)
-           else None)
+    # where the box |u| <= M the gap's dual is taken over holds a minimizer
+    # (g = 0 and M at least the data bound, by truncation), the u update
+    # is the prox of l + the box's indicator; where the box is not known
+    # to hold one, a state outside it is not converged whatever its gap
+    # (``DualityGap.conditional``)
+    box = spec.box_bound if _box_holds_minimizer(spec) else None
     # there a minimizer also lies in the data range [lo, hi] (truncation
     # lowers the energy), and a check scores T(x) with its u truncated to
     # that range, in the buffer of u_bar, which is free at a check: the
@@ -1114,7 +1113,7 @@ def _iterate(spec, config, start, levels):
         k += 1
 
     levels.append((domain.nx, it, time.perf_counter() - t_start))
-    return (u_S, z_T, zeta_T), t, dict(
+    return (u_S, z_T, zeta_T), dict(
         energy_history_raw=np.asarray(energies_raw),
         gap_history=np.asarray(gaps),
         check_iters=np.asarray(iters_log, dtype=int), iterations=it,
