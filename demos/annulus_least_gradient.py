@@ -38,7 +38,7 @@ spec = case.build_spec(96)
 res = solve(spec, SolverConfig(max_iters=30000, gap_tol=1e-4))
 energy = res.energy_history_raw[-1]
 print(f"  energy           : {energy:.6f}   (infimum 2 pi = {2 * np.pi:.6f})")
-print(f"  max |u|          : {np.abs(res.u.values).max():.2e}   (minimizer is 0)")
+print(f"  max |u|          : {np.abs(res.u).max():.2e}   (minimizer is 0)")
 print(f"  relative gap     : {res.gap_relative:.2e}")
 print(f"  trace error      : {trace_error(spec, res.u):.4f}   "
       f"(datum mass on the lost loop: {2 * np.pi:.4f})")

@@ -30,7 +30,7 @@ from .geometry import (
     curvature_condition_margin,
     generalized_mean_curvature,
 )
-from .fields import DualField, Field, read_lgf, write_lgf
+from .fields import read_lgf, write_lgf
 from .energy import (
     ProblemSpec,
     discrete_divergence,

@@ -18,7 +18,7 @@ from . import certificate as cert
 from . import gallery as gal
 from . import energy
 from .errors import LingradError
-from .fields import DualField, Field, field_to_csv, read_grid_field, write_lgf
+from .fields import field_to_csv, read_grid_field, write_lgf
 from .geometry import generalized_mean_curvature
 from .solver import SolverConfig, solve, trace_error
 from .specfile import parse_spec
@@ -60,17 +60,13 @@ def _cmd_solve(args):
         cfg.gap_tol = args.gap_tol
     res = solve(bundle.spec, cfg)
     domain = bundle.spec.domain
-    n = bundle.spec.n_channels
-
-    def as3d(a, ch):
-        return a.reshape(ch, domain.grid_shape[0], -1)
-
     if args.out:
-        _write_field(args.out, as3d(res.u.values, n), domain.h)
+        _write_field(args.out, domain.pad(res.u), domain.h)
     if args.dual_out:
-        _write_field(args.dual_out, as3d(
-            res.z.values.reshape(n * domain.dim, *domain.grid_shape), n * domain.dim),
-            domain.h)
+        # the n x d components as n * d channels
+        _write_field(args.dual_out,
+                     domain.pad(res.z).reshape((-1,) + domain.grid_shape),
+                     domain.h)
     if args.zeta_out:
         _write_field(args.zeta_out, res.zeta.T[:, :, None], domain.h)
     if args.history:
@@ -95,12 +91,12 @@ def _cmd_certify(args):
     spec = bundle.spec
     domain = spec.domain
     n = spec.n_channels
-    u = Field(domain, read_grid_field(args.u, domain, n))
-    zraw = read_grid_field(args.z, domain, n * domain.dim)
-    z = DualField(domain, zraw.reshape(n, domain.dim, *domain.grid_shape))
+    u = read_grid_field(args.u, domain, n)
+    z = read_grid_field(args.z, domain, n * domain.dim)
+    z = z.reshape(-1, n, domain.dim)
     zeta = None
     if args.zeta:
-        zeta = read_grid_field(args.zeta, domain, n, faces=True).T
+        zeta = read_grid_field(args.zeta, domain, n, faces=True)
     verify = cert.verify_scalar if n == 1 else cert.verify_vector
     report = verify(spec, u, z, tol=args.tol, zeta=zeta)
     payload = report.as_flat_dict()
@@ -114,7 +110,7 @@ def _cmd_certify(args):
 def _cmd_energy(args):
     bundle = parse_spec(args.spec, nx=args.nx)
     spec = bundle.spec
-    u = Field(spec.domain, read_grid_field(args.u, spec.domain, spec.n_channels))
+    u = read_grid_field(args.u, spec.domain, spec.n_channels)
     dens = energy._densities(spec, u)
     payload = {
         "energy": energy._total(dens.cell, dens.face, dens.lower),

@@ -7,12 +7,14 @@ boundary multiplier an (m, n) array over boundary faces.  A compressed dual
 field is stored planar, as the (N, n, d) view of a C-contiguous (d, N, n)
 array, so that ``G u`` writes it and ``G^T z`` reads it without a copy;
 a dual field given in another layout is copied to it once on entry.  A
-``ProblemSpec`` stores g, h and lambda the same way, on the inside cells.
-Padded (n, *grid) and (n, d, *grid) arrays appear only at the I/O edge:
-Field, DualField and LGF1 files, and the padded-signature
-``discrete_gradient``, ``discrete_divergence`` and ``normal_trace`` kept
-for callers that hold padded arrays.  Every public function here accepts
-either form; every field enters through the one check of ``_checked``.
+``ProblemSpec`` stores g, h and lambda the same way, on the inside cells,
+and ``solve`` returns its state in this form.  Padded (n, *grid) and
+(n, d, *grid) arrays are the layout of LGF1 files (``fields``); here they
+remain only for callers that still hold them: the energies and the gap
+also accept them, and ``discrete_gradient``, ``discrete_divergence``,
+``normal_trace``, ``boundary_flux`` and ``gauss_green_residual`` keep
+padded signatures.  Every field enters through the one check of
+``_checked``.
 
 The operator is four products on the neighbor index tables of the
 domain, and they are its methods: ``domain.grad(u)`` = G u takes forward
@@ -46,7 +48,6 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import InvalidFieldError, ShapeMismatchError, SpecFileError
-from .fields import DualField, Field
 from .geometry import GridDomain
 from .integrands import Integrand
 
@@ -115,9 +116,6 @@ class ProblemSpec:
     def n_channels(self) -> int:
         return self.integrand.n_rows
 
-    def zero_field(self) -> Field:
-        return Field.zeros(self.domain, self.n_channels)
-
 
 def _data_bound(spec) -> float:
     """m0 = max(|u0|, |h|): where g = 0 a minimizer with |u| <= m0 exists,
@@ -159,16 +157,14 @@ def _checked(values, name, expected, domain=None) -> np.ndarray:
 
 
 def _cell_values(domain: GridDomain, u, n: Optional[int] = None) -> np.ndarray:
-    """(N, n) inside-cell values of a Field, a padded or a compressed array,
+    """(N, n) inside-cell values of a padded or a compressed array,
     checked; n = None accepts any channel count."""
-    u = u.values if isinstance(u, Field) else u
     return _checked(u, "u", (len(domain.points), n), domain)
 
 
 def _dual_values(domain: GridDomain, z, n: Optional[int] = None) -> np.ndarray:
-    """Planar (N, n, d) face values of a DualField, a padded or a compressed
-    array, checked; n = None accepts any channel count."""
-    z = z.values if isinstance(z, DualField) else z
+    """Planar (N, n, d) face values of a padded or a compressed array,
+    checked; n = None accepts any channel count."""
     z = _checked(z, "z", (len(domain.points), n, domain.dim), domain)
     # no copy when z is already stored planar
     return np.ascontiguousarray(z.transpose(2, 0, 1)).transpose(1, 2, 0)
@@ -216,9 +212,9 @@ def boundary_flux(domain: GridDomain, u: np.ndarray, z: np.ndarray) -> float:
 
 
 def gauss_green_residual(domain: GridDomain, u, z) -> float:
-    """|<u, div z> + <grad u, z> - boundary flux|; zero up to roundoff."""
-    u = u.values if isinstance(u, Field) else np.asarray(u, dtype=float)
-    z = z.values if isinstance(z, DualField) else np.asarray(z, dtype=float)
+    """|<u, div z> + <grad u, z> - boundary flux| of padded u and z; zero
+    up to roundoff."""
+    u, z = np.asarray(u, dtype=float), np.asarray(z, dtype=float)
     vol = domain.cell_volume
     div = discrete_divergence(domain, z)
     grad = discrete_gradient(domain, u)
@@ -243,7 +239,7 @@ class _Densities(NamedTuple):
 
 
 def _densities(spec: ProblemSpec, u) -> _Densities:
-    """The densities of a field, a padded or a compressed array u, checked."""
+    """The densities of a padded or a compressed array u, checked."""
     domain, f = spec.domain, spec.integrand
     bf, vol = domain.boundary_faces, domain.cell_volume
     u = _cell_values(domain, u, spec.n_channels)
@@ -283,10 +279,8 @@ def total_variation(domain: GridDomain, u: np.ndarray) -> float:
     return domain.cell_volume * float(np.sum(mag))
 
 
-def truncate(u: Field, b: float) -> Field:
-    """Pointwise clamp of a scalar field to [-b, b]."""
+def truncate(u: np.ndarray, b: float) -> np.ndarray:
+    """Pointwise clamp of a compressed scalar field, (N, 1), to [-b, b]."""
     if b < 0:
         raise ValueError("truncation level must be nonnegative")
-    if u.n_channels != 1:
-        raise ShapeMismatchError("truncation is defined for scalar fields")
-    return Field(u.domain, np.clip(u.values, -b, b))
+    return np.clip(_checked(u, "u", (None, 1)), -b, b)

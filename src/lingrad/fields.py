@@ -1,106 +1,29 @@
-"""Primal and dual grid fields and the LGF1 binary field format.
+"""The LGF1 binary field format: fields padded over the grid.
 
-A Field holds n channels of cell-centered values; only values on inside
-cells are meaningful and everything outside the mask is kept at zero.  A
-DualField holds n x d face values indexed by the base cell of each face
-(component [c, a, i, j] sits on the face between cell (i, j) and its +e_a
-neighbor).
+The package holds fields compressed over the N inside cells (see
+``GridDomain``).  An LGF1 file holds them padded over the grid: a primal
+field as (n, *grid), zero outside, and a dual field as n * d channels,
+channel c * d + a holding at each cell the value on its +e_a face.
+``read_grid_field`` compresses what it reads.
 
 LGF1 layout (little-endian): magic ``LGF1``, u32 n_channels, u32 nx,
 u32 ny, f64 h, then n_channels * nx * ny f64 values, row-major.  1-D
-fields store ny = 1.  Dual fields are written with n * d channels.
+fields store ny = 1.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidFieldError, ShapeMismatchError
 from .geometry import GridDomain
 
-__all__ = ["Field", "DualField", "write_lgf", "read_lgf", "read_grid_field",
-           "field_to_csv"]
+__all__ = ["write_lgf", "read_lgf", "read_grid_field", "field_to_csv"]
 
 _MAGIC = b"LGF1"
-
-
-@dataclass
-class Field:
-    """n-channel primal field on cell centers."""
-
-    domain: GridDomain
-    values: np.ndarray  # (n, *grid_shape)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        expect = self.domain.grid_shape
-        if self.values.ndim != 1 + len(expect) or self.values.shape[1:] != expect:
-            raise ShapeMismatchError(
-                f"field values must have shape (n, {', '.join(map(str, expect))})"
-            )
-        if not np.all(np.isfinite(self.values[(slice(None),) + np.nonzero(self.domain.inside_mask)])):
-            raise InvalidFieldError("field has non-finite values on inside cells")
-        # outside-mask values are meaningless; keep them at zero so that
-        # discrete operators never read stale data
-        self.values = np.where(self.domain.inside_mask[None], self.values, 0.0)
-
-    @property
-    def n_channels(self) -> int:
-        return self.values.shape[0]
-
-    @classmethod
-    def zeros(cls, domain: GridDomain, n: int = 1) -> "Field":
-        return cls(domain, np.zeros((n,) + domain.grid_shape))
-
-    @classmethod
-    def from_function(cls, domain: GridDomain, fn, n: int = 1) -> "Field":
-        """Sample fn(points (..., dim)) -> (...,) or (..., n) on cell centers."""
-        vals = np.asarray(fn(domain.cell_centers), dtype=float)
-        if vals.shape == domain.grid_shape:
-            vals = vals[None]
-        elif vals.shape == domain.grid_shape + (n,):
-            vals = np.moveaxis(vals, -1, 0)
-        else:
-            raise ShapeMismatchError(
-                f"sampling produced shape {vals.shape}, grid is {domain.grid_shape}"
-            )
-        return cls(domain, vals)
-
-    def copy(self) -> "Field":
-        return Field(self.domain, self.values.copy())
-
-
-@dataclass
-class DualField:
-    """n x d staggered dual (certificate) field on faces."""
-
-    domain: GridDomain
-    values: np.ndarray  # (n, dim, *grid_shape)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        expect = (self.domain.dim,) + self.domain.grid_shape
-        if self.values.ndim != 1 + len(expect) or self.values.shape[1:] != expect:
-            raise ShapeMismatchError(
-                f"dual field values must have shape (n, {', '.join(map(str, expect))})"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise InvalidFieldError("dual field has non-finite values")
-
-    @property
-    def n_channels(self) -> int:
-        return self.values.shape[0]
-
-    @classmethod
-    def zeros(cls, domain: GridDomain, n: int = 1) -> "DualField":
-        return cls(domain, np.zeros((n, domain.dim) + domain.grid_shape))
-
-    def copy(self) -> "DualField":
-        return DualField(self.domain, self.values.copy())
 
 
 def write_lgf(path, values: np.ndarray, h: float) -> None:
@@ -143,10 +66,11 @@ def read_grid_field(path, domain: GridDomain, channels=None, *,
                     faces: bool = False) -> np.ndarray:
     """Read an LGF1 field written on ``domain``'s grid.
 
-    Returns (channels, *grid_shape) cell values or, with ``faces``, the
-    (channels, m) samples on the m boundary faces, which must be finite.
-    The spacing must equal ``domain.h`` and the payload hold ``channels``
-    channels (any number when None) of one value per cell or face;
+    Returns its values location-major: (N, channels) on the N inside
+    cells or, with ``faces``, (m, channels) on the m boundary faces.
+    Values at outside cells are never read.  The spacing must equal
+    ``domain.h``, the payload hold ``channels`` channels (any number when
+    None) of one value per cell or face, and every value read be finite;
     otherwise InvalidFieldError names the file.
     """
     values, h = read_lgf(path)
@@ -161,24 +85,20 @@ def read_grid_field(path, domain: GridDomain, channels=None, *,
             f"{path}: payload {values.shape} does not hold {n} channels on "
             f"the {where} {shape}")
     values = values.reshape((n,) + shape)
-    if faces and not np.all(np.isfinite(values)):
-        raise InvalidFieldError(f"{path}: non-finite boundary-face values")
+    values = values.T if faces else domain.cells(values)
+    if not np.all(np.isfinite(values)):
+        where = "boundary-face" if faces else "inside-cell"
+        raise InvalidFieldError(f"{path}: non-finite {where} values")
     return values
 
 
 def field_to_csv(path, domain: GridDomain, values: np.ndarray) -> None:
-    """Dump cell values as ``x,y,channel,value`` rows (inside cells only)."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim == len(domain.grid_shape):
-        values = values[None]
-    centers = domain.cell_centers
+    """Dump (N, n) inside-cell values as ``x,y,channel,value`` rows, the
+    cells in the order of ``domain.points``."""
+    values = np.asarray(values, dtype=float).reshape(len(domain.points), -1)
     with open(path, "w") as f:
         f.write("x,y,channel,value\n")
-        idx = np.argwhere(domain.inside_mask)
-        for c in idx:
-            pt = centers[tuple(c)]
-            x = pt[0]
+        for pt, row in zip(domain.points, values):
             y = pt[1] if domain.dim > 1 else 0.0
-            for ch in range(values.shape[0]):
-                v = values[(ch,) + tuple(c)]
-                f.write(f"{x:.17g},{y:.17g},{ch},{v:.17g}\n")
+            for ch, v in enumerate(row):
+                f.write(f"{pt[0]:.17g},{y:.17g},{ch},{v:.17g}\n")

@@ -207,8 +207,11 @@ class GridDomain:
     cell c and its +e_a neighbor (face slot a * N + c).  It is stored
     planar: its memory is a C-contiguous (d, N, n) array and the (N, n, d)
     array is the view ``.transpose(1, 2, 0)`` of it, so the slots of one
-    axis are contiguous.  Padded (n, *grid) and (n, d, *grid) arrays keep
-    the same values at [cell] and [axis, cell].
+    axis are contiguous.  The energies, the solver, its result and the
+    certificates all hold fields in these compressed forms.  Padded
+    (n, *grid) and (n, d, *grid) arrays, the layout of LGF1 files, keep
+    the same values at [cell] and [axis, cell]; ``pad`` makes one and
+    ``cells`` compresses one.
 
     * ``grad(u)`` = G u: forward differences (u[c + e_a] - u[c]) / h on
       interior faces, those between two inside cells, and 0 on the other
@@ -226,8 +229,7 @@ class GridDomain:
     interior faces of each cell, and ``slot_cells`` the grid cell at whose
     + face a padded dual array keeps each boundary face's value.  Only the
     Neumann Laplacian G^T G of ``neumann_solve`` is a sparse matrix, built
-    on first use.  Padded (..., *grid) arrays are made only by
-    ``pad``/``cells``.
+    on first use.
     """
 
     def __init__(self, shape: Shape, nx: int):
@@ -625,17 +627,15 @@ def curvature_condition_margin(f: Integrand, g_values, domain: GridDomain,
 
     Returns H(x_b) - sup{|g| over inside cells within 3h of x_b} - c; all
     entries positive means the discrete smallness condition on g holds.
-    ``g_values`` is (N,) on the inside cells, or padded (*grid).
+    ``g_values`` is (N,) on the inside cells.
     """
     faces = domain.boundary_faces
     H = generalized_mean_curvature(f, domain, faces.point)
     H = np.atleast_1d(H)
     centers = domain.points
     g_inside = np.abs(np.asarray(g_values, dtype=float))
-    if g_inside.shape == domain.grid_shape:
-        g_inside = domain.cells(g_inside)
     if g_inside.shape != centers.shape[:1]:
-        raise ShapeMismatchError("g must be (N,) on inside cells or (*grid)")
+        raise ShapeMismatchError("g must be (N,) on inside cells")
     margins = np.empty(len(faces))
     for i in range(len(faces)):
         d2 = np.sum((centers - faces.point[i]) ** 2, axis=-1)

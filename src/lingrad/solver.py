@@ -42,9 +42,10 @@ Each update is written in place into an array the iteration already
 owns: the dual prox inputs into the output of their ascent product, the
 interior mask into the prox output, T(x) into its buffer, and the
 Halpern step into x.  The data g, h and lambda, the
-cold start, the coarse levels and their prolongation are compressed too;
-padded arrays are made only for the Field and DualField of the
-SolveResult, and read only from a padded warm start.
+cold start, the coarse levels, their prolongation and the ``SolveResult``
+are compressed too, the result holding the arrays the last check scored,
+uncopied; a solve makes no padded array, and reads one only from a padded
+warm start.
 
 The steps follow the diagonal alpha-exponent rule of Pock and Chambolle
 (ICCV 2011) for K = [h^d G; w_b B], with alpha = ``_STEP_ALPHA`` = 0.5:
@@ -390,7 +391,6 @@ from .errors import (
     ShapeMismatchError,
     SpecFileError,
 )
-from .fields import DualField, Field
 from .geometry import _PAD_CELLS, GridDomain, _shape_quadrature
 
 __all__ = [
@@ -443,7 +443,12 @@ def _check_config(config: SolverConfig, where="SolverConfig.") -> None:
 class SolveResult:
     """Converged (or truncated) primal-dual state.
 
-    ``u``/``z``/``zeta`` are the state whose gap the last check reported:
+    ``u``/``z``/``zeta`` are compressed over ``spec.domain`` (see
+    ``GridDomain``): u is (N, n) on the inside cells, in the order of
+    ``points``, z the planar (N, n, d) face values and zeta (m, n) on the
+    boundary faces; ``domain.pad(u)`` and ``domain.pad(z)`` are their
+    padded forms, as an LGF1 file holds them.
+    They are the state whose gap the last check reported:
     T(x), the PDHG step from the last Halpern iterate x (see the module
     docstring), so z and zeta are prox outputs and lie in their dual
     balls; where the box |u| <= M holds a minimizer
@@ -459,8 +464,8 @@ class SolveResult:
     so a solve without coarse levels has one.
     """
 
-    u: Field
-    z: DualField
+    u: np.ndarray
+    z: np.ndarray
     zeta: np.ndarray
     energy_history_raw: np.ndarray
     gap_history: np.ndarray
@@ -545,7 +550,7 @@ def duality_gap(spec: ProblemSpec, u, z, zeta) -> DualityGap:
     """Primal energy minus the dual objective over |u| <= M =
     ``spec.box_bound``; >= 0, 0 at optimum.
 
-    ``u`` and ``z`` may be fields, padded or compressed arrays, zeta is
+    ``u`` and ``z`` may be padded or compressed arrays, zeta is
     (m, n); a wrong shape or a non-finite entry raises an error naming it.
     The gap is the sum of ``_gap_terms`` on the densities of u, computed
     once.  Least-gradient-type duals are also projected to feasibility by
@@ -748,15 +753,14 @@ def prolong_state(coarse_spec: ProblemSpec, coarse: SolveResult,
                   fine_spec: ProblemSpec):
     """Nearest-neighbor transfer of (u, z, zeta) to a finer grid (warm start).
 
-    Reads the Field and DualField of ``coarse`` and returns the compressed
-    state of the fine grid: u (N, n) from the nearest inside coarse cell,
+    Takes the compressed state of ``coarse`` as it is and returns that of
+    the fine grid: u (N, n) from the nearest inside coarse cell,
     z (N, n, d) from the inside coarse cell containing each fine interior
     face (zero elsewhere), and zeta (m, n) from the nearest coarse boundary
     face, which ``solve`` takes as they are.
     """
-    cd = coarse_spec.domain
-    return _prolong(cd, _cell_values(cd, coarse.u), _dual_values(cd, coarse.z),
-                    coarse.zeta, fine_spec.domain)
+    return _prolong(coarse_spec.domain, coarse.u, coarse.z, coarse.zeta,
+                    fine_spec.domain)
 
 
 def _containing_cell(cd, pts):
@@ -878,10 +882,7 @@ def solve(spec: ProblemSpec, config: Optional[SolverConfig] = None,
     (u, z, zeta), info = _iterate(
         spec, config, warm_start if warm_start is not None
         else _coarse_start(spec, config, levels), levels)
-    domain = spec.domain
-    return SolveResult(u=Field(domain, domain.pad(u)),
-                       z=DualField(domain, domain.pad(z)), zeta=zeta,
-                       levels=tuple(levels), **info)
+    return SolveResult(u=u, z=z, zeta=zeta, levels=tuple(levels), **info)
 
 
 def _scalars(dg):

@@ -134,8 +134,7 @@ def _sample_data(entry: str, n: int, base_dir: str, domain: GridDomain,
     entry = entry.strip()
     if entry.startswith("file:"):
         path = os.path.join(base_dir, entry[5:].strip())
-        values = read_grid_field(path, domain, n, faces=not on_cells)
-        return domain.cells(values) if on_cells else values.T
+        return read_grid_field(path, domain, n, faces=not on_cells)
     exprs = [e for e in entry.split(";") if e.strip()]
     if len(exprs) == 1 and n > 1:
         exprs = exprs * n

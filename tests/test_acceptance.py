@@ -138,7 +138,7 @@ def test_criterion_03_weighted_1d():
 
 def test_criterion_04_annulus_least_gradient(annulus_solve_128):
     spec, res, elapsed = annulus_solve_128
-    umax = float(np.abs(res.u.values).max())
+    umax = float(np.abs(res.u).max())
     energy = res.energy_history_raw[-1]
     erel = abs(energy - 2 * np.pi) / (2 * np.pi)
     ok = (umax <= 0.05 and erel <= 0.02 and res.gap_relative <= 1e-4
@@ -356,9 +356,9 @@ def test_criterion_10_truncation_commutation(halfdisk_specs):
         spec_b = ProblemSpec(spec.integrand, spec.domain,
                              np.clip(spec.u0, -b, b))
         res_b = solve(spec_b, cfg)
-        lhs = truncate(res.u, b).values
+        lhs = truncate(res.u, b)
         diff = spec.domain.cell_volume * float(
-            np.sum(np.abs(lhs - res_b.u.values)))
+            np.sum(np.abs(lhs - res_b.u)))
         gap_scale = max(res.gap, res_b.gap, 1e-12)
         ok = ok and diff <= 100 * gap_scale
         details.append(f"b={b}: L1 diff {diff:.2e} <= 100 x gap scale "

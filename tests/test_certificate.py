@@ -13,11 +13,16 @@ from lingrad.certificate import (
 )
 from lingrad.energy import ProblemSpec
 from lingrad.errors import ShapeMismatchError
-from lingrad.fields import DualField, Field
 from lingrad.gallery import get_case
 from lingrad.geometry import Annulus, Ball, GridDomain
 from lingrad.integrands import make_area, make_tv, make_vector_tv
 from lingrad.solver import SolverConfig, solve
+
+
+def zero_state(domain, n):
+    """Compressed zero u (N, n) and z (N, n, d)."""
+    N = len(domain.points)
+    return np.zeros((N, n)), np.zeros((N, n, domain.dim))
 
 
 def rof_annulus_case():
@@ -170,10 +175,9 @@ def test_grid_certificate_flags_corrupted_dual():
     r = np.linalg.norm(domain.boundary_faces.point, axis=1)
     spec = ProblemSpec(make_tv(1, 2), domain, np.where(r < 1.5, 1.0, 0.0))
     res = solve(spec, SolverConfig(max_iters=10000, gap_tol=1e-4))
-    z_bad = res.z.values.copy()
-    z_bad[0, 0] += 0.5
-    rep = verify_scalar(spec, Field(domain, res.u.values),
-                        DualField(domain, z_bad), zeta=res.zeta, tol=1e-2)
+    z_bad = res.z.copy()
+    z_bad[:, 0, 0] += 0.5
+    rep = verify_scalar(spec, res.u, z_bad, zeta=res.zeta, tol=1e-2)
     assert not rep.overall_pass
 
 
@@ -182,8 +186,7 @@ def test_vector_trivial_certificate():
     n = 2
     spec = ProblemSpec(make_vector_tv(2, 2), domain,
                        np.zeros((len(domain.boundary_faces), n)))
-    u = Field.zeros(domain, n)
-    z = DualField.zeros(domain, n)
+    u, z = zero_state(domain, n)
     rep = verify_vector(spec, u, z, tol=1e-12)
     assert rep.overall_pass
     assert all(c.l1 == 0.0 for c in rep.conditions.values())
@@ -192,10 +195,10 @@ def test_vector_trivial_certificate():
 def test_vector_constant_certificate():
     domain = GridDomain(Ball(1.0), 32)
     c = np.array([0.7, -1.3])
-    u_vals = np.where(domain.inside_mask[None], c[:, None, None], 0.0)
     spec = ProblemSpec(make_vector_tv(2, 2), domain,
                        np.tile(c, (len(domain.boundary_faces), 1)))
-    rep = verify_vector(spec, Field(domain, u_vals), DualField.zeros(domain, 2),
+    _, z = zero_state(domain, 2)
+    rep = verify_vector(spec, np.tile(c, (len(domain.points), 1)), z,
                         tol=1e-12)
     assert rep.overall_pass
 
@@ -205,7 +208,7 @@ def test_verify_scalar_rejects_vector_problem():
     spec = ProblemSpec(make_vector_tv(2, 2), domain,
                        np.zeros((len(domain.boundary_faces), 2)))
     with pytest.raises(ShapeMismatchError):
-        verify_scalar(spec, Field.zeros(domain, 2), DualField.zeros(domain, 2))
+        verify_scalar(spec, *zero_state(domain, 2))
 
 
 def test_verify_least_gradient_requires_pure_tv():
@@ -213,7 +216,7 @@ def test_verify_least_gradient_requires_pure_tv():
     with pytest.raises(ShapeMismatchError, match="lambda"):
         verify_least_gradient(case.analytic)
     spec = case.build_spec(32)
-    u, z = Field.zeros(spec.domain, 1), DualField.zeros(spec.domain, 1)
+    u, z = zero_state(spec.domain, 1)
     with pytest.raises(ShapeMismatchError, match="lambda"):
         verify_least_gradient(spec, u, z)
     # only the TV integrand: a vectorial analytic case, a scalar area grid
@@ -222,8 +225,7 @@ def test_verify_least_gradient_requires_pure_tv():
     domain = GridDomain(Ball(1.0), 32)
     spec = ProblemSpec(make_area(2), domain, np.zeros(len(domain.boundary_faces)))
     with pytest.raises(ShapeMismatchError, match="TV integrand"):
-        verify_least_gradient(spec, Field.zeros(domain, 1),
-                              DualField.zeros(domain, 1))
+        verify_least_gradient(spec, *zero_state(domain, 1))
 
 
 def test_grid_certificate_passes_across_a_jump():
@@ -254,7 +256,7 @@ def test_grid_report_names_the_worst_location(rof_annulus_48):
     domain = spec.domain
     bf = domain.boundary_faces
     tol = np.inf
-    u = domain.cells(res.u.values)
+    u = res.u
 
     c = len(u) // 2
     u_bad = u.copy()

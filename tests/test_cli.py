@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 from lingrad.cli import main
 from lingrad.errors import InvalidFieldError, SpecFileError
 from lingrad.expr import evaluate_on_points
-from lingrad.fields import Field, read_lgf, write_lgf
+from lingrad.fields import read_lgf, write_lgf
 from lingrad.gallery import get_case
-from lingrad.solver import SolverConfig, duality_gap, solve
+from lingrad.certificate import verify_scalar
+from lingrad.energy import boundary_penalty, lower_order_energy, relaxed_energy
+from lingrad.solver import SolverConfig, duality_gap, solve, trace_error
 from lingrad.specfile import parse_shape, parse_spec
 
 
@@ -315,6 +317,17 @@ def test_cli_solve_certify_roundtrip(tmp_path):
     assert lines[0] == "iter,energy,gap"
     assert len(lines) > 2
 
+    # the files hold the padded state of the same solve run in process:
+    # u as (1, *grid), z as its n * d = 2 channels, zeta as (1, m, 1)
+    bundle = parse_spec(str(spec))
+    bundle.solver_config.max_iters, bundle.solver_config.gap_tol = 4000, 1e-4
+    domain = bundle.spec.domain
+    res = solve(bundle.spec, bundle.solver_config)
+    assert np.array_equal(read_lgf(u)[0], domain.pad(res.u))
+    assert np.array_equal(read_lgf(z)[0],
+                          domain.pad(res.z).reshape((2,) + domain.grid_shape))
+    assert np.array_equal(read_lgf(zeta)[0], res.zeta.T[:, :, None])
+
     report = tmp_path / "report.json"
     code = main(["certify", "--spec", str(spec), "--u", str(u), "--z", str(z),
                  "--zeta", str(zeta), "--tol", "1e-1",
@@ -323,6 +336,16 @@ def test_cli_solve_certify_roundtrip(tmp_path):
     payload = json.loads(report.read_text())
     assert payload["overall_pass"] is True
     assert "r_div.l1" in payload
+    rep = verify_scalar(bundle.spec, res.u, res.z, zeta=res.zeta, tol=1e-1)
+    assert payload == json.loads(json.dumps(rep.as_flat_dict(), default=str))
+
+    assert main(["energy", "--spec", str(spec), "--u", str(u),
+                 "--report", str(report)]) == 0
+    assert json.loads(report.read_text()) == {
+        "energy": relaxed_energy(bundle.spec, res.u),
+        "boundary_penalty": boundary_penalty(bundle.spec, res.u),
+        "lower_order": lower_order_energy(bundle.spec, res.u),
+        "trace_error": trace_error(bundle.spec, res.u)}
 
 
 def test_cli_certify_corrupted_dual_exits_2(tmp_path):
@@ -363,6 +386,16 @@ def test_cli_energy_and_convert(tmp_path):
     assert main(["convert", "--spec", str(spec), "--in", str(u),
                  "--out", str(out)]) == 0
     assert out.read_text().startswith("x,y,channel,value")
+    # one row per inside cell and channel, the cells row-major over the
+    # grid (the order of domain.points), every number at 17 digits
+    domain = parse_spec(str(spec)).spec.domain
+    values = read_lgf(u)[0]
+    rows = ["x,y,channel,value"]
+    for cell in np.argwhere(domain.inside_mask):
+        x, y = domain.cell_centers[tuple(cell)]
+        rows += [f"{x:.17g},{y:.17g},{ch},{values[(ch,) + tuple(cell)]:.17g}"
+                 for ch in range(len(values))]
+    assert out.read_text() == "\n".join(rows) + "\n"
 
 
 def test_cli_energy_evaluates_the_densities_once(tmp_path, monkeypatch):
@@ -387,10 +420,10 @@ def test_cli_energy_evaluates_the_densities_once(tmp_path, monkeypatch):
     assert len(calls) == 1
     monkeypatch.undo()
     got = json.loads(report.read_text())
-    field = Field(spec.domain, values)
-    assert got["energy"] == en.relaxed_energy(spec, field)
-    assert got["boundary_penalty"] == en.boundary_penalty(spec, field)
-    assert got["lower_order"] == en.lower_order_energy(spec, field)
+    u_in = spec.domain.cells(values)
+    assert got["energy"] == en.relaxed_energy(spec, u_in)
+    assert got["boundary_penalty"] == en.boundary_penalty(spec, u_in)
+    assert got["lower_order"] == en.lower_order_energy(spec, u_in)
 
 
 ANNULUS_LG = """
@@ -721,6 +754,39 @@ def test_cli_certify_rejects_bad_zeta(tmp_path, capsys, solved_minimal,
                  "--z", str(paths["z"]), "--zeta", str(zeta)]) == 1
     err = capsys.readouterr().err
     assert str(zeta) in err and msg in err
+
+
+@pytest.mark.parametrize("where", ["inside", "outside"])
+@pytest.mark.parametrize("field", ["u", "z"])
+def test_cli_certify_reads_only_the_inside_cells(tmp_path, capsys,
+                                                 solved_minimal, field,
+                                                 where):
+    # a NaN at an inside cell of u or z fails naming the file; one at an
+    # outside cell is never read, and the report is that of the clean files
+    spec, paths = solved_minimal
+    domain = parse_spec(str(spec)).spec.domain
+    cell = tuple(np.argwhere(domain.inside_mask == (where == "inside"))[0])
+
+    def nan_at_cell(v):
+        v = v.copy()
+        v[(-1,) + cell] = np.nan
+        return v
+
+    files = dict(paths, **{field: _rewrite(
+        paths[field], tmp_path / f"{field}.lgf", nan_at_cell)})
+    reports = {}
+    for name, given in (("clean", paths), ("edited", files)):
+        reports[name] = tmp_path / f"{name}.json"
+        code = main(["certify", "--spec", str(spec), "--u", str(given["u"]),
+                     "--z", str(given["z"]), "--zeta", str(given["zeta"]),
+                     "--report", str(reports[name])])
+    err = capsys.readouterr().err
+    if where == "inside":
+        assert code == 1 and not reports["edited"].exists()
+        assert f"{files[field]}: non-finite inside-cell values" in err
+    else:
+        assert code != 1 and err == ""
+        assert reports["edited"].read_text() == reports["clean"].read_text()
 
 
 def test_cli_certify_scores_the_spec_box_bound(tmp_path, capsys,

@@ -1,4 +1,5 @@
-"""Demos run as scripts: each exits 0 and prints the result it promises."""
+"""Demos run as scripts, and the README's code runs as written: each
+exits 0 and prints the result it promises."""
 
 import os
 import re
@@ -6,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,3 +40,17 @@ def test_disk_attainment_refinement_reaches_the_chord_energy():
 def test_demo_prints_only_passing_verdicts(name):
     verdicts = re.findall(r"\b(True|False)\b", run_demo(name))
     assert verdicts and set(verdicts) == {"True"}
+
+
+def test_readme_library_quick_start_runs_as_written():
+    # the python block under "## Library quick start", verbatim: the
+    # least-gradient annulus, whose infimum is the inner perimeter 2 pi
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(compile(code, "README.md", "exec"), scope)
+    res = scope["res"]
+    assert res.gap_relative <= 1e-4
+    energy = res.energy_history_raw[-1]
+    assert abs(energy - 2 * np.pi) <= 5e-3 * 2 * np.pi

@@ -16,7 +16,7 @@ from lingrad.energy import (
     truncate,
 )
 from lingrad.errors import InvalidFieldError, ShapeMismatchError
-from lingrad.fields import Field, field_to_csv, read_lgf, write_lgf
+from lingrad.fields import field_to_csv, read_lgf, write_lgf
 from lingrad.geometry import Annulus, Ball, GridDomain, Interval, Rectangle
 from lingrad.integrands import make_tv
 
@@ -119,7 +119,7 @@ def test_energy_of_zero_on_annulus_converges_to_inner_perimeter():
     errs = []
     for nx in (64, 128):
         spec = annulus_lg_spec(nx)
-        e = relaxed_energy(spec, spec.zero_field())
+        e = relaxed_energy(spec, np.zeros((len(spec.domain.points), 1)))
         errs.append(abs(e - 2 * np.pi) / (2 * np.pi))
     assert errs[-1] <= 0.02
     assert errs[-1] <= errs[0] + 1e-9
@@ -129,13 +129,13 @@ def test_energy_boundary_term_vanishes_on_match():
     # smooth extension matching u0 on the rectangle: zero penalty
     domain = GridDomain(Rectangle(), 32)
     fn = lambda p: p[..., 0] + 2.0 * p[..., 1]
-    u = Field.from_function(domain, fn)
+    u = fn(domain.points)[:, None]
     # one-sided trace: the penalty compares u0 with the adjacent cell value,
     # so prescribe exactly those values
     bf = domain.boundary_faces
-    adj = u.values[(slice(None),) + tuple(bf.cell.T)][0]
+    adj = fn(domain.cell_centers[tuple(bf.cell.T)])
     spec = ProblemSpec(make_tv(1, 2), domain, adj)
-    assert boundary_penalty(spec, u.values) == pytest.approx(0.0, abs=1e-14)
+    assert boundary_penalty(spec, u) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_rof_annulus_energy_against_quadrature_oracle():
@@ -145,10 +145,10 @@ def test_rof_annulus_energy_against_quadrature_oracle():
     bf = domain.boundary_faces
     spec = ProblemSpec(
         make_tv(1, 2), domain, hbar(bf.point),
-        h=Field.from_function(domain, hbar).values,
+        h=hbar(domain.points),
         lam=np.ones(domain.grid_shape),
     )
-    u = spec.zero_field()
+    u = np.zeros((len(domain.points), 1))
     got = relaxed_energy(spec, u)
 
     oracle = 0.0
@@ -165,19 +165,19 @@ def test_lower_order_energy_examples():
     spec = ProblemSpec(make_tv(1, 2), domain,
                        np.zeros(len(domain.boundary_faces)),
                        g=np.ones((1,) + domain.grid_shape))
-    u = Field(domain, np.where(domain.inside_mask[None], 1.0, 0.0))
+    u = np.ones((len(domain.points), 1))
     got = lower_order_energy(spec, u)
     assert abs(got - np.pi) / np.pi <= 3.0 / np.sqrt(64)
     # u = h, g = 0 -> zero
     spec2 = ProblemSpec(make_tv(1, 2), domain,
                         np.zeros(len(domain.boundary_faces)),
-                        h=u.values.copy(), lam=np.ones(domain.grid_shape))
+                        h=u.copy(), lam=np.ones(domain.grid_shape))
     assert lower_order_energy(spec2, u) == 0.0
 
 
 def test_energy_rejects_nan():
     spec = annulus_lg_spec(32)
-    u = spec.zero_field().values.copy()
+    u = np.zeros((1,) + spec.domain.grid_shape)
     u[0, 5, 5] = np.nan
     with pytest.raises(InvalidFieldError):
         relaxed_energy(spec, u)
@@ -201,8 +201,8 @@ def test_problem_spec_rejects_non_finite_data(name, value):
 @pytest.mark.parametrize("name", ["g", "h", "lambda"])
 def test_an_array_is_checked_whole(name):
     # a padded g, h or lambda is checked whole, like a padded u or z: a NaN
-    # at an outside cell raises naming the field, while a Field built from
-    # the same array zeroes its outside cells and scores like zero data
+    # at an outside cell raises naming the field, while the same array's
+    # inside cells, compressed, score like zero data
     domain = GridDomain(Ball(1.0), 32)
     tv, u0 = make_tv(1, 2), np.ones(len(domain.boundary_faces))
     key = "lam" if name == "lambda" else name
@@ -213,7 +213,7 @@ def test_an_array_is_checked_whole(name):
     data = {"lam": np.ones(domain.grid_shape),
             "h": np.full(domain.grid_shape, 2.0)}
     spec = ProblemSpec(tv, domain, u0,
-                       **{**data, key: Field(domain, arr[None]).values[0]})
+                       **{**data, key: domain.cells(arr)})
     zero = ProblemSpec(tv, domain, u0,
                        **{**data, key: np.zeros(domain.grid_shape)})
     u, _ = random_pair(domain)
@@ -257,39 +257,35 @@ def test_energy_coercivity_bound():
 
 def test_truncate_values():
     domain = GridDomain(Interval(0.0, 1.0), 64)
-    vals = np.zeros((1,) + domain.grid_shape)
-    vals[0, domain.inside_mask] = np.linspace(-3, 7, domain.inside_mask.sum())
-    u = Field(domain, vals)
+    u = np.linspace(-3, 7, len(domain.points))[:, None]
     t = truncate(u, 1.0)
-    assert t.values.min() == -1.0 and t.values.max() == 1.0
-    assert np.array_equal(truncate(u, 0.0).values, np.zeros_like(u.values))
+    assert t.shape == u.shape
+    assert t.min() == -1.0 and t.max() == 1.0
+    assert np.array_equal(truncate(u, 0.0), np.zeros_like(u))
     big = truncate(u, 100.0)
-    assert np.array_equal(big.values, u.values)
+    assert np.array_equal(big, u)
 
 
 def test_truncate_specific_triple():
     domain = GridDomain(Interval(0.0, 1.0), 16)
-    vals = np.zeros((1,) + domain.grid_shape)
-    idx = np.argwhere(domain.inside_mask)[:3, 0]
-    vals[0, idx] = [-3.0, 0.5, 7.0]
-    out = truncate(Field(domain, vals), 1.0)
-    assert np.allclose(out.values[0, idx], [-1.0, 0.5, 1.0])
+    vals = np.zeros((len(domain.points), 1))
+    vals[:3, 0] = [-3.0, 0.5, 7.0]
+    out = truncate(vals, 1.0)
+    assert np.allclose(out[:3, 0], [-1.0, 0.5, 1.0])
 
 
 def test_truncate_never_increases_tv():
     domain = GridDomain(Ball(1.0), 32)
     for _ in range(20):
-        u = np.where(domain.inside_mask[None],
-                     RNG.standard_normal((1,) + domain.grid_shape) * 3, 0.0)
-        f = Field(domain, u)
+        u = RNG.standard_normal((len(domain.points), 1)) * 3
         for b in (0.1, 0.7, 2.0):
-            assert (total_variation(domain, truncate(f, b).values)
+            assert (total_variation(domain, truncate(u, b))
                     <= total_variation(domain, u) + 1e-12)
 
 
 def test_truncate_rejects_vector_field():
     domain = GridDomain(Ball(1.0), 32)
-    u = Field.zeros(domain, n=2)
+    u = np.zeros((len(domain.points), 2))
     with pytest.raises(ShapeMismatchError):
         truncate(u, 1.0)
 
@@ -322,9 +318,9 @@ def test_lgf_magic_guard(tmp_path):
 
 def test_field_csv_export(tmp_path):
     domain = GridDomain(Rectangle(), 16)
-    u = Field.from_function(domain, lambda p: p[..., 0])
+    u = domain.points[:, :1]
     out = tmp_path / "u.csv"
-    field_to_csv(out, domain, u.values)
+    field_to_csv(out, domain, u)
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "x,y,channel,value"
     assert len(lines) == 1 + 16 * 16

@@ -179,11 +179,12 @@ def test_curvature_rejects_off_boundary_point():
 def test_curvature_condition_margins():
     tv = make_tv(1, 2)
     disk = build_domain(Ball(1.0), 64)
-    g = np.zeros(disk.grid_shape)
+    g = np.zeros(len(disk.points))
     margins = curvature_condition_margin(tv, g, disk, c=0.5)
     assert np.all(margins > 0.4)  # H = 1, g = 0, c = 0.5 -> margin ~ 0.5
     ann = build_domain(Annulus(1.0, 2.0), 64)
-    margins = curvature_condition_margin(tv, np.zeros(ann.grid_shape), ann, c=0.0)
+    margins = curvature_condition_margin(tv, np.zeros(len(ann.points)), ann,
+                                         c=0.0)
     r = np.linalg.norm(ann.boundary_faces.point, axis=1)
     assert np.all(margins[np.isclose(r, 1.0)] < 0)  # inner loop H = -1
     assert np.all(margins[np.isclose(r, 2.0)] > 0)  # outer loop H = +1/2
@@ -192,19 +193,16 @@ def test_curvature_condition_margins():
 def test_curvature_condition_sees_local_g():
     tv = make_tv(1, 2)
     disk = build_domain(Ball(1.0), 64)
-    g = np.zeros(disk.grid_shape)
     # a large |g| spike near (1, 0) must push that margin down
-    spike = np.linalg.norm(disk.cell_centers - np.array([1.0, 0.0]), axis=-1)
-    g[spike < 2 * disk.h] = 5.0
+    spike = np.linalg.norm(disk.points - np.array([1.0, 0.0]), axis=-1)
+    g = np.where(spike < 2 * disk.h, 5.0, 0.0)
     margins = curvature_condition_margin(tv, g, disk, c=0.0)
     bf = disk.boundary_faces
     near = np.linalg.norm(bf.point - np.array([1.0, 0.0]), axis=-1) < disk.h
     far = np.linalg.norm(bf.point + np.array([1.0, 0.0]), axis=-1) < disk.h
     assert np.all(margins[near] < -3.5)
     assert np.all(margins[far] > 0.5)
-    # g on the inside cells, as a ProblemSpec holds it, gives the same margins
-    g_cells = g[disk.inside_mask]
-    assert np.array_equal(
-        curvature_condition_margin(tv, g_cells, disk, c=0.0), margins)
-    with pytest.raises(ShapeMismatchError, match="on inside cells"):
-        curvature_condition_margin(tv, g_cells[:-1], disk, c=0.0)
+    # g is read on the inside cells only, as a ProblemSpec holds it
+    for bad in (g[:-1], disk.pad(g)):
+        with pytest.raises(ShapeMismatchError, match="on inside cells"):
+            curvature_condition_margin(tv, bad, disk, c=0.0)

@@ -22,7 +22,6 @@ from lingrad.certificate import (
 )
 from lingrad.energy import (
     ProblemSpec,
-    _dual_values,
     relaxed_energy,
 )
 from lingrad.errors import (
@@ -31,7 +30,6 @@ from lingrad.errors import (
     ShapeMismatchError,
     SpecFileError,
 )
-from lingrad.fields import DualField, Field
 from lingrad.gallery import build_bad_f0, get_case
 from lingrad.geometry import Annulus, Ball, GridDomain, Rectangle
 from lingrad.integrands import Integrand, make_tv
@@ -69,8 +67,7 @@ def halfdisk_spec(nx=48):
 def test_constant_datum_gives_constant_minimizer():
     spec = disk_spec()
     res = solve(spec, SolverConfig(max_iters=500, gap_tol=1e-8))
-    inside = spec.domain.inside_mask
-    assert np.allclose(res.u.values[0, inside], 3.0)
+    assert np.allclose(res.u, 3.0)
     assert res.energy_history_raw[-1] <= 1e-6
     assert res.converged
 
@@ -79,7 +76,7 @@ def test_annulus_least_gradient_collapse():
     spec = annulus_spec(64)
     res = solve(spec, SolverConfig(max_iters=20000, gap_tol=1e-4))
     assert res.converged
-    assert np.abs(res.u.values).max() <= 0.05
+    assert np.abs(res.u).max() <= 0.05
     e = res.energy_history_raw[-1]
     assert abs(e - 2 * np.pi) / (2 * np.pi) <= 0.02
 
@@ -89,22 +86,21 @@ def test_halfdisk_energy_near_chord():
     res = solve(spec, SolverConfig(max_iters=15000, gap_tol=1e-5))
     assert abs(res.energy_history_raw[-1] - 2.0) / 2.0 <= 0.05
     # interior values stay in the datum's range
-    assert res.u.values.min() >= -1e-6
-    assert res.u.values.max() <= 1.0 + 1e-6
+    assert res.u.min() >= -1e-6
+    assert res.u.max() <= 1.0 + 1e-6
     # and the minimizer is the indicator of the upper half disk away from
     # the jump line
-    pts = spec.domain.cell_centers
-    inside = spec.domain.inside_mask
-    upper = inside & (pts[..., 1] > 0.1)
-    lower = inside & (pts[..., 1] < -0.1)
-    assert np.allclose(res.u.values[0][upper], 1.0, atol=1e-2)
-    assert np.allclose(res.u.values[0][lower], 0.0, atol=1e-2)
+    pts = spec.domain.points
+    upper = pts[:, 1] > 0.1
+    lower = pts[:, 1] < -0.1
+    assert np.allclose(res.u[upper, 0], 1.0, atol=1e-2)
+    assert np.allclose(res.u[lower, 0], 0.0, atol=1e-2)
 
 
 def test_solve_returns_a_feasible_dual():
     spec = annulus_spec(48)
     res = solve(spec, SolverConfig(max_iters=4000, gap_tol=1e-12))
-    znorm = np.sqrt(np.sum(res.z.values**2, axis=(0, 1)))
+    znorm = np.sqrt(np.sum(res.z**2, axis=(1, 2)))
     assert znorm.max() <= spec.integrand.growth_constant + 1e-9
     assert np.abs(res.zeta).max() <= 1.0 + 1e-12
 
@@ -116,8 +112,7 @@ def test_fixed_point_euler_lagrange():
     res = solve(spec, SolverConfig(max_iters=30000, gap_tol=1e-5))
     domain = spec.domain
     beta = (domain.boundary_faces.weight / domain.cell_volume)[:, None]
-    z = domain.cells(res.z.values)  # (N, 1, d)
-    v = domain.div(z) + domain.trace_adjoint(beta * res.zeta)
+    v = domain.div(res.z) + domain.trace_adjoint(beta * res.zeta)
     resid = domain.cell_volume * np.sum(np.abs(v))
     assert resid <= 200 * max(res.gap, 1e-12)
 
@@ -142,14 +137,13 @@ def test_duality_gap_rof_zero_dual_is_primal_energy():
     # (the box conjugate of the lower-order terms vanishes at v = 0 when the
     # box contains h), so the gap equals TV energy + quadratic mismatch
     from lingrad.energy import relaxed_energy
-    from lingrad.fields import Field
     from lingrad.geometry import Annulus
 
     domain = GridDomain(Annulus(0.5, 1.0), 32)
     hbar = lambda p: 4.0 / (3.0 * np.linalg.norm(p, axis=-1)) - 4.0 / 3.0
     spec = ProblemSpec(make_tv(1, 2), domain,
                        hbar(domain.boundary_faces.point),
-                       h=Field.from_function(domain, hbar).values,
+                       h=hbar(domain.points),
                        lam=np.ones(domain.grid_shape))
     u = nearest_boundary_extension(spec)
     dg = duality_gap(spec, u,
@@ -166,7 +160,7 @@ def test_gap_ignores_g_outside_the_domain():
     g_out = np.where(spec.domain.inside_mask, 0.0, 1.0)
     spec_g = ProblemSpec(spec.integrand, spec.domain, spec.u0, g=g_out)
     res = solve(spec, SolverConfig(max_iters=300, gap_tol=0.0))
-    z = res.z.values
+    z = res.z
     assert repair_dual(spec_g, z, res.zeta)[0] is not z
     assert (duality_gap(spec_g, res.u, z, res.zeta).value
             == duality_gap(spec, res.u, z, res.zeta).value)
@@ -240,16 +234,16 @@ def test_gap_rises_quadratically_under_dual_perturbation():
     # strictly inside the dual ball raises the gap by ~delta^2
     spec = get_case("rof_annulus").build_spec(48)
     res = solve(spec, SolverConfig(max_iters=20000, gap_tol=1e-6))
-    base = duality_gap(spec, res.u.values, res.z.values, res.zeta).value
+    base = duality_gap(spec, res.u, res.z, res.zeta).value
     domain = spec.domain
-    interior = domain.pad(domain.interior[:, 0, :])
-    faces = np.argwhere(interior[0] & (np.abs(res.z.values[0, 0]) < 0.5))
-    idx = (0, 0) + tuple(faces[len(faces) // 2])
+    faces = np.flatnonzero(domain.interior[:, 0, 0]
+                           & (np.abs(res.z[:, 0, 0]) < 0.5))
+    idx = (faces[len(faces) // 2], 0, 0)
     rises = []
     for delta in (1e-3, 2e-3):
-        z = res.z.values.copy()
+        z = res.z.copy()
         z[idx] += delta
-        rises.append(duality_gap(spec, res.u.values, z, res.zeta).value - base)
+        rises.append(duality_gap(spec, res.u, z, res.zeta).value - base)
     assert rises[0] > 0
     assert abs(rises[1] / rises[0] - 4.0) <= 0.01
 
@@ -355,7 +349,7 @@ def test_dual_is_planar_in_the_prox_and_the_divergence(monkeypatch, n):
     solve(spec, cfg, warm_start=(res.u, res.z, res.zeta))
     assert layouts == [((len(domain.points), n, 2), True)] * 60
 
-    z = _dual_values(domain, res.z)
+    z = res.z
     weight = _RecordingWeight(domain._weight, z)
     monkeypatch.setattr(domain, "_weight", weight)
     domain.div(z)
@@ -444,9 +438,8 @@ def test_accelerated_solve_converges_for_every_fit_weight(rof_annulus_32,
     assert dg.value >= 0.0
     # g = 0 and M is the data bound, so u is clipped to the box and the
     # scored u truncated to the data range
-    u = res.u.values[:, spec.domain.inside_mask]
-    assert min(spec.u0.min(), spec.h.min()) <= u.min()
-    assert u.max() <= max(spec.u0.max(), spec.h.max())
+    assert min(spec.u0.min(), spec.h.min()) <= res.u.min()
+    assert res.u.max() <= max(spec.u0.max(), spec.h.max())
 
 
 @pytest.mark.parametrize("scale", [0.01, 0.1])
@@ -554,8 +547,8 @@ def test_prolonged_constant_is_constant_on_every_cell(make_spec):
     coarse, fine = make_spec(48), make_spec(96)
     cd = coarse.domain
     n_in, m = len(cd.points), len(cd.boundary_faces)
-    u = cd.pad(np.full((n_in, 1), 3.0))
-    state = SimpleNamespace(u=Field(cd, u), z=DualField.zeros(cd),
+    state = SimpleNamespace(u=np.full((n_in, 1), 3.0),
+                            z=np.zeros((n_in, 1, cd.dim)),
                             zeta=np.zeros((m, 1)))
     u, z, zeta = prolong_state(coarse, state, fine)
     assert u.shape == (len(fine.domain.points), 1)
@@ -568,7 +561,7 @@ def test_plain_steps_keep_u_in_the_box():
     # of the gap is negative
     spec = get_case("disk_bv_attainment").build_spec(64)
     res = solve(spec, SolverConfig(max_iters=300))
-    assert np.abs(res.u.values).max() <= spec.box_bound
+    assert np.abs(res.u).max() <= spec.box_bound
     dg = duality_gap(spec, res.u, res.z, res.zeta)
     assert np.all(dg.terms[2] >= 0.0)
     assert not dg.conditional
@@ -583,7 +576,7 @@ def test_a_box_below_the_minimizer_is_flagged_not_clipped():
     spec = get_case("disk_bv_attainment").build_spec(32)
     small = dataclasses.replace(spec, box_bound=0.5)
     res = solve(small, SolverConfig(max_iters=1000, gap_tol=1e-3))
-    assert np.abs(res.u.values).max() > 0.5
+    assert np.abs(res.u).max() > 0.5
     assert res.gap_relative <= 1e-3 and res.converged is False
     dg = duality_gap(small, res.u, res.z, res.zeta)
     assert np.any(dg.terms[2] < 0.0) and dg.conditional
@@ -626,8 +619,8 @@ def test_cold_plain_solve_starts_from_its_restriction():
     assert [lv[:2] for lv in res_c.levels] == [lv[:2] for lv in res.levels[:2]]
     by_hand = solve(spec, cfg, warm_start=prolong_state(coarse, res_c, spec))
     assert len(by_hand.levels) == 1
-    assert np.array_equal(res.u.values, by_hand.u.values)
-    assert np.array_equal(res.z.values, by_hand.z.values)
+    assert np.array_equal(res.u, by_hand.u)
+    assert np.array_equal(res.z, by_hand.z)
     assert np.array_equal(res.zeta, by_hand.zeta)
     assert res.iterations == by_hand.iterations
     assert res.gap == by_hand.gap
@@ -837,7 +830,8 @@ def test_a_positive_lambda_solve_imports_no_scipy_sparse():
         "lingrad.verify_scalar(spec, res.u, res.z, zeta=res.zeta)\n"
         "trace_error(spec, res.u)\n"
         "boundary_l1_distance(spec, res.u, case.analytic.u0)\n"
-        "gauss_green_residual(spec.domain, res.u, res.z)\n"
+        "gauss_green_residual(spec.domain, spec.domain.pad(res.u),\n"
+        "                     spec.domain.pad(res.z))\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n"
         "spec = lingrad.get_case('annulus_least_gradient').build_spec(32)\n"
         "res = lingrad.solve(spec, lingrad.SolverConfig(gap_tol=1e-3))\n"
@@ -866,8 +860,10 @@ GRID_CASES = {"annulus_least_gradient": 24, "rof_annulus": 32,
 
 @pytest.mark.parametrize("name", GRID_CASES)
 def test_a_cold_solve_makes_no_round_trip(monkeypatch, name):
-    # the data are sampled on the inside cells and the cold start is made
-    # there, so only the Field and DualField of the result are padded
+    # the data are sampled on the inside cells, the cold start is made
+    # there and the result is the compressed state the loop scored, so
+    # neither a cold solve nor one warm started from its prolongation pads
+    # or compresses anything
     calls = {"cells": 0, "pad": 0}
     for meth in calls:
         def counted(self, values, _meth=meth,
@@ -875,9 +871,18 @@ def test_a_cold_solve_makes_no_round_trip(monkeypatch, name):
             calls[_meth] += 1
             return _orig(self, values)
         monkeypatch.setattr(GridDomain, meth, counted)
-    spec = get_case(name).build_spec(32)
-    solve(spec, SolverConfig(max_iters=200))
-    assert calls == {"cells": 0, "pad": 2}
+    cfg = SolverConfig(max_iters=200)
+    case = get_case(name)
+    coarse, fine = case.build_spec(32), case.build_spec(64)
+    res = solve(coarse, cfg)
+    warm = solve(fine, cfg, warm_start=prolong_state(coarse, res, fine))
+    assert calls == {"cells": 0, "pad": 0}
+    for spec, r in ((coarse, res), (fine, warm)):
+        domain = spec.domain
+        N, m = len(domain.points), len(domain.boundary_faces)
+        assert r.u.shape == (N, 1) and r.zeta.shape == (m, 1)
+        assert r.z.shape == (N, 1, domain.dim)
+        assert r.z.transpose(2, 0, 1).flags.c_contiguous  # planar
 
 
 @pytest.fixture(scope="module")
@@ -913,11 +918,10 @@ def test_gap_nonnegative_for_every_feasible_pair(solved_grid_cases, name,
     def shake(a):
         return a + size * rng.uniform(-1.0, 1.0, a.shape)
 
-    u = shake(domain.cells(res.u.values))
+    u = shake(res.u)
     radius = np.broadcast_to(f.dual_radius(domain.points),
                              (len(domain.points),))
-    z = _into_ball(np.where(domain.interior,
-                            shake(domain.cells(res.z.values)), 0.0), radius)
+    z = _into_ball(np.where(domain.interior, shake(res.z), 0.0), radius)
     r_b = np.broadcast_to(f.dual_radius(bf.point), (len(bf),))
     zeta = _into_ball(shake(res.zeta), r_b)
     dg = duality_gap(spec, u, z, zeta)
@@ -1015,9 +1019,7 @@ def _first_nan(a):
 def test_fields_are_checked_where_they_enter(solved_grid_cases, field, edit,
                                              error, msg, entry):
     spec, res = solved_grid_cases["annulus_least_gradient"]
-    domain = spec.domain
-    state = {"u": domain.cells(res.u.values), "z": domain.cells(res.z.values),
-             "zeta": res.zeta}
+    state = {"u": res.u, "z": res.z, "zeta": res.zeta}
     state[field] = edit(state[field])
     u, z, zeta = state.values()
     call = {
@@ -1055,12 +1057,22 @@ def test_returned_state_is_the_reported_one(solved_grid_cases, name):
     # the solve reports T(x), the PDHG step from the Halpern iterate x,
     # not x itself (with u truncated to the data range where u is clipped
     # to the box); u, z, zeta, the gap and the last raw energy describe
-    # that one triple
+    # that one triple.  Its padded form, which the energies, the gap and
+    # the certificates still accept, scores the same to the last bit
     spec, res = solved_grid_cases[name]
-    dg = duality_gap(spec, res.u, res.z, res.zeta)
-    assert dg.relative == res.gap_relative
-    assert dg.value == res.gap
-    assert relaxed_energy(spec, res.u) == res.energy_history_raw[-1]
+    domain = spec.domain
+    verify = (verify_least_gradient
+              if get_case(name).expected.certificate == "least_gradient"
+              else verify_scalar)
+    ref = duality_gap(spec, res.u, res.z, res.zeta)
+    report = verify(spec, res.u, res.z, zeta=res.zeta).as_flat_dict()
+    for u, z in ((res.u, res.z), (domain.pad(res.u), domain.pad(res.z))):
+        dg = duality_gap(spec, u, z, res.zeta)
+        assert dg.relative == res.gap_relative
+        assert dg.value == res.gap
+        assert relaxed_energy(spec, u) == res.energy_history_raw[-1]
+        assert all(np.array_equal(a, b) for a, b in zip(dg.terms, ref.terms))
+        assert verify(spec, u, z, zeta=res.zeta).as_flat_dict() == report
 
 
 @pytest.mark.parametrize("name", ["rof_annulus", "disk_bv_attainment"])
@@ -1072,8 +1084,7 @@ def test_returned_dual_lies_in_its_balls(solved_grid_cases, name):
     bf = spec.domain.boundary_faces
     f = spec.integrand
     roundoff = 1.0 + 2.0 * np.finfo(float).eps
-    z = _dual_values(spec.domain, res.z)
-    z_norm = np.sqrt(np.sum(z * z, axis=(1, 2)))
+    z_norm = np.sqrt(np.sum(res.z * res.z, axis=(1, 2)))
     assert np.all(z_norm <= roundoff * f.dual_radius(spec.domain.points))
     assert np.all(np.linalg.norm(res.zeta, axis=1)
                   <= roundoff * f.dual_radius(bf.point))
