@@ -290,7 +290,10 @@ def _report(spec_or_case, u, z, zeta, tol):
 def verify_scalar(spec_or_case, u=None, z=None, tol: float = 1e-6,
                   zeta=None) -> CertificateReport:
     """Scalar certificate check; accepts a grid spec with fields or an
-    AnalyticCase.  Each condition passes when its l1 is at most ``tol``."""
+    AnalyticCase.  Each condition passes when its l1 is at most ``tol``,
+    an absolute bound: on a grid each l1 is an absolute share of the
+    duality gap, so ``tol=res.gap`` passes the state a solve reports,
+    whose ``gap_tol`` is relative."""
     if spec_or_case.integrand.n_rows != 1:
         raise ShapeMismatchError("verify_scalar requires a scalar problem")
     return _report(spec_or_case, u, z, zeta, tol)
@@ -298,7 +301,8 @@ def verify_scalar(spec_or_case, u=None, z=None, tol: float = 1e-6,
 
 def verify_vector(spec_or_case, u=None, z=None, tol: float = 1e-6,
                   zeta=None) -> CertificateReport:
-    """Vectorial certificate check (autonomous integrands only for n > 1)."""
+    """Vectorial certificate check (autonomous integrands only for n > 1);
+    ``tol`` is absolute, as in ``verify_scalar``."""
     f = spec_or_case.integrand
     if f.n_rows > 1 and f.x_dependent:
         raise ShapeMismatchError(
@@ -320,8 +324,9 @@ def verify_least_gradient(spec_or_case, u=None, z=None, tol: float = 1e-6,
     In analytic mode r_range tests |z| <= 1 on interior samples only, so
     the trace bound |[z, nu]| <= 1 goes unchecked at boundary samples
     where u meets the datum (there r_boundary vanishes whatever [z, nu]
-    is).  Raises ``ShapeMismatchError`` for any other integrand and for
-    nonzero g or lambda.
+    is).  ``tol`` is absolute, as in ``verify_scalar``.  Raises
+    ``ShapeMismatchError`` for any other integrand and for nonzero g or
+    lambda.
     """
     f = spec_or_case.integrand
     if f.n_rows != 1 or abs(f.growth_constant - 1.0) > 0 or not f.homogeneous:

@@ -220,7 +220,10 @@ def build_parser():
     sp.add_argument("--z", required=True)
     sp.add_argument("--zeta", default=None,
                     help="boundary multiplier (LGF1); default: zero")
-    sp.add_argument("--tol", type=float, default=1e-6)
+    sp.add_argument("--tol", type=float, default=1e-6,
+                    help="absolute bound on each share of the duality gap "
+                         "(not relative, unlike solve's --gap-tol); a pass "
+                         "proves gap <= 3 tol; default: 1e-6")
     sp.add_argument("--report", default=None)
     sp.set_defaults(fn=_cmd_certify)
 

@@ -230,6 +230,12 @@ class GridDomain:
     + face a padded dual array keeps each boundary face's value.  Only the
     Neumann Laplacian G^T G of ``neumann_solve`` is a sparse matrix, built
     on first use.
+
+    ``coarse_cells(coarse, axis)`` maps each inside cell to the cell of
+    the next coarser grid that holds its center, or the center of its
+    +e_a neighbor: integer index arithmetic, the one cell lookup of the
+    solver's coarse-to-fine ladder, for its restriction and its
+    prolongation alike.
     """
 
     def __init__(self, shape: Shape, nx: int):
@@ -438,6 +444,28 @@ class GridDomain:
         rhs[pinned] = 0.0
         return lu.solve(rhs)
 
+    def coarse_cells(self, coarse: GridDomain,
+                     axis: Optional[int] = None) -> np.ndarray:
+        """The (N,) numbers of the cells of ``coarse`` that hold the center
+        of each inside cell (with ``axis=a``, of the cell across its +e_a
+        face), -1 where that coarse cell is outside.
+
+        ``coarse`` must be the next level of the ladder, the same box on
+        half the cells per axis; any other grid raises ShapeMismatchError.
+        Both origins lie ``_PAD_CELLS`` = P cells outside the box, so fine
+        grid index j lies in coarse index (j + P) // 2 on each axis.  With
+        ``axis=a``, a + face that lies on a coarse face maps to the coarse
+        cell above that face."""
+        if (self.shape.bbox() != coarse.shape.bbox()
+                or self.nx != 2 * coarse.nx):
+            raise ShapeMismatchError(
+                f"the grid nx={self.nx} does not refine nx={coarse.nx}: a "
+                "ladder pair has the same box and twice the cells per axis")
+        idx = np.stack(np.unravel_index(self._flat, self.n_cells))  # (d, N)
+        if axis is not None:
+            idx[axis] += 1
+        return coarse.cell_index[tuple((idx + _PAD_CELLS) // 2)]
+
     def cells(self, values: np.ndarray) -> np.ndarray:
         """Compressed (N, ...) copy of padded (..., *grid) values."""
         # one row per leading index
@@ -630,16 +658,17 @@ def curvature_condition_margin(f: Integrand, g_values, domain: GridDomain,
     ``g_values`` is (N,) on the inside cells.
     """
     faces = domain.boundary_faces
-    H = generalized_mean_curvature(f, domain, faces.point)
-    H = np.atleast_1d(H)
-    centers = domain.points
+    H = np.atleast_1d(generalized_mean_curvature(f, domain, faces.point))
     g_inside = np.abs(np.asarray(g_values, dtype=float))
-    if g_inside.shape != centers.shape[:1]:
+    if g_inside.shape != domain.points.shape[:1]:
         raise ShapeMismatchError("g must be (N,) on inside cells")
-    margins = np.empty(len(faces))
-    for i in range(len(faces)):
-        d2 = np.sum((centers - faces.point[i]) ** 2, axis=-1)
-        near = d2 <= (3.0 * domain.h) ** 2
-        local = float(g_inside[near].max()) if np.any(near) else 0.0
-        margins[i] = H[i] - local - c
-    return margins
+    # x_b lies within h/2 of its face, so a cell center within 3h of it is
+    # at most 4 cells from the face's inside cell on each axis; indices
+    # past the grid are clipped into the ghost ring, whose cells are outside
+    offsets = np.indices((9,) * domain.dim).reshape(domain.dim, -1).T - 4
+    idx = np.clip(faces.cell[:, None] + offsets, 0,
+                  np.array(domain.n_cells) - 1)  # (m, 9^d, d)
+    near = domain.cell_index[tuple(np.moveaxis(idx, -1, 0))]
+    d2 = np.sum((domain.points[near] - faces.point[:, None]) ** 2, axis=-1)
+    within = (near >= 0) & (d2 <= (3.0 * domain.h) ** 2)
+    return H - np.where(within, g_inside[near], 0.0).max(axis=1) - c

@@ -228,11 +228,13 @@ restriction of its spec (``_restriction``): the same integrand and box
 bound M on half the cells per axis, with u0 taken from the nearest fine
 boundary face and g, h, lambda the mean over the inside children of each
 coarse cell, the cell-centred restriction of Trottenberg, Oosterlee and
-Schueller (Multigrid, 2001).  Both grids' origins lie P =
-``geometry._PAD_CELLS`` = 2 cells outside the shape's box, so the
-children of coarse cell I are the fine cells 2I - P and 2I - P + 1 on
-each axis.  A coarse cell with no inside child (on a thin annulus)
-takes the data of the nearest fine inside cell.  That
+Schueller (Multigrid, 2001).  Every cell lookup between two levels is
+the one integer map ``GridDomain.coarse_cells``: both grids' origins lie
+P = 2 ghost cells outside the shape's box, so fine grid index j lies in
+coarse cell (j + P) // 2 on each axis, and the children of a coarse cell
+are the inside fine cells mapped to it, whose means are ``bincount``
+sums.  A coarse cell with no inside child (on a thin annulus) takes the
+data of the nearest fine inside cell.  That
 solve starts the same way, so the ladder runs down to the coarsest grid
 ``GridDomain`` allows (nx >= 16, each nx even).  Each level runs under
 the caller's ``SolverConfig`` (the same gap_tol, max_iters and
@@ -240,13 +242,18 @@ check_every) and hands its compressed (u, z, zeta) to the next finer
 level through ``_prolong``, the compressed core of ``prolong_state``;
 its spec, domain, factors and state are released before the finer level
 iterates, and the prolonged state once the finer level has copied it in.
-The prolongation reads u from the coarse cell that contains each fine
+The prolongation reads u from the coarse cell that holds each fine
 center, which is the nearest inside coarse cell wherever it is inside;
 only the other fine cells search for the nearest (200 of 21,736 cells of
 the ROF annulus at nx=192), among the coarse cells that own a boundary
-face.  These searches, the face-to-face maps of u0 and zeta, the cold
-start and ``boundary_l1_distance`` all call ``_nearest``, an exact
-brute-force argmin of squared distances that takes the first point on
+face.  It reads z on each fine face of axis a from the coarse cell
+holding the center of the cell across it, ``coarse_cells(coarse, a)``:
+the coarse cell the face lies in, or the one above it where the face
+lies on a coarse face (reading instead the cell below, whose + face is
+that coarse face, is measured in ROADMAP item 2).  The searches for u,
+the face-to-face maps of u0 and zeta, the cold start and
+``boundary_l1_distance`` all call ``_nearest``, an exact brute-force
+argmin of squared distances that takes the first point on
 ties, so a solve loads no k-d tree (``scipy.spatial``, which also
 imports ``scipy.special``: 15.8 MB of resident memory on top of
 ``scipy.sparse``).  ``scipy.sparse`` itself (20.6 MB) loads only with the
@@ -262,7 +269,7 @@ grid alone, with the caller's cap of 30,000 iterations per level:
   ==================================  ===============================  ========
   least-gradient annulus, 96, 1e-3    300 / 200 / 200                  1,000
   least-gradient annulus, 256, 1e-3   200 / 300 / 300 / 400 / 500      2,800
-  BV-attainment disk, 96, 1e-3        500 / 300 / 500                  1,900
+  BV-attainment disk, 96, 1e-3        500 / 300 / 400                  1,900
   BV-attainment disk, 256, 1e-3       200 / 300 / 300 / 600 / 800      6,400
   weighted 1-D TV, 256, 1e-2          700 / 300 / 500 / 800 / 400      > 30,000
   half-disk, 64, 1e-5                 3,600 / 1,000 / 800              > 30,000
@@ -367,7 +374,6 @@ and Pock, JMIV 2011), the one evaluation of the dual.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 import time
@@ -391,7 +397,7 @@ from .errors import (
     ShapeMismatchError,
     SpecFileError,
 )
-from .geometry import _PAD_CELLS, GridDomain, _shape_quadrature
+from .geometry import GridDomain, _shape_quadrature
 
 __all__ = [
     "SolverConfig",
@@ -751,25 +757,21 @@ def boundary_l1_distance(spec: ProblemSpec, u, u0_fn) -> float:
 
 def prolong_state(coarse_spec: ProblemSpec, coarse: SolveResult,
                   fine_spec: ProblemSpec):
-    """Nearest-neighbor transfer of (u, z, zeta) to a finer grid (warm start).
+    """Nearest-neighbor transfer of (u, z, zeta) to the next finer grid of
+    the ladder (warm start).
 
-    Takes the compressed state of ``coarse`` as it is and returns that of
-    the fine grid: u (N, n) from the nearest inside coarse cell,
-    z (N, n, d) from the inside coarse cell containing each fine interior
-    face (zero elsewhere), and zeta (m, n) from the nearest coarse boundary
-    face, which ``solve`` takes as they are.
+    The two grids must be a ladder pair: the same box, the fine nx twice
+    the coarse one (``GridDomain.coarse_cells``); any other pair raises
+    ShapeMismatchError.  Takes the compressed state of ``coarse`` as it is
+    and returns that of the fine grid: u (N, n) from the nearest inside
+    coarse cell, z (N, n, d) on each fine interior face from the inside
+    coarse cell holding that face (the one above it where the face lies
+    on a coarse face; zero where that cell is outside), and zeta (m, n)
+    from the nearest coarse boundary face, which ``solve`` takes as they
+    are.
     """
     return _prolong(coarse_spec.domain, coarse.u, coarse.z, coarse.zeta,
                     fine_spec.domain)
-
-
-def _containing_cell(cd, pts):
-    """The number of the cell of domain ``cd`` that contains each point,
-    -1 where that cell is outside."""
-    idx = np.floor((pts - cd.origin) / cd.h).astype(int)
-    for b in range(cd.dim):
-        idx[:, b] = np.clip(idx[:, b], 0, cd.n_cells[b] - 1)
-    return cd.cell_index[tuple(idx.T)]
 
 
 def _nearest_inside(domain, pts):
@@ -784,20 +786,17 @@ def _nearest_inside(domain, pts):
 
 def _prolong(cd, u, z, zeta, fd):
     """``prolong_state`` on the compressed state of coarse domain ``cd``."""
-    # a fine center lies 0.35 h_c from the center of the coarse cell that
-    # contains it and at least 0.79 h_c from any other, so where that cell
-    # is inside it is the nearest inside one; the other fine centers lie
-    # outside the box of every inside coarse cell
-    nearest = _containing_cell(cd, fd.points)
+    # where the coarse cell holding a fine center is inside, it is the
+    # nearest inside one; the other fine centers lie outside the box of
+    # every inside coarse cell
+    nearest = fd.coarse_cells(cd)
     out = nearest < 0
     if np.any(out):
         nearest[out] = _nearest_inside(cd, fd.points[out])
     u = u[nearest]
     z_f = np.zeros((len(fd.points), z.shape[1], fd.dim))
     for a in range(fd.dim):
-        face_pos = fd.points.copy()
-        face_pos[:, a] += 0.5 * fd.h
-        cell = _containing_cell(cd, face_pos)
+        cell = fd.coarse_cells(cd, a)
         z_f[:, :, a] = np.where(cell[:, None] >= 0, z[cell, :, a], 0.0)
     z_f = np.where(fd.interior, z_f, 0.0)
     nearest = _nearest(cd.boundary_faces.point, fd.boundary_faces.point)
@@ -810,10 +809,11 @@ def _restriction(spec: ProblemSpec) -> Optional[ProblemSpec]:
 
     u0 on each coarse boundary face is that of the fine face whose point is
     nearest, the first such face on ties.  g, h and lambda on each coarse
-    cell are their means over its inside fine children; a coarse cell with
-    none (on a thin annulus) takes those of the nearest fine inside cell,
-    the first such cell on ties.  The integrand and the box bound M are
-    the fine spec's.
+    cell are their means over its inside fine children, the fine cells
+    ``GridDomain.coarse_cells`` maps to it, summed in their order; a
+    coarse cell with none (on a thin annulus) takes those of the nearest
+    fine inside cell, the first such cell on ties.  The integrand and the
+    box bound M are the fine spec's.
     """
     fine = spec.domain
     if fine.nx % 2:
@@ -822,25 +822,25 @@ def _restriction(spec: ProblemSpec) -> Optional[ProblemSpec]:
         coarse = GridDomain(fine.shape, fine.nx // 2)
     except ResolutionError:
         return None
-    # both grids' origins lie P = _PAD_CELLS cells outside the shape's box,
-    # so coarse cell I covers fine cells 2 I - P and 2 I - P + 1 on each
-    # axis; the corners are in the coarse cells' order
-    corner = 2 * np.argwhere(coarse.inside_mask) - _PAD_CELLS
-    offsets = np.array(list(itertools.product((0, 1), repeat=fine.dim)))
-    child = fine.cell_index[tuple(np.moveaxis(corner[:, None] + offsets,
-                                              -1, 0))]  # (N_c, 2^d)
+    n_c = len(coarse.points)
+    # each inside fine cell whose coarse cell is inside is a child of it
+    parent = fine.coarse_cells(coarse)
+    child = np.flatnonzero(parent >= 0)
+    parent = parent[child]
+    count = np.bincount(parent, minlength=n_c)
     # a coarse center is the common corner of its children, so where
-    # none is inside it lies outside the box of every inside fine cell
-    lone = np.all(child < 0, axis=1)
-    if np.any(lone):
-        child[lone, 0] = _nearest_inside(fine, coarse.points[lone])
-    inside = child >= 0
-    count = inside.sum(axis=1)
+    # none is inside it lies outside the box of every inside fine cell;
+    # such a lone cell adopts the nearest fine inside cell
+    lone = np.flatnonzero(count == 0)
+    child = np.concatenate([child, _nearest_inside(fine, coarse.points[lone])])
+    parent = np.concatenate([parent, lone])
+    count[lone] = 1
 
     def mean(values):
-        keep = inside.reshape(inside.shape + (1,) * (values.ndim - 1))
-        total = np.where(keep, values[child], 0.0).sum(axis=1)
-        return total / count.reshape(count.shape + (1,) * (values.ndim - 1))
+        cols = values.reshape(len(values), -1)[child].T
+        total = np.stack([np.bincount(parent, col, minlength=n_c)
+                          for col in cols], axis=-1)
+        return (total / count[:, None]).reshape((n_c,) + values.shape[1:])
 
     face = _nearest(fine.boundary_faces.point, coarse.boundary_faces.point)
     return ProblemSpec(spec.integrand, coarse, spec.u0[face], g=mean(spec.g),
@@ -990,21 +990,14 @@ def _iterate(spec, config, start, levels):
         hi = float(max(spec.u0.max(), spec.h.max()))
     u_S = u_T if box is None else u_bar  # the scored u
 
-    sigma_zeta_t = np.empty_like(sigma_zeta)
-    tau_t = np.empty_like(tau)
-    denom = np.empty_like(tau)
-
     def rescale(t):
-        # the steps at scale t, in place: zeta steps sigma / t, primal
-        # steps t tau and the lower-order prox's denominators
-        # 1 + t tau lambda; returns the z step
-        np.divide(sigma_zeta, t, out=sigma_zeta_t)
-        np.multiply(tau, t, out=tau_t)
-        np.multiply(tau_t, lam, out=denom)
-        np.add(denom, 1.0, out=denom)
-        return sigma_z / t
+        # the steps at scale t: the z step and the zeta steps sigma / t,
+        # the primal steps t tau and the lower-order prox's denominators
+        # 1 + t tau lambda
+        tau_t = tau * t
+        return sigma_z / t, sigma_zeta / t, tau_t, tau_t * lam + 1.0
 
-    sigma_t = rescale(t)
+    sigma_t, sigma_zeta_t, tau_t, denom = rescale(t)
 
     energies_raw, gaps, iters_log = [], [], []
     gap_now = np.inf
@@ -1035,7 +1028,7 @@ def _iterate(spec, config, start, levels):
         if t_next < t:
             u_bar *= t_next / t
             t = t_next
-            sigma_t = rescale(t)
+            sigma_t, sigma_zeta_t, tau_t, denom = rescale(t)
         u_bar += u_T
 
         # (iii) dual ascent in z at u_bar, kept on interior faces; the prox

@@ -52,5 +52,6 @@ def test_readme_library_quick_start_runs_as_written():
     exec(compile(code, "README.md", "exec"), scope)
     res = scope["res"]
     assert res.gap_relative <= 1e-4
+    assert scope["report"].overall_pass
     energy = res.energy_history_raw[-1]
     assert abs(energy - 2 * np.pi) <= 5e-3 * 2 * np.pi

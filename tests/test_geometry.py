@@ -190,6 +190,32 @@ def test_curvature_condition_margins():
     assert np.all(margins[np.isclose(r, 2.0)] > 0)  # outer loop H = +1/2
 
 
+def loop_margins(f, g_values, domain, c):
+    """The margin face by face: H(x_b) minus the largest |g| over the
+    inside cells within 3h of x_b, measured to every inside cell."""
+    faces = domain.boundary_faces
+    H = np.atleast_1d(generalized_mean_curvature(f, domain, faces.point))
+    g_inside = np.abs(g_values)
+    margins = np.empty(len(faces))
+    for i in range(len(faces)):
+        d2 = np.sum((domain.points - faces.point[i]) ** 2, axis=-1)
+        near = d2 <= (3.0 * domain.h) ** 2
+        local = float(g_inside[near].max()) if np.any(near) else 0.0
+        margins[i] = H[i] - local - c
+    return margins
+
+
+@pytest.mark.parametrize("shape, nx", [
+    (Ball(1.0), 64), (Annulus(1.0, 2.0), 64), (Annulus(0.97, 1.0), 64),
+    (Rectangle(), 32), (Interval(), 64)])
+def test_curvature_condition_margins_match_the_face_loop(shape, nx):
+    domain = build_domain(shape, nx)
+    tv = make_tv(1, domain.dim)
+    g = np.random.default_rng(nx).standard_normal(len(domain.points))
+    assert np.array_equal(curvature_condition_margin(tv, g, domain, c=0.3),
+                          loop_margins(tv, g, domain, c=0.3))
+
+
 def test_curvature_condition_sees_local_g():
     tv = make_tv(1, 2)
     disk = build_domain(Ball(1.0), 64)

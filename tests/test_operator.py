@@ -7,6 +7,7 @@ slice-loop formulas they replaced, both kept below as reference oracles.
 """
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from lingrad.energy import (
     discrete_gradient,
     gauss_green_residual,
 )
+from lingrad.errors import ShapeMismatchError
 from lingrad.geometry import Annulus, Ball, GridDomain
 from lingrad.integrands import make_tv
 from lingrad.solver import _polish_zeta, repair_dual
@@ -190,6 +192,27 @@ def test_the_inside_cells_are_numbered_once(domain):
         step[a] = domain.h
         assert np.allclose(domain.points[fwd[has]] - domain.points[has],
                            step, rtol=0.0, atol=1e-9 * domain.h)
+
+
+@settings(max_examples=30, deadline=None)
+@given(domains())
+def test_the_coarse_cell_map_holds_each_fine_center(coarse):
+    # the coarse grid cell holding a point is found by a float floor, exact
+    # here: every fine center, and the center across each + face, lies a
+    # quarter of a coarse cell from that cell's faces
+    fine = GridDomain(coarse.shape, 2 * coarse.nx)
+    for axis in (None,) + tuple(range(fine.dim)):
+        centers = fine.points.copy()
+        if axis is not None:
+            centers[:, axis] += fine.h
+        grid = np.floor((centers - coarse.origin) / coarse.h).astype(int)
+        offset = (centers - coarse.origin) / coarse.h - grid
+        assert np.all((offset > 0.2) & (offset < 0.8))
+        # the cell's number, -1 exactly where it is outside
+        assert np.array_equal(fine.coarse_cells(coarse, axis),
+                              coarse.cell_index[tuple(grid.T)])
+    with pytest.raises(ShapeMismatchError):
+        coarse.coarse_cells(coarse)
 
 
 @settings(max_examples=20, deadline=None)

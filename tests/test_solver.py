@@ -734,8 +734,41 @@ def test_prolonged_u_is_read_from_the_nearest_inside_coarse_cell(make_spec,
     assert np.array_equal(np.linalg.norm(chosen - fd.points, axis=1),
                           dist)
     # both the containing cell and the search are taken somewhere
-    containing = solver_module._containing_cell(cd, fd.points)
+    containing = fd.coarse_cells(cd)
     assert np.any(containing >= 0) and np.any(containing < 0)
+
+
+@pytest.mark.parametrize("shape", [Ball(1.0), Annulus(1.0, 2.0)])
+@pytest.mark.parametrize("nx", [48, 64, 96, 128, 192])
+def test_prolonged_z_is_read_from_the_coarse_cell_holding_the_face(shape, nx):
+    # channel 0 of the coarse z holds, on each axis, the position of each
+    # coarse cell's + face, channel 1 a 1 that marks a face read from an
+    # inside coarse cell; a fine face inside a coarse cell lies h_c / 2
+    # below that cell's + face, one on a coarse face h_c below the + face
+    # of the cell above it
+    cd, fd = GridDomain(shape, nx // 2), GridDomain(shape, nx)
+    n_in = len(cd.points)
+    z = np.stack([cd.points + 0.5 * cd.h, np.ones((n_in, 2))], axis=1)
+    _, z_f, _ = solver_module._prolong(
+        cd, np.zeros((n_in, 1)), z, np.zeros((len(cd.boundary_faces), 2)), fd)
+    for a in range(2):
+        read = fd.interior[:, 0, a] & (z_f[:, 1, a] == 1.0)
+        assert np.count_nonzero(read) > 0.9 * np.count_nonzero(
+            fd.interior[:, 0, a])
+        offset = (z_f[read, 0, a] - fd.points[read, a] - 0.5 * fd.h) / cd.h
+        on_face = np.abs(offset - 1.0) < 1e-9
+        assert np.all(on_face | (np.abs(offset - 0.5) < 1e-9))
+        assert np.any(on_face) and not np.all(on_face)
+
+
+def test_prolong_state_takes_only_the_ladders_pairs():
+    coarse, fine = annulus_spec(64), annulus_spec(96)
+    cd = coarse.domain
+    n_in, m = len(cd.points), len(cd.boundary_faces)
+    state = SimpleNamespace(u=np.zeros((n_in, 1)), z=np.zeros((n_in, 1, 2)),
+                            zeta=np.zeros((m, 1)))
+    with pytest.raises(ShapeMismatchError, match="nx=96 .* nx=64"):
+        prolong_state(coarse, state, fine)
 
 
 def test_restriction_samples_the_fine_spec():
@@ -767,9 +800,12 @@ def test_restriction_takes_the_mean_of_the_inside_children():
     spec = dataclasses.replace(spec, g=0.1 * x[:, None], lam=1.0 + y**2)
     coarse = _restriction(spec)
     # the children of each coarse cell, found by the coarse cell that
-    # contains each fine center; some fine cells lie in outside coarse ones
-    parent = solver_module._containing_cell(coarse.domain,
-                                            spec.domain.points)
+    # contains each fine center (a fine center lies h_c / 4 from its coarse
+    # cell's faces, so the floor is exact); some fine cells lie in outside
+    # coarse ones
+    cd = coarse.domain
+    grid = np.floor((spec.domain.points - cd.origin) / cd.h).astype(int)
+    parent = cd.cell_index[tuple(grid.T)]
     child = parent >= 0
     assert not np.all(child)
     count = np.bincount(parent[child], minlength=len(coarse.lam))
