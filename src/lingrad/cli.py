@@ -20,7 +20,7 @@ from . import energy
 from .errors import LingradError
 from .fields import field_to_csv, read_grid_field, write_lgf
 from .geometry import generalized_mean_curvature
-from .solver import SolverConfig, solve, trace_error
+from .solver import SolverConfig, _gap_scale, duality_gap, solve, trace_error
 from .specfile import parse_spec
 
 __all__ = ["main"]
@@ -94,11 +94,18 @@ def _cmd_certify(args):
     u = read_grid_field(args.u, domain, n)
     z = read_grid_field(args.z, domain, n * domain.dim)
     z = z.reshape(-1, n, domain.dim)
-    zeta = None
-    if args.zeta:
-        zeta = read_grid_field(args.zeta, domain, n, faces=True)
+    zeta = (read_grid_field(args.zeta, domain, n, faces=True) if args.zeta
+            else np.zeros((len(domain.boundary_faces), n)))
+    tol = args.tol
+    if tol is None:
+        # solve's convergence rule: the gap at most gap_tol times the
+        # denominator of its relative gap, whose -inf dual bound, where the
+        # given dual is infeasible, leaves the scale to the primal
+        dg = duality_gap(spec, u, z, zeta)
+        tol = bundle.solver_config.gap_tol * _gap_scale(
+            dg.primal, dg.dual if dg.dual_feasible else 0.0)
     verify = cert.verify_scalar if n == 1 else cert.verify_vector
-    report = verify(spec, u, z, tol=args.tol, zeta=zeta)
+    report = verify(spec, u, z, tol=tol, zeta=zeta)
     payload = report.as_flat_dict()
     if args.report:
         _write_report(args.report, payload)
@@ -220,10 +227,13 @@ def build_parser():
     sp.add_argument("--z", required=True)
     sp.add_argument("--zeta", default=None,
                     help="boundary multiplier (LGF1); default: zero")
-    sp.add_argument("--tol", type=float, default=1e-6,
+    sp.add_argument("--tol", type=float, default=None,
                     help="absolute bound on each share of the duality gap "
                          "(not relative, unlike solve's --gap-tol); a pass "
-                         "proves gap <= 3 tol; default: 1e-6")
+                         "proves gap <= 3 tol; default: the spec's [solver] "
+                         "gap_tol times max(|primal|, |dual|) of this gap, "
+                         "which passes a state that solve reports converged "
+                         "at that gap_tol")
     sp.add_argument("--report", default=None)
     sp.set_defaults(fn=_cmd_certify)
 

@@ -194,13 +194,14 @@ _PAD_CELLS = 2
 class GridDomain:
     """Masked uniform grid over an analytic shape, and its discrete operator.
 
-    Cells are squares of side ``h``; a cell belongs to the domain when its
-    center is strictly inside.  The inside cells are numbered 0..N-1 once,
-    row-major (the order of boolean indexing with ``inside_mask``):
-    ``cell_index`` holds each cell's number (-1 outside) and ``points``
-    the (N, d) centers.  ``neighbors`` (d, 2, N) holds at [a, 0] and
-    [a, 1] the numbers of each inside cell's +e_a and -e_a neighbors, -1
-    where that cell is outside; each -1 is a boundary face.
+    Cells are squares of side ``h``, cubes in 3-D; a cell belongs to the
+    domain when its center is strictly inside.  The inside cells are
+    numbered 0..N-1 once, row-major (the order of boolean indexing with
+    ``inside_mask``): ``cell_index`` holds each cell's number (-1
+    outside) and ``points`` the (N, d) centers.  ``neighbors`` (d, 2, N)
+    holds at [a, 0] and [a, 1] the numbers of each inside cell's +e_a and
+    -e_a neighbors, -1 where that cell is outside; each -1 is a boundary
+    face.
 
     A primal field is an (N, n) array of cell values.  A dual field is an
     (N, n, d) array holding, at [c, :, a], the value on the face between
@@ -244,8 +245,6 @@ class GridDomain:
         self.shape = shape
         self.nx = nx  # cells across the first axis of the shape's box
         self.dim = shape.dim
-        if self.dim not in (1, 2):
-            raise ResolutionError("grids support dim 1 and 2 only")
 
         # h = (shape extent)/nx exactly; a ghost ring of _PAD_CELLS keeps
         # every boundary face's storage slot inside the array
@@ -260,7 +259,7 @@ class GridDomain:
             raise ResolutionError(
                 f"grid spacing h = {self.h:.3g} is not representable: h, "
                 f"h^{self.dim} and 1/h^2 must be finite and nonzero")
-        lo =np.array([b[0] - _PAD_CELLS * self.h for b in box])
+        lo = np.array([b[0] - _PAD_CELLS * self.h for b in box])
         n_cells = []
         for a in range(self.dim):
             span = box[a][1] - box[a][0]
@@ -313,13 +312,13 @@ class GridDomain:
         self._fwd = np.where(interior, nbr[:, 0], np.arange(n_in))
         # 1/h on interior slots, 0 on the others, planar (d, N, 1)
         self._weight = (interior * self._inv_h)[:, :, None]
-        # the -e_0 neighbor of each cell, or a non-interior slot, whose
-        # weighted value is 0, where it has none; ``div`` gathers it on
-        # the first axis of a 2-D grid only: on the last axis that
+        # the -e_a neighbor of each cell or, where it has none, a slot of
+        # axis a that is not interior (weighted value 0).  ``div`` gathers
+        # it on every axis but the last of a d >= 2 grid; on that axis the
         # neighbor is c - 1 wherever it is inside, and slot c - 1 is not
-        # interior wherever it is not
-        self._back = np.where(nbr[0, 1] >= 0, nbr[0, 1],
-                              np.argmin(interior[0]))
+        # interior wherever it is not, so a shift by one cell reads it
+        self._back = np.where(nbr[:, 1] >= 0, nbr[:, 1],
+                              np.argmin(interior, axis=1)[:, None])
 
         bf = self.boundary_faces
         # a face with sign -1 stores its value on the + face of the outside
@@ -377,11 +376,15 @@ class GridDomain:
         """-G^T z: (N, n, d) face values to (N, n) cell values.  A planar z
         is read without a copy."""
         sz = z.transpose(2, 0, 1) * self._weight
-        last = sz[-1]
-        out = (sz[0] - sz[0].take(self._back, axis=0) if self.dim == 2
-               else np.zeros_like(last))
-        out[1:] -= last[:-1]
-        out += last
+        # axis by axis, the -e_a neighbor's value and then the cell's own:
+        # the order in which a CSR product sums the row
+        out = sz[0] - sz[0].take(self._back[0], axis=0)
+        for a in range(1, self.dim):
+            if a < self.dim - 1:
+                out -= sz[a].take(self._back[a], axis=0)
+            else:
+                out[1:] -= sz[a][:-1]
+            out += sz[a]
         return out
 
     def trace(self, u: np.ndarray) -> np.ndarray:
@@ -519,14 +522,21 @@ def boundary_normal(domain_or_shape, point):
     return g / np.linalg.norm(g, axis=-1, keepdims=True)
 
 
-def _fibonacci_sphere(m):
+def _unit_sphere(dim, m):
+    """m equally weighted points of the unit sphere in 2-D (equally spaced
+    angles) or 3-D (a Fibonacci lattice), and its area."""
+    if dim == 2:
+        ang = np.linspace(0, 2 * np.pi, m, endpoint=False)
+        return np.stack([np.cos(ang), np.sin(ang)], axis=-1), 2 * np.pi
+    if dim != 3:
+        raise ShapeMismatchError("analytic quadrature supports dim 2 and 3")
     k = np.arange(m) + 0.5
     phi = np.arccos(1 - 2 * k / m)
     theta = np.pi * (1 + 5**0.5) * k
     return np.stack(
         [np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta), np.cos(phi)],
         axis=-1,
-    )
+    ), 4 * np.pi
 
 
 def _shape_quadrature(shape, n_interior: int, n_boundary: int):
@@ -545,15 +555,7 @@ def _shape_quadrature(shape, n_interior: int, n_boundary: int):
         r1 = shape.r_out if isinstance(shape, Annulus) else shape.radius
         n_dirs = 96 if dim == 2 else 128
         n_rad = max(2, n_interior // n_dirs)
-        if dim == 2:
-            ang = np.linspace(0, 2 * np.pi, n_dirs, endpoint=False)
-            dirs = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-            sphere_area = 2 * np.pi
-        elif dim == 3:
-            dirs = _fibonacci_sphere(n_dirs)
-            sphere_area = 4 * np.pi
-        else:
-            raise ShapeMismatchError("analytic quadrature supports dim 2 and 3")
+        dirs, sphere_area = _unit_sphere(dim, n_dirs)
         redges = np.linspace(r0, r1, n_rad + 1)
         rmid = 0.5 * (redges[:-1] + redges[1:])
         shell = (redges[1:] ** dim - redges[:-1] ** dim) / dim * sphere_area
@@ -565,16 +567,9 @@ def _shape_quadrature(shape, n_interior: int, n_boundary: int):
             loops.append((r0, -1.0))
         bp, bw, bn = [], [], []
         for radius, orient in loops:
-            m_b = max(16, n_boundary // len(loops))
-            if dim == 2:
-                ang = np.linspace(0, 2 * np.pi, m_b, endpoint=False)
-                dd = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-                area = 2 * np.pi * radius
-            else:
-                dd = _fibonacci_sphere(m_b)
-                area = 4 * np.pi * radius**2
+            dd, area = _unit_sphere(dim, max(16, n_boundary // len(loops)))
             bp.append(radius * dd)
-            bw.append(np.full(len(dd), area / len(dd)))
+            bw.append(np.full(len(dd), area * radius ** (dim - 1) / len(dd)))
             bn.append(orient * dd)
         return pts, w, np.concatenate(bp), np.concatenate(bw), np.concatenate(bn)
 

@@ -586,9 +586,14 @@ def duality_gap(spec: ProblemSpec, u, z, zeta) -> DualityGap:
             gap, terms, scored, repaired = (gap_rep, terms_rep,
                                             (z_rep, zeta_rep), True)
     dual = primal - gap
-    rel = gap / max(abs(primal), abs(dual), 1e-12)
+    rel = gap / _gap_scale(primal, dual)
     return DualityGap(gap, rel, primal, dual, True, *scored, terms, repaired,
                       conditional)
+
+
+def _gap_scale(primal, dual):
+    """The denominator of a relative gap: max(|primal|, |dual|, 1e-12)."""
+    return max(abs(primal), abs(dual), 1e-12)
 
 
 def _drift(spec, z, zeta):
@@ -738,9 +743,10 @@ def boundary_l1_distance(spec: ProblemSpec, u, u0_fn) -> float:
     the O(h) error of representing a datum jump inside a single face, so it
     is the right quantity for refinement studies of trace attainment.
     The boundary samples are those of the analytic certificates
-    (``geometry._shape_quadrature``): 8,192 equally spaced angles
-    split over the circles of a 2-D ``Ball`` or ``Annulus``, or the two
-    endpoints of an interval; other shapes raise ``ShapeMismatchError``.
+    (``geometry._shape_quadrature``): 8,192 points split over the circles
+    of a 2-D ``Ball`` or ``Annulus`` (equally spaced angles) or the
+    spheres of a 3-D one (a Fibonacci lattice), or the two endpoints of
+    an interval; other shapes raise ``ShapeMismatchError``.
     Each sample reads the face whose boundary point is nearest, the first
     such face on ties (``_nearest``).
     """

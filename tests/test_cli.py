@@ -348,6 +348,33 @@ def test_cli_solve_certify_roundtrip(tmp_path):
         "trace_error": trace_error(bundle.spec, res.u)}
 
 
+def test_cli_certify_passes_what_solve_reports_converged(tmp_path, capsys):
+    # the README's ROF annulus at nx=64 converges at rel-gap 3.5e-6; the
+    # default --tol is its [solver] gap_tol, 1e-5, times the denominator of
+    # the relative gap, so certify passes what solve's own test passed,
+    # where a fixed 1e-6 failed r_subdiff (l1 8.9e-6)
+    spec = tmp_path / "rof.cfg"
+    spec.write_text(ROF.replace("nx = 48", "nx = 64"))
+    paths = {k: str(tmp_path / f"{k}.lgf") for k in ("u", "z", "zeta")}
+    assert main(["solve", "--spec", str(spec), "--out", paths["u"],
+                 "--dual-out", paths["z"], "--zeta-out", paths["zeta"]]) == 0
+    assert "converged: True" in capsys.readouterr().out
+    args = ["certify", "--spec", str(spec), "--u", paths["u"],
+            "--z", paths["z"], "--zeta", paths["zeta"]]
+    assert main(args) == 0
+    assert main(args + ["--tol", "1e-6"]) == 2
+    # a dual pushed out of its ball has an infinite gap: r_range fails,
+    # and so does each infinite share, against a default bound that stays
+    # finite
+    values, h = read_lgf(paths["z"])
+    write_lgf(paths["z"], values + 0.75, h)
+    report = tmp_path / "report.json"
+    assert main(args + ["--report", str(report)]) == 2
+    payload = json.loads(report.read_text())
+    assert 0.0 < payload["r_subdiff.tol"] < 1e-3
+    assert not payload["r_subdiff.passed"] and not payload["r_range.passed"]
+
+
 def test_cli_certify_corrupted_dual_exits_2(tmp_path):
     spec = tmp_path / "rof.cfg"
     spec.write_text(ROF)

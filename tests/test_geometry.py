@@ -190,6 +190,21 @@ def test_curvature_condition_margins():
     assert np.all(margins[np.isclose(r, 2.0)] > 0)  # outer loop H = +1/2
 
 
+@pytest.mark.parametrize("shape", [Ball(1.0, 3), Annulus(1.0, 2.0, 3)])
+def test_3d_curvature_margins_read_the_mean_curvature(shape):
+    # TV's curvature of a sphere of radius R is (d - 1) / R = 2 / R, and
+    # -2 / R on the inner sphere of a shell, which curves away from the
+    # domain: 2 on the unit ball (1.985 to 2.010 at nx=16), -2 and 1 on
+    # the shell
+    domain = build_domain(shape, 16)
+    margins = curvature_condition_margin(
+        make_tv(1, 3), np.zeros(len(domain.points)), domain, c=0.0)
+    r = np.linalg.norm(domain.boundary_faces.point, axis=1)
+    inner = np.isclose(r, getattr(shape, "r_in", 0.0))
+    assert np.allclose(margins, np.where(inner, -2.0, 2.0) / r,
+                       rtol=0.03, atol=0.0)
+
+
 def loop_margins(f, g_values, domain, c):
     """The margin face by face: H(x_b) minus the largest |g| over the
     inside cells within 3h of x_b, measured to every inside cell."""
@@ -207,7 +222,8 @@ def loop_margins(f, g_values, domain, c):
 
 @pytest.mark.parametrize("shape, nx", [
     (Ball(1.0), 64), (Annulus(1.0, 2.0), 64), (Annulus(0.97, 1.0), 64),
-    (Rectangle(), 32), (Interval(), 64)])
+    (Rectangle(), 32), (Interval(), 64),
+    (Ball(1.0, 3), 16), (Annulus(1.0, 2.0, 3), 16)])
 def test_curvature_condition_margins_match_the_face_loop(shape, nx):
     domain = build_domain(shape, nx)
     tv = make_tv(1, domain.dim)

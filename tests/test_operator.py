@@ -1,6 +1,6 @@
 """Property tests of the compressed operator (G, B) of a masked grid.
 
-Random balls and annuli in 1-D and 2-D at random resolutions.  The four
+Random balls and annuli in 1-D, 2-D and 3-D at random resolutions.  The four
 products are checked bit for bit against sparse matrices built here from
 the neighbor table, and the padded operators against the per-axis
 slice-loop formulas they replaced, both kept below as reference oracles.
@@ -27,8 +27,9 @@ from lingrad.solver import _polish_zeta, repair_dual
 
 @st.composite
 def domains(draw):
-    dim = draw(st.sampled_from([1, 2]))
-    nx = draw(st.integers(16, 64))
+    dim = draw(st.sampled_from([1, 2, 3]))
+    # nx <= 24 in 3-D keeps the Neumann factor of each example fast
+    nx = draw(st.integers(16, 24 if dim == 3 else 64))
     if draw(st.booleans()):
         shape = Ball(draw(st.floats(0.3, 3.0)), dim=dim)
     else:
