@@ -374,7 +374,12 @@ class BadF0:
     2-homogeneous extension of 2 v21^2 v22 / v11 cut off around
     +-e1 tensor e1 (bump = 1 within radius 10 eps on the sphere, support
     within 20 eps; profile (1 - s^2)^3), and f0 the dual norm of f0*,
-    evaluated by Newton inversion of grad(f0*^2 / 2).  Inside the cone
+    evaluated by damped Newton inversion of F = grad(f0*^2 / 2).  Each
+    Newton step evaluates F once on all 8 central-difference points of its
+    Jacobian and once per line-search trial, and the accepted trial's
+    residual is reused as the next step's, so a converged cone point costs
+    4 evaluations of the cutoff q (f0* at the start reads q alone, without
+    its gradient).  Inside the cone
     |b| < eps |a| the gradient identity
 
         D f0((a e1 + b e2) x (a e1 + b e2))
@@ -413,8 +418,14 @@ class BadF0:
         tt = np.where(inside, t, 0.0)
         return np.where(inside, -6.0 * tt * (1.0 - tt * tt) ** 2 / self.r_one, 0.0)
 
-    def _q_and_grad(self, v):
-        """q(v) and Dq(v) for batched 4-vectors; exact where the bump is flat."""
+    def _cutoff(self, v):
+        """q(v) for batched 4-vectors, and the cutoff state Dq chains through.
+
+        The state is (v, y, safe_r, use_minus, s, w, active, va, base): the
+        float input, its direction and clamped norm, which pole is nearer,
+        the sphere distance s to it, the bump w(s), the rows where w > 0,
+        those rows and 2 v21^2 v22 / v11 on them.
+        """
         v = np.asarray(v, dtype=float)
         r = np.linalg.norm(v, axis=-1, keepdims=True)
         safe_r = np.maximum(r, 1e-300)
@@ -427,14 +438,20 @@ class BadF0:
         w = self._bump(s)
         active = w > 0.0
 
+        va = v[active]
+        base = 2.0 * va[..., 1] * va[..., 1] * va[..., 3] / va[..., 0]
         q = np.zeros(v.shape[:-1])
+        q[active] = base * w[active]
+        return q, (v, y, safe_r, use_minus, s, w, active, va, base)
+
+    def _q_and_grad(self, v):
+        """q(v) and Dq(v) for batched 4-vectors; exact where the bump is flat."""
+        q, (v, y, safe_r, use_minus, s, w, active, va, base) = self._cutoff(v)
         grad = np.zeros_like(v)
         if not np.any(active):
             return q, grad
 
-        va = v[active]
-        v0, v1, v2, v3 = va[..., 0], va[..., 1], va[..., 2], va[..., 3]
-        base = 2.0 * v1 * v1 * v3 / v0
+        v0, v1, v3 = va[..., 0], va[..., 1], va[..., 3]
         dbase = np.stack(
             [-2.0 * v1 * v1 * v3 / (v0 * v0),
              4.0 * v1 * v3 / v0,
@@ -443,7 +460,6 @@ class BadF0:
             axis=-1,
         )
         wa = w[active]
-        q[active] = base * wa
 
         # gradient of the cutoff: chain through s(y(v)); zero on the plateau
         bp = self._bump_prime(s[active])
@@ -464,9 +480,10 @@ class BadF0:
     # -- dual norm and its gradient map ------------------------------------
 
     def conj_value(self, mats):
-        """f0*(x) = sqrt(A x . x + q(x)) on 2x2 matrices (batched)."""
+        """f0*(x) = sqrt(A x . x + q(x)) on 2x2 matrices (batched); reads q
+        only, not its gradient."""
         v = _vec4(mats)
-        q, _ = self._q_and_grad(v)
+        q = self._cutoff(v)[0]
         quad = np.einsum("...i,ij,...j->...", v, self.A, v)
         return np.sqrt(np.maximum(quad + q, 0.0))
 
@@ -476,7 +493,13 @@ class BadF0:
         return v @ self.A.T + 0.5 * gq
 
     def _invert_gradient(self, targets):
-        """Solve F(xi) = target by damped Newton with FD Jacobians, batched."""
+        """Solve F(xi) = target by damped Newton with FD Jacobians, batched.
+
+        A Newton step evaluates F once for its central-difference Jacobian,
+        on the 8 points xi +- step e_j of every row together, and once per
+        line-search trial.  The accepted trial's residual is the next
+        step's; F is evaluated again only when all 30 halvings fail.
+        """
         t = np.asarray(targets, dtype=float)
         single = t.ndim == 1
         t = np.atleast_2d(t)
@@ -489,16 +512,14 @@ class BadF0:
             rmax = np.max(np.abs(res) / np.maximum(norm_t, 1e-300))
             if rmax < _NEWTON_TOL:
                 break
-            # FD Jacobian: J[..., i, j] = dF_i / dxi_j
+            # FD Jacobian: J[..., i, j] = dF_i / dxi_j, from F at xi +- step e_j
             step = 1e-7 * np.maximum(np.linalg.norm(xi, axis=-1, keepdims=True), 1.0)
-            J = np.empty(xi.shape[:-1] + (4, 4))
-            for j in range(4):
-                dxi = np.zeros_like(xi)
-                dxi[..., j] = step[..., 0]
-                J[..., :, j] = (
-                    self._grad_half_conj_sq(xi + dxi)
-                    - self._grad_half_conj_sq(xi - dxi)
-                ) / (2.0 * step)
+            dxi = step[..., None] * np.eye(4)  # row j is step e_j
+            pm = np.concatenate([xi[..., None, :] + dxi, xi[..., None, :] - dxi],
+                                axis=-2)
+            fpm = self._grad_half_conj_sq(pm.reshape(-1, 4)).reshape(pm.shape)
+            J = np.swapaxes((fpm[..., :4, :] - fpm[..., 4:, :])
+                            / (2.0 * step[..., None]), -1, -2)
             try:
                 delta = np.linalg.solve(J, res[..., None])[..., 0]
             except np.linalg.LinAlgError:
@@ -506,16 +527,19 @@ class BadF0:
                     "Newton inversion hit a singular Jacobian; reduce eps")
             # damped update: halve until the residual does not increase
             lam = np.ones(xi.shape[:-1] + (1,))
+            res_norm = np.linalg.norm(res, axis=-1, keepdims=True)
             for _ in range(30):
                 cand = xi - lam * delta
                 rc = self._grad_half_conj_sq(cand) - t
-                worse = (np.linalg.norm(rc, axis=-1, keepdims=True)
-                         > np.linalg.norm(res, axis=-1, keepdims=True))
+                worse = np.linalg.norm(rc, axis=-1, keepdims=True) > res_norm
                 if not np.any(worse):
+                    xi, res = cand, rc
                     break
                 lam = np.where(worse, 0.5 * lam, lam)
-            xi = xi - lam * delta
-            res = self._grad_half_conj_sq(xi) - t
+            else:
+                # lam moved after the last trial: take the step it now gives
+                xi = xi - lam * delta
+                res = self._grad_half_conj_sq(xi) - t
         else:
             rmax = np.max(np.abs(res) / np.maximum(norm_t, 1e-300))
             if rmax >= 1e-8:

@@ -644,6 +644,10 @@ def generalized_mean_curvature(f: Integrand, domain_or_shape, x,
     return h_val if h_val.size > 1 else float(h_val[0])
 
 
+# face-cell pairs per block of curvature_condition_margin's gather
+_MARGIN_BLOCK = 1 << 15
+
+
 def curvature_condition_margin(f: Integrand, g_values, domain: GridDomain,
                                c: float):
     """Margin of the discrete curvature condition at every boundary face.
@@ -661,9 +665,14 @@ def curvature_condition_margin(f: Integrand, g_values, domain: GridDomain,
     # at most 4 cells from the face's inside cell on each axis; indices
     # past the grid are clipped into the ghost ring, whose cells are outside
     offsets = np.indices((9,) * domain.dim).reshape(domain.dim, -1).T - 4
-    idx = np.clip(faces.cell[:, None] + offsets, 0,
-                  np.array(domain.n_cells) - 1)  # (m, 9^d, d)
-    near = domain.cell_index[tuple(np.moveaxis(idx, -1, 0))]
-    d2 = np.sum((domain.points[near] - faces.point[:, None]) ** 2, axis=-1)
-    within = (near >= 0) & (d2 <= (3.0 * domain.h) ** 2)
-    return H - np.where(within, g_inside[near], 0.0).max(axis=1) - c
+    top = np.array(domain.n_cells) - 1
+    rows = max(1, _MARGIN_BLOCK // len(offsets))
+    local = np.empty(len(faces))
+    for lo in range(0, len(faces), rows):
+        cell, point = faces.cell[lo:lo + rows], faces.point[lo:lo + rows]
+        idx = np.clip(cell[:, None] + offsets, 0, top)  # (rows, 9^d, d)
+        near = domain.cell_index[tuple(np.moveaxis(idx, -1, 0))]
+        d2 = np.sum((domain.points[near] - point[:, None]) ** 2, axis=-1)
+        within = (near >= 0) & (d2 <= (3.0 * domain.h) ** 2)
+        local[lo:lo + rows] = np.where(within, g_inside[near], 0.0).max(axis=1)
+    return H - local - c

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from lingrad import gallery
 from lingrad.errors import DomainError, ProxFailureError
 from lingrad.gallery import (
     BadF0,
@@ -205,6 +206,136 @@ def test_gradient_is_continuous_on_sphere(f0):
     assert second.max() < 1e4  # finite curvature, no kinks at these samples
 
 
+def oracle_invert(f0, targets):
+    """The Newton inversion with its Jacobian built one direction at a
+    time and the residual evaluated again after every step."""
+    t = np.asarray(targets, dtype=float)
+    single = t.ndim == 1
+    t = np.atleast_2d(t)
+    norm_t = np.linalg.norm(t, axis=-1, keepdims=True)
+    fstar = f0.conj_value(_mat22(t))[..., None]
+    xi = t / np.maximum(fstar, 1e-300)
+    xi = np.where(norm_t > 0, xi, 0.0)
+    res = f0._grad_half_conj_sq(xi) - t
+    for _ in range(gallery._NEWTON_ITERS):
+        rmax = np.max(np.abs(res) / np.maximum(norm_t, 1e-300))
+        if rmax < gallery._NEWTON_TOL:
+            break
+        step = 1e-7 * np.maximum(np.linalg.norm(xi, axis=-1, keepdims=True), 1.0)
+        J = np.empty(xi.shape[:-1] + (4, 4))
+        for j in range(4):
+            dxi = np.zeros_like(xi)
+            dxi[..., j] = step[..., 0]
+            J[..., :, j] = (f0._grad_half_conj_sq(xi + dxi)
+                            - f0._grad_half_conj_sq(xi - dxi)) / (2.0 * step)
+        try:
+            delta = np.linalg.solve(J, res[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            raise ProxFailureError(
+                "Newton inversion hit a singular Jacobian; reduce eps")
+        lam = np.ones(xi.shape[:-1] + (1,))
+        for _ in range(30):
+            rc = f0._grad_half_conj_sq(xi - lam * delta) - t
+            worse = (np.linalg.norm(rc, axis=-1, keepdims=True)
+                     > np.linalg.norm(res, axis=-1, keepdims=True))
+            if not np.any(worse):
+                break
+            lam = np.where(worse, 0.5 * lam, lam)
+        xi = xi - lam * delta
+        res = f0._grad_half_conj_sq(xi) - t
+    else:
+        rmax = np.max(np.abs(res) / np.maximum(norm_t, 1e-300))
+        if rmax >= 1e-8:
+            raise ProxFailureError(
+                f"gradient inversion stalled (residual {rmax:.1e}); "
+                "try a smaller eps")
+    return xi[0] if single else xi
+
+
+def cone_targets(f0, n):
+    # v x v for v = (1, b) inside the cone |b| < eps / 2, where the gradient
+    # identity holds
+    bs = np.linspace(-0.49 * f0.eps, 0.49 * f0.eps, n)
+    return np.stack([_vec4(np.outer([1.0, b], [1.0, b])) for b in bs])
+
+
+@pytest.mark.parametrize("targets", [
+    np.random.default_rng(17).standard_normal((512, 4)),
+    "cone",
+    np.zeros((1, 4)),
+    np.array([0.3, -1.2, 0.5, 2.0]),
+], ids=["batch512", "cone", "zero_row", "1d"])
+def test_inversion_equals_the_per_direction_oracle_bit_for_bit(f0, targets):
+    if isinstance(targets, str):
+        targets = cone_targets(f0, 21)
+    new, old = f0._invert_gradient(targets), oracle_invert(f0, targets)
+    assert new.shape == old.shape == np.shape(targets)
+    assert new.tobytes() == old.tobytes()
+
+
+def sphere_rows(pole, dist, n, seed):
+    """n 4-vectors of random norms whose directions lie at sphere distance
+    about ``dist`` from ``pole``."""
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((n, 4))
+    u -= (u @ pole)[:, None] * pole
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    y = pole + dist * u
+    y /= np.linalg.norm(y, axis=-1, keepdims=True)
+    return rng.uniform(0.5, 3.0, (n, 1)) * y
+
+
+@pytest.mark.parametrize("dist, region", [
+    (0.05, "plateau"), (0.15, "sliding"), (0.4, "outside")])
+def test_q_only_path_equals_q_and_grad_bit_for_bit(f0, dist, region):
+    e11 = np.array([1.0, 0.0, 0.0, 0.0])
+    v = np.concatenate([sphere_rows(e11, dist, 64, 1),
+                        sphere_rows(-e11, dist, 64, 2)])
+    q, grad = f0._q_and_grad(v)
+    q_only, (_, _, _, _, _, w, _, _, _) = f0._cutoff(v)
+    if region == "plateau":
+        assert np.all(w == 1.0) and np.all(q != 0.0)
+    elif region == "sliding":
+        assert np.all((0.0 < w) & (w < 1.0)) and np.all(q != 0.0)
+    else:
+        assert np.all(w == 0.0) and np.all(grad == 0.0)
+    assert q_only.tobytes() == q.tobytes()
+    quad = np.einsum("...i,ij,...j->...", v, f0.A, v)
+    assert (f0.conj_value(_mat22(v)).tobytes()
+            == np.sqrt(np.maximum(quad + q, 0.0)).tobytes())
+
+
+def test_inversion_reports_a_singular_jacobian(f0, monkeypatch):
+    # a constant gradient map has a zero Jacobian
+    monkeypatch.setattr(BadF0, "_grad_half_conj_sq",
+                        lambda self, v: np.ones_like(v))
+    with pytest.raises(ProxFailureError, match="singular Jacobian; reduce eps"):
+        f0._invert_gradient(np.array([[1.0, 0.0, 0.0, 0.0]]))
+
+
+def test_inversion_reports_a_stall(f0, monkeypatch):
+    # v * v + 1 >= 1 never meets the target -1 and its Jacobian diag(2 v)
+    # stays invertible, so Newton runs out of steps; some line searches
+    # exhaust every halving on the way, and every Newton system solved
+    # matches the oracle's bit for bit
+    monkeypatch.setattr(BadF0, "_grad_half_conj_sq",
+                        lambda self, v: v * v + 1.0)
+    solve, systems = np.linalg.solve, []
+
+    def recorded(J, b):
+        systems[-1].append(J.tobytes() + b.tobytes())
+        return solve(J, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recorded)
+    msg = r"gradient inversion stalled \(residual 1.0e\+00\); try a smaller eps"
+    for invert in (f0._invert_gradient, lambda t: oracle_invert(f0, t)):
+        systems.append([])
+        with pytest.raises(ProxFailureError, match=msg):
+            invert(-np.ones((2, 4)))
+    assert len(systems[0]) == gallery._NEWTON_ITERS
+    assert systems[0] == systems[1]
+
+
 def test_check_bad_grad_examples(f0):
     assert check_bad_grad(f0, 1.0, 0.0) <= 1e-6
     assert check_bad_grad(f0, 2.0, 0.0) <= 1e-6
@@ -282,6 +413,28 @@ def test_anisotropic_certificate_inverts_nothing_and_check_inverts_once(
     assert calls == []
     check_bad_grad(f0, 1.0, f0.eps / 4)
     assert calls == [1]
+
+
+def test_check_bad_grad_evaluates_the_cutoff_four_times(f0, monkeypatch):
+    # one inversion: q alone for the start's f0*, then q and Dq for the
+    # start's residual, for one Newton step's batched Jacobian and for one
+    # accepted line-search trial whose residual ends the loop
+    calls = {"_invert_gradient": [], "_cutoff": [], "_q_and_grad": []}
+
+    def counted(name):
+        method = getattr(BadF0, name)
+
+        def wrapper(self, v):
+            calls[name].append(np.shape(v))
+            return method(self, v)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(BadF0, name, counted(name))
+    assert check_bad_grad(f0, 1.0, f0.eps / 4) <= 1e-6
+    assert calls["_invert_gradient"] == [(1, 4)]
+    assert calls["_cutoff"] == [(1, 4), (1, 4), (8, 4), (1, 4)]
+    assert calls["_q_and_grad"] == [(1, 4), (8, 4), (1, 4)]
 
 
 def test_anisotropic_u0_needs_narrow_bump(f0):
