@@ -92,7 +92,7 @@ class GalleryCase:
     def build_spec(self, nx: Optional[int] = None) -> ProblemSpec:
         if self.spec_builder is None:
             raise DomainError(f"case {self.name} has no grid form")
-        return self.spec_builder(nx or self.default_nx)
+        return self.spec_builder(self.default_nx if nx is None else nx)
 
     def verify_reference(self, tol: Optional[float] = None):
         """Run the matching certificate verifier on the reference fields."""

@@ -638,13 +638,17 @@ def repair_dual(spec: ProblemSpec, z, zeta):
     """Project (z, zeta) to a feasible dual point (least-gradient family).
 
     Alternates a Poisson solve with the Neumann Laplacian G^T G (removing
-    the fluctuating part of -G^T z + backflow(zeta)) with pointwise
-    clipping into the dual balls; a final global rescale makes the pair
-    exactly feasible, so it plugs into ``duality_gap`` for a certified
-    lower bound.  Requires a homogeneous scalar integrand with a ball dual
-    range and g = lambda = 0; otherwise (z, zeta) come back as given.  z
-    may be padded or compressed; the repaired pair is always compressed:
-    a planar (N, n, d) z and an (m, n) zeta.
+    the fluctuating part of the drift -G^T z + backflow(zeta)) with
+    clipping z pointwise into its dual balls and the zeta step
+    ``_polish_zeta``, which gives each boundary face the zeta in
+    [-r_b, r_b] that maximizes the dual objective for that z; a final
+    global rescale makes the pair exactly feasible, so it plugs into
+    ``duality_gap`` for a certified lower bound.  Requires a homogeneous
+    scalar integrand with a ball dual range and g = lambda = 0; otherwise
+    (z, zeta) come back as given.  Where it applies, z (padded or
+    compressed) and zeta are checked as they enter, like the gap's
+    inputs, and the repaired pair is compressed: a planar (N, 1, d) z and
+    an (m, 1) zeta.
     """
     f = spec.integrand
     domain = spec.domain
@@ -659,10 +663,9 @@ def repair_dual(spec: ProblemSpec, z, zeta):
     # nu-section bounds for the zeta polish
     r_b = np.asarray(f.dual_radius(bf.point), dtype=float)
     r_b = np.broadcast_to(r_b, (len(bf),))
-    zeta = np.clip(np.asarray(zeta, dtype=float).reshape(len(bf), 1),
-                   -r_b[:, None], r_b[:, None])
+    zeta = np.clip(_zeta_values(spec, zeta), -r_b[:, None], r_b[:, None])
 
-    z_rep = _dual_values(domain, z)
+    z_rep = _dual_values(domain, z, spec.n_channels)
     for k in range(_REPAIR_ROUNDS):
         v = _drift(spec, z_rep, zeta)[:, 0]
         z_rep = z_rep - domain.grad(domain.neumann_solve(-v)[:, None])
@@ -683,45 +686,38 @@ _POLISH_SWEEPS = 3
 
 
 def _polish_zeta(spec, z_rep, zeta, r_b):
-    """Coordinate-exact ascent of the dual objective in the zeta block.
+    """Exact coordinate ascent of the dual objective in the zeta block.
 
-    For fixed z the dual objective is w zeta u0 - M h^d |divergence balance|
-    per boundary cell, with M = ``spec.box_bound``, piecewise linear in
-    each zeta; the 1-D maximum sits at -r_b, +r_b, or the balance kink, so
-    evaluating three candidates per face is exact.  The faces of one
-    (axis, sign) group share no cell, so updating a group at once and the
-    groups in turn is a plain coordinate ascent that can only improve the
-    bound.  Each cell's backflow is summed by ``trace_adjoint`` (B^T).
+    For fixed z a face's part of the dual objective is
+    w zeta u0 - M h^d |v_c| with v_c = div z + B^T(beta zeta) the drift of
+    its cell and M = ``spec.box_bound``: concave and piecewise linear in
+    zeta, with slopes w (u0 + M) left of the zero of v_c and w (u0 - M)
+    right of it.  Its maximizer on [-r_b, r_b] is therefore sign(u0) r_b
+    where |u0| > M and otherwise the zeta that zeroes v_c, clipped to
+    [-r_b, r_b]; ties |u0| = M take that zero, which spares the Poisson
+    projection after it.  The faces of one (axis, sign) group share no
+    cell, so a group is set at once and its cells' drifts updated before
+    the next group: a Gauss-Seidel sweep that can only raise the bound.
     """
     domain = spec.domain
     bf = domain.boundary_faces
     beta = bf.weight / domain.cell_volume
-    # the balance penalty gets an epsilon preference so that ties break
-    # toward divergence feasibility, which the later Poisson projection
-    # would otherwise pay for; argmax takes the first of tied candidates
-    m_vol = spec.box_bound * (1.0 + 1e-9) * domain.cell_volume
-    div_fixed = domain.div(z_rep)[:, 0]
-    wu0 = bf.weight * spec.u0[:, 0]
-    zeta = zeta.copy()
-    flow = beta * zeta[:, 0]  # backflow of each face
+    u0, m = spec.u0[:, 0], spec.box_bound
+    # each face's interval: one point on a bound face, else [-r_b, r_b]
+    lo = np.where(u0 > m, r_b, -r_b)
+    hi = np.where(u0 < -m, -r_b, r_b)
+    drift = _drift(spec, z_rep, zeta)[:, 0]
+    zeta = zeta[:, 0].copy()
     # axis-major, sign -1 before +1: the Gauss-Seidel order of the groups
-    groups = []
-    for a in range(domain.dim):
-        for sgn in (-1, 1):
-            sel = np.flatnonzero((bf.axis == a) & (bf.sign == sgn))
-            cell = domain.face_cells[sel]
-            groups.append((sel, cell, div_fixed[cell], beta[sel], r_b[sel],
-                           wu0[sel], np.arange(sel.size)))
+    groups = [np.flatnonzero((bf.axis == a) & (bf.sign == sgn))
+              for a in range(domain.dim) for sgn in (-1, 1)]
     for _ in range(_POLISH_SWEEPS):
-        for sel, cell, div_c, b, r, wu, cols in groups:
-            res_wo = ((div_c + domain.trace_adjoint(flow)[cell])
-                      - b * zeta[sel, 0])
-            cands = np.stack([-r, r, np.clip(-res_wo / b, -r, r)], axis=0)
-            vals = wu * cands - m_vol * np.abs(res_wo + b * cands)
-            new = cands[np.argmax(vals, axis=0), cols]
-            zeta[sel, 0] = new
-            flow[sel] = b * new
-    return zeta
+        for sel in groups:
+            cell, b = domain.face_cells[sel], beta[sel]
+            rest = drift[cell] - b * zeta[sel]  # v_c without this face
+            zeta[sel] = np.clip(-rest / b, lo[sel], hi[sel])
+            drift[cell] = rest + b * zeta[sel]
+    return zeta[:, None]
 
 
 def trace_error(spec: ProblemSpec, u) -> float:

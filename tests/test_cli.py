@@ -531,6 +531,13 @@ def test_cli_gallery_run_rof(tmp_path):
     assert payload["certificate.overall_pass"] is True
 
 
+def test_cli_gallery_run_rejects_a_zero_resolution(capsys):
+    # --nx 0 is a resolution, not "unset": it fails, no default grid solves
+    assert main(["gallery", "run", "disk_bv_attainment", "--nx", "0"]) == 1
+    assert capsys.readouterr().err == (
+        "error: resolution must be at least 16\n")
+
+
 def test_cli_gallery_list(capsys):
     assert main(["gallery", "list"]) == 0
     out = capsys.readouterr().out

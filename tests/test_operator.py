@@ -22,7 +22,7 @@ from lingrad.energy import (
 from lingrad.errors import ShapeMismatchError
 from lingrad.geometry import Annulus, Ball, GridDomain
 from lingrad.integrands import make_tv
-from lingrad.solver import _polish_zeta, repair_dual
+from lingrad.solver import _POLISH_SWEEPS, _polish_zeta, repair_dual
 
 
 @st.composite
@@ -254,8 +254,8 @@ def test_the_zeta_polish_and_the_repair_keep_their_bounds(domain, seed):
     z = rng.uniform(0.1, 3.0) * rng.standard_normal((n_in, 1, domain.dim))
     zeta = rng.uniform(-1.0, 1.0, (m, 1))
 
-    # the polish's own balance weight M (1 + 1e-9) h^d
-    weight = spec.box_bound * (1.0 + 1e-9) * domain.cell_volume
+    # the polish's own balance weight M h^d
+    weight = spec.box_bound * domain.cell_volume
 
     def objective(zeta):
         balance = domain.div(z)[:, 0] + domain.trace_adjoint(
@@ -276,6 +276,60 @@ def test_the_zeta_polish_and_the_repair_keep_their_bounds(domain, seed):
     # ulp above r, inside the conjugate's 1e-12 relative slack
     assert np.all(spec.integrand.conjugate(domain.points, z_rep) == 0.0)
     assert np.all(np.abs(zeta_rep) <= 1.0)
+
+
+def three_candidate_polish(spec, z_rep, zeta, r_b):
+    """The zeta polish as a search: per face the best of -r_b, +r_b and
+    the clipped zero of its cell's drift, scored on the dual objective
+    with the balance weight M (1 + 1e-9) h^d, so that ties go to the zero
+    (argmax takes the first of tied candidates); the groups in the
+    polish's order, each cell's backflow summed anew for each group."""
+    domain = spec.domain
+    bf = domain.boundary_faces
+    beta = bf.weight / domain.cell_volume
+    m_vol = spec.box_bound * (1.0 + 1e-9) * domain.cell_volume
+    div_fixed = domain.div(z_rep)[:, 0]
+    wu0 = bf.weight * spec.u0[:, 0]
+    zeta = zeta.copy()
+    flow = beta * zeta[:, 0]
+    for _ in range(_POLISH_SWEEPS):
+        for a in range(domain.dim):
+            for sgn in (-1, 1):
+                sel = np.flatnonzero((bf.axis == a) & (bf.sign == sgn))
+                cell, b, r = domain.face_cells[sel], beta[sel], r_b[sel]
+                res_wo = (div_fixed[cell] + domain.trace_adjoint(flow)[cell]
+                          - b * zeta[sel, 0])
+                cands = np.stack([-r, r, np.clip(-res_wo / b, -r, r)])
+                vals = (wu0[sel] * cands
+                        - m_vol * np.abs(res_wo + b * cands))
+                new = cands[np.argmax(vals, axis=0), np.arange(sel.size)]
+                zeta[sel, 0] = new
+                flow[sel] = b * new
+    return zeta
+
+
+@settings(max_examples=30, deadline=None)
+@given(domains(), st.integers(0, 2**32 - 1), st.floats(0.05, 0.95))
+def test_the_zeta_polish_is_the_three_candidate_search(domain, seed, frac):
+    # the closed form picks what the search over three candidates picks,
+    # with a random r_b per face and M the |u0| of a face below the
+    # largest, so that every example has faces where zeta sits on its
+    # bound (|u0| > M) and a tie (|u0| = M), which takes the zero
+    rng = np.random.default_rng(seed)
+    bf = domain.boundary_faces
+    m, n_in = len(bf), len(domain.points)
+    u0 = rng.uniform(-1.0, 1.0, (m, 1))
+    tie = np.sort(np.abs(u0[:, 0]))[int(frac * (m - 1))]
+    spec = ProblemSpec(make_tv(1, domain.dim), domain, u0, box_bound=tie)
+    assert np.any(np.abs(u0) > spec.box_bound)
+    assert np.any(np.abs(u0) == spec.box_bound)
+    r_b = rng.uniform(0.5, 2.0, m)
+    z = rng.uniform(0.1, 3.0) * rng.standard_normal((n_in, 1, domain.dim))
+    zeta = rng.uniform(-1.0, 1.0, (m, 1)) * r_b[:, None]
+    got = _polish_zeta(spec, z, zeta, r_b)
+    want = three_candidate_polish(spec, z, zeta, r_b)
+    assert got.shape == (m, 1)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 @settings(max_examples=20, deadline=None)

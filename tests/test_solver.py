@@ -771,6 +771,16 @@ def test_the_rof_annulus_keeps_its_ladder_counts():
         (24, 200), (48, 300), (96, 200), (192, 300)]
 
 
+def test_the_bv_disk_keeps_its_ladder_counts():
+    # the other repair case: here the given dual scores the smaller gap
+    # (1.8e-3 against 0.15 repaired at nx=96), so a repair that reported
+    # too small a gap would win the gap checks and move these counts
+    spec = get_case("disk_bv_attainment").build_spec(96)
+    res = solve(spec, SolverConfig(max_iters=30000, gap_tol=1e-3))
+    assert res.converged
+    assert [lv[:2] for lv in res.levels] == [(24, 500), (48, 300), (96, 400)]
+
+
 @pytest.mark.parametrize("make_spec, nx", [
     (annulus_spec, 48), (annulus_spec, 96), (disk_spec, 48), (disk_spec, 96),
     (lambda nx: get_case("rof_annulus").build_spec(nx), 96)])
@@ -1093,21 +1103,29 @@ def _first_nan(a):
     return a
 
 
-@pytest.mark.parametrize("field, edit, error, msg", [
-    ("u", lambda a: a[:-1], ShapeMismatchError,
-     r"^u has shape \(\d+, 1\), expected \(\d+, 1\)$"),
-    ("z", lambda a: a[:-1], ShapeMismatchError,
-     r"^z has shape \(\d+, 1, 2\), expected \(\d+, 1, 2\)$"),
-    ("z", lambda a: np.concatenate([a, a], axis=1), ShapeMismatchError,
-     r"^z has shape \(\d+, 2, 2\), expected \(\d+, 1, 2\)$"),
-    ("zeta", lambda a: a[:-1], ShapeMismatchError,
-     r"^zeta has shape \(\d+, 1\), expected \(\d+, 1\)$"),
-    ("u", _first_nan, InvalidFieldError, "^u has non-finite values$"),
-    ("z", _first_nan, InvalidFieldError, "^z has non-finite values$"),
-    ("zeta", _first_nan, InvalidFieldError, "^zeta has non-finite values$"),
-], ids=["u_short", "z_short", "z_two_channels", "zeta_short", "u_nan",
-        "z_nan", "zeta_nan"])
-@pytest.mark.parametrize("entry", ["duality_gap", "verify", "warm_start"])
+_FIELD_ROWS = {
+    "u_short": ("u", lambda a: a[:-1], ShapeMismatchError,
+                r"^u has shape \(\d+, 1\), expected \(\d+, 1\)$"),
+    "z_short": ("z", lambda a: a[:-1], ShapeMismatchError,
+                r"^z has shape \(\d+, 1, 2\), expected \(\d+, 1, 2\)$"),
+    "z_two_channels": (
+        "z", lambda a: np.concatenate([a, a], axis=1), ShapeMismatchError,
+        r"^z has shape \(\d+, 2, 2\), expected \(\d+, 1, 2\)$"),
+    "zeta_short": ("zeta", lambda a: a[:-1], ShapeMismatchError,
+                   r"^zeta has shape \(\d+, 1\), expected \(\d+, 1\)$"),
+    "u_nan": ("u", _first_nan, InvalidFieldError, "^u has non-finite values$"),
+    "z_nan": ("z", _first_nan, InvalidFieldError, "^z has non-finite values$"),
+    "zeta_nan": ("zeta", _first_nan, InvalidFieldError,
+                 "^zeta has non-finite values$"),
+}
+
+
+# repair_dual takes no u, so only the z and zeta rows enter it
+@pytest.mark.parametrize("field, edit, error, msg, entry", [
+    pytest.param(*row, entry, id=f"{entry}-{row_id}")
+    for entry in ("duality_gap", "verify", "warm_start", "repair_dual")
+    for row_id, row in _FIELD_ROWS.items()
+    if entry != "repair_dual" or row[0] != "u"])
 def test_fields_are_checked_where_they_enter(solved_grid_cases, field, edit,
                                              error, msg, entry):
     spec, res = solved_grid_cases["annulus_least_gradient"]
@@ -1119,6 +1137,7 @@ def test_fields_are_checked_where_they_enter(solved_grid_cases, field, edit,
         "verify": lambda: verify_least_gradient(spec, u, z, zeta=zeta),
         "warm_start": lambda: solve(spec, SolverConfig(max_iters=10),
                                     warm_start=(u, z, zeta)),
+        "repair_dual": lambda: repair_dual(spec, z, zeta),
     }[entry]
     with pytest.raises(error, match=msg):
         call()
