@@ -206,9 +206,8 @@ def build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, need_spec=True):
-        if need_spec:
-            sp.add_argument("--spec", required=True, help="problem spec file")
+    def add_common(sp):
+        sp.add_argument("--spec", required=True, help="problem spec file")
         sp.add_argument("--nx", type=int, default=None, help="grid resolution")
 
     sp = sub.add_parser("solve", help="minimize the relaxed functional")

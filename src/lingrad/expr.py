@@ -13,6 +13,7 @@ expression nested past Python's recursion limit raises SpecFileError.
 
 from __future__ import annotations
 
+import operator
 import re
 
 import numpy as np
@@ -36,6 +37,8 @@ _FUNCS1 = {
     "indicator": lambda v: (np.asarray(v) > 0).astype(float),
 }
 _FUNCS2 = {"min": np.minimum, "max": np.maximum}
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv, "^": operator.pow}
 _CONSTS = {"pi": np.float64(np.pi)}
 _VARS = ("x", "y", "r", "theta")
 
@@ -59,6 +62,11 @@ def _tokenize(src: str):
         pos = m.end()
     out.append(("end", None, len(src)))
     return out
+
+
+def _binary(op, a, b):
+    fn = _BINARY[op]
+    return lambda env: fn(a(env), b(env))
 
 
 class _Parser:
@@ -92,21 +100,13 @@ class _Parser:
     def expr(self):
         node = self.term()
         while self.peek()[:2] in (("op", "+"), ("op", "-")):
-            op = self.take()[1]
-            rhs = self.term()
-            node = (lambda a, b: (lambda env: a(env) + b(env)))(node, rhs) \
-                if op == "+" else (lambda a, b: (lambda env: a(env) - b(env)))(node, rhs)
+            node = _binary(self.take()[1], node, self.term())
         return node
 
     def term(self):
         node = self.factor()
         while self.peek()[:2] in (("op", "*"), ("op", "/")):
-            op = self.take()[1]
-            rhs = self.factor()
-            if op == "*":
-                node = (lambda a, b: (lambda env: a(env) * b(env)))(node, rhs)
-            else:
-                node = (lambda a, b: (lambda env: a(env) / b(env)))(node, rhs)
+            node = _binary(self.take()[1], node, self.factor())
         return node
 
     def factor(self):
@@ -121,8 +121,8 @@ class _Parser:
         node = self.atom()
         if self.peek()[:2] == ("op", "^"):
             self.take()
-            rhs = self.factor()  # right associative; exponent may be signed
-            node = (lambda a, b: (lambda env: a(env) ** b(env)))(node, rhs)
+            # right associative; exponent may be signed
+            node = _binary("^", node, self.factor())
         return node
 
     def atom(self):

@@ -27,9 +27,13 @@ energy value, which certificate must pass).  The cases:
 
 The bad-f0 norm is built from its dual: f0*(x) = sqrt(Ax.x + q(x)) where
 q is the 2-homogeneous extension of a cutoff of 2 x21^2 x22 / x11 around
-+-e1 tensor e1 (bump equal to 1 within 10 eps, supported within 20 eps on
-the sphere), and f0 is recovered pointwise by Newton inversion of the
-gradient map of f0*^2 / 2.
++-e1 tensor e1.  The bump is a function of one chordal distance, s =
+|y - pole e11| from the direction y = x / |x| to the nearer pole, which
+is the one whose sign y11 has; it equals 1 for s <= 10 eps and vanishes
+for s >= 20 eps, so a cutoff costs |x| and one norm of y - pole e11.  f0
+is recovered pointwise by Newton inversion of the gradient map of
+f0*^2 / 2.  The growth constant needs no inversion: on the unit sphere
+max f0 = 1 / min f0* and min f0 = 1 / max f0* by duality.
 
 The counterexample's certificate needs no inversion.  Inside the cone
 |v2| < eps |v1|, D f0(v x v) = v1 (v x e1) / f0(v x v), and Euler's
@@ -372,9 +376,14 @@ class BadF0:
 
     Built from the dual side: f0*(v) = sqrt(A v . v + q(v)) with q the
     2-homogeneous extension of 2 v21^2 v22 / v11 cut off around
-    +-e1 tensor e1 (bump = 1 within radius 10 eps on the sphere, support
-    within 20 eps; profile (1 - s^2)^3), and f0 the dual norm of f0*,
-    evaluated by damped Newton inversion of F = grad(f0*^2 / 2).  Each
+    +-e1 tensor e1, and f0 the dual norm of f0*, evaluated by damped
+    Newton inversion of F = grad(f0*^2 / 2).  The cutoff reads the
+    chordal distance s = |y - pole e11| of y = v / |v| to the nearer pole,
+    pole = +1 unless y11 < 0, at the cost of |v| and that one norm: bump
+    = 1 for s <= 10 eps, 0 for s >= 20 eps, profile (1 - t^2)^3 in
+    t = s / (10 eps) - 1, and Dq differentiates the same s.  The growth
+    constant of ``integrand()`` is read off f0* on the sphere by duality
+    (max f0 = 1 / min f0*, min f0 = 1 / max f0*), inverting nothing.  Each
     Newton step evaluates F once on all 8 central-difference points of its
     Jacobian and once per line-search trial, and the accepted trial's
     residual is reused as the next step's, so a converged cone point costs
@@ -390,7 +399,7 @@ class BadF0:
     """
 
     def __init__(self, eps: float = 1e-2):
-        if eps <= 0:
+        if not eps > 0:
             raise ValueError("eps must be positive")
         if eps > 0.03:
             raise ValueError(
@@ -408,33 +417,28 @@ class BadF0:
     # -- the auxiliary 2-homogeneous cutoff function -----------------------
 
     def _bump(self, s):
-        t = (s - self.r_one) / (self.r_one)
-        t = np.clip(t, 0.0, 1.0)
+        t = np.clip((s - self.r_one) / self.r_one, 0.0, 1.0)
         return (1.0 - t * t) ** 3
 
     def _bump_prime(self, s):
-        t = (s - self.r_one) / (self.r_one)
-        inside = (t > 0.0) & (t < 1.0)
-        tt = np.where(inside, t, 0.0)
-        return np.where(inside, -6.0 * tt * (1.0 - tt * tt) ** 2 / self.r_one, 0.0)
+        t = np.clip((s - self.r_one) / self.r_one, 0.0, 1.0)
+        return -6.0 * t * (1.0 - t * t) ** 2 / self.r_one
 
     def _cutoff(self, v):
         """q(v) for batched 4-vectors, and the cutoff state Dq chains through.
 
-        The state is (v, y, safe_r, use_minus, s, w, active, va, base): the
-        float input, its direction and clamped norm, which pole is nearer,
-        the sphere distance s to it, the bump w(s), the rows where w > 0,
-        those rows and 2 v21^2 v22 / v11 on them.
+        The state is (y, safe_r, d, s, w, active, va, base): the direction
+        of v and its clamped norm, d = y - pole e11 for the nearer pole,
+        s = |d|, the bump w(s), the rows where w > 0, those rows of v and
+        2 v21^2 v22 / v11 on them.
         """
         v = np.asarray(v, dtype=float)
-        r = np.linalg.norm(v, axis=-1, keepdims=True)
-        safe_r = np.maximum(r, 1e-300)
+        safe_r = np.maximum(np.linalg.norm(v, axis=-1, keepdims=True), 1e-300)
         y = v / safe_r
-        # distance on the sphere to the nearer of +-e1 tensor e1
-        dp = np.linalg.norm(y - _E11, axis=-1)
-        dm = np.linalg.norm(y + _E11, axis=-1)
-        use_minus = dm < dp
-        s = np.where(use_minus, dm, dp)
+        # chordal distance to the nearer of +-e1 tensor e1: |y - e11|^2 -
+        # |y + e11|^2 = -4 y11, so the nearer pole has the sign of y11
+        d = y - np.where(y[..., :1] < 0.0, -1.0, 1.0) * _E11
+        s = np.linalg.norm(d, axis=-1)
         w = self._bump(s)
         active = w > 0.0
 
@@ -442,12 +446,12 @@ class BadF0:
         base = 2.0 * va[..., 1] * va[..., 1] * va[..., 3] / va[..., 0]
         q = np.zeros(v.shape[:-1])
         q[active] = base * w[active]
-        return q, (v, y, safe_r, use_minus, s, w, active, va, base)
+        return q, (y, safe_r, d, s, w, active, va, base)
 
     def _q_and_grad(self, v):
-        """q(v) and Dq(v) for batched 4-vectors; exact where the bump is flat."""
-        q, (v, y, safe_r, use_minus, s, w, active, va, base) = self._cutoff(v)
-        grad = np.zeros_like(v)
+        """q(v) and Dq(v) for batched 4-vectors."""
+        q, (y, safe_r, d, s, w, active, va, base) = self._cutoff(v)
+        grad = np.zeros_like(y)
         if not np.any(active):
             return q, grad
 
@@ -459,22 +463,15 @@ class BadF0:
              2.0 * v1 * v1 / v0],
             axis=-1,
         )
-        wa = w[active]
-
-        # gradient of the cutoff: chain through s(y(v)); zero on the plateau
-        bp = self._bump_prime(s[active])
-        sliding = bp != 0.0
-        gw = np.zeros_like(va)
-        if np.any(sliding):
-            ya = y[active][sliding]
-            ra = safe_r[active][:, 0][sliding]
-            sign = np.where(use_minus[active][sliding], 1.0, -1.0)
-            e_eff = -sign[:, None] * _E11  # y - e for plus branch, y + e for minus
-            diff = ya + e_eff
-            dn = diff / np.linalg.norm(diff, axis=-1, keepdims=True)
-            proj = dn - ya * np.sum(dn * ya, axis=-1, keepdims=True)
-            gw[sliding] = bp[sliding][:, None] * proj / ra[:, None]
-        grad[active] = dbase * wa[..., None] + base[..., None] * gw
+        # Dw = w'(s) Ds, Ds = (tangential part of d / s) / |v| since y =
+        # v / |v|; w' = 0 for s <= r_one, so the floor on s only keeps the
+        # plateau's 0 / 0 out
+        ya, da, sa = y[active], d[active], s[active]
+        tang = da - ya * np.sum(da * ya, axis=-1, keepdims=True)
+        dw = self._bump_prime(sa) / (np.maximum(sa, self.r_one)
+                                     * safe_r[active][:, 0])
+        grad[active] = (dbase * w[active][..., None]
+                        + base[..., None] * dw[..., None] * tang)
         return q, grad
 
     # -- dual norm and its gradient map ------------------------------------
@@ -615,11 +612,12 @@ class BadF0:
             val = bad.conj_value(flat).reshape(z.shape[:-2])
             return np.where(val <= 1.0 + 1e-9, 0.0, np.inf)
 
-        # growth constant sampled on the sphere with a safety factor
+        # growth constant sampled on the sphere with a safety factor, read
+        # off f0* by duality: max f0 = 1 / min f0*, min f0 = 1 / max f0*
         rng = np.random.default_rng(5)
         sph = rng.standard_normal((512, 4))
         sph /= np.linalg.norm(sph, axis=-1, keepdims=True)
-        vals = bad.value(_mat22(sph))
+        vals = bad.conj_value(_mat22(sph))
         growth = 1.05 * max(float(vals.max()), 1.0 / float(vals.min()))
 
         return Integrand(

@@ -216,11 +216,12 @@ def test_solver_overrides(tmp_path):
     ("solver", "box_bound = -1"),
     ("integrand", "name = vector_tv:abc"),
     ("integrand", "name = bad_f0:abc"),
+    ("integrand", "name = bad_f0:nan"),
     ("integrand", "name = weighted_tv:x-5"),
     ("domain", "shape = disk abc"),
 ], ids=["nx", "nx_0", "max_iters", "check_every", "gap_tol", "box_bound_abc",
-        "box_bound_neg", "vector_tv", "bad_f0", "weighted_tv_negative",
-        "shape"])
+        "box_bound_neg", "vector_tv", "bad_f0", "bad_f0_nan",
+        "weighted_tv_negative", "shape"])
 def test_malformed_entry_names_file_section_and_key(tmp_path, section, entry):
     # a bad value fails in parse_spec, not as a bare ValueError further in
     key = entry.split(" = ")[0]

@@ -153,25 +153,35 @@ def test_conj_is_plain_quadratic_off_the_bump(f0):
     assert f0.conj_value(M[None])[0] == pytest.approx(np.sqrt(quad), rel=1e-14)
 
 
+def support_oracle(f0, x, starts):
+    """f0(x) = max over unit w of <x, w>/f0*(w), solved independently."""
+    def neg_ratio(w):
+        nw = np.linalg.norm(w)
+        return -(x @ w) / (f0.conj_value(_mat22(w / nw)[None])[0] * nw)
+
+    # the ratio is smooth and 0-homogeneous in w, so quasi-Newton
+    # from a few starts finds the maximum to roundoff
+    return max(-optimize.minimize(neg_ratio, w0, method="BFGS",
+                                  options={"gtol": 1e-8}).fun for w0 in starts)
+
+
 def test_value_against_support_function_oracle(f0):
-    # f0(x) = max over unit w of <x, w>/f0*(w), solved independently
     rng = np.random.default_rng(2)
     for _ in range(3):
         M = rng.standard_normal((2, 2))
-        x = _vec4(M)
-
-        def neg_ratio(w):
-            nw = np.linalg.norm(w)
-            return -(x @ w) / (f0.conj_value(_mat22(w / nw)[None])[0] * nw)
-
-        # the ratio is smooth and 0-homogeneous in w, so quasi-Newton
-        # from a few starts finds the maximum to roundoff
-        best = -np.inf
-        for _ in range(3):
-            res = optimize.minimize(neg_ratio, rng.standard_normal(4),
-                                    method="BFGS", options={"gtol": 1e-8})
-            best = max(best, -res.fun)
+        best = support_oracle(f0, _vec4(M),
+                              [rng.standard_normal(4) for _ in range(3)])
         assert f0.value(M) == pytest.approx(best, rel=1e-9)
+    # x = A y with y in the sliding band of either pole: the maximizer is
+    # near y, where Dq chains through the bump's slope
+    u = np.array([0.0, 0.6, 0.3, 0.74])
+    u /= np.linalg.norm(u)
+    theta = 2.0 * np.arcsin(0.15 / 2.0)  # chordal distance 0.15 to the pole
+    for pole in (1.0, -1.0):
+        y = pole * np.cos(theta) * np.eye(4)[0] + np.sin(theta) * u
+        x = f0.A @ y
+        best = support_oracle(f0, x, [y])
+        assert f0.value(_mat22(x)) == pytest.approx(best, rel=1e-9)
 
 
 def test_norm_axioms_sampled(f0):
@@ -292,7 +302,7 @@ def test_q_only_path_equals_q_and_grad_bit_for_bit(f0, dist, region):
     v = np.concatenate([sphere_rows(e11, dist, 64, 1),
                         sphere_rows(-e11, dist, 64, 2)])
     q, grad = f0._q_and_grad(v)
-    q_only, (_, _, _, _, _, w, _, _, _) = f0._cutoff(v)
+    q_only, (_, _, _, _, w, _, _, _) = f0._cutoff(v)
     if region == "plateau":
         assert np.all(w == 1.0) and np.all(q != 0.0)
     elif region == "sliding":
@@ -303,6 +313,11 @@ def test_q_only_path_equals_q_and_grad_bit_for_bit(f0, dist, region):
     quad = np.einsum("...i,ij,...j->...", v, f0.A, v)
     assert (f0.conj_value(_mat22(v)).tobytes()
             == np.sqrt(np.maximum(quad + q, 0.0)).tobytes())
+    # Dq is the derivative of the q-only path, on the band's slope too
+    fd = np.stack([(f0._cutoff(v + e)[0] - f0._cutoff(v - e)[0]) / 2e-7
+                   for e in 1e-7 * np.eye(4)], axis=-1)
+    assert np.all(np.linalg.norm(grad - fd, axis=-1)
+                  <= 1e-6 * np.linalg.norm(grad, axis=-1))
 
 
 def test_inversion_reports_a_singular_jacobian(f0, monkeypatch):
@@ -356,6 +371,8 @@ def test_check_bad_grad_rejects_outside_cone(f0):
 def test_eps_guards():
     with pytest.raises(ValueError):
         build_bad_f0(-1.0)
+    with pytest.raises(ValueError):
+        build_bad_f0(float("nan"))
     with pytest.raises(ValueError):
         build_bad_f0(0.2)  # beyond the calibrated convexity range
     assert BadF0.estimate_eps_max() > 1e-2
