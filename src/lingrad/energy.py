@@ -281,6 +281,6 @@ def total_variation(domain: GridDomain, u: np.ndarray) -> float:
 
 def truncate(u: np.ndarray, b: float) -> np.ndarray:
     """Pointwise clamp of a compressed scalar field, (N, 1), to [-b, b]."""
-    if b < 0:
-        raise ValueError("truncation level must be nonnegative")
+    if not b >= 0:
+        raise ValueError(f"truncation level must be nonnegative, got {b}")
     return np.clip(_checked(u, "u", (None, 1)), -b, b)

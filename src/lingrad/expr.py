@@ -3,18 +3,26 @@
 Expressions are built over the variables x, y, r, theta (and the constant
 pi) with +, -, *, /, ^, the functions sin, cos, sqrt, abs, sign,
 indicator (1 where the argument is positive, else 0), and min/max of two
-arguments.  Parsing is a tiny recursive-descent pass producing a closure
-that evaluates vectorized over numpy arrays; no Python eval is involved.
-Literals are float64 and evaluation ignores floating-point errors, so a
-division by zero, an overflow or a negative base to a fractional power
-gives inf or nan (which ``ProblemSpec`` rejects by field name); an
-expression nested past Python's recursion limit raises SpecFileError.
+arguments.  The text is read by Python's own expression parser,
+``ast.parse``, once it is made a Python expression: whitespace, newlines
+included, becomes a blank; a character outside the language, ``**`` and
+a trailing comma in a call are rejected; a leading zero of a number
+becomes a blank (``01`` is 1); ``^`` is written ``**``.  One compile pass
+then turns each node the language allows into a closure that evaluates
+vectorized over numpy arrays, and rejects any other node, naming its
+column.  No Python eval is involved.  Literals are float64 and
+evaluation ignores floating-point errors, so a division by zero, an
+overflow or a negative base to a fractional power gives inf or nan
+(which ``ProblemSpec`` rejects by field name); an expression nested too
+deeply to parse or to evaluate raises SpecFileError.
 """
 
 from __future__ import annotations
 
+import ast
 import operator
 import re
+import warnings
 
 import numpy as np
 
@@ -22,148 +30,62 @@ from .errors import SpecFileError
 
 __all__ = ["compile_expression", "evaluate_on_points"]
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>\^|\+|-|\*|/|\(|\)|,))"
-)
+_NUMBER = re.compile(r"\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
+# not in the language: any other character, '**' (power is '^') and a
+# trailing comma in a call, which Python would all read
+_REJECT = re.compile(r"[^A-Za-z0-9_.+\-*/^(), ]|\*\*|, *\)")
+# the leading zeros of a number, which Python rejects in an integer; those
+# of an exponent ('1e-01') Python reads
+_LEADING_ZEROS = re.compile(r"(?<![\w.])(?<![eE][+-])0+(?=\d)")
 
-_FUNCS1 = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "sqrt": lambda v: np.sqrt(np.maximum(v, 0.0)),
-    "abs": np.abs,
-    "sign": np.sign,
-    "indicator": lambda v: (np.asarray(v) > 0).astype(float),
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv,
+           ast.Pow: operator.pow}
+_FUNCS = {
+    ("sin", 1): np.sin,
+    ("cos", 1): np.cos,
+    ("sqrt", 1): lambda v: np.sqrt(np.maximum(v, 0.0)),
+    ("abs", 1): np.abs,
+    ("sign", 1): np.sign,
+    ("indicator", 1): lambda v: (np.asarray(v) > 0).astype(float),
+    ("min", 2): np.minimum,
+    ("max", 2): np.maximum,
 }
-_FUNCS2 = {"min": np.minimum, "max": np.maximum}
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-           "/": operator.truediv, "^": operator.pow}
-_CONSTS = {"pi": np.float64(np.pi)}
-_VARS = ("x", "y", "r", "theta")
+_NAMES = ("x", "y", "r", "theta", "pi")
+_PI = np.float64(np.pi)
 
 
-def _tokenize(src: str):
-    pos = 0
-    out = []
-    while pos < len(src):
-        m = _TOKEN.match(src, pos)
-        if not m or m.end() == pos:
-            if src[pos:].strip():
-                raise SpecFileError(
-                    f"bad character {src[pos:].strip()[0]!r} at column {pos + 1}")
-            break
-        if m.lastgroup == "num":
-            out.append(("num", np.float64(m.group("num")), pos))
-        elif m.lastgroup == "name":
-            out.append(("name", m.group("name"), pos))
-        else:
-            out.append(("op", m.group("op"), pos))
-        pos = m.end()
-    out.append(("end", None, len(src)))
-    return out
-
-
-def _binary(op, a, b):
-    fn = _BINARY[op]
-    return lambda env: fn(a(env), b(env))
-
-
-class _Parser:
-    def __init__(self, src: str):
-        self.src = src
-        self.toks = _tokenize(src)
-        self.i = 0
-
-    def peek(self):
-        return self.toks[self.i]
-
-    def take(self, kind=None, value=None):
-        tok = self.toks[self.i]
-        if kind is not None and tok[0] != kind:
-            raise SpecFileError(
-                f"expected {value or kind} at column {tok[2] + 1} in {self.src!r}")
-        if value is not None and tok[1] != value:
-            raise SpecFileError(
-                f"expected {value!r} at column {tok[2] + 1} in {self.src!r}")
-        self.i += 1
-        return tok
-
-    def parse(self):
-        node = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise SpecFileError(
-                f"unexpected {tok[1]!r} at column {tok[2] + 1} in {self.src!r}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek()[:2] in (("op", "+"), ("op", "-")):
-            node = _binary(self.take()[1], node, self.term())
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek()[:2] in (("op", "*"), ("op", "/")):
-            node = _binary(self.take()[1], node, self.factor())
-        return node
-
-    def factor(self):
-        # unary minus binds looser than '^': -x^2 means -(x^2)
-        if self.peek()[:2] == ("op", "-"):
-            self.take()
-            inner = self.factor()
-            return lambda env: -inner(env)
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        if self.peek()[:2] == ("op", "^"):
-            self.take()
-            # right associative; exponent may be signed
-            node = _binary("^", node, self.factor())
-        return node
-
-    def atom(self):
-        tok = self.peek()
-        if tok[0] == "num":
-            self.take()
-            val = tok[1]
-            return lambda env: val
-        if tok[0] == "name":
-            self.take()
-            name = tok[1]
-            if self.peek()[:2] == ("op", "("):
-                self.take()
-                args = [self.expr()]
-                while self.peek()[:2] == ("op", ","):
-                    self.take()
-                    args.append(self.expr())
-                self.take("op", ")")
-                if name in _FUNCS1 and len(args) == 1:
-                    fn, a = _FUNCS1[name], args[0]
-                    return lambda env: fn(a(env))
-                if name in _FUNCS2 and len(args) == 2:
-                    fn, a, b = _FUNCS2[name], args[0], args[1]
-                    return lambda env: fn(a(env), b(env))
-                raise SpecFileError(
-                    f"unknown function {name}/{len(args)} at column {tok[2] + 1}")
-            if name in _CONSTS:
-                val = _CONSTS[name]
-                return lambda env: val
-            if name in _VARS:
-                return lambda env: env[name]
-            raise SpecFileError(
-                f"unknown identifier {name!r} at column {tok[2] + 1} "
-                f"(variables: {', '.join(_VARS)})")
-        if tok[:2] == ("op", "("):
-            self.take()
-            node = self.expr()
-            self.take("op", ")")
-            return node
-        raise SpecFileError(
-            f"unexpected token at column {tok[2] + 1} in {self.src!r}")
+def _compile(node, text, fail):
+    """The closure env -> value of one node of ``text``; ``fail(what, k)``
+    is the error for a node outside the language at offset k."""
+    kind = type(node)
+    if kind is ast.BinOp and type(node.op) in _BINARY:
+        fn = _BINARY[type(node.op)]
+        a, b = _compile(node.left, text, fail), _compile(node.right, text, fail)
+        return lambda env: fn(a(env), b(env))
+    if kind is ast.UnaryOp and type(node.op) is ast.USub:
+        a = _compile(node.operand, text, fail)
+        return lambda env: -a(env)
+    literal = ast.get_source_segment(text, node)
+    if kind is ast.Constant and _NUMBER.fullmatch(literal):
+        val = np.float64(literal)
+        return lambda env: val
+    if kind is ast.Name:
+        name = node.id
+        if name in _NAMES:
+            return lambda env: env[name]
+        raise fail(f"unknown identifier {name!r} (names: "
+                   f"{', '.join(_NAMES)})", node.col_offset)
+    # a call names its function: '(sin)(x)' is not one
+    if (kind is ast.Call and type(node.func) is ast.Name
+            and node.func.col_offset == node.col_offset and not node.keywords):
+        fn = _FUNCS.get((node.func.id, len(node.args)))
+        if fn is None:
+            raise fail(f"unknown function {node.func.id}/{len(node.args)}",
+                       node.col_offset)
+        args = [_compile(arg, text, fail) for arg in node.args]
+        return lambda env: fn(*[a(env) for a in args])
+    raise fail(f"unexpected {literal!r}", node.col_offset)
 
 
 def _too_deep(src: str) -> SpecFileError:
@@ -172,33 +94,52 @@ def _too_deep(src: str) -> SpecFileError:
 
 
 def compile_expression(src: str):
-    """Compile an expression string to a vectorized callable env -> array."""
+    """Compile an expression string to a vectorized callable that maps
+    points of shape (..., dim) to values of shape (...)."""
+    # configparser joins continuation lines with '\n'; a non-ASCII digit
+    # is read as its ASCII one
+    text = re.sub(r"\d", lambda m: str(int(m[0])), re.sub(r"\s", " ", src))
+    bad = _REJECT.search(text)
+    if bad:
+        raise SpecFileError(
+            f"unexpected {bad[0]!r} at column {bad.start() + 1} in {src!r}")
+    text = _LEADING_ZEROS.sub(lambda m: " " * len(m[0]), text)
+    text = text.replace("^", "**")
+    body = text.lstrip()
+    lead = len(text) - len(body)
+
+    def fail(what, k):
+        column = len(text[:lead + k].replace("**", "^")) + 1
+        return SpecFileError(f"{what} at column {column} in {src!r}")
+
     try:
-        node = _Parser(src).parse()
-    except RecursionError:
+        with warnings.catch_warnings():
+            # '1if x else 2' warns, then parses to a node the compile rejects
+            warnings.simplefilter("ignore")
+            tree = ast.parse(body, mode="eval")
+        node = _compile(tree.body, body, fail)
+    except SyntaxError as exc:
+        # Python puts an error at the end of the text at offset 0
+        raise fail(exc.msg, (exc.offset or len(body) + 1) - 1) from None
+    except (RecursionError, MemoryError):  # MemoryError: parser stack full
         raise _too_deep(src) from None
 
-    def evaluate(env):
+    def evaluate(points):
+        pts = np.asarray(points, dtype=float)
+        x = pts[..., 0]
+        y = pts[..., 1] if pts.shape[-1] > 1 else np.zeros_like(x)
+        env = {"x": x, "y": y, "r": np.sqrt(x * x + y * y),
+               "theta": np.arctan2(y, x), "pi": _PI}
         try:
             with np.errstate(all="ignore"):
-                return node(env)
+                out = node(env)
         except RecursionError:
             raise _too_deep(src) from None
+        return np.broadcast_to(np.asarray(out, dtype=float), x.shape).copy()
 
     return evaluate
 
 
 def evaluate_on_points(src: str, points: np.ndarray) -> np.ndarray:
     """Evaluate an expression at points of shape (..., dim)."""
-    fn = compile_expression(src)
-    pts = np.asarray(points, dtype=float)
-    x = pts[..., 0]
-    y = pts[..., 1] if pts.shape[-1] > 1 else np.zeros_like(x)
-    env = {
-        "x": x,
-        "y": y,
-        "r": np.sqrt(x * x + y * y),
-        "theta": np.arctan2(y, x),
-    }
-    out = fn(env)
-    return np.broadcast_to(np.asarray(out, dtype=float), x.shape).copy()
+    return compile_expression(src)(points)

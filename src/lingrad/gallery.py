@@ -202,8 +202,8 @@ def rof_annulus_counterexample() -> GalleryCase:
 
 def rof_ball_counterexample(t: float = 1.0) -> GalleryCase:
     """Radial d = 3 family: datum 0, fit weight too large, u = 2t/|x|."""
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not t > 0:
+        raise ValueError(f"t must be positive, got {t}")
     tv = make_tv(1, 3)
     shape = Ball(1.0, 3)
 

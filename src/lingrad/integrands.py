@@ -95,7 +95,7 @@ class Integrand:
     ):
         if n_rows < 1 or n_cols < 1:
             raise ValueError("n_rows and n_cols must be positive")
-        if growth_constant <= 0:
+        if not growth_constant > 0:
             raise ValueError("growth_constant must be positive")
         self.n_rows = int(n_rows)
         self.n_cols = int(n_cols)
@@ -421,8 +421,9 @@ def make_weighted_tv(a: Callable, d: int = 1, *, a_bounds=None,
         pts = lo + (hi - lo) * rng.random((_WEIGHT_SAMPLES, d))
         vals = np.asarray(a(pts), dtype=float)
         a_min, a_max = float(vals.min()), float(vals.max())
-    if a_min <= 0:
-        raise ValueError("weight must be strictly positive")
+    if not 0 < a_min <= a_max:
+        raise ValueError(
+            f"weight bounds must satisfy 0 < a_min <= a_max, got {a_min}, {a_max}")
 
     def weight(x):
         if x is None:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .energy import ProblemSpec
 from .errors import SpecFileError
-from .expr import evaluate_on_points
+from .expr import compile_expression, evaluate_on_points
 from .fields import read_grid_field
 from .gallery import build_bad_f0
 from .geometry import Annulus, Ball, GridDomain, Interval, Rectangle
@@ -108,13 +108,8 @@ def make_integrand_from_name(name: str, shape):
     if name == "hencky":
         return make_hencky(d)
     if name.startswith("weighted_tv:"):
-        expr = name.split(":", 1)[1]
-
-        def weight(pts):
-            return evaluate_on_points(expr, pts)
-
-        box = shape.bbox()
-        return make_weighted_tv(weight, d, sample_box=box)
+        weight = compile_expression(name.split(":", 1)[1])
+        return make_weighted_tv(weight, d, sample_box=shape.bbox())
     if name.startswith("vector_tv:"):
         n = int(name.split(":", 1)[1])
         return make_vector_tv(n, d)

@@ -1,5 +1,6 @@
 """Certificate verification: shipped analytic references, sensitivity, grids."""
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -201,6 +202,15 @@ def test_vector_constant_certificate():
     rep = verify_vector(spec, np.tile(c, (len(domain.points), 1)), z,
                         tol=1e-12)
     assert rep.overall_pass
+
+
+def test_verify_vector_rejects_an_x_dependent_vector_integrand():
+    domain = GridDomain(Ball(1.0), 16)
+    f = copy.copy(make_vector_tv(2, 2))
+    f.x_dependent = True
+    spec = ProblemSpec(f, domain, np.zeros((len(domain.boundary_faces), 2)))
+    with pytest.raises(ShapeMismatchError, match="autonomous"):
+        verify_vector(spec, *zero_state(domain, 2))
 
 
 def test_verify_scalar_rejects_vector_problem():

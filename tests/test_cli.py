@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lingrad.cli import main
+from lingrad import expr
+from lingrad.cli import _atomic_write, main
 from lingrad.errors import InvalidFieldError, SpecFileError
 from lingrad.expr import evaluate_on_points
 from lingrad.fields import read_lgf, write_lgf
@@ -17,7 +18,9 @@ from lingrad.gallery import get_case
 from lingrad.certificate import verify_scalar
 from lingrad.energy import boundary_penalty, lower_order_energy, relaxed_energy
 from lingrad.solver import SolverConfig, duality_gap, solve, trace_error
-from lingrad.specfile import parse_shape, parse_spec
+from lingrad.specfile import make_integrand_from_name, parse_shape, parse_spec
+
+from expr_reference import evaluate_on_points as reference
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +71,97 @@ def test_expression_fuzz_returns_floats_or_spec_error(src):
     except SpecFileError:
         return
     assert out.dtype == np.float64 and out.shape == (3,)
+
+
+def _outcome(evaluate, src):
+    """The bytes of ``evaluate(src)`` at three points, or "error" when it
+    raises SpecFileError."""
+    pts = np.array([[0.0, 0.0], [3.0, -4.0], [-1.0, 0.0]])
+    try:
+        return evaluate(src, pts).tobytes()
+    except SpecFileError:
+        return "error"
+
+
+# tokens on which Python's expression grammar and the language part ways:
+# '**', '#', '=', brackets, trailing commas, newlines and tabs, leading
+# zeros and the number forms only Python reads
+_DIFFERENTIAL_TOKENS = _TOKENS + [
+    "\n", "\t", "00", ",)", "**", "#", "=", "[", "1_0", "0x", "j"]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(_DIFFERENTIAL_TOKENS), max_size=30)
+       .map("".join))
+def test_expression_matches_the_reference_parser(src):
+    # both raise SpecFileError or both give the same bits
+    assert _outcome(evaluate_on_points, src) == _outcome(reference, src)
+
+
+_BLANK = st.sampled_from(["", " ", "\n"])
+# expressions of the language, with blanks, newlines and leading zeros
+_VALID = st.recursive(
+    st.sampled_from(["0", "01", "2.5", ".5", "1e-01", "1e308", "9e-324",
+                     "x", "y", "r", "theta", "pi"]),
+    lambda inner: st.one_of(
+        st.builds("{}{}{}{}{}".format, inner, _BLANK,
+                  st.sampled_from("+-*/^"), _BLANK, inner),
+        st.builds("-{}".format, inner),
+        st.builds("({})".format, inner),
+        st.builds("{}({})".format, st.sampled_from(
+            ["sin", "cos", "sqrt", "abs", "sign", "indicator"]), inner),
+        st.builds("{}({},{}{})".format, st.sampled_from(["min", "max"]),
+                  inner, _BLANK, inner)),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VALID)
+def test_valid_expressions_give_the_reference_bits(src):
+    out = _outcome(evaluate_on_points, src)
+    assert out != "error" and out == _outcome(reference, src)
+
+
+@pytest.mark.parametrize("src", [
+    "sin(x,)", "min(x, y ,)", "01", "007.5", "-01", "1e-01", "1E+007",
+    "x +\n 1", "\tx\n", "x^\n2", "2**3", "x # c", "x=1", "'x'", "[x]",
+    "x[0]", "1_0", "0x1f", "1j", "0_1", "(sin)(x)", "sin (x)", "pi(x)",
+    "sin(x)(y)", "min(*x, y)", "min(^x)", "x^-y^2", "-x^2", "+x", "x//y",
+    "x, y", "x.real", "None", "not x", "x if y else r", "1if x else 2",
+    "x \\\n+ 1", "x\u00a0+ 1", "\u0663", "\uff58", "x\x00",
+])
+def test_expression_edges_match_the_reference_parser(src):
+    assert _outcome(evaluate_on_points, src) == _outcome(reference, src)
+
+
+@pytest.mark.parametrize("depth", [100, 150, 190, 199, 200, 250])
+@pytest.mark.parametrize("opener, closer, step", [
+    ("(", ")", lambda v: v), ("sin(", ")", np.sin), ("-", "", np.negative)],
+    ids=["parens", "sin", "unary_minus"])
+def test_deep_nesting_gives_its_value_or_a_spec_error(opener, closer, step,
+                                                     depth):
+    # Python's parser and the reference stop at different depths past
+    # about 150; either way the outcome is the value or a SpecFileError
+    expected = np.array([0.5])
+    for _ in range(depth):
+        expected = step(expected)
+    src = opener * depth + "x" + closer * depth
+    try:
+        out = evaluate_on_points(src, np.array([[0.5, 0.0]]))
+    except SpecFileError:
+        return
+    assert out.tobytes() == expected.tobytes()
+
+
+def test_weighted_tv_weight_is_compiled_once(monkeypatch):
+    # the weight is a closure over the compiled text: prox calls compile
+    # nothing
+    f = make_integrand_from_name("weighted_tv:2 - sin(pi*x)",
+                                 parse_shape("interval 0 1"))
+    monkeypatch.setattr(expr, "compile_expression",
+                        lambda src: pytest.fail(f"{src!r} compiled again"))
+    x = np.array([[0.25], [0.5]])
+    assert np.array_equal(f.dual_radius(x), 2.0 - np.sin(np.pi * x[:, 0]))
 
 
 def test_shape_grammar():
@@ -401,6 +495,22 @@ def test_cli_field_write_is_bit_stable(tmp_path):
         assert main(["solve", "--spec", str(spec), "--max-iters", "300",
                      "--gap-tol", "1e-8", "--out", str(out)]) == 0
     assert u1.read_bytes() == u2.read_bytes()
+
+
+def test_atomic_write_removes_its_temp_file_when_the_writer_raises(tmp_path):
+    # the target keeps its old bytes and no temp file is left behind
+    target = tmp_path / "u.lgf"
+    target.write_bytes(b"old")
+
+    def writer(tmp):
+        with open(tmp, "wb") as fh:
+            fh.write(b"partial")
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        _atomic_write(str(target), writer)
+    assert target.read_bytes() == b"old"
+    assert [p.name for p in tmp_path.iterdir()] == ["u.lgf"]
 
 
 def test_cli_energy_and_convert(tmp_path):

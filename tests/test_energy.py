@@ -255,6 +255,13 @@ def test_energy_coercivity_bound():
 # ---------------------------------------------------------------------------
 
 
+def test_problem_spec_rejects_a_column_dimension_off_the_grid():
+    domain = GridDomain(Ball(1.0), 16)
+    with pytest.raises(ShapeMismatchError, match="column dimension"):
+        ProblemSpec(make_tv(1, 3), domain,
+                    np.zeros((len(domain.boundary_faces), 1)))
+
+
 def test_truncate_values():
     domain = GridDomain(Interval(0.0, 1.0), 64)
     u = np.linspace(-3, 7, len(domain.points))[:, None]

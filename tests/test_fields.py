@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lingrad.errors import InvalidFieldError
+from lingrad.errors import InvalidFieldError, ShapeMismatchError
 from lingrad.fields import read_lgf, write_lgf
 
 _SHAPES = st.tuples(st.integers(1, 3), st.integers(1, 6), st.integers(1, 6))
@@ -61,3 +61,15 @@ def test_damaged_lgf_reads_back_or_raises_invalid_field(path, raw):
     assert values.ndim == 3 and values.dtype == np.float64
     assert 24 + values.nbytes == len(raw)
 
+
+
+def test_write_lgf_promotes_a_1d_field_and_rejects_other_ranks(tmp_path):
+    # a 1-D grid's (n_channels, nx) array is stored with ny = 1
+    values = np.arange(6.0).reshape(2, 3)
+    write_lgf(tmp_path / "f.lgf", values, 0.5)
+    back, _ = read_lgf(tmp_path / "f.lgf")
+    assert back.shape == (2, 3, 1) and np.array_equal(back[..., 0], values)
+    for bad in (np.zeros(3), np.zeros((1, 2, 2, 2))):
+        with pytest.raises(ShapeMismatchError, match="LGF1 stores"):
+            write_lgf(tmp_path / "g.lgf", bad, 0.5)
+    assert not (tmp_path / "g.lgf").exists()

@@ -140,6 +140,16 @@ def test_bad_f0_integrand_has_no_prox(f0):
         f.prox_conjugate(None, 2.0 * np.eye(2), 1.0)
 
 
+def test_bad_f0_integrand_gradient_is_the_norm_gradient(f0):
+    # one batch axis and two, against BadF0.grad on the flattened matrices
+    f = f0.integrand()
+    xi = np.random.default_rng(5).standard_normal((3, 4, 2, 2))
+    assert np.array_equal(f.gradient(None, xi),
+                          f0.grad(xi.reshape(-1, 2, 2)).reshape(xi.shape))
+    assert np.array_equal(f.gradient(None, xi[0]),
+                          f0.grad(xi[0]).reshape(xi[0].shape))
+
+
 def test_q_vanishes_at_e11(f0):
     q, _ = f0._q_and_grad(np.array([1.0, 0.0, 0.0, 0.0]))
     assert q == 0.0

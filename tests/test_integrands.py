@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from lingrad.energy import truncate
 from lingrad.errors import (
     DualRangeError,
     ProxFailureError,
@@ -21,6 +22,7 @@ from lingrad.integrands import (
     make_vector_tv,
     make_weighted_tv,
 )
+from lingrad.gallery import rof_ball_counterexample
 
 RNG = np.random.default_rng(42)
 
@@ -298,6 +300,29 @@ def test_integrand_requires_every_closed_form(slot):
     del slots[slot]
     with pytest.raises(TypeError, match=f"'{slot}'"):
         Integrand(1, 2, name="userf", growth_constant=1.0, **slots)
+
+
+def test_in_dual_range_without_dual_radius_reads_the_conjugate():
+    # the area integrand's dual range is the closed unit ball
+    f = user_area_like()
+    assert f.dual_radius is None
+    assert f.in_dual_range(None, [0.6, 0.8])
+    assert not f.in_dual_range(None, [0.6, 0.81])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: truncate(np.zeros((3, 1)), np.nan),
+    lambda: Integrand(1, 2, growth_constant=np.nan, **_user_area_slots()),
+    lambda: make_weighted_tv(lambda p: np.ones(p.shape[:-1]), 2,
+                             a_bounds=(np.nan, 1.0)),
+    lambda: make_weighted_tv(lambda p: np.ones(p.shape[:-1]), 2,
+                             a_bounds=(1.0, np.nan)),
+    lambda: rof_ball_counterexample(t=np.nan),
+], ids=["truncate_level", "growth_constant", "weight_min", "weight_max",
+        "rof_ball_t"])
+def test_nan_parameter_is_rejected(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 # ---------------------------------------------------------------------------
